@@ -179,10 +179,7 @@ def cmd_deform(args) -> int:
     if order < 1:
         raise InputError("truncation order must be >= 1")
     _, pres, deform, basis_u, series, ladder = _deformation_pipeline(config, order)
-    series_rows = [
-        {"rho": rho + 1, "exponent": list(expo), "value": f"{num}/{den}"}
-        for rho, expo, num, den in series.series_rows()
-    ]
+    series_rows = series.series_rows()
     payload = {
         "uBasis": [render(u) for u in basis_u.elements],
         "primeIndices": list(basis_u.prime_indices),

@@ -118,21 +118,17 @@ class ReductionResult:
         return out
 
 
-class _WeightSolver:
-    """Echelonized Q-image of one (charge, weight) slice, with preimages.
+class _Echelon:
+    """Sparse exact row echelon over Q, remembering how each row was made.
 
     rows: list of (pivot position, row dict, combo dict) where `row` maps a
-    position in the degree-0 monomial list to its coefficient and `combo`
-    expresses the row as a combination of the degree -1 generators.
-    Positions index the descending monomial order, so the pivot is always
-    the largest monomial of its row; rows are pairwise pivot-distinct and
-    each row is normalized to pivot coefficient 1.
+    position to its coefficient and `combo` expresses the row as a
+    combination of the inserted vectors, under the keys their callers gave
+    in `insert`.  Rows are pairwise pivot-distinct, each is normalized to pivot
+    coefficient 1, and the pivot is the smallest position of its row.
     """
 
-    def __init__(self, target: GradedPiece, generators: GradedPiece):
-        self.target = target
-        self.generators = generators
-        self.index = {m: i for i, m in enumerate(target.monomials)}
+    def __init__(self):
         self.rows = []
         self.pivots = {}
 
@@ -140,8 +136,9 @@ class _WeightSolver:
         """Reduce `vec` (position -> coeff) against the echelon rows.
 
         Returns (residual, combo): residual is supported on non-pivot
-        positions and combo expresses the eliminated part over the
-        generators, so that vec = residual + sum_g combo[g] * Q(gen_g).
+        positions and combo expresses the eliminated part over the inserted
+        vectors, so that vec = residual + sum_g combo[g] * vector_g (for a
+        weight solver, vector_g = Q(gen_g)).
 
         Every row's entries sit at positions >= its pivot, so processing
         positions in increasing order settles each one for good.
@@ -171,11 +168,15 @@ class _WeightSolver:
                     combo.pop(g, None)
         return residual, combo
 
-    def insert(self, vec: dict, combo: dict) -> bool:
-        """Echelon-insert a fresh image vector; True if the rank grew."""
+    def insert(self, vec: dict, combo: dict) -> Fraction:
+        """Echelon-insert `vec`, which equals the combination `combo`.
+
+        Returns the pivot coefficient the new row was divided by, or 0 when
+        `vec` is dependent on the rows already present.
+        """
         residual, used = self.eliminate(vec)
         if not residual:
-            return False
+            return Fraction(0)
         lead = min(residual)
         scale = residual[lead]
         row = {pos: c / scale for pos, c in residual.items()}
@@ -183,9 +184,28 @@ class _WeightSolver:
         for g, c in used.items():
             full_combo[g] = full_combo.get(g, Fraction(0)) - c
         full_combo = {g: c / scale for g, c in full_combo.items() if c}
-        self.pivots[lead] = len(self.rows)
-        self.rows.append((lead, row, full_combo))
-        return True
+        self.add_row(lead, row, full_combo)
+        return scale
+
+    def add_row(self, pivot: int, row: dict, combo: dict) -> None:
+        """Register an already reduced and normalized row."""
+        self.pivots[pivot] = len(self.rows)
+        self.rows.append((pivot, row, combo))
+
+
+class _WeightSolver(_Echelon):
+    """Echelonized Q-image of one (charge, weight) slice, with preimages.
+
+    Positions index the descending monomial order of the degree-0 piece, so
+    a row's pivot is its largest monomial; combos are keyed by position in
+    the degree -1 generator piece.
+    """
+
+    def __init__(self, target: GradedPiece, generators: GradedPiece):
+        super().__init__()
+        self.target = target
+        self.generators = generators
+        self.index = {m: i for i, m in enumerate(target.monomials)}
 
     def complement_monomials(self):
         return tuple(m for i, m in enumerate(self.target.monomials)
@@ -426,11 +446,10 @@ class QuotientPresentation:
             generators = enumerate_piece(ctx, pres.c_G, w, -1)
             solver = _WeightSolver(target, generators)
             for rdata in sdata["rows"]:
-                pivot = rdata["pivot"]
-                row = {int(pos): Fraction(c) for pos, c in rdata["row"].items()}
-                combo = {int(g): Fraction(c) for g, c in rdata["combo"].items()}
-                solver.pivots[pivot] = len(solver.rows)
-                solver.rows.append((pivot, row, combo))
+                solver.add_row(
+                    rdata["pivot"],
+                    {int(pos): Fraction(c) for pos, c in rdata["row"].items()},
+                    {int(g): Fraction(c) for g, c in rdata["combo"].items()})
             pres._solvers[w] = solver
         return pres
 
@@ -447,14 +466,6 @@ def _monomial_from_json(ctx: VariableContext, data) -> SuperMonomial:
 
 def build_presentation(D: DworkData, slack: int = 2) -> QuotientPresentation:
     return QuotientPresentation.build(D, slack=slack)
-
-
-def hodge_numbers(presentation: QuotientPresentation):
-    return presentation.hodge_numbers()
-
-
-def reduce_element(presentation: QuotientPresentation, f: SuperElement) -> ReductionResult:
-    return presentation.reduce(f)
 
 
 # -- charge concentration ----------------------------------------------------
@@ -502,17 +513,9 @@ def charge_witness_check(D: DworkData, f: SuperElement) -> SuperElement:
     K-closed f is the statement that f is exact whenever lam != c_G) and
     returns f R.
     """
+    witness = charge_witness(D, f)  # (-1)^|f| f R; validates f
     lam = f.homogeneous_charge()
-    if lam is None:
-        raise InputError("charge witness needs charge-homogeneous input")
-    deg = f.homogeneous_degree()
-    if deg is None:
-        raise InputError("charge witness needs degree-homogeneous input")
     c_G = D.ctx.background_charge()
-    R = charge_generator(D)
-    lhs = apply_k(D, f * R)
-    sign = -1 if deg % 2 else 1
-    rhs = (f.scale(lam - c_G) - R * apply_k(D, f)).scale(sign)
-    if lhs != rhs:
+    if apply_k(D, witness) != f.scale(lam - c_G) - charge_generator(D) * apply_k(D, f):
         raise InternalCheckError("charge concentration identity failed")
-    return f * R
+    return witness.scale(-1 if f.homogeneous_degree() % 2 else 1)

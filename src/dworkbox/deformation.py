@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cohomology import QuotientPresentation, enumerate_piece
+from .cohomology import QuotientPresentation, _compositions, _Echelon, enumerate_piece
 from .errors import (
     AssumptionError,
     IndependenceError,
@@ -41,6 +41,7 @@ from .operators import (
     LinearFunctional,
     apply_k,
     bell_complete,
+    check_x_homogeneous,
     dwork_potential,
     ell2,
     phi_n,
@@ -109,14 +110,7 @@ def build_deformation(base: DworkData, H: Sequence[SuperElement],
         if h.ctx != ctx:
             raise InputError("deformation polynomial over a different context")
         if not h.is_zero():
-            for mono in h.terms:
-                if mono.eta:
-                    raise InputError(f"H_{i} contains an eta factor")
-                if any(mono.qexp[j] for j in range(ctx.k)):
-                    raise InputError(f"H_{i} contains a y variable")
-                if sum(mono.qexp[ctx.k:]) != ctx.degrees[i - 1]:
-                    raise InputError(
-                        f"H_{i} not homogeneous of degree {ctx.degrees[i - 1]}")
+            check_x_homogeneous(ctx, h, ctx.degrees[i - 1], f"H_{i}")
             nonzero.append(i)
             gamma = gamma + SuperElement.variable(ctx, i) * h
         U.append(g + h)
@@ -159,13 +153,7 @@ def _check_h_factor(ctx: VariableContext, h: SuperElement, degree: int) -> None:
     """Supplied charge-matching factors must be x-only of the forced degree."""
     if h.is_zero():
         raise InputError("h factor must be nonzero")
-    for mono in h.terms:
-        if mono.eta:
-            raise InputError("h factor must not contain eta variables")
-        if any(mono.qexp[i] for i in range(ctx.k)):
-            raise InputError("h factor must not contain y variables")
-        if sum(mono.qexp[ctx.k:]) != degree:
-            raise InputError(f"h factor must be homogeneous of degree {degree}")
+    check_x_homogeneous(ctx, h, degree, "h factor")
 
 
 def _pick_y_power(ctx: VariableContext, c_G: int):
@@ -245,32 +233,12 @@ def u_basis(def_data: DeformationData, pres_G: QuotientPresentation,
             raise InternalCheckError("u class misses the background charge")
         leaders.append(u)
 
-    # incremental exact rank tracking over reduced coordinate vectors;
-    # every stored row has support >= its pivot position
-    echelon: dict = {}
-
-    def try_insert(vec):
-        row = dict(vec)
-        while row:
-            pos = min(row)
-            hit = echelon.get(pos)
-            if hit is None:
-                scale = row[pos]
-                echelon[pos] = {p: c / scale for p, c in row.items()}
-                return True
-            lead = row[pos]
-            for p, c in hit.items():
-                new = row.get(p, Fraction(0)) - lead * c
-                if new:
-                    row[p] = new
-                else:
-                    row.pop(p, None)
-        return False
-
+    # incremental exact rank tracking over reduced coordinate vectors
+    echelon = _Echelon()
     for idx, u in enumerate(leaders, start=1):
         coeffs = pres_U.reduce(u).coefficients
         vec = {i: c for i, c in enumerate(coeffs) if c}
-        if not try_insert(vec):
+        if not echelon.insert(vec, {}):
             raise IndependenceError(
                 f"deformation class {idx} is linearly dependent on the "
                 "previous ones in the deformed quotient")
@@ -282,7 +250,7 @@ def u_basis(def_data: DeformationData, pres_G: QuotientPresentation,
         candidate = SuperElement(ctx, {mono: Fraction(1)})
         coeffs = pres_U.reduce(candidate).coefficients
         vec = {i: c for i, c in enumerate(coeffs) if c}
-        if try_insert(vec):
+        if echelon.insert(vec, {}):
             elements.append(candidate)
     if len(elements) != dim:
         raise InternalCheckError("failed to complete the deformed basis")
@@ -314,25 +282,15 @@ class DeformationSeries:
         return self.coefficients.get((rho, tuple(exponent)), Fraction(0))
 
     def series_rows(self):
-        """Deterministic export order: (rho, exponent, numerator, denominator)."""
-        rows = []
-        for (rho, expo), c in self.coefficients.items():
-            rows.append((rho, expo, c.numerator, c.denominator))
-        rows.sort(key=lambda r: (r[0], sum(r[1]), r[1]))
-        return rows
+        """Export rows {rho, exponent, value}, with rho numbered from 1.
 
-
-def _exponents_of_order(nvars: int, total: int):
-    if nvars == 0:
-        if total == 0:
-            yield ()
-        return
-    if nvars == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _exponents_of_order(nvars - 1, total - first):
-            yield (first,) + rest
+        Sorted by rho, then total order, then exponent; values are "p/q".
+        """
+        ordered = sorted(self.coefficients.items(),
+                         key=lambda item: (item[0][0], sum(item[0][1]), item[0][1]))
+        return [{"rho": rho + 1, "exponent": list(expo),
+                 "value": f"{c.numerator}/{c.denominator}"}
+                for (rho, expo), c in ordered]
 
 
 def t_series(def_data: DeformationData, pres_G: QuotientPresentation,
@@ -360,7 +318,7 @@ def t_series(def_data: DeformationData, pres_G: QuotientPresentation,
     if c_G == 0:
         # coefficient of t^m is prod u_a^{m_a} / prod m_a!
         for total in range(1, order + 1):
-            for expo in _exponents_of_order(dim, total):
+            for expo in _compositions(total, dim):
                 value = SuperElement.one(ctx)
                 denom = 1
                 for a, e in enumerate(expo):
@@ -378,7 +336,7 @@ def t_series(def_data: DeformationData, pres_G: QuotientPresentation,
         gamma_parts = {p - 1: SuperElement.variable(ctx, i) * def_data.H[i - 1]
                        for p, i in zip(prime, def_data.nonzero_indices)}
         for total in range(0, order + 1):
-            for expo in _exponents_of_order(dim, total):
+            for expo in _compositions(total, dim):
                 outside = [a for a, e in enumerate(expo) if e and a not in prime_set]
                 if len(outside) > 1:
                     continue
@@ -553,7 +511,7 @@ class BaseChange:
         if self.integral:
             if any(not isinstance(v, int) for row in rows for v in row):
                 raise InputError("integral base change needs integer entries")
-            det = _int_determinant([list(r) for r in rows])
+            det = _determinant(rows)
             if det not in (1, -1):
                 raise InputError(f"integral base change must be unimodular, det = {det}")
 
@@ -562,24 +520,21 @@ class BaseChange:
         return len(self.matrix)
 
 
-def _int_determinant(rows) -> Fraction:
-    n = len(rows)
-    mat = [[Fraction(v) for v in row] for row in rows]
+def _determinant(rows) -> Fraction:
+    """Exact determinant of a square matrix through the sparse echelon.
+
+    Inserting the rows in order only subtracts multiples of earlier rows, so
+    the determinant is the product of the pivot coefficients `insert`
+    divides by (0 for a dependent row), signed by the parity of the pivot
+    order.
+    """
+    echelon = _Echelon()
     det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            if mat[r][col]:
-                factor = mat[r][col] * inv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
-    return det
+    for row in rows:
+        det *= echelon.insert({j: Fraction(v) for j, v in enumerate(row) if v}, {})
+    order = [pivot for pivot, _, _ in echelon.rows]
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return -det if inversions % 2 else det
 
 
 def _matmul(a, b):
@@ -611,9 +566,6 @@ def series_to_json(series: DeformationSeries) -> str:
         "order": series.order,
         "dimension": series.dimension,
         "primeIndices": list(series.prime_indices),
-        "coefficients": [
-            {"rho": rho, "exponent": list(expo), "value": f"{num}/{den}"}
-            for rho, expo, num, den in series.series_rows()
-        ],
+        "coefficients": series.series_rows(),
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -67,21 +67,30 @@ def dwork_potential(ctx: VariableContext, G: Sequence[SuperElement]) -> DworkDat
             raise ContextMismatchError("defining polynomial over a different context")
         if g.is_zero():
             raise InputError(f"G_{l} is zero")
-        for mono in g.terms:
-            if mono.eta:
-                raise InputError(f"G_{l} contains an eta factor")
-            if any(mono.qexp[i] for i in range(ctx.k)):
-                raise InputError(f"G_{l} contains a y variable")
-            xdeg = sum(mono.qexp[ctx.k:])
-            if xdeg != ctx.degrees[l - 1]:
-                raise InputError(
-                    f"G_{l} not homogeneous of degree {ctx.degrees[l - 1]}: "
-                    f"found a degree-{xdeg} monomial")
+        check_x_homogeneous(ctx, g, ctx.degrees[l - 1], f"G_{l}")
     S = SuperElement.zero(ctx)
     for l, g in enumerate(G, start=1):
         S = S + SuperElement.variable(ctx, l) * g
     grad = tuple(partial_q(i, S) for i in range(1, ctx.nvars + 1))
     return DworkData(ctx, G, S, grad)
+
+
+def check_x_homogeneous(ctx: VariableContext, poly: SuperElement, degree: int,
+                        name: str) -> None:
+    """Require `poly` to be eta-free, y-free and homogeneous of `degree` in x.
+
+    `name` (such as "G_1", "H_2" or "h factor") opens every error message.
+    Whether the zero polynomial is allowed is left to the caller.
+    """
+    for mono in poly.terms:
+        if mono.eta:
+            raise InputError(f"{name} contains an eta factor")
+        if any(mono.qexp[:ctx.k]):
+            raise InputError(f"{name} contains a y variable")
+        xdeg = sum(mono.qexp[ctx.k:])
+        if xdeg != degree:
+            raise InputError(f"{name} not homogeneous of degree {degree}: "
+                             f"found a degree-{xdeg} monomial")
 
 
 def apply_delta(a: SuperElement) -> SuperElement:
@@ -305,78 +314,3 @@ def bell_partial(n: int, j: int, xs: Sequence) -> Fraction:
         return value
 
     return rec(n, j)
-
-
-# -- truncated exponential identities (test harness) ------------------------
-
-def _gamma_powers(gamma: SuperElement, order: int):
-    powers = [SuperElement.one(gamma.ctx)]
-    for _ in range(order):
-        powers.append(powers[-1] * gamma)
-    return powers
-
-
-def exp_identity_lhs(D: DworkData, gamma: SuperElement, lam: Optional[SuperElement],
-                     order: int) -> SuperElement:
-    """Left side of the exponential identities, truncated in powers of Gamma.
-
-    With lam=None:   K(e^Gamma - 1)   = sum_{m=1..order} K(Gamma^m) / m!
-    With lam given:  K(lam * e^Gamma) = sum_{m=0..order} K(lam Gamma^m) / m!
-    """
-    if order < 1:
-        raise InputError("truncation order must be >= 1")
-    if gamma.homogeneous_degree() != 0:
-        raise InputError("Gamma must have cohomological degree 0")
-    powers = _gamma_powers(gamma, order)
-    out = SuperElement.zero(D.ctx)
-    if lam is None:
-        for m in range(1, order + 1):
-            out = out + apply_k(D, powers[m]).scale(Fraction(1, math.factorial(m)))
-    else:
-        for m in range(0, order + 1):
-            out = out + apply_k(D, lam * powers[m]).scale(Fraction(1, math.factorial(m)))
-    return out
-
-
-def exp_identity_rhs(D: DworkData, gamma: SuperElement, lam: Optional[SuperElement],
-                     order: int) -> SuperElement:
-    """Right side of the same identities, truncated at the same Gamma-order.
-
-    With lam=None:   L(Gamma) e^Gamma where L(Gamma) = sum_{r>=1} l_r(Gamma..)/r!
-    With lam given:  L_Gamma(lam) e^Gamma + (-1)^|lam| lam K(e^Gamma - 1)
-                     where L_Gamma(lam) = K(lam) + sum_{r>=2} l_r(Gamma..,lam)/(r-1)!
-
-    Both sides agree degree-by-degree in Gamma; disagreement at any
-    truncation order is a bug in the bracket tower.
-    """
-    if order < 1:
-        raise InputError("truncation order must be >= 1")
-    if gamma.homogeneous_degree() != 0:
-        raise InputError("Gamma must have cohomological degree 0")
-    powers = _gamma_powers(gamma, order)
-    cache: dict = {}
-    # ell_r(Gamma, ..., Gamma)/r! and, with lam, ell_{r+1}(Gamma,..,lam)/r!
-    l_parts = [SuperElement.zero(D.ctx)]  # index r = Gamma-homogeneity
-    for r in range(1, order + 1):
-        l_parts.append(ell_n(D, (gamma,) * r, _cache=cache).scale(Fraction(1, math.factorial(r))))
-    out = SuperElement.zero(D.ctx)
-    if lam is None:
-        for m in range(1, order + 1):
-            for r in range(1, m + 1):
-                s = m - r
-                out = out + (l_parts[r] * powers[s]).scale(Fraction(1, math.factorial(s)))
-        return out
-    lam_deg = lam.homogeneous_degree()
-    if lam_deg is None:
-        raise InputError("lam must be degree-homogeneous")
-    lg_parts = [apply_k(D, lam)]
-    for r in range(1, order + 1):
-        lg = ell_n(D, (gamma,) * r + (lam,), _cache=cache)
-        lg_parts.append(lg.scale(Fraction(1, math.factorial(r))))
-    for m in range(0, order + 1):
-        for r in range(0, m + 1):
-            s = m - r
-            out = out + (lg_parts[r] * powers[s]).scale(Fraction(1, math.factorial(s)))
-    sign = -1 if lam_deg % 2 else 1
-    tail = exp_identity_lhs(D, gamma, None, order)
-    return out + sign * (lam * tail)

@@ -405,11 +405,6 @@ def _merge_eta(ea: tuple, eb: tuple):
     return sign, tuple(merged)
 
 
-def multiply(a: SuperElement, b: SuperElement) -> SuperElement:
-    """Super-commutative product; thin named wrapper over ``a * b``."""
-    return a * b
-
-
 def partial_q(i: int, a: SuperElement) -> SuperElement:
     """Formal partial derivative with respect to q_i (1-based); eta untouched."""
     a.ctx._check_index(i)

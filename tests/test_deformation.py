@@ -277,7 +277,7 @@ def test_series_export_shape(hesse_setup):
     assert payload["dimension"] == 2
     rows = payload["coefficients"]
     assert {"rho", "exponent", "value"} <= set(rows[0])
-    linear = [r for r in rows if r["exponent"] == [1, 0] and r["rho"] == 1]
+    linear = [r for r in rows if r["exponent"] == [1, 0] and r["rho"] == 2]
     assert linear and linear[0]["value"] == "1/1"
 
 

@@ -1,0 +1,95 @@
+"""Byte-identity of the CLI reports and of the presentation export.
+
+Each case runs one CLI command in process and compares its report, byte for
+byte, with a file under tests/golden/.  The files were written by the code
+before the elimination and enumeration rewrites, so any change in a basis,
+a series coefficient, a D ladder, a transported matrix or the presentation
+JSON shows up here.  To rewrite them after an intended report change:
+
+    python -c "from tests.test_golden import write_goldens; write_goldens()"
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from dworkbox import VariableContext, build_presentation, dwork_potential, parse
+from dworkbox.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+GEOMETRIES = {
+    "cubic_curve": {
+        "n": 2, "k": 1, "degrees": [3],
+        "G": ["x0^3 + x1^3 + x2^3"], "H": ["x0*x1*x2"]},
+    "two_quadrics": {
+        "n": 3, "k": 2, "degrees": [2, 2],
+        "G": ["x0^2 + x1^2 + x2^2 + x3^2", "x0^2 + 2*x1^2 + 3*x2^2 + 4*x3^2"],
+        "H": ["x0*x1", "0"]},
+}
+# exact and decimal period entries; unimodular base changes of determinant -1
+# whose elimination needs a row swap
+OMEGA = [["3/7", "-2"], ["0.25", "5/3"]]
+BASE_CHANGE = [[0, 1], [1, 3]]
+
+COMMANDS = {
+    "basis": [],
+    "deform": ["--order", "3"],
+    "transport": ["--order", "3", "--omega", "{omega}", "--base-change", "{base}"],
+}
+
+CASES = [(command, geometry, fmt)
+         for geometry in GEOMETRIES
+         for command in COMMANDS
+         for fmt in ("text", "json")]
+
+
+def _case_name(command, geometry, fmt):
+    return f"{command}-{geometry}.{'json' if fmt == 'json' else 'txt'}"
+
+
+def render_case(command, geometry, fmt, workdir: Path) -> str:
+    """Run one CLI command into a file under workdir and return the report."""
+    config = workdir / f"{geometry}.json"
+    config.write_text(json.dumps(GEOMETRIES[geometry]))
+    omega = workdir / "omega.json"
+    omega.write_text(json.dumps(OMEGA))
+    base = workdir / "base.json"
+    base.write_text(json.dumps(BASE_CHANGE))
+    out = workdir / _case_name(command, geometry, fmt)
+    extra = [a.format(omega=omega, base=base) for a in COMMANDS[command]]
+    code = main(["--format", fmt, "--out", str(out), command, str(config), *extra])
+    assert code == EXIT_OK
+    return out.read_text(encoding="utf-8")
+
+
+def render_cubic_presentation() -> str:
+    spec = GEOMETRIES["cubic_curve"]
+    ctx = VariableContext(spec["n"], spec["k"], tuple(spec["degrees"]))
+    D = dwork_potential(ctx, [parse(g, ctx) for g in spec["G"]])
+    return build_presentation(D).to_json()
+
+
+def write_goldens() -> None:
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            text = render_case(*case, Path(tmp))
+            (GOLDEN / _case_name(*case)).write_text(text, encoding="utf-8")
+    (GOLDEN / "presentation-cubic_curve.json").write_text(
+        render_cubic_presentation(), encoding="utf-8")
+
+
+@pytest.mark.parametrize("command,geometry,fmt", CASES,
+                         ids=[_case_name(*c) for c in CASES])
+def test_cli_report_is_byte_identical(command, geometry, fmt, tmp_path):
+    expected = (GOLDEN / _case_name(command, geometry, fmt)).read_text(encoding="utf-8")
+    assert render_case(command, geometry, fmt, tmp_path) == expected
+
+
+def test_presentation_json_is_byte_identical():
+    expected = (GOLDEN / "presentation-cubic_curve.json").read_text(encoding="utf-8")
+    assert render_cubic_presentation() == expected

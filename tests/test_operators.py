@@ -30,7 +30,7 @@ from dworkbox import (
     parse,
     phi_n,
 )
-from dworkbox.superalgebra import multiply, partial_eta, partial_q
+from dworkbox.superalgebra import partial_eta, partial_q
 from dworkbox.verify import random_element, random_homogeneous
 
 
@@ -47,7 +47,7 @@ def oracle_q(D, a):
     ctx = a.ctx
     out = SuperElement.zero(ctx)
     for i in range(1, ctx.nvars + 1):
-        out = out + multiply(D.grad[i - 1], partial_eta(i, a))
+        out = out + D.grad[i - 1] * partial_eta(i, a)
     return out
 
 
