@@ -22,6 +22,7 @@ from .deformation import (
     BaseChange,
     PeriodMatrix,
     build_deformation,
+    d_ladder,
     d_matrix,
     period_transport,
     t_series,
@@ -160,7 +161,8 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _deformation_pipeline(config: JobConfig, order: int):
+def _deformation_setup(config: JobConfig):
+    """Base presentation, deformation and u basis shared by deform and transport."""
     if config.H is None:
         raise InputError("config has no H block; nothing to deform")
     D, pres = _build(config)
@@ -168,17 +170,23 @@ def _deformation_pipeline(config: JobConfig, order: int):
     pres_U = build_presentation(deform.deformed, slack=config.slack)
     h_elt = parse(config.h_override, config.ctx) if config.h_override else None
     basis_u = u_basis(deform, pres, pres_U, h=h_elt, y_choice=config.y_choice)
-    series = t_series(deform, pres, basis_u, order)
-    ladder = d_matrix(series)
-    return D, pres, deform, basis_u, series, ladder
+    return pres, deform, basis_u
+
+
+def _truncation_order(args, config: JobConfig) -> int:
+    order = args.order if args.order is not None else config.truncation_order
+    if order < 1:
+        raise InputError("truncation order must be >= 1")
+    return order
 
 
 def cmd_deform(args) -> int:
     config = JobConfig.load(args.config)
-    order = args.order if args.order is not None else config.truncation_order
-    if order < 1:
-        raise InputError("truncation order must be >= 1")
-    _, pres, deform, basis_u, series, ladder = _deformation_pipeline(config, order)
+    order = _truncation_order(args, config)
+    pres, deform, basis_u = _deformation_setup(config)
+    # the report prints the series, so the ladder is read off it
+    series = t_series(deform, pres, basis_u, order)
+    ladder = d_matrix(series)
     series_rows = series.series_rows()
     payload = {
         "uBasis": [render(u) for u in basis_u.elements],
@@ -237,7 +245,7 @@ def _load_matrix(path: str):
 
 def cmd_transport(args) -> int:
     config = JobConfig.load(args.config)
-    order = args.order if args.order is not None else config.truncation_order
+    order = _truncation_order(args, config)
     omega_rows, _ = _load_matrix(args.omega)
     b_rows, b_meta = _load_matrix(args.base_change)
     integral = bool(b_meta.get("integral", True))
@@ -251,10 +259,15 @@ def cmd_transport(args) -> int:
     else:
         base = BaseChange(tuple(tuple(r) for r in b_rows), integral=False)
     omega = PeriodMatrix(tuple(tuple(r) for r in omega_rows))
-    _, pres, deform, basis_u, series, ladder = _deformation_pipeline(config, order)
+    if base.size != omega.size:
+        raise InputError(f"base change is {base.size}x{base.size}, expected "
+                         f"{omega.size}x{omega.size} to match the period matrix")
+    pres, deform, basis_u = _deformation_setup(config)
     if omega.size != pres.dimension:
         raise InputError(
             f"period matrix is {omega.size}x{omega.size}, expected {pres.dimension}")
+    # only the ladder is needed, so the series is never expanded
+    ladder = d_ladder(deform, pres, basis_u, order)
     payload = {"orders": []}
     lines = [f"period transport through order {order}:"]
     for m, mat in ladder.items():

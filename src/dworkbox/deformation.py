@@ -15,7 +15,8 @@ From a deformation the module builds:
     exponential coefficient-by-coefficient, with K-exactness certificates
     retained at every multi-exponent;
   * the ladder of derivative matrices D (partial sums per total order) whose
-    limit transports period matrices via  Omega_U = D * Omega_G * B.
+    limit transports period matrices via  Omega_U = D * Omega_G * B, either
+    read off the series (d_matrix) or built directly (d_ladder).
 
 Period matrices and the integral base change B are opaque user inputs; the
 transport is plain matrix algebra in whatever arithmetic the entries carry.
@@ -317,42 +318,60 @@ def t_series(def_data: DeformationData, pres_G: QuotientPresentation,
 
     if c_G == 0:
         # coefficient of t^m is prod u_a^{m_a} / prod m_a!
-        for total in range(1, order + 1):
-            for expo in _compositions(total, dim):
-                value = SuperElement.one(ctx)
-                denom = 1
-                for a, e in enumerate(expo):
-                    if e:
-                        value = value * elements[a] ** e
-                        denom *= math.factorial(e)
-                value = value.scale(Fraction(1, denom))
-                _record(pres_G, coefficients, certificates, expo, value)
+        for total, level in _scaled_products(ctx, elements, order):
+            if total:
+                for expo, value in level.items():
+                    _record(pres_G, coefficients, certificates, expo, value)
     else:
-        # exponential part: only the I' variables appear in the exponent
+        # exponential part: only the I' variables appear in the exponent, and
+        # the prefactor (h + sum_{b outside I'} t^b u_b) supplies the charge,
+        # so an admissible exponent is an I' exponent, alone or plus one e_b
         prefactor_const = (basis_u.h_factor if c_G > 0
                            else basis_u.h_factor * SuperElement.variable(
                                ctx, basis_u.y_choice[0]) ** basis_u.y_choice[1])
-        prime_set = set(p - 1 for p in prime)
-        gamma_parts = {p - 1: SuperElement.variable(ctx, i) * def_data.H[i - 1]
-                       for p, i in zip(prime, def_data.nonzero_indices)}
-        for total in range(0, order + 1):
-            for expo in _compositions(total, dim):
-                outside = [a for a, e in enumerate(expo) if e and a not in prime_set]
-                if len(outside) > 1:
-                    continue
-                if outside and expo[outside[0]] > 1:
-                    continue
-                value = prefactor_const if not outside else elements[outside[0]]
-                denom = 1
-                for a in prime_set:
-                    e = expo[a]
-                    if e:
-                        value = value * gamma_parts[a] ** e
-                        denom *= math.factorial(e)
-                value = value.scale(Fraction(1, denom))
+        prime_pos = [p - 1 for p in prime]
+        outside = [b for b in range(dim) if b + 1 not in prime]
+        gamma_parts = [SuperElement.variable(ctx, i) * def_data.H[i - 1]
+                       for i in def_data.nonzero_indices]
+
+        def embed(inner, b=None):
+            expo = [0] * dim
+            for a, e in zip(prime_pos, inner):
+                expo[a] = e
+            if b is not None:
+                expo[b] = 1
+            return tuple(expo)
+
+        previous = {}
+        for total, level in _scaled_products(ctx, gamma_parts, order):
+            terms = [(embed(inner), prefactor_const * value)
+                     for inner, value in level.items()]
+            terms += [(embed(inner, b), elements[b] * value)
+                      for inner, value in previous.items() for b in outside]
+            # the order of _compositions(total, dim)
+            for expo, value in sorted(terms, key=lambda term: term[0], reverse=True):
                 _record(pres_G, coefficients, certificates, expo, value)
+            previous = level
 
     return DeformationSeries(order, dim, prime, coefficients, certificates)
+
+
+def _scaled_products(ctx: VariableContext, factors, order: int):
+    """Yield (total, {m: prod factors[a]^{m_a} / m_a!}) for total = 0..order.
+
+    Each level lists the exponents in the order of _compositions and builds
+    every product from the previous level by one multiplication.
+    """
+    level = {(0,) * len(factors): SuperElement.one(ctx)}
+    yield 0, level
+    for total in range(1, order + 1):
+        parent_level, level = level, {}
+        for expo in _compositions(total, len(factors)):
+            a = next(i for i, e in enumerate(expo) if e)
+            parent = expo[:a] + (expo[a] - 1,) + expo[a + 1:]
+            level[expo] = (parent_level[parent] * factors[a]).scale(
+                Fraction(1, expo[a]))
+        yield total, level
 
 
 def _record(pres: QuotientPresentation, coefficients, certificates, expo, value):
@@ -375,8 +394,9 @@ def d_matrix(series: DeformationSeries, prime_indices: Optional[Sequence[int]] =
     inspects convergence across orders.
 
     Multinomial bookkeeping makes row beta at order M equal the cumulative
-    reduction of u_beta * Gamma^j / j! over j < M (the direct route of
-    expansion_coefficients); the test suite pins that equality.
+    reduction of u_beta * Gamma^j / j! over j < M.  d_ladder is that other
+    route, and it never expands the series; the test suite pins that the two
+    agree.
     """
     prime = tuple(prime_indices) if prime_indices is not None else series.prime_indices
     prime_set = set(p - 1 for p in prime)
@@ -400,6 +420,21 @@ def d_matrix(series: DeformationSeries, prime_indices: Optional[Sequence[int]] =
                 running[beta][rho] += e * c
         ladders[order] = [row[:] for row in running]
     return ladders
+
+
+def d_ladder(def_data: DeformationData, pres_G: QuotientPresentation,
+             basis_u: UBasis, order: int):
+    """The ladder of d_matrix(t_series(...)) without expanding the series.
+
+    Row beta at order M is the cumulative reduction of u_beta * Gamma^j / j!
+    over j < M, read off one expansion_coefficients call per u_beta: dim *
+    order reductions instead of one per exponent of the series.
+    """
+    if order < 1:
+        raise InputError("truncation order must be >= 1")
+    rows = [expansion_coefficients(def_data, pres_G, u, order - 1)
+            for u in basis_u.elements]
+    return {m: [list(row[m - 1]) for row in rows] for m in range(1, order + 1)}
 
 
 # -- deformation evaluators ----------------------------------------------------

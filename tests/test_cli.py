@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dworkbox import cli
 from dworkbox.cli import (
     EXIT_ASSUMPTION,
     EXIT_INPUT,
@@ -138,6 +139,58 @@ def test_deform_without_h(capsys, quartic_config):
 def test_deform_order_zero_rejected(capsys, fermat_config):
     code, _, err = run_cli(capsys, "deform", fermat_config, "--order", "0")
     assert code == EXIT_INPUT
+
+
+def _matrix_files(tmp_path, omega_rows, b_rows):
+    omega = tmp_path / "omega.json"
+    omega.write_text(json.dumps(omega_rows))
+    bmat = tmp_path / "b.json"
+    bmat.write_text(json.dumps(b_rows))
+    return str(omega), str(bmat)
+
+
+def _no_presentation(monkeypatch):
+    """Make building any presentation in the CLI a test failure."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a presentation was built before the input check")
+
+    monkeypatch.setattr(cli, "build_presentation", refuse)
+
+
+def test_transport_order_zero_rejected_before_any_build(capsys, fermat_config,
+                                                        tmp_path, monkeypatch):
+    omega, bmat = _matrix_files(tmp_path, [["1", "2"], ["3", "4"]], [[1, 0], [0, 1]])
+    _no_presentation(monkeypatch)
+    code, _, err = run_cli(capsys, "transport", fermat_config, "--omega", omega,
+                           "--base-change", bmat, "--order", "0")
+    assert code == EXIT_INPUT
+    assert "truncation order must be >= 1" in err
+
+
+def test_transport_rejects_omega_base_change_mismatch_before_any_build(
+        capsys, fermat_config, tmp_path, monkeypatch):
+    omega, bmat = _matrix_files(tmp_path, [["1", "2"], ["3", "4"]],
+                                [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    _no_presentation(monkeypatch)
+    code, _, err = run_cli(capsys, "transport", fermat_config, "--omega", omega,
+                           "--base-change", bmat)
+    assert code == EXIT_INPUT
+    assert "3x3" in err and "2x2" in err
+
+
+def test_transport_never_expands_the_series(capsys, fermat_config, tmp_path,
+                                            monkeypatch):
+    omega, bmat = _matrix_files(tmp_path, [["1", "2"], ["3", "4"]], [[1, 0], [0, 1]])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("transport expanded the T series")
+
+    monkeypatch.setattr(cli, "t_series", refuse)
+    code, out, _ = run_cli(capsys, "--format", "json", "transport", fermat_config,
+                           "--omega", omega, "--base-change", bmat, "--order", "3")
+    assert code == EXIT_OK
+    # row 0 of the order-3 ladder is (-1/54, 1): the Hesse value
+    assert json.loads(out)["orders"][2]["matrix"][0] == ["161/54", "107/27"]
 
 
 def test_transport_identity(capsys, fermat_config, tmp_path):

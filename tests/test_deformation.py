@@ -26,6 +26,7 @@ from dworkbox.deformation import (
     PeriodMatrix,
     bell_expansion,
     build_deformation,
+    d_ladder,
     d_matrix,
     expansion_coefficients,
     k_gamma,
@@ -600,6 +601,45 @@ def test_d_ladder_matches_direct_expansion_route_k2(quadrics_presentation,
         direct = expansion_coefficients(dd, quadrics_presentation, u, 3)
         for order in range(1, 5):
             assert list(ladder[order][beta]) == list(direct[order - 1])
+
+
+# (n, degrees, G, H, h factor, order): c_G = 0, c_G = 2, c_G = -1, k = 2 and
+# the trivial deformation H = 0
+LADDER_CASES = {
+    "cubic_curve": (2, (3,), ["x0^3 + x1^3 + x2^3"], ["x0*x1*x2"], None, 6),
+    "quintic_curve": (2, (5,), ["x0^5 + x1^5 + x2^5"], ["x0^2*x1^2*x2"], None, 4),
+    "cubic_surface": (3, (3,), ["x0^3 + x1^3 + x2^3 + x3^3"], ["x0*x1*x2"],
+                      "x2^2", 3),
+    "two_quadrics": (3, (2, 2), ["x0^2 + x1^2 + x2^2 + x3^2",
+                                 "x0^2 + 2*x1^2 + 3*x2^2 + 4*x3^2"],
+                     ["x0*x1", "0"], None, 4),
+    "trivial": (2, (3,), ["x0^3 + x1^3 + x2^3"], ["0"], None, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_CASES))
+def test_d_ladder_equals_series_route(name):
+    """d_ladder and d_matrix(t_series) agree exactly at every order."""
+    n, degrees, G, H, h, order = LADDER_CASES[name]
+    ctx = VariableContext(n, len(degrees), degrees)
+    D = dwork_potential(ctx, [parse(g, ctx) for g in G])
+    P = build_presentation(D)
+    dd = build_deformation(D, [parse(t, ctx) for t in H])
+    PU = build_presentation(dd.deformed)
+    basis_u = u_basis(dd, P, PU, h=parse(h, ctx) if h else None)
+    ladder = d_ladder(dd, P, basis_u, order)
+    assert set(ladder) == set(range(1, order + 1))
+    assert ladder == d_matrix(t_series(dd, P, basis_u, order))
+    if dd.is_trivial:
+        identity = [[Fraction(int(i == j)) for j in range(P.dimension)]
+                    for i in range(P.dimension)]
+        assert all(matrix == identity for matrix in ladder.values())
+
+
+def test_d_ladder_rejects_bad_order(hesse_setup):
+    hesse, pres_G, _, basis_u = hesse_setup
+    with pytest.raises(InputError, match="truncation order must be >= 1"):
+        d_ladder(hesse, pres_G, basis_u, 0)
 
 
 def test_u_basis_rejects_malformed_h():

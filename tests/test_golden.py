@@ -2,9 +2,11 @@
 
 Each case runs one CLI command in process and compares its report, byte for
 byte, with a file under tests/golden/.  The files were written by the code
-before the elimination and enumeration rewrites, so any change in a basis,
-a series coefficient, a D ladder, a transported matrix or the presentation
-JSON shows up here.  To rewrite them after an intended report change:
+before the elimination and enumeration rewrites, and the quintic-curve ones
+(positive background charge) before transport switched to the direct
+D-ladder route, so any change in a basis, a series coefficient, a D ladder,
+a transported matrix or the presentation JSON shows up here.  To rewrite
+them after an intended report change:
 
     python -c "from tests.test_golden import write_goldens; write_goldens()"
 """
@@ -27,11 +29,28 @@ GEOMETRIES = {
         "n": 3, "k": 2, "degrees": [2, 2],
         "G": ["x0^2 + x1^2 + x2^2 + x3^2", "x0^2 + 2*x1^2 + 3*x2^2 + 4*x3^2"],
         "H": ["x0*x1", "0"]},
+    # positive background charge c_G = 2: u basis built with an h factor
+    "quintic_curve": {
+        "n": 2, "k": 1, "degrees": [5],
+        "G": ["x0^5 + x1^5 + x2^5"], "H": ["x0^2*x1^2*x2"]},
 }
+DIMENSIONS = {"cubic_curve": 2, "two_quadrics": 2, "quintic_curve": 12}
 # exact and decimal period entries; unimodular base changes of determinant -1
 # whose elimination needs a row swap
 OMEGA = [["3/7", "-2"], ["0.25", "5/3"]]
 BASE_CHANGE = [[0, 1], [1, 3]]
+
+
+def periods(size):
+    """Exact period matrix and determinant -1 base change of one size."""
+    if size == 2:
+        return OMEGA, BASE_CHANGE
+    omega = [[f"{(3 * i - 2 * j) % 7 - 3}/{i + j + 1}" for j in range(size)]
+             for i in range(size)]
+    base = [[1 if i == j else (i + 2 * j) % 3 - 1 if j > i else 0
+             for j in range(size)] for i in range(size)]
+    base[0], base[1] = base[1], base[0]
+    return omega, base
 
 COMMANDS = {
     "basis": [],
@@ -53,10 +72,11 @@ def render_case(command, geometry, fmt, workdir: Path) -> str:
     """Run one CLI command into a file under workdir and return the report."""
     config = workdir / f"{geometry}.json"
     config.write_text(json.dumps(GEOMETRIES[geometry]))
+    omega_rows, base_rows = periods(DIMENSIONS[geometry])
     omega = workdir / "omega.json"
-    omega.write_text(json.dumps(OMEGA))
+    omega.write_text(json.dumps(omega_rows))
     base = workdir / "base.json"
-    base.write_text(json.dumps(BASE_CHANGE))
+    base.write_text(json.dumps(base_rows))
     out = workdir / _case_name(command, geometry, fmt)
     extra = [a.format(omega=omega, base=base) for a in COMMANDS[command]]
     code = main(["--format", fmt, "--out", str(out), command, str(config), *extra])
