@@ -161,16 +161,20 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _deformation_setup(config: JobConfig):
-    """Base presentation, deformation and u basis shared by deform and transport."""
+def _deformation_base(config: JobConfig):
+    """Base presentation of a config that has an H block to deform by."""
     if config.H is None:
         raise InputError("config has no H block; nothing to deform")
-    D, pres = _build(config)
-    deform = build_deformation(D, config.H)
+    return _build(config)[1]
+
+
+def _deformation_setup(config: JobConfig, pres):
+    """Deformation and u basis over `pres`, shared by deform and transport."""
+    deform = build_deformation(pres.dwork, config.H)
     pres_U = build_presentation(deform.deformed, slack=config.slack)
     h_elt = parse(config.h_override, config.ctx) if config.h_override else None
     basis_u = u_basis(deform, pres, pres_U, h=h_elt, y_choice=config.y_choice)
-    return pres, deform, basis_u
+    return deform, basis_u
 
 
 def _truncation_order(args, config: JobConfig) -> int:
@@ -183,7 +187,8 @@ def _truncation_order(args, config: JobConfig) -> int:
 def cmd_deform(args) -> int:
     config = JobConfig.load(args.config)
     order = _truncation_order(args, config)
-    pres, deform, basis_u = _deformation_setup(config)
+    pres = _deformation_base(config)
+    deform, basis_u = _deformation_setup(config, pres)
     # the report prints the series, so the ladder is read off it
     series = t_series(deform, pres, basis_u, order)
     ladder = d_matrix(series)
@@ -262,10 +267,11 @@ def cmd_transport(args) -> int:
     if base.size != omega.size:
         raise InputError(f"base change is {base.size}x{base.size}, expected "
                          f"{omega.size}x{omega.size} to match the period matrix")
-    pres, deform, basis_u = _deformation_setup(config)
+    pres = _deformation_base(config)
     if omega.size != pres.dimension:
         raise InputError(
             f"period matrix is {omega.size}x{omega.size}, expected {pres.dimension}")
+    deform, basis_u = _deformation_setup(config, pres)
     # only the ladder is needed, so the series is never expanded
     ladder = d_ladder(deform, pres, basis_u, order)
     payload = {"orders": []}

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InputError, InternalCheckError, SmoothnessError
@@ -118,79 +119,139 @@ class ReductionResult:
         return out
 
 
+# eliminate divides out the content of its running vector once the common
+# denominator has grown by this many bits since the last time it did
+_CONTENT_BITS = 64
+
+
+def _scaled(vec: dict, den: int) -> dict:
+    """den * vec as ints (rational or int values); den must clear every
+    denominator of vec."""
+    return {k: v.numerator * (den // v.denominator) for k, v in vec.items() if v}
+
+
 class _Echelon:
     """Sparse exact row echelon over Q, remembering how each row was made.
 
-    rows: list of (pivot position, row dict, combo dict) where `row` maps a
-    position to its coefficient and `combo` expresses the row as a
-    combination of the inserted vectors, under the keys their callers gave
-    in `insert`.  Rows are pairwise pivot-distinct, each is normalized to pivot
-    coefficient 1, and the pivot is the smallest position of its row.
+    rows: list of (pivot position, R, C) with int dicts R and C.  The row
+    stands for the rational vector R / R[pivot], which `combo` C / R[pivot]
+    expresses as a combination of the inserted vectors, under the keys their
+    callers gave in `insert`.  R[pivot] > 0 and the entries of R and C have
+    no common factor, so each row has one representation.  Rows are
+    pairwise pivot-distinct and the pivot is the smallest position of its
+    row.
     """
 
     def __init__(self):
         self.rows = []
         self.pivots = {}
 
-    def eliminate(self, vec: dict):
-        """Reduce `vec` (position -> coeff) against the echelon rows.
+    def _eliminate(self, vec: dict):
+        """Fraction-free core of `eliminate`: (residual, combo, den) in ints.
 
-        Returns (residual, combo): residual is supported on non-pivot
-        positions and combo expresses the eliminated part over the inserted
-        vectors, so that vec = residual + sum_g combo[g] * vector_g (for a
-        weight solver, vector_g = Q(gen_g)).
-
-        Every row's entries sit at positions >= its pivot, so processing
-        positions in increasing order settles each one for good.
+        Keeps den * vec == residual + stack + sum_g combo[g] * vector_g while
+        it clears the stack.  A pivot step scales everything by a and
+        subtracts b * R, with a / b the pivot of R over the lead of the
+        stack in lowest terms, so the pivot entry cancels in integers.
         """
-        stack = dict(vec)
+        den = lcm(*(v.denominator for v in vec.values()))
+        stack = _scaled(vec, den)
         combo: dict = {}
         residual: dict = {}
+        limit = den.bit_length() + _CONTENT_BITS
         while stack:
             lead = min(stack)  # smallest position = largest monomial
             hit = self.pivots.get(lead)
             if hit is None:
                 residual[lead] = stack.pop(lead)
                 continue
-            factor = stack[lead]
             _, row, row_combo = self.rows[hit]
+            f = stack[lead]
+            g = gcd(f, row[lead])
+            a, b = row[lead] // g, f // g
+            if a != 1:
+                den *= a
+                stack = {pos: a * c for pos, c in stack.items()}
+                combo = {k: a * c for k, c in combo.items()}
+                residual = {pos: a * c for pos, c in residual.items()}
             for pos, c in row.items():
-                new = stack.get(pos, Fraction(0)) - factor * c
+                new = stack.get(pos, 0) - b * c
                 if new:
                     stack[pos] = new
                 else:
                     stack.pop(pos, None)
-            for g, c in row_combo.items():
-                new = combo.get(g, Fraction(0)) + factor * c
+            for k, c in row_combo.items():
+                new = combo.get(k, 0) + b * c
                 if new:
-                    combo[g] = new
+                    combo[k] = new
                 else:
-                    combo.pop(g, None)
-        return residual, combo
+                    combo.pop(k, None)
+            if den.bit_length() > limit:
+                g = gcd(den, *stack.values(), *combo.values(), *residual.values())
+                if g > 1:
+                    den //= g
+                    stack = {pos: c // g for pos, c in stack.items()}
+                    combo = {k: c // g for k, c in combo.items()}
+                    residual = {pos: c // g for pos, c in residual.items()}
+                limit = den.bit_length() + _CONTENT_BITS
+        return residual, combo, den
+
+    def eliminate(self, vec: dict):
+        """Reduce `vec` (position -> coeff) against the echelon rows.
+
+        Returns (residual, combo) as Fractions: residual is supported on
+        non-pivot positions and combo expresses the eliminated part over the
+        inserted vectors, so that vec = residual + sum_g combo[g] * vector_g
+        (for a weight solver, vector_g = Q(gen_g)).
+
+        Every row's entries sit at positions >= its pivot, so processing
+        positions in increasing order settles each one for good.
+        """
+        residual, combo, den = self._eliminate(vec)
+        return ({pos: Fraction(c, den) for pos, c in residual.items()},
+                {k: Fraction(c, den) for k, c in combo.items()})
 
     def insert(self, vec: dict, combo: dict) -> Fraction:
-        """Echelon-insert `vec`, which equals the combination `combo`.
+        """Echelon-insert `vec`, which equals the combination `combo` (int
+        coefficients) of the inserted vectors.
 
-        Returns the pivot coefficient the new row was divided by, or 0 when
-        `vec` is dependent on the rows already present.
+        Returns the pivot coefficient of the reduced `vec`, which the new
+        row's rational view was divided by, or 0 when `vec` is dependent on
+        the rows already present.
         """
-        residual, used = self.eliminate(vec)
+        residual, used, den = self._eliminate(vec)
         if not residual:
             return Fraction(0)
         lead = min(residual)
-        scale = residual[lead]
-        row = {pos: c / scale for pos, c in residual.items()}
-        full_combo = dict(combo)
-        for g, c in used.items():
-            full_combo[g] = full_combo.get(g, Fraction(0)) - c
-        full_combo = {g: c / scale for g, c in full_combo.items() if c}
-        self.add_row(lead, row, full_combo)
-        return scale
+        # den * vec == residual + used.V, so residual == (den * combo - used).V
+        full_combo = {k: den * c for k, c in combo.items()}
+        for k, c in used.items():
+            full_combo[k] = full_combo.get(k, 0) - c
+        self._append(lead, residual, {k: c for k, c in full_combo.items() if c})
+        return Fraction(residual[lead], den)
 
     def add_row(self, pivot: int, row: dict, combo: dict) -> None:
-        """Register an already reduced and normalized row."""
+        """Register a reduced row given by rationals (any nonzero multiple)."""
+        den = lcm(*(c.denominator for part in (row, combo) for c in part.values()))
+        self._append(pivot, _scaled(row, den), _scaled(combo, den))
+
+    def _append(self, pivot: int, row: dict, combo: dict) -> None:
+        """Store an int row in its primitive form with a positive pivot."""
+        g = gcd(*row.values(), *combo.values())
+        if row[pivot] < 0:
+            g = -g
+        if g != 1:
+            row = {pos: c // g for pos, c in row.items()}
+            combo = {k: c // g for k, c in combo.items()}
         self.pivots[pivot] = len(self.rows)
         self.rows.append((pivot, row, combo))
+
+    def rational_rows(self):
+        """The rows as (pivot, row, combo) with Fraction entries, pivot entry 1."""
+        for pivot, row, combo in self.rows:
+            p = row[pivot]
+            yield (pivot, {pos: Fraction(c, p) for pos, c in row.items()},
+                   {k: Fraction(c, p) for k, c in combo.items()})
 
 
 class _WeightSolver(_Echelon):
@@ -211,26 +272,66 @@ class _WeightSolver(_Echelon):
         return tuple(m for i, m in enumerate(self.target.monomials)
                      if i not in self.pivots)
 
+    def q_vector(self, D: DworkData, g_idx: int) -> dict:
+        """Q of generator `g_idx` as a position -> coefficient dict."""
+        gen = self.generators.monomials[g_idx]
+        image = apply_q(D, SuperElement(D.ctx, {gen: Fraction(1)}))
+        vec = {}
+        for mono, coeff in image.terms.items():
+            pos = self.index.get(mono)
+            if pos is None:
+                raise InternalCheckError("Q image escaped its graded piece")
+            vec[pos] = coeff
+        return vec
+
 
 def _build_weight_solver(D: DworkData, charge: int, weight: int) -> _WeightSolver:
     target = enumerate_piece(D.ctx, charge, weight, 0)
     generators = enumerate_piece(D.ctx, charge, weight, -1)
     solver = _WeightSolver(target, generators)
     full_rank = len(target.monomials)
-    for g_idx, gen in enumerate(generators.monomials):
-        image = apply_q(D, SuperElement(D.ctx, {gen: Fraction(1)}))
-        if image.is_zero():
+    for g_idx in range(len(generators.monomials)):
+        vec = solver.q_vector(D, g_idx)
+        if not vec:
             continue
-        vec = {}
-        for mono, coeff in image.terms.items():
-            pos = solver.index.get(mono)
-            if pos is None:
-                raise InternalCheckError("Q image escaped its graded piece")
-            vec[pos] = coeff
-        solver.insert(vec, {g_idx: Fraction(1)})
+        solver.insert(vec, {g_idx: 1})
         if len(solver.rows) == full_rank:
             break
     return solver
+
+
+def _load_row(D: DworkData, solver: _WeightSolver, rdata, images: dict) -> None:
+    """Check one stored row of a presentation file, then register it.
+
+    The pivot must be the smallest position of the row and new to the
+    solver, positions and generator indices must lie in their pieces, and
+    the row must equal its combination of Q images exactly.
+    """
+    where = f"presentation file, weight {solver.target.weight}"
+    try:
+        pivot = rdata["pivot"]
+        row = {int(pos): Fraction(c) for pos, c in rdata["row"].items()}
+        combo = {int(g): Fraction(c) for g, c in rdata["combo"].items()}
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{where}: malformed row ({exc!r})") from None
+    if type(pivot) is not int or not row.get(pivot) or pivot != min(row):
+        raise InputError(f"{where}: pivot {pivot!r} is not the first entry of its row")
+    if pivot in solver.pivots:
+        raise InputError(f"{where}: pivot {pivot} repeats")
+    gens = len(solver.generators.monomials)
+    if pivot < 0 or max(row) >= len(solver.target.monomials) or \
+            any(not 0 <= g < gens for g in combo):
+        raise InputError(f"{where}: row {pivot} has an index out of range")
+    solver.add_row(pivot, row, combo)
+    _, ints, int_combo = solver.rows[-1]
+    image: dict = {}
+    for g, c in int_combo.items():
+        if g not in images:
+            images[g] = solver.q_vector(D, g)
+        for pos, v in images[g].items():
+            image[pos] = image.get(pos, 0) + c * v
+    if {pos: v for pos, v in image.items() if v} != ints:
+        raise InputError(f"{where}: row {pivot} is not the Q image of its combo")
 
 
 class QuotientPresentation:
@@ -416,7 +517,7 @@ class QuotientPresentation:
                             "row": {str(pos): str(c) for pos, c in sorted(row.items())},
                             "combo": {str(g): str(c) for g, c in sorted(combo.items())},
                         }
-                        for pivot, row, combo in solver.rows
+                        for pivot, row, combo in solver.rational_rows()
                     ],
                 }
                 for w, solver in sorted(self._solvers.items())
@@ -445,11 +546,9 @@ class QuotientPresentation:
             target = enumerate_piece(ctx, pres.c_G, w, 0)
             generators = enumerate_piece(ctx, pres.c_G, w, -1)
             solver = _WeightSolver(target, generators)
+            images: dict = {}
             for rdata in sdata["rows"]:
-                solver.add_row(
-                    rdata["pivot"],
-                    {int(pos): Fraction(c) for pos, c in rdata["row"].items()},
-                    {int(g): Fraction(c) for g, c in rdata["combo"].items()})
+                _load_row(D, solver, rdata, images)
             pres._solvers[w] = solver
         return pres
 

@@ -566,7 +566,7 @@ def _determinant(rows) -> Fraction:
     echelon = _Echelon()
     det = Fraction(1)
     for row in rows:
-        det *= echelon.insert({j: Fraction(v) for j, v in enumerate(row) if v}, {})
+        det *= echelon.insert({j: v for j, v in enumerate(row) if v}, {})
     order = [pivot for pivot, _, _ in echelon.rows]
     inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
     return -det if inversions % 2 else det

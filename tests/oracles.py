@@ -135,3 +135,58 @@ def brute_force_piece(ctx, charge, weight, eta_degree, exp_bound=12):
                         monomial_weight(ctx, mono) == weight:
                     found.add(mono)
     return found
+
+
+class FractionEchelon:
+    """The sparse echelon on Fraction rows that dworkbox used before its
+    elimination went fraction-free; kept as the exact reference.
+
+    rows: (pivot, row, combo) with Fraction entries, each row normalized to
+    pivot coefficient 1 and pivoted at its smallest position; `eliminate`
+    and `insert` have the library echelon's contract.
+    """
+
+    def __init__(self):
+        self.rows = []
+        self.pivots = {}
+
+    def eliminate(self, vec):
+        stack = {pos: Fraction(c) for pos, c in vec.items() if c}
+        combo = {}
+        residual = {}
+        while stack:
+            lead = min(stack)
+            hit = self.pivots.get(lead)
+            if hit is None:
+                residual[lead] = stack.pop(lead)
+                continue
+            factor = stack[lead]
+            _, row, row_combo = self.rows[hit]
+            for pos, c in row.items():
+                new = stack.get(pos, Fraction(0)) - factor * c
+                if new:
+                    stack[pos] = new
+                else:
+                    stack.pop(pos, None)
+            for g, c in row_combo.items():
+                new = combo.get(g, Fraction(0)) + factor * c
+                if new:
+                    combo[g] = new
+                else:
+                    combo.pop(g, None)
+        return residual, combo
+
+    def insert(self, vec, combo):
+        residual, used = self.eliminate(vec)
+        if not residual:
+            return Fraction(0)
+        lead = min(residual)
+        scale = residual[lead]
+        row = {pos: c / scale for pos, c in residual.items()}
+        full_combo = {g: Fraction(c) for g, c in combo.items()}
+        for g, c in used.items():
+            full_combo[g] = full_combo.get(g, Fraction(0)) - c
+        full_combo = {g: c / scale for g, c in full_combo.items() if c}
+        self.pivots[lead] = len(self.rows)
+        self.rows.append((lead, row, full_combo))
+        return scale

@@ -231,6 +231,22 @@ def test_transport_rejects_mismatched_sizes(capsys, fermat_config, tmp_path):
     assert "3x3" in err
 
 
+def test_transport_rejects_wrong_omega_size_before_deforming(capsys, fermat_config,
+                                                            tmp_path, monkeypatch):
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    omega, bmat = _matrix_files(tmp_path, identity, identity)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the deformation was set up before the size check")
+
+    monkeypatch.setattr(cli, "build_deformation", refuse)
+    monkeypatch.setattr(cli, "u_basis", refuse)
+    code, _, err = run_cli(capsys, "transport", fermat_config, "--omega", omega,
+                           "--base-change", bmat)
+    assert code == EXIT_INPUT
+    assert "period matrix is 3x3, expected 2" in err
+
+
 def test_verify_passes_and_is_deterministic(capsys, fermat_config):
     code1, out1, _ = run_cli(capsys, "verify", fermat_config,
                              "--seed", "5", "--iterations", "25")

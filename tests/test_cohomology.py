@@ -272,6 +272,56 @@ def test_presentation_import_rejects_bad_version(cubic_presentation):
         QuotientPresentation.from_json(_json.dumps(payload))
 
 
+def _row_edit(edit):
+    """Apply `edit` to weight-1 row 3 of the cubic presentation: pivot 6,
+    row {6: 1, 9: 1}, combo {0: 1, 3: -1/3}."""
+    def apply(payload):
+        rows = payload["solvers"][1]["rows"]
+        assert rows[3] == {"pivot": 6, "row": {"6": "1", "9": "1"},
+                           "combo": {"0": "1", "3": "-1/3"}}
+        edit(rows)
+    return apply
+
+
+TAMPERED_ROWS = {
+    "row entry": (_row_edit(lambda rows: rows[3]["row"].update({"9": "2"})),
+                  "not the Q image of its combo"),
+    "combo entry": (_row_edit(lambda rows: rows[3]["combo"].update({"3": "-1/2"})),
+                    "not the Q image of its combo"),
+    "pivot": (_row_edit(lambda rows: rows[3].update({"pivot": 9})),
+              "not the first entry"),
+    "repeated pivot": (_row_edit(lambda rows: rows.__setitem__(3, dict(rows[0]))),
+                       "pivot 0 repeats"),
+    "position range": (_row_edit(lambda rows: rows[3]["row"].update({"1000": "1"})),
+                       "index out of range"),
+    "generator range": (_row_edit(lambda rows: rows[3]["combo"].update({"1000": "1"})),
+                        "index out of range"),
+    "malformed entry": (_row_edit(lambda rows: rows[3]["row"].update({"9": "one"})),
+                        "malformed row"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED_ROWS))
+def test_presentation_import_rejects_tampered_rows(cubic_presentation, case):
+    import json as _json
+
+    edit, message = TAMPERED_ROWS[case]
+    payload = _json.loads(cubic_presentation.to_json())
+    edit(payload)
+    with pytest.raises(InputError, match=message):
+        QuotientPresentation.from_json(_json.dumps(payload))
+
+
+def test_presentation_import_normalizes_a_scaled_row(cubic_presentation):
+    import json as _json
+
+    text = cubic_presentation.to_json()
+    payload = _json.loads(text)
+    _row_edit(lambda rows: rows[3].update(
+        {"row": {"6": "-2", "9": "-2"}, "combo": {"0": "-2", "3": "2/3"}}))(payload)
+    assert QuotientPresentation.from_json(_json.dumps(payload)).to_json() == text
+
+
 def test_conic_has_no_primitive_cohomology():
     ctx = VariableContext(2, 1, (2,))
     P = build_presentation(dwork_potential(ctx, [parse("x0^2 + x1^2 + x2^2", ctx)]))
@@ -291,9 +341,9 @@ def test_mixed_degrees_genus_four_curve():
     ctx = VariableContext(3, 2, (2, 3))
     G = [parse("x0^2 + x1^2 + x2^2 + x3^2", ctx),
          parse("x0^3 + x1^3 + x2^3 + x3^3", ctx)]
-    # slack 1 keeps the closure check one weight past the filtration top
-    # while avoiding a very large (and redundant) weight-3 elimination
-    P = build_presentation(dwork_potential(ctx, G), slack=1)
+    # the default slack runs the closure check on weights 2 and 3
+    P = build_presentation(dwork_potential(ctx, G))
+    assert sorted(P._solvers) == [0, 1, 2, 3]
     assert P.c_G == 1
     assert P.dimension == 8
     assert P.hodge_numbers() == [4, 4]

@@ -1,9 +1,13 @@
 """The shared sparse echelon against dense oracles on seeded random inputs.
 
-Rank is checked against the dense elimination in tests/oracles.py and the
-unimodularity determinant against sympy's Matrix.det().
+Rank is checked against the dense elimination in tests/oracles.py, the
+unimodularity determinant against sympy's Matrix.det(), and the
+fraction-free elimination against the Fraction echelon kept in
+tests/oracles.py, on random inputs and on the weight solvers of real
+geometries.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,25 +15,34 @@ import pytest
 import sympy
 
 from dworkbox import BaseChange, InputError
-from dworkbox.cohomology import _Echelon
+from dworkbox import cohomology
+from dworkbox.cohomology import _build_weight_solver, _Echelon, _WeightSolver
 from dworkbox.deformation import _determinant
-from tests.oracles import dense_rank
+from tests.oracles import FractionEchelon, dense_rank
 
 
-def random_rows(rng, nrows, ncols, density=0.4):
-    """Sparse rational rows; about a third are combinations of earlier rows."""
+def random_rows(rng, nrows, ncols, density=0.4, bits=None):
+    """Sparse rational rows; about a third are combinations of earlier rows.
+
+    Entries are small, or with `bits` have numerators and denominators of up
+    to that many bits.
+    """
+    def entry(num, den):
+        if bits is None:
+            return Fraction(rng.randint(-num, num), rng.randint(1, den))
+        return Fraction(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** bits))
+
     rows = []
     for _ in range(nrows):
         if rows and rng.random() < 0.35:
             row = {}
             for other in rng.sample(rows, min(len(rows), rng.randint(1, 3))):
-                c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                c = entry(3, 2)
                 for pos, v in other.items():
                     row[pos] = row.get(pos, Fraction(0)) + c * v
             row = {pos: v for pos, v in row.items() if v}
         else:
-            row = {pos: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                   for pos in range(ncols) if rng.random() < density}
+            row = {pos: entry(5, 3) for pos in range(ncols) if rng.random() < density}
             row = {pos: v for pos, v in row.items() if v}
         rows.append(row)
     return rows
@@ -63,7 +76,7 @@ def test_rank_matches_dense_oracle(seed):
     ncols = rng.randint(1, 9)
     rows = random_rows(rng, rng.randint(1, 12), ncols)
     echelon = _Echelon()
-    grew = [bool(echelon.insert(row, {i: Fraction(1)})) for i, row in enumerate(rows)]
+    grew = [bool(echelon.insert(row, {i: 1})) for i, row in enumerate(rows)]
     assert len(echelon.rows) == sum(grew) == dense_rank(rows, list(range(ncols)))
     # a row adds rank exactly when it is independent of the rows before it
     for i, row in enumerate(rows):
@@ -78,9 +91,11 @@ def test_eliminate_reconstructs_its_input(seed):
     rows = random_rows(rng, rng.randint(1, 10), ncols)
     echelon = _Echelon()
     for i, row in enumerate(rows):
-        echelon.insert(row, {i: Fraction(1)})
-    for pivot, row, _ in echelon.rows:
+        echelon.insert(row, {i: 1})
+    for pivot, row, _ in echelon.rational_rows():
         assert min(row) == pivot and row[pivot] == 1
+    for pivot, row, combo in echelon.rows:
+        assert row[pivot] > 0 and math.gcd(*row.values(), *combo.values()) == 1
     probe = random_rows(rng, 1, ncols, density=0.7)[0]
     residual, combo = echelon.eliminate(probe)
     assert not set(residual) & set(echelon.pivots)
@@ -89,6 +104,77 @@ def test_eliminate_reconstructs_its_input(seed):
         for pos, v in rows[i].items():
             rebuilt[pos] = rebuilt.get(pos, Fraction(0)) + c * v
     assert {pos: v for pos, v in rebuilt.items() if v} == probe
+
+
+def assert_same_echelon(echelon, oracle):
+    assert list(echelon.rational_rows()) == oracle.rows
+    assert echelon.pivots == oracle.pivots
+    for pivot, row, combo in echelon.rows:
+        assert row[pivot] > 0 and math.gcd(*row.values(), *combo.values()) == 1
+
+
+@pytest.mark.parametrize("content_bits", [0, cohomology._CONTENT_BITS])
+@pytest.mark.parametrize("bits", [None, 80])
+@pytest.mark.parametrize("seed", range(6))
+def test_matches_fraction_echelon_on_random_rows(seed, bits, content_bits, monkeypatch):
+    """Same rows, pivots, insert values and eliminations as the Fraction
+    echelon; content_bits 0 takes the content out after every scaling."""
+    monkeypatch.setattr(cohomology, "_CONTENT_BITS", content_bits)
+    rng = random.Random(300 + seed)
+    ncols = rng.randint(3, 12)
+    rows = random_rows(rng, rng.randint(2, 14), ncols, bits=bits)
+    echelon, oracle = _Echelon(), FractionEchelon()
+    for i, row in enumerate(rows):
+        combo = {i: 1 + i % 3} if i % 2 else {}
+        assert echelon.insert(row, combo) == oracle.insert(row, combo)
+    assert_same_echelon(echelon, oracle)
+
+    # with 80-bit entries the running denominator passes the default limit,
+    # so the content reduction (a gcd over more than two values) runs
+    sizes = []
+    monkeypatch.setattr(cohomology, "gcd",
+                        lambda *xs: sizes.append(len(xs)) or math.gcd(*xs))
+    for probe in random_rows(rng, 4, ncols, density=0.8, bits=bits):
+        assert echelon.eliminate(probe) == oracle.eliminate(probe)
+    if bits and echelon.rows:
+        assert max(sizes) > 2
+
+
+def weight_solvers(D):
+    """The charge-c_G weight solvers a default (slack 2) presentation of D
+    builds, each also rebuilt by a fresh library echelon and by the Fraction
+    echelon from the same Q images in the same order; yields them with the
+    insert values of both."""
+    c_G = D.ctx.background_charge()
+    for weight in range(D.ctx.n - D.ctx.k + 3):
+        built = _build_weight_solver(D, c_G, weight)
+        fresh = _WeightSolver(built.target, built.generators)
+        oracle = FractionEchelon()
+        values = []
+        for g_idx in range(len(built.generators.monomials)):
+            vec = fresh.q_vector(D, g_idx)
+            if not vec:
+                continue
+            values.append((fresh.insert(vec, {g_idx: 1}),
+                           oracle.insert(vec, {g_idx: Fraction(1)})))
+            if len(oracle.rows) == len(built.target.monomials):
+                break
+        yield built, fresh, oracle, values
+
+
+@pytest.mark.parametrize("geometry", ["cubic_dwork", "quadrics_dwork", "quartic_dwork"])
+def test_matches_fraction_echelon_on_weight_solvers(geometry, request):
+    D = request.getfixturevalue(geometry)
+    rng = random.Random(geometry)
+    for built, fresh, oracle, values in weight_solvers(D):
+        assert all(mine == theirs for mine, theirs in values)
+        assert_same_echelon(built, oracle)
+        assert_same_echelon(fresh, oracle)
+        size = len(built.target.monomials)
+        for _ in range(3):
+            probe = {pos: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                     for pos in rng.sample(range(size), min(size, 6))}
+            assert built.eliminate(probe) == oracle.eliminate(probe)
 
 
 @pytest.mark.parametrize("seed", range(15))
