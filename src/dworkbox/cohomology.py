@@ -36,7 +36,6 @@ from .superalgebra import (
     SuperElement,
     SuperMonomial,
     VariableContext,
-    monomial_sort_key,
     monomial_weight,
 )
 
@@ -99,7 +98,12 @@ def enumerate_piece(ctx: VariableContext, charge: int, weight: int,
                     continue
                 for u in _compositions(xdeg, ctx.n + 1):
                     monos.append(SuperMonomial(v + u, eta))
-    monos.sort(key=lambda m: monomial_sort_key(ctx, m), reverse=True)
+    # monomial_sort_key without its weight, which is constant on the piece
+    if ctx.order == "graded-lex":
+        monos.sort(key=lambda m: (sum(m.qexp), m.qexp, m.eta), reverse=True)
+    else:
+        monos.sort(key=lambda m: (sum(m.qexp), tuple(-e for e in reversed(m.qexp)), m.eta),
+                   reverse=True)
     return GradedPiece(charge, weight, eta_degree, tuple(monos))
 
 

@@ -9,9 +9,12 @@ Every element is a finite sum of terms
 
     c * y^v x^u eta_{i_1} ... eta_{i_s}      (i_1 < ... < i_s)
 
-stored as a dict mapping SuperMonomial -> Fraction.  Coefficients are exact
-rationals throughout; zero coefficients are never stored, so equality of
-elements is equality of dicts.
+stored as integer numerators over one positive common denominator: a dict
+mapping SuperMonomial -> int and an int, in lowest terms (no zero numerator,
+gcd of the denominator and all numerators 1, denominator 1 for zero).  That
+form is unique, so equality of elements is equality of (denominator, dict).
+The product and derivative kernels run on these ints; coefficients surface as
+exact Fractions only through ``terms`` and ``coefficient``.
 
 Three gradings:
 
@@ -22,8 +25,10 @@ Three gradings:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
 from .errors import ContextMismatchError, InputError
@@ -175,35 +180,65 @@ def monomial_sort_key(ctx: VariableContext, m: SuperMonomial):
 class SuperElement:
     """Finite rational linear combination of SuperMonomials.
 
+    Stored as ``_num`` (SuperMonomial -> nonzero int) over ``_den`` (a
+    positive int), in lowest terms; ``terms`` is the Fraction view.
     Instances are immutable once constructed and hashable by value; the
     callers treat them as shared read-only data.
     """
 
-    __slots__ = ("ctx", "terms", "_hash")
+    __slots__ = ("ctx", "_num", "_den", "_hash")
 
     def __init__(self, ctx: VariableContext, terms: dict):
-        self.ctx = ctx
         clean = {}
         for mono, coeff in terms.items():
             if not isinstance(coeff, Fraction):
                 coeff = as_scalar(coeff)
-            if coeff != 0:
+            if coeff:
                 clean[mono] = coeff
-        self.terms = clean
+        # over the lcm of the reduced denominators the form is in lowest terms
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.ctx = ctx
+        self._num = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
+        self._den = den
         self._hash = None
+
+    @classmethod
+    def _make(cls, ctx: VariableContext, num: dict, den: int) -> "SuperElement":
+        """Trusted constructor: int numerators over den > 0; owns ``num``.
+
+        Drops zero numerators and divides out the content.
+        """
+        if 0 in num.values():
+            num = {m: v for m, v in num.items() if v}
+        if not num:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {m: v // g for m, v in num.items()}
+                den //= g
+        self = object.__new__(cls)
+        self.ctx = ctx
+        self._num = num
+        self._den = den
+        self._hash = None
+        return self
+
+    @property
+    def terms(self) -> dict:
+        """A fresh dict SuperMonomial -> Fraction; mutating it changes nothing."""
+        den = self._den
+        return {m: Fraction(v, den) for m, v in self._num.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, ctx: VariableContext) -> "SuperElement":
-        return cls(ctx, {})
+        return cls._make(ctx, {}, 1)
 
     @classmethod
     def scalar(cls, ctx: VariableContext, value) -> "SuperElement":
-        c = as_scalar(value)
-        if c == 0:
-            return cls.zero(ctx)
-        return cls(ctx, {SuperMonomial((0,) * ctx.nvars, ()): c})
+        return cls(ctx, {SuperMonomial((0,) * ctx.nvars, ()): value})
 
     @classmethod
     def one(cls, ctx: VariableContext) -> "SuperElement":
@@ -215,13 +250,13 @@ class SuperElement:
         ctx._check_index(mu)
         qexp = [0] * ctx.nvars
         qexp[mu - 1] = 1
-        return cls(ctx, {SuperMonomial(tuple(qexp), ()): Fraction(1)})
+        return cls._make(ctx, {SuperMonomial(tuple(qexp), ()): 1}, 1)
 
     @classmethod
     def eta(cls, ctx: VariableContext, mu: int) -> "SuperElement":
         """The odd variable eta_mu (1-based)."""
         ctx._check_index(mu)
-        return cls(ctx, {SuperMonomial((0,) * ctx.nvars, (mu,)): Fraction(1)})
+        return cls._make(ctx, {SuperMonomial((0,) * ctx.nvars, (mu,)): 1}, 1)
 
     @classmethod
     def from_terms(cls, ctx: VariableContext, items) -> "SuperElement":
@@ -233,19 +268,19 @@ class SuperElement:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def coefficient(self, mono: SuperMonomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+        return Fraction(self._num.get(mono, 0), self._den)
 
     def charges(self) -> set:
-        return {monomial_charge(self.ctx, m) for m in self.terms}
+        return {monomial_charge(self.ctx, m) for m in self._num}
 
     def weights(self) -> set:
-        return {monomial_weight(self.ctx, m) for m in self.terms}
+        return {monomial_weight(self.ctx, m) for m in self._num}
 
     def degrees(self) -> set:
-        return {m.degree() for m in self.terms}
+        return {m.degree() for m in self._num}
 
     def homogeneous_degree(self):
         """Cohomological degree if homogeneous, else None (0 for the zero element)."""
@@ -267,14 +302,15 @@ class SuperElement:
     def weight_parts(self) -> dict:
         """Split into weight-homogeneous summands: weight -> SuperElement."""
         parts = {}
-        for mono, coeff in self.terms.items():
-            parts.setdefault(monomial_weight(self.ctx, mono), {})[mono] = coeff
-        return {w: SuperElement(self.ctx, t) for w, t in sorted(parts.items())}
+        for mono, v in self._num.items():
+            parts.setdefault(monomial_weight(self.ctx, mono), {})[mono] = v
+        return {w: SuperElement._make(self.ctx, t, self._den)
+                for w, t in sorted(parts.items())}
 
     def top_weight(self):
-        if not self.terms:
+        if not self._num:
             return None
-        return max(monomial_weight(self.ctx, m) for m in self.terms)
+        return max(monomial_weight(self.ctx, m) for m in self._num)
 
     def sorted_terms(self, reverse: bool = True):
         """Terms in canonical order (largest monomial first by default)."""
@@ -284,7 +320,7 @@ class SuperElement:
     # -- arithmetic --------------------------------------------------------
 
     def _require_same_ctx(self, other: "SuperElement"):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError(
                 f"mixed variable contexts: {self.ctx} vs {other.ctx}")
 
@@ -294,15 +330,29 @@ class SuperElement:
         if not isinstance(other, SuperElement):
             return NotImplemented
         self._require_same_ctx(other)
-        acc = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc[mono] = acc.get(mono, Fraction(0)) + coeff
-        return SuperElement(self.ctx, acc)
+        if not other._num:
+            return self
+        if not self._num:
+            return other
+        da, db = self._den, other._den
+        if da == db:
+            acc = self._num.copy()
+            get = acc.get
+            for mono, v in other._num.items():
+                acc[mono] = get(mono, 0) + v
+            return SuperElement._make(self.ctx, acc, da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        acc = {m: v * fa for m, v in self._num.items()}
+        get = acc.get
+        for mono, v in other._num.items():
+            acc[mono] = get(mono, 0) + v * fb
+        return SuperElement._make(self.ctx, acc, da * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SuperElement(self.ctx, {m: -c for m, c in self.terms.items()})
+        return SuperElement._make(self.ctx, {m: -v for m, v in self._num.items()}, self._den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -316,9 +366,9 @@ class SuperElement:
 
     def scale(self, c) -> "SuperElement":
         c = as_scalar(c)
-        if c == 0:
-            return SuperElement.zero(self.ctx)
-        return SuperElement(self.ctx, {m: c * v for m, v in self.terms.items()})
+        p = c.numerator
+        return SuperElement._make(self.ctx, {m: p * v for m, v in self._num.items()},
+                                  self._den * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -327,16 +377,23 @@ class SuperElement:
             return NotImplemented
         self._require_same_ctx(other)
         acc = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                merged = _merge_eta(ma.eta, mb.eta)
-                if merged is None:
-                    continue
-                sign, eta = merged
-                qexp = tuple(a + b for a, b in zip(ma.qexp, mb.qexp))
-                mono = SuperMonomial(qexp, eta)
-                acc[mono] = acc.get(mono, Fraction(0)) + sign * ca * cb
-        return SuperElement(self.ctx, acc)
+        get = acc.get
+        add = operator.add
+        right = list(other._num.items())
+        for (qa, ea), ca in self._num.items():
+            for (qb, eb), cb in right:
+                if ea and eb:
+                    merged = _merge_eta(ea, eb)
+                    if merged is None:
+                        continue
+                    sign, eta = merged
+                    c = ca * cb if sign > 0 else -ca * cb
+                else:
+                    eta = ea or eb
+                    c = ca * cb
+                mono = _tuple_new(SuperMonomial, (tuple(map(add, qa, qb)), eta))
+                acc[mono] = get(mono, 0) + c
+        return SuperElement._make(self.ctx, acc, self._den * other._den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -359,20 +416,25 @@ class SuperElement:
     def __eq__(self, other):
         if not isinstance(other, SuperElement):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return (self.ctx == other.ctx and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ctx, frozenset(self.terms.items())))
+            self._hash = hash((self.ctx, self._den, frozenset(self._num.items())))
         return self._hash
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     def __repr__(self):
         from . import polyparse  # deferred; polyparse depends on this module
 
         return f"SuperElement({polyparse.render(self)})"
+
+
+# SuperMonomial(qexp, eta) without the namedtuple's Python-level __new__
+_tuple_new = tuple.__new__
 
 
 def _merge_eta(ea: tuple, eb: tuple):
@@ -408,17 +470,15 @@ def _merge_eta(ea: tuple, eb: tuple):
 def partial_q(i: int, a: SuperElement) -> SuperElement:
     """Formal partial derivative with respect to q_i (1-based); eta untouched."""
     a.ctx._check_index(i)
-    acc = {}
     idx = i - 1
-    for mono, coeff in a.terms.items():
-        e = mono.qexp[idx]
-        if e == 0:
-            continue
-        qexp = list(mono.qexp)
-        qexp[idx] = e - 1
-        new = SuperMonomial(tuple(qexp), mono.eta)
-        acc[new] = acc.get(new, Fraction(0)) + coeff * e
-    return SuperElement(a.ctx, acc)
+    acc = {}
+    # distinct monomials stay distinct, so nothing accumulates
+    for (qexp, eta), v in a._num.items():
+        e = qexp[idx]
+        if e:
+            new = qexp[:idx] + (e - 1,) + qexp[i:]
+            acc[_tuple_new(SuperMonomial, (new, eta))] = v * e
+    return SuperElement._make(a.ctx, acc, a._den)
 
 
 def partial_eta(i: int, a: SuperElement) -> SuperElement:
@@ -430,15 +490,12 @@ def partial_eta(i: int, a: SuperElement) -> SuperElement:
     """
     a.ctx._check_index(i)
     acc = {}
-    for mono, coeff in a.terms.items():
-        if i not in mono.eta:
-            continue
-        p = mono.eta.index(i)
-        eta = mono.eta[:p] + mono.eta[p + 1:]
-        sign = -1 if p % 2 else 1
-        new = SuperMonomial(mono.qexp, eta)
-        acc[new] = acc.get(new, Fraction(0)) + sign * coeff
-    return SuperElement(a.ctx, acc)
+    for (qexp, eta), v in a._num.items():
+        if i in eta:
+            p = eta.index(i)
+            new = _tuple_new(SuperMonomial, (qexp, eta[:p] + eta[p + 1:]))
+            acc[new] = -v if p % 2 else v
+    return SuperElement._make(a.ctx, acc, a._den)
 
 
 def grade(a: SuperElement):
@@ -448,10 +505,10 @@ def grade(a: SuperElement):
     triple; the components sum back to ``a``.
     """
     buckets = {}
-    for mono, coeff in a.terms.items():
+    for mono, v in a._num.items():
         key = (monomial_charge(a.ctx, mono), monomial_weight(a.ctx, mono), mono.degree())
-        buckets.setdefault(key, {})[mono] = coeff
+        buckets.setdefault(key, {})[mono] = v
     return [
-        (ch, w, deg, SuperElement(a.ctx, terms))
-        for (ch, w, deg), terms in sorted(buckets.items())
+        (ch, w, deg, SuperElement._make(a.ctx, num, a._den))
+        for (ch, w, deg), num in sorted(buckets.items())
     ]

@@ -190,3 +190,86 @@ class FractionEchelon:
         self.pivots[lead] = len(self.rows)
         self.rows.append((lead, row, full_combo))
         return scale
+
+
+# -- Fraction reference for the super-algebra kernel --------------------------
+# Elements are plain dicts SuperMonomial -> Fraction without zero values; the
+# Koszul sign counts inversions directly instead of merging the eta tuples.
+
+def _koszul(ea, eb):
+    """(sign, merged eta) of eta_ea * eta_eb, or None if an index repeats."""
+    if set(ea) & set(eb):
+        return None
+    inversions = sum(1 for x in ea for y in eb if x > y)
+    return (-1) ** inversions, tuple(sorted(ea + eb))
+
+
+def _clean(acc):
+    return {m: c for m, c in acc.items() if c}
+
+
+def frac_add(a, b):
+    acc = dict(a)
+    for mono, coeff in b.items():
+        acc[mono] = acc.get(mono, Fraction(0)) + coeff
+    return _clean(acc)
+
+
+def frac_mul(a, b):
+    acc = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            merged = _koszul(ma.eta, mb.eta)
+            if merged is None:
+                continue
+            sign, eta = merged
+            qexp = tuple(x + y for x, y in zip(ma.qexp, mb.qexp))
+            mono = SuperMonomial(qexp, eta)
+            acc[mono] = acc.get(mono, Fraction(0)) + sign * ca * cb
+    return _clean(acc)
+
+
+def frac_partial_q(i, a):
+    acc = {}
+    idx = i - 1
+    for mono, coeff in a.items():
+        e = mono.qexp[idx]
+        if e == 0:
+            continue
+        qexp = list(mono.qexp)
+        qexp[idx] = e - 1
+        new = SuperMonomial(tuple(qexp), mono.eta)
+        acc[new] = acc.get(new, Fraction(0)) + coeff * e
+    return _clean(acc)
+
+
+def frac_partial_eta(i, a):
+    acc = {}
+    for mono, coeff in a.items():
+        if i not in mono.eta:
+            continue
+        p = mono.eta.index(i)
+        eta = mono.eta[:p] + mono.eta[p + 1:]
+        sign = -1 if p % 2 else 1
+        new = SuperMonomial(mono.qexp, eta)
+        acc[new] = acc.get(new, Fraction(0)) + sign * coeff
+    return _clean(acc)
+
+
+def frac_apply_delta(nvars, a):
+    out = {}
+    for i in range(1, nvars + 1):
+        out = frac_add(out, frac_partial_q(i, frac_partial_eta(i, a)))
+    return out
+
+
+def frac_apply_q(S, nvars, a):
+    """Q(a) = sum_i (dS/dq_i) d/deta_i a for the potential S (a dict)."""
+    out = {}
+    for i in range(1, nvars + 1):
+        out = frac_add(out, frac_mul(frac_partial_q(i, S), frac_partial_eta(i, a)))
+    return out
+
+
+def frac_apply_k(S, nvars, a):
+    return frac_add(frac_apply_q(S, nvars, a), frac_apply_delta(nvars, a))

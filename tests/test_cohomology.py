@@ -67,6 +67,27 @@ def test_enumerate_piece_sorted_descending(cubic_ctx):
     assert keys == sorted(keys, reverse=True)
 
 
+@pytest.mark.parametrize("order", ["graded-lex", "grevlex"])
+@pytest.mark.parametrize("n,k,degrees", [
+    (2, 1, (3,)), (3, 1, (4,)), (3, 2, (2, 2)), (2, 2, (1, 2)), (3, 2, (2, 3))])
+def test_enumerate_piece_order_is_monomial_sort_key(n, k, degrees, order):
+    """The piece sort drops the (constant) weight from monomial_sort_key;
+    the order must be exactly the full key's, so seeded draws stay fixed."""
+    from dworkbox.superalgebra import monomial_sort_key
+
+    ctx = VariableContext(n, k, degrees, order)
+    nonempty = 0
+    for charge in range(-3, 4):
+        for weight in range(4):
+            for eta_degree in range(0, -3, -1):
+                monos = enumerate_piece(ctx, charge, weight, eta_degree).monomials
+                expected = sorted(monos, key=lambda m: monomial_sort_key(ctx, m),
+                                  reverse=True)
+                assert list(monos) == expected
+                nonempty += len(monos) > 1
+    assert nonempty > 10
+
+
 def test_cubic_curve_presentation(cubic_dwork, cubic_presentation):
     P = cubic_presentation
     assert P.c_G == 0

@@ -7,6 +7,7 @@ adjacent transpositions, counting swaps.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -16,6 +17,9 @@ from dworkbox import (
     SuperElement,
     SuperMonomial,
     VariableContext,
+    apply_delta,
+    apply_k,
+    apply_q,
     grade,
     partial_eta,
     partial_q,
@@ -23,6 +27,15 @@ from dworkbox import (
 )
 from dworkbox.superalgebra import monomial_charge, monomial_sort_key, monomial_weight
 from dworkbox.verify import random_element, random_homogeneous
+from tests.oracles import (
+    frac_add,
+    frac_apply_delta,
+    frac_apply_k,
+    frac_apply_q,
+    frac_mul,
+    frac_partial_eta,
+    frac_partial_q,
+)
 
 
 def bubble_sign(word):
@@ -248,3 +261,112 @@ def test_zero_terms_dropped(ctx):
     assert a == SuperElement.zero(ctx)
     b = parse("x0", ctx) + parse("-1*x0", ctx)
     assert b.terms == {}
+
+
+# -- the integer kernel against the Fraction reference --------------------------
+
+BIG = 2 ** 70
+
+
+def assert_canonical(e: SuperElement):
+    """Lowest terms: den > 0, no zero numerator, gcd 1, zero has den 1."""
+    assert isinstance(e._den, int) and e._den > 0
+    assert all(isinstance(v, int) and v for v in e._num.values())
+    assert gcd(e._den, *e._num.values()) == 1
+    if not e._num:
+        assert e._den == 1
+
+
+def big_element(ctx, rng, terms=4):
+    """Random monomials with coefficients whose denominators exceed 2^70."""
+    monos = list(random_element(ctx, rng, terms=terms).terms) or \
+        [SuperMonomial((0,) * ctx.nvars, ())]
+    return SuperElement(ctx, {m: Fraction(rng.randint(-BIG, BIG) or 1,
+                                          rng.randint(BIG + 1, 4 * BIG))
+                              for m in monos})
+
+
+def draw(ctx, rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return random_element(ctx, rng, terms=4)
+    if kind == 1:
+        return big_element(ctx, rng)
+    # a sum whose big terms cancel exactly, leaving a small element
+    big = big_element(ctx, rng)
+    return (random_element(ctx, rng, terms=3) + big) - big
+
+
+@pytest.mark.parametrize("dwork", ["cubic_dwork", "quadrics_dwork", "quartic_dwork"])
+def test_kernel_matches_fraction_reference(dwork, request):
+    D = request.getfixturevalue(dwork)
+    ctx, nvars = D.ctx, D.ctx.nvars
+    S = D.S.terms
+    rng = random.Random(70)
+    big_denominators = 0
+    for _ in range(25):
+        a, b = draw(ctx, rng), draw(ctx, rng)
+        big_denominators += (a._den > BIG) + (b._den > BIG)
+        results = [
+            (a * b, frac_mul(a.terms, b.terms)),
+            (a + b, frac_add(a.terms, b.terms)),
+            (apply_q(D, a), frac_apply_q(S, nvars, a.terms)),
+            (apply_delta(a), frac_apply_delta(nvars, a.terms)),
+            (apply_k(D, a), frac_apply_k(S, nvars, a.terms)),
+        ]
+        for i in range(1, nvars + 1):
+            results.append((partial_q(i, a), frac_partial_q(i, a.terms)))
+            results.append((partial_eta(i, a), frac_partial_eta(i, a.terms)))
+        for got, expected in results:
+            assert got.terms == expected
+            assert_canonical(got)
+    assert big_denominators > 10
+
+
+def test_exact_cancellation_in_the_kernel(quadrics_dwork):
+    ctx = quadrics_dwork.ctx
+    rng = random.Random(71)
+    for _ in range(20):
+        p, q = big_element(ctx, rng), big_element(ctx, rng)
+        p = SuperElement(ctx, {m._replace(eta=()): c for m, c in p.terms.items()})
+        q = SuperElement(ctx, {m._replace(eta=()): c for m, c in q.terms.items()})
+        # even elements commute: the cross terms of (p + q)(p - q) cancel
+        lhs = (p + q) * (p - q)
+        assert lhs.terms == frac_add(frac_mul(p.terms, p.terms),
+                                     {m: -c for m, c in frac_mul(q.terms, q.terms).items()})
+        assert lhs == p * p - q * q
+        assert_canonical(lhs)
+        zero = p * q - q * p
+        assert zero.is_zero() and zero.terms == {}
+        assert_canonical(zero)
+        assert_canonical((p - p).scale(3))
+
+
+def test_canonical_form_and_value_equality(ctx):
+    rng = random.Random(72)
+    for _ in range(30):
+        a, b = draw(ctx, rng), draw(ctx, rng)
+        c = Fraction(rng.randint(1, BIG), rng.randint(1, BIG)) * rng.choice((-1, 1))
+        built = SuperElement(ctx, a.terms)
+        via_sum = (a + b) - b
+        via_scale = a.scale(c).scale(1 / c)
+        for e in (a, built, via_sum, via_scale):
+            assert_canonical(e)
+            assert e == a and hash(e) == hash(a)
+    # a constructor fed ints, Fractions and strings lands in the same form
+    m1, m2 = SuperMonomial((1, 0, 0, 0), ()), SuperMonomial((0, 2, 0, 1), (1,))
+    e = SuperElement(ctx, {m1: "6/4", m2: Fraction(3, 2), SuperMonomial((0,) * 4): 0})
+    assert (e._num, e._den) == ({m1: 3, m2: 3}, 2)
+    assert SuperElement(ctx, {m1: 4, m2: 2})._den == 1
+    assert_canonical(SuperElement.zero(ctx))
+
+
+def test_terms_is_a_fresh_copy(ctx):
+    m = SuperMonomial((1, 1, 0, 0), ())
+    e = SuperElement(ctx, {m: Fraction(2, 3)})
+    view = e.terms
+    view[m] = Fraction(5)
+    view[SuperMonomial((0, 0, 0, 1), ())] = Fraction(1)
+    assert e.terms == {m: Fraction(2, 3)}
+    assert e.coefficient(m) == Fraction(2, 3)
+    assert e.terms is not e.terms

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dworkbox import LinearFunctional, apply_k, reduction_functional
+from dworkbox import LinearFunctional, SuperElement, apply_k, parse, reduction_functional
 from dworkbox.verify import (
     FAULT_HOOKS,
     fault_injection,
@@ -41,6 +41,17 @@ def test_fault_injection_caught(cubic_dwork, cubic_presentation, hook):
     # operators restored after the context exits
     clean = run_suite(cubic_dwork, cubic_presentation, seed=3, iterations=10)
     assert clean.ok
+
+
+def test_suite_passes_on_two_quadrics(quadrics_dwork, quadrics_presentation):
+    """k = 2 with a deformation whose second component is zero."""
+    ctx = quadrics_dwork.ctx
+    H = [parse("x0*x1", ctx), SuperElement.zero(ctx)]
+    report = run_suite(quadrics_dwork, quadrics_presentation, seed=0, iterations=20,
+                       deformation_H=H)
+    assert report.ok
+    assert all(c.passed for c in report.checks)
+    assert any("deformed" in c.name for c in report.checks)
 
 
 def test_fault_injection_unknown_hook():
