@@ -23,7 +23,6 @@ from .deformation import (
     PeriodMatrix,
     build_deformation,
     d_ladder,
-    d_matrix,
     period_transport,
     t_series,
     u_basis,
@@ -189,9 +188,9 @@ def cmd_deform(args) -> int:
     order = _truncation_order(args, config)
     pres = _deformation_base(config)
     deform, basis_u = _deformation_setup(config, pres)
-    # the report prints the series, so the ladder is read off it
+    # the series is expanded for the report only; the ladder does not need it
     series = t_series(deform, pres, basis_u, order)
-    ladder = d_matrix(series)
+    ladder = d_ladder(deform, pres, basis_u, order)
     series_rows = series.series_rows()
     payload = {
         "uBasis": [render(u) for u in basis_u.elements],
@@ -231,7 +230,7 @@ def _parse_matrix_entry(value):
     raise InputError(f"bad matrix entry {value!r}")
 
 
-def _load_matrix(path: str):
+def _matrix_from_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -251,8 +250,8 @@ def _load_matrix(path: str):
 def cmd_transport(args) -> int:
     config = JobConfig.load(args.config)
     order = _truncation_order(args, config)
-    omega_rows, _ = _load_matrix(args.omega)
-    b_rows, b_meta = _load_matrix(args.base_change)
+    omega_rows, _ = _matrix_from_file(args.omega)
+    b_rows, b_meta = _matrix_from_file(args.base_change)
     integral = bool(b_meta.get("integral", True))
     if integral:
         for row in b_rows:

@@ -345,9 +345,9 @@ class QuotientPresentation:
     weight (largest monomial first within a weight); `weight_counts[w]` is
     the number of basis elements of weight exactly w, for w = 0..n-k.
 
-    Logically immutable: the per-weight solver data and reduce results are
-    memoized lazily, but rebuilding them is deterministic, so concurrent
-    readers can only ever race to store identical values.
+    Logically immutable: the per-weight solver data is memoized lazily, but
+    rebuilding it is deterministic, so concurrent readers can only ever race
+    to store identical values.
     """
 
     def __init__(self, dwork: DworkData, basis: Sequence[SuperMonomial],
@@ -359,7 +359,6 @@ class QuotientPresentation:
         self.c_G = dwork.ctx.background_charge()
         self.basis_index = {m: i for i, m in enumerate(self.basis)}
         self._solvers: dict = {}
-        self._reduce_cache: dict = {}
 
     # -- construction ------------------------------------------------------
 
@@ -425,7 +424,7 @@ class QuotientPresentation:
 
     # -- reduction ---------------------------------------------------------
 
-    def reduce(self, f: SuperElement, _use_cache: bool = False) -> ReductionResult:
+    def reduce(self, f: SuperElement) -> ReductionResult:
         """Normal form plus certificate: f = sum c_rho e_rho + K(certificate).
 
         Accepts charge-pure input only.  Charge c_G goes through the weight
@@ -435,10 +434,6 @@ class QuotientPresentation:
         """
         if f.ctx != self.dwork.ctx:
             raise InputError("element over a different context")
-        if _use_cache:
-            hit = self._reduce_cache.get(f)
-            if hit is not None:
-                return hit
         degs = f.degrees()
         if degs and degs != {0}:
             raise InputError("reduce expects eta-free (degree 0) input")
@@ -448,16 +443,12 @@ class QuotientPresentation:
                 f"reduce expects charge-pure input, found charges {sorted(charges)}")
         zero = tuple(Fraction(0) for _ in self.basis)
         if not charges:
-            result = ReductionResult(zero, SuperElement.zero(f.ctx))
-        elif charges != {self.c_G}:
+            return ReductionResult(zero, SuperElement.zero(f.ctx))
+        if charges != {self.c_G}:
             lam = charges.pop()
             witness = charge_witness(self.dwork, f)
-            result = ReductionResult(zero, witness.scale(Fraction(1, lam - self.c_G)))
-        else:
-            result = self._reduce_background(f)
-        if _use_cache:
-            self._reduce_cache[f] = result
-        return result
+            return ReductionResult(zero, witness.scale(Fraction(1, lam - self.c_G)))
+        return self._reduce_background(f)
 
     def _reduce_background(self, f: SuperElement) -> ReductionResult:
         ctx = self.dwork.ctx

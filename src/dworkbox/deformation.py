@@ -15,8 +15,8 @@ From a deformation the module builds:
     exponential coefficient-by-coefficient, with K-exactness certificates
     retained at every multi-exponent;
   * the ladder of derivative matrices D (partial sums per total order) whose
-    limit transports period matrices via  Omega_U = D * Omega_G * B, either
-    read off the series (d_matrix) or built directly (d_ladder).
+    limit transports period matrices via  Omega_U = D * Omega_G * B, built
+    directly by d_ladder without expanding the series.
 
 Period matrices and the integral base change B are opaque user inputs; the
 transport is plain matrix algebra in whatever arithmetic the entries carry.
@@ -93,8 +93,7 @@ def k_gamma(D: DworkData, gamma: SuperElement, lam: SuperElement) -> SuperElemen
     return out + ell2(D, gamma, lam)
 
 
-def build_deformation(base: DworkData, H: Sequence[SuperElement],
-                      slack: int = 2) -> DeformationData:
+def build_deformation(base: DworkData, H: Sequence[SuperElement]) -> DeformationData:
     """Assemble Gamma and the deformed potential; runs the MC check.
 
     Each H_i is either zero or homogeneous of degree d_i in x only.  The
@@ -385,50 +384,15 @@ def _record(pres: QuotientPresentation, coefficients, certificates, expo, value)
 
 # -- the D matrix ladder ------------------------------------------------------
 
-def d_matrix(series: DeformationSeries, prime_indices: Optional[Sequence[int]] = None):
-    """Partial sums of D[beta][rho] = d/dt^beta T^rho at t = 1 on I', 0 off I'.
-
-    Returns {order m: matrix} for m = 1..series.order where entry [beta][rho]
-    accumulates m_beta * coeff(rho, m) over exponents m of total order <= m
-    with m - e_beta supported inside I'.  Exact rational matrices; the caller
-    inspects convergence across orders.
-
-    Multinomial bookkeeping makes row beta at order M equal the cumulative
-    reduction of u_beta * Gamma^j / j! over j < M.  d_ladder is that other
-    route, and it never expands the series; the test suite pins that the two
-    agree.
-    """
-    prime = tuple(prime_indices) if prime_indices is not None else series.prime_indices
-    prime_set = set(p - 1 for p in prime)
-    dim = series.dimension
-    ladders = {}
-    running = [[Fraction(0)] * dim for _ in range(dim)]
-    by_order: dict = {}
-    for (rho, expo), c in series.coefficients.items():
-        by_order.setdefault(sum(expo), []).append((rho, expo, c))
-    for order in range(1, series.order + 1):
-        for rho, expo, c in by_order.get(order, []):
-            for beta in range(dim):
-                e = expo[beta]
-                if not e:
-                    continue
-                # exponent after one derivative must sit inside I'
-                shifted = list(expo)
-                shifted[beta] -= 1
-                if any(shifted[a] and a not in prime_set for a in range(dim)):
-                    continue
-                running[beta][rho] += e * c
-        ladders[order] = [row[:] for row in running]
-    return ladders
-
-
 def d_ladder(def_data: DeformationData, pres_G: QuotientPresentation,
              basis_u: UBasis, order: int):
-    """The ladder of d_matrix(t_series(...)) without expanding the series.
+    """Partial sums of D[beta][rho] = d/dt^beta T^rho at t = 1 on I', 0 off I'.
 
-    Row beta at order M is the cumulative reduction of u_beta * Gamma^j / j!
-    over j < M, read off one expansion_coefficients call per u_beta: dim *
-    order reductions instead of one per exponent of the series.
+    Returns {order M: exact rational matrix} for M = 1..order; the caller
+    inspects convergence across orders.  Multinomial bookkeeping makes row
+    beta at order M the cumulative reduction of u_beta * Gamma^j / j! over
+    j < M, read off one expansion_coefficients call per u_beta: dim * order
+    reductions instead of one per exponent of the T series.
     """
     if order < 1:
         raise InputError("truncation order must be >= 1")

@@ -292,25 +292,13 @@ def bell_partial(n: int, j: int, xs: Sequence) -> Fraction:
     if len(xs) < n - j + 1:
         raise InputError(f"need {n - j + 1} arguments, got {len(xs)}")
     xs = [Fraction(x) if not isinstance(x, Fraction) else x for x in xs]
-    cache: dict = {}
-
-    def rec(nn: int, jj: int) -> Fraction:
-        # every cell reached from (n, j) keeps nn - jj <= n - j, so the
-        # argument list is never overrun
-        if jj == 0:
-            return Fraction(1) if nn == 0 else Fraction(0)
-        if nn == 0:
-            return Fraction(0)
-        key = (nn, jj)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        value = Fraction(0)
-        for i in range(1, nn - jj + 2):
-            prev = rec(nn - i, jj - 1)
-            if prev:
-                value += math.comb(nn - 1, i - 1) * xs[i - 1] * prev
-        cache[key] = value
-        return value
-
-    return rec(n, j)
+    # B_{n,j} needs only the cells with nn - jj <= n - j, so row jj of the
+    # table holds B_{jj+d, jj} for d = 0..n-j and the argument list is never
+    # overrun
+    span = n - j
+    row = [Fraction(1)] + [Fraction(0)] * span
+    for jj in range(1, j + 1):
+        row = [sum((math.comb(jj + d - 1, i - 1) * xs[i - 1] * row[d + 1 - i]
+                    for i in range(1, d + 2) if row[d + 1 - i]), Fraction(0))
+               for d in range(span + 1)]
+    return row[span]

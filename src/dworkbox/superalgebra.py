@@ -258,13 +258,6 @@ class SuperElement:
         ctx._check_index(mu)
         return cls._make(ctx, {SuperMonomial((0,) * ctx.nvars, (mu,)): 1}, 1)
 
-    @classmethod
-    def from_terms(cls, ctx: VariableContext, items) -> "SuperElement":
-        acc = {}
-        for mono, coeff in items:
-            acc[mono] = acc.get(mono, Fraction(0)) + as_scalar(coeff)
-        return cls(ctx, acc)
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -311,11 +304,6 @@ class SuperElement:
         if not self._num:
             return None
         return max(monomial_weight(self.ctx, m) for m in self._num)
-
-    def sorted_terms(self, reverse: bool = True):
-        """Terms in canonical order (largest monomial first by default)."""
-        key = lambda item: monomial_sort_key(self.ctx, item[0])
-        return sorted(self.terms.items(), key=key, reverse=reverse)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -487,20 +487,25 @@ def reduction_functional(presentation: QuotientPresentation, row) -> LinearFunct
 
     Elements are first projected to cohomological degree 0 and the
     background charge; everything else is annihilated, mirroring how the
-    period functionals act.
+    period functionals act.  The reductions are memoized per functional,
+    keyed by the projected element, and live as long as the functional.
     """
     row = tuple(Fraction(c) if not isinstance(c, Fraction) else c for c in row)
     if len(row) != presentation.dimension:
         raise ValueError("row length must match the basis dimension")
     ctx = presentation.dwork.ctx
     c_G = presentation.c_G
+    memo: dict = {}
 
     def evaluate(x: SuperElement) -> Fraction:
         picked = {m: c for m, c in x.terms.items()
                   if not m.eta and monomial_charge(ctx, m) == c_G}
         if not picked:
             return Fraction(0)
-        result = presentation.reduce(SuperElement(ctx, picked), _use_cache=True)
+        y = SuperElement(ctx, picked)
+        result = memo.get(y)
+        if result is None:
+            result = memo[y] = presentation.reduce(y)
         return sum((a * b for a, b in zip(row, result.coefficients)), Fraction(0))
 
     return LinearFunctional(evaluate, cochain=True, name="row-dot-reduce")

@@ -273,3 +273,36 @@ def frac_apply_q(S, nvars, a):
 
 def frac_apply_k(S, nvars, a):
     return frac_add(frac_apply_q(S, nvars, a), frac_apply_delta(nvars, a))
+
+
+# -- series route to the D ladder ---------------------------------------------
+
+def d_matrix(series):
+    """The D ladder read off a T series, the cross-check for d_ladder.
+
+    Partial sums of D[beta][rho] = d/dt^beta T^rho at t = 1 on I', 0 off
+    I': entry [beta][rho] at order M accumulates m_beta * coeff(rho, m) over
+    the exponents m of total order <= M with m - e_beta supported inside I'.
+    Returns {M: exact rational matrix} for M = 1..series.order.
+    """
+    prime_set = set(p - 1 for p in series.prime_indices)
+    dim = series.dimension
+    ladders = {}
+    running = [[Fraction(0)] * dim for _ in range(dim)]
+    by_order = {}
+    for (rho, expo), c in series.coefficients.items():
+        by_order.setdefault(sum(expo), []).append((rho, expo, c))
+    for order in range(1, series.order + 1):
+        for rho, expo, c in by_order.get(order, []):
+            for beta in range(dim):
+                e = expo[beta]
+                if not e:
+                    continue
+                # exponent after one derivative must sit inside I'
+                shifted = list(expo)
+                shifted[beta] -= 1
+                if any(shifted[a] and a not in prime_set for a in range(dim)):
+                    continue
+                running[beta][rho] += e * c
+        ladders[order] = [row[:] for row in running]
+    return ladders

@@ -26,7 +26,7 @@ from dworkbox import (
 )
 from dworkbox.deformation import (
     build_deformation,
-    d_matrix,
+    d_ladder,
     k_gamma,
     mc_check,
     t_series,
@@ -40,7 +40,7 @@ from dworkbox.verify import (
     random_homogeneous,
     reduction_functional,
 )
-from tests.oracles import griffiths_hodge_numbers, two_quadrics_weight_coranks
+from tests.oracles import d_matrix, griffiths_hodge_numbers, two_quadrics_weight_coranks
 
 
 @contextmanager
@@ -240,12 +240,14 @@ def test_trivial_deformation_degeneracy(cubic_dwork, cubic_presentation):
         basis_u = u_basis(trivial, cubic_presentation, cubic_presentation)
         assert [u for u in basis_u.elements] == cubic_presentation.basis_elements()
         series = t_series(trivial, cubic_presentation, basis_u, 6)
-        ladder = d_matrix(series)
         dim = cubic_presentation.dimension
         identity = [[Fraction(1) if i == j else Fraction(0) for j in range(dim)]
                     for i in range(dim)]
-        for order in range(1, 7):
-            assert ladder[order] == identity
+        # the library route and the series route
+        for ladder in (d_ladder(trivial, cubic_presentation, basis_u, 6),
+                       d_matrix(series)):
+            for order in range(1, 7):
+                assert ladder[order] == identity
         for u in cubic_presentation.basis_elements():
             seq = expansion_coefficients(trivial, cubic_presentation, u, 6)
             assert all(v == seq[0] for v in seq)

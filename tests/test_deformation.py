@@ -27,7 +27,6 @@ from dworkbox.deformation import (
     bell_expansion,
     build_deformation,
     d_ladder,
-    d_matrix,
     expansion_coefficients,
     k_gamma,
     mc_check,
@@ -37,6 +36,7 @@ from dworkbox.deformation import (
     u_basis,
 )
 from dworkbox.verify import random_element, reduction_functional
+from tests.oracles import d_matrix
 
 
 @pytest.fixture(scope="module")
@@ -286,8 +286,7 @@ def test_series_export_shape(hesse_setup):
 
 def test_d_ladder_hesse(hesse_setup):
     hesse, pres_G, pres_U, basis_u = hesse_setup
-    series = t_series(hesse, pres_G, basis_u, 6)
-    ladder = d_matrix(series)
+    ladder = d_ladder(hesse, pres_G, basis_u, 6)
     assert set(ladder) == set(range(1, 7))
     assert ladder[1] == [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
     # order 3 picks up the -1/162 term: d/dt1 of -(t1)^3/162 at t1 = 1
@@ -298,8 +297,7 @@ def test_d_ladder_hesse(hesse_setup):
 def test_d_ladder_trivial_is_identity(cubic_dwork, cubic_presentation):
     dd = build_deformation(cubic_dwork, [SuperElement.zero(cubic_dwork.ctx)])
     basis_u = u_basis(dd, cubic_presentation, cubic_presentation)
-    series = t_series(dd, cubic_presentation, basis_u, 6)
-    ladder = d_matrix(series)
+    ladder = d_ladder(dd, cubic_presentation, basis_u, 6)
     identity = [[Fraction(1) if i == j else Fraction(0) for j in range(2)]
                 for i in range(2)]
     for order in range(1, 7):

@@ -6,6 +6,7 @@ partition expansion for phi_3, and truncated exponential series for the Bell
 recurrences.
 """
 
+import gc
 import math
 import random
 from fractions import Fraction
@@ -259,6 +260,17 @@ def test_bell_partial_sums_to_complete():
         xs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
         total = sum(bell_partial(n, j, xs) for j in range(1, n + 1))
         assert total == bell_complete(n, xs)
+
+
+def test_bell_partial_leaves_no_cyclic_garbage():
+    """A call frees its table by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert bell_partial(5, 2, [1, 2, 3, 4]) == 5 * 1 * 4 + 10 * 2 * 3
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _series_exp(coeffs, order):

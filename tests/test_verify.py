@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from dworkbox import LinearFunctional, SuperElement, apply_k, parse, reduction_functional
+from dworkbox import (
+    LinearFunctional,
+    QuotientPresentation,
+    SuperElement,
+    apply_k,
+    parse,
+    reduction_functional,
+)
 from dworkbox.verify import (
     FAULT_HOOKS,
     fault_injection,
@@ -92,6 +99,31 @@ def test_reduction_functional_contract(cubic_dwork, cubic_presentation):
     # kills the image of K
     xi = random_charge_element(cubic_dwork, rng, 0, -1)
     assert f(apply_k(cubic_dwork, xi)) == 0
+
+
+def test_reduction_functional_memo_is_per_functional(cubic_presentation, monkeypatch):
+    """One functional reduces an element once; another shares no memo."""
+    calls = []
+    original = QuotientPresentation.reduce
+
+    def counting_reduce(pres, f):
+        calls.append(f)
+        return original(pres, f)
+
+    monkeypatch.setattr(QuotientPresentation, "reduce", counting_reduce)
+    ctx = cubic_presentation.dwork.ctx
+    row = (Fraction(3), Fraction(-1, 2))
+    x = parse("y1*x0^3 + 2*y1*x0*x1*x2", ctx)
+    f = reduction_functional(cubic_presentation, row)
+    value = f(x)
+    assert f(x) == value
+    assert len(calls) == 1
+    g = reduction_functional(cubic_presentation, row)
+    assert g(x) == value
+    assert len(calls) == 2
+    # the memo is keyed by the projection to degree 0 and charge c_G
+    assert f(x + parse("e1 + x0", ctx)) == value
+    assert len(calls) == 2
 
 
 def test_reduction_functional_row_length(cubic_presentation):
