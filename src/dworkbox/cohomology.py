@@ -20,6 +20,21 @@ certificate xi with
 
 which is re-checkable by applying K.  The coefficients are independent of the
 solver's internal choices; the certificate is one valid witness among many.
+
+Above weight top + 1 (top = n - k) no weight echelon is built.  There the
+quotient is zero and a preimage comes from weight top + 1 by the
+reduction-of-pole-order lemma (Griffiths, Ann. Math. 1969): Q is a
+derivation that only differentiates eta factors, so for an even, eta-free m
+
+    Q(xi * m) = Q(xi) * m.
+
+Every eta-free monomial M = y^v x^u of charge c_G and weight |v| = w >=
+top + 2 splits as M = m0 * m1 with m0 of charge c_G and weight top + 1 and m1
+eta-free of charge 0: let v0 <= v take top + 1 of the y's and u0 <= u the
+first c_G + d.v0 x exponents.  That x degree is never negative, since every
+d_i >= 1 gives c_G + d.v0 >= (k - n - 1) + (n - k + 1) = 0, and u has room
+for it, since |u| = c_G + d.v >= c_G + d.v0 because v >= v0.  With
+Q(pre(m0)) = m0 read off the weight top + 1 echelon, Q(pre(m0) * m1) = M.
 """
 
 from __future__ import annotations
@@ -345,9 +360,10 @@ class QuotientPresentation:
     weight (largest monomial first within a weight); `weight_counts[w]` is
     the number of basis elements of weight exactly w, for w = 0..n-k.
 
-    Logically immutable: the per-weight solver data is memoized lazily, but
-    rebuilding it is deterministic, so concurrent readers can only ever race
-    to store identical values.
+    Logically immutable: the per-weight solver data and the weight top + 1
+    preimages behind the lift are memoized lazily, but rebuilding them is
+    deterministic, so concurrent readers can only ever race to store
+    identical values.
     """
 
     def __init__(self, dwork: DworkData, basis: Sequence[SuperMonomial],
@@ -359,6 +375,9 @@ class QuotientPresentation:
         self.c_G = dwork.ctx.background_charge()
         self.basis_index = {m: i for i, m in enumerate(self.basis)}
         self._solvers: dict = {}
+        # weight top + 1 monomial m0 -> generator monomial -> coefficient of
+        # a Q-preimage; bounded by the size of that piece
+        self._lifts: dict = {}
 
     # -- construction ------------------------------------------------------
 
@@ -390,6 +409,7 @@ class QuotientPresentation:
                     "singular or non-complete-intersection input")
         final = cls(D, basis, counts, slack=slack)
         final._solvers = presentation._solvers
+        final._lifts = presentation._lifts
         return final
 
     # -- solver access -----------------------------------------------------
@@ -451,6 +471,18 @@ class QuotientPresentation:
         return self._reduce_background(f)
 
     def _reduce_background(self, f: SuperElement) -> ReductionResult:
+        """Peel the top weight off `f`, one weight-w slice at a time.
+
+        A slice of weight w <= top + 1 (top = n - k) is eliminated against
+        the weight-w echelon: its residual gives basis coefficients and its
+        combination of generators a preimage xi with Q(xi) = slice -
+        residual.  Above top + 1 the quotient is zero and `_lift` returns xi
+        with Q(xi) = slice from memoized weight top + 1 preimages, by
+        Q(pre(m0) * m1) = Q(pre(m0)) * m1 for even, eta-free m1 (see the
+        module docstring for why the split M = m0 * m1 always exists).  So
+        no echelon is built above weight top + 1.  Either way the slice is
+        subtracted with delta(xi), which only disturbs lower weights.
+        """
         ctx = self.dwork.ctx
         coeffs = {i: Fraction(0) for i in range(len(self.basis))}
         certificate = SuperElement.zero(ctx)
@@ -459,33 +491,88 @@ class QuotientPresentation:
             w = rest.top_weight()
             part = {m: c for m, c in rest.terms.items()
                     if monomial_weight(ctx, m) == w}
-            solver = self._solver(w)
-            vec = {}
-            for mono, coeff in part.items():
-                pos = solver.index.get(mono)
-                if pos is None:
-                    raise InternalCheckError("monomial escaped its graded piece")
-                vec[pos] = coeff
-            residual, combo = solver.eliminate(vec)
-            # residual lives on complement monomials: basis coefficients here
-            for pos, c in residual.items():
-                mono = solver.target.monomials[pos]
-                idx = self.basis_index.get(mono)
-                if idx is None:
-                    raise SmoothnessError(
-                        f"nonzero class of weight {w} outside the recorded basis; "
-                        "singular or non-complete-intersection input")
-                coeffs[idx] += c
-            xi_terms = {}
-            for g_idx, c in combo.items():
-                xi_terms[solver.generators.monomials[g_idx]] = c
-            xi = SuperElement(ctx, xi_terms)
+            if w >= ctx.n - ctx.k + 2:
+                xi = self._lift(part)
+            else:
+                xi = self._eliminate_slice(w, part, coeffs)
             certificate = certificate + xi
             # part = residual + Q(xi); Q preserves weight, so subtracting the
             # whole weight-w slice and delta(xi) accounts for K(xi) exactly
             rest = rest - SuperElement(ctx, part) - apply_delta(xi)
         return ReductionResult(tuple(coeffs[i] for i in range(len(self.basis))),
                                certificate)
+
+    def _eliminate_slice(self, w: int, part: dict, coeffs: dict) -> SuperElement:
+        """Eliminate the weight-w slice `part` against its echelon.
+
+        Adds the residual to `coeffs` (basis index -> coefficient) and
+        returns xi with Q(xi) = part - residual.
+        """
+        solver = self._solver(w)
+        vec = {}
+        for mono, coeff in part.items():
+            pos = solver.index.get(mono)
+            if pos is None:
+                raise InternalCheckError("monomial escaped its graded piece")
+            vec[pos] = coeff
+        residual, combo = solver.eliminate(vec)
+        # residual lives on complement monomials: basis coefficients here
+        for pos, c in residual.items():
+            mono = solver.target.monomials[pos]
+            idx = self.basis_index.get(mono)
+            if idx is None:
+                raise SmoothnessError(
+                    f"nonzero class of weight {w} outside the recorded basis; "
+                    "singular or non-complete-intersection input")
+            coeffs[idx] += c
+        gens = solver.generators.monomials
+        return SuperElement(self.dwork.ctx, {gens[g]: c for g, c in combo.items()})
+
+    def _lift(self, part: dict) -> SuperElement:
+        """xi = sum_M c_M pre(m0) * m1 with Q(xi) = part, for a slice of
+        weight >= top + 2 split monomial by monomial as M = m0 * m1."""
+        ctx = self.dwork.ctx
+        k = ctx.k
+        top = ctx.n - k
+        by_degree = sorted(range(k), key=lambda i: -ctx.degrees[i])
+        acc: dict = {}
+        for mono, c in part.items():
+            v, u = mono.qexp[:k], mono.qexp[k:]
+            # m0 takes top + 1 y's, largest degree first ...
+            v0 = [0] * k
+            need = top + 1
+            for i in by_degree:
+                v0[i] = min(v[i], need)
+                need -= v0[i]
+            # ... and the first x exponents that bring it to charge c_G
+            xdeg = self.c_G + sum(d * e for d, e in zip(ctx.degrees, v0))
+            assert 0 <= xdeg <= sum(u), "charge-c_G monomial has no split"
+            u0 = []
+            for e in u:
+                u0.append(min(e, xdeg))
+                xdeg -= u0[-1]
+            m0 = SuperMonomial(tuple(v0) + tuple(u0), ())
+            m1 = [a - b for a, b in zip(mono.qexp, m0.qexp)]
+            for gen, g in self._preimage(m0).items():
+                key = SuperMonomial(tuple(a + b for a, b in zip(gen.qexp, m1)), gen.eta)
+                acc[key] = acc.get(key, 0) + c * g
+        return SuperElement(ctx, acc)
+
+    def _preimage(self, m0: SuperMonomial) -> dict:
+        """pre(m0) with Q(pre(m0)) = m0, for m0 of weight top + 1, memoized."""
+        pre = self._lifts.get(m0)
+        if pre is None:
+            top = self.dwork.ctx.n - self.dwork.ctx.k
+            solver = self._solver(top + 1)
+            residual, combo = solver.eliminate({solver.index[m0]: Fraction(1)})
+            if residual:
+                raise SmoothnessError(
+                    f"quotient fails to close at weight {top + 1}: "
+                    "nonzero class above the recorded basis; "
+                    "singular or non-complete-intersection input")
+            gens = solver.generators.monomials
+            pre = self._lifts[m0] = {gens[g]: c for g, c in combo.items()}
+        return pre
 
     # -- serialization -----------------------------------------------------
 

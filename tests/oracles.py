@@ -1,14 +1,18 @@
 """Independent oracles shared by the unit and acceptance tests.
 
-Everything here deliberately avoids the library's SuperElement machinery:
+Most of them deliberately avoid the library's SuperElement machinery:
 polynomials are plain dicts over x exponent tuples, ranks come from dense
-rational elimination, and enumeration scans bounded exponent boxes.
+rational elimination, and enumeration scans bounded exponent boxes.  The
+retained exact routes (the weight-echelon reduction and the series route to
+the D ladder) are the library's own earlier paths, kept as cross-checks.
 """
 
 import itertools
 from fractions import Fraction
 
-from dworkbox import SuperMonomial
+from dworkbox import SuperElement, SuperMonomial, apply_delta
+from dworkbox.cohomology import ReductionResult, _build_weight_solver
+from dworkbox.errors import SmoothnessError
 from dworkbox.superalgebra import monomial_charge, monomial_weight, partial_q
 
 
@@ -306,3 +310,48 @@ def d_matrix(series):
                 running[beta][rho] += e * c
         ladders[order] = [row[:] for row in running]
     return ladders
+
+
+# -- weight-echelon route of reduce -------------------------------------------
+
+class EchelonReduction:
+    """`QuotientPresentation.reduce` on charge-c_G input by a weight echelon
+    at every weight, the cross-check for the lift above weight n - k + 1.
+
+    Solvers the presentation already holds are read, never added to; the
+    others are built here and kept in `solvers`.
+    """
+
+    def __init__(self, presentation):
+        self.presentation = presentation
+        self.solvers = {}
+
+    def solver(self, weight):
+        pres = self.presentation
+        found = pres._solvers.get(weight, self.solvers.get(weight))
+        if found is None:
+            found = self.solvers[weight] = _build_weight_solver(pres.dwork, pres.c_G, weight)
+        return found
+
+    def reduce(self, f):
+        pres = self.presentation
+        ctx = pres.dwork.ctx
+        coeffs = [Fraction(0)] * pres.dimension
+        certificate = SuperElement.zero(ctx)
+        rest = f
+        while not rest.is_zero():
+            w = rest.top_weight()
+            part = {m: c for m, c in rest.terms.items() if monomial_weight(ctx, m) == w}
+            solver = self.solver(w)
+            residual, combo = solver.eliminate(
+                {solver.index[m]: c for m, c in part.items()})
+            for pos, c in residual.items():
+                idx = pres.basis_index.get(solver.target.monomials[pos])
+                if idx is None:
+                    raise SmoothnessError(f"nonzero class of weight {w}")
+                coeffs[idx] += c
+            xi = SuperElement(ctx, {solver.generators.monomials[g]: c
+                                    for g, c in combo.items()})
+            certificate = certificate + xi
+            rest = rest - SuperElement(ctx, part) - apply_delta(xi)
+        return ReductionResult(tuple(coeffs), certificate)

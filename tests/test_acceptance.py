@@ -5,12 +5,14 @@ stated wall-clock budget.  Each test prints a single pass line with its
 timing; run with `pytest tests/test_acceptance.py -v -s` to see them.
 """
 
+import json
 import math
 import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from dworkbox import cli
 from dworkbox import (
     SuperElement,
     VariableContext,
@@ -251,3 +253,33 @@ def test_trivial_deformation_degeneracy(cubic_dwork, cubic_presentation):
         for u in cubic_presentation.basis_elements():
             seq = expansion_coefficients(trivial, cubic_presentation, u, 6)
             assert all(v == seq[0] for v in seq)
+
+
+QUADRICS_CONFIG = {
+    "n": 3, "k": 2, "degrees": [2, 2],
+    "G": ["x0^2 + x1^2 + x2^2 + x3^2", "x0^2 + 2*x1^2 + 3*x2^2 + 4*x3^2"],
+    "H": ["x0*x1", "0"],
+}
+
+
+def _verify_quadrics(tmp_path, capsys, *extra):
+    path = tmp_path / "quadrics.json"
+    path.write_text(json.dumps(QUADRICS_CONFIG))
+    code = cli.main(["verify", str(path), "--seed", "1", *extra])
+    capsys.readouterr()
+    return code
+
+
+def test_two_quadrics_verify(tmp_path, capsys):
+    """The full verify suite on two quadrics: its descendant checks reduce
+    far above weight n - k."""
+    with criterion("two-quadrics verify (seed 1, 200 iterations)", 30.0):
+        assert _verify_quadrics(tmp_path, capsys, "--iterations", "200") == cli.EXIT_OK
+
+
+def test_two_quadrics_fault_injection(tmp_path, capsys):
+    """A flipped bracket sign is caught on two quadrics, and quickly."""
+    with criterion("two-quadrics verify catches bracket-sign", 10.0):
+        code = _verify_quadrics(tmp_path, capsys, "--iterations", "2",
+                                "--inject-fault", "bracket-sign")
+        assert code == cli.EXIT_INTERNAL

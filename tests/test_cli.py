@@ -1,6 +1,10 @@
 """CLI: commands, exit codes, output schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +52,20 @@ def test_basis_fermat(capsys, fermat_config):
     payload = json.loads(out)
     assert payload["cG"] == 0
     assert payload["dimension"] == 2
+    assert payload["hodge"] == [1, 1]
+    assert payload["basis"] == ["1", "y1*x0*x1*x2"]
+
+
+def test_python_dash_m_runs_the_cli(fermat_config):
+    """`python -m dworkbox` works from an uninstalled checkout on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "dworkbox", "--format", "json", "basis", fermat_config],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    payload = json.loads(done.stdout)
     assert payload["hodge"] == [1, 1]
     assert payload["basis"] == ["1", "y1*x0*x1*x2"]
 

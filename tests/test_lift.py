@@ -1,0 +1,111 @@
+"""Reduction above weight n - k + 1 by the lift, against the weight-echelon
+route kept in `tests.oracles.EchelonReduction`."""
+
+import random
+
+import pytest
+
+from dworkbox import (
+    SuperElement,
+    VariableContext,
+    apply_k,
+    build_presentation,
+    dwork_potential,
+    parse,
+)
+from dworkbox.cohomology import enumerate_piece
+from dworkbox.deformation import build_deformation, d_ladder, u_basis
+from dworkbox.errors import SmoothnessError
+from dworkbox.verify import random_charge_element
+from tests.oracles import EchelonReduction
+
+# (n, k, degrees, G, H): H gives Gamma = sum y_i H_i for the known chains
+GEOMETRIES = {
+    "cubic_curve": (2, 1, (3,), ["x0^3 + x1^3 + x2^3"], ["x0*x1*x2"]),
+    "sextic_curve": (2, 1, (6,), ["x0^6 + x1^6 + x2^6"], ["x0^2*x1^2*x2^2"]),
+    "two_quadrics": (3, 2, (2, 2),
+                     ["x0^2 + x1^2 + x2^2 + x3^2", "x0^2 + 2*x1^2 + 3*x2^2 + 4*x3^2"],
+                     ["x0*x1", "0"]),
+    "quartic_k3": (3, 1, (4,), ["x0^4 + x1^4 + x2^4 + x3^4"], ["x0*x1*x2*x3"]),
+    "cubic_threefold": (4, 1, (3,), ["x0^3 + x1^3 + x2^3 + x3^3 + x4^3"],
+                        ["x0*x1*x2"]),
+}
+
+
+def _geometry(name):
+    n, k, degrees, G, H = GEOMETRIES[name]
+    ctx = VariableContext(n, k, degrees)
+    D = dwork_potential(ctx, [parse(g, ctx) for g in G])
+    gamma = SuperElement.zero(ctx)
+    for i, h in enumerate(H, start=1):
+        gamma = gamma + SuperElement.variable(ctx, i) * parse(h, ctx)
+    return D, gamma
+
+
+def known_chains(presentation, gamma, max_weight):
+    """e_rho * Gamma^m for every basis element, up to weight max_weight."""
+    chains = []
+    for e in presentation.basis_elements():
+        value = e
+        while True:
+            value = value * gamma
+            if value.is_zero() or value.top_weight() > max_weight:
+                break
+            chains.append(value)
+    return chains
+
+
+@pytest.mark.parametrize("name", list(GEOMETRIES))
+def test_lift_matches_echelon_route(name):
+    D, gamma = _geometry(name)
+    pres = build_presentation(D)
+    top = D.ctx.n - D.ctx.k
+    oracle = EchelonReduction(pres)
+    rng = random.Random(f"lift:{name}")
+    inputs = [random_charge_element(D, rng, pres.c_G, 0, max_weight=top + 4)
+              for _ in range(4)]
+    inputs += known_chains(pres, gamma, top + 4)
+    assert max(f.top_weight() for f in inputs) == top + 4
+    for f in inputs:
+        result = pres.reduce(f)
+        assert result.coefficients == oracle.reduce(f).coefficients
+        assert apply_k(D, result.certificate) + result.as_element(pres) == f
+    assert max(pres._solvers) <= top + pres.slack
+    assert max(oracle.solvers) == top + 4
+
+
+def test_k3_ladder_builds_no_solver_above_weight_four(quartic_dwork):
+    ctx = quartic_dwork.ctx
+    pres = build_presentation(quartic_dwork)
+    deform = build_deformation(quartic_dwork, [parse("x0*x1*x2*x3", ctx)])
+    basis_u = u_basis(deform, pres, build_presentation(deform.deformed))
+    ladder = d_ladder(deform, pres, basis_u, 6)
+    assert sorted(pres._solvers) == [0, 1, 2, 3, 4]
+    short = d_ladder(deform, pres, basis_u, 3)
+    assert all(ladder[m] == short[m] for m in (1, 2, 3))
+
+
+def test_singular_input_at_slack_zero_fails_where_the_echelon_route_fails():
+    """x0^2*x1 is singular; with slack 0 no weight above n - k is checked at
+    build time, so only the reductions can notice."""
+    ctx = VariableContext(2, 1, (3,))
+    D = dwork_potential(ctx, [parse("x0^2*x1", ctx)])
+    pres = build_presentation(D, slack=0)
+    oracle = EchelonReduction(pres)
+    failing, oracle_failing = set(), set()
+    monomials = enumerate_piece(ctx, pres.c_G, 3, 0).monomials
+    assert len(monomials) == 55
+    for mono in monomials:
+        f = SuperElement(ctx, {mono: 1})
+        try:
+            oracle.reduce(f)
+        except SmoothnessError:
+            oracle_failing.add(mono)
+        try:
+            result = pres.reduce(f)
+        except SmoothnessError:
+            failing.add(mono)
+            continue
+        assert apply_k(D, result.certificate) + result.as_element(pres) == f
+    assert failing == oracle_failing
+    assert len(failing) == 19
