@@ -252,16 +252,8 @@ def cmd_transport(args) -> int:
     order = _truncation_order(args, config)
     omega_rows, _ = _matrix_from_file(args.omega)
     b_rows, b_meta = _matrix_from_file(args.base_change)
-    integral = bool(b_meta.get("integral", True))
-    if integral:
-        for row in b_rows:
-            for v in row:
-                if isinstance(v, Fraction) and v.denominator != 1:
-                    raise InputError("integral base change needs integer entries")
-        b_int = [[int(v) for v in row] for row in b_rows]
-        base = BaseChange(tuple(tuple(r) for r in b_int), integral=True)
-    else:
-        base = BaseChange(tuple(tuple(r) for r in b_rows), integral=False)
+    base = BaseChange(tuple(tuple(r) for r in b_rows),
+                      integral=bool(b_meta.get("integral", True)))
     omega = PeriodMatrix(tuple(tuple(r) for r in omega_rows))
     if base.size != omega.size:
         raise InputError(f"base change is {base.size}x{base.size}, expected "

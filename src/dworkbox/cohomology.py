@@ -9,7 +9,8 @@ inside the degree-0 piece of the same weight yields
 
   * pivot monomials (inside the image span), and
   * complement monomials, which become quotient basis elements e_rho for
-    weights <= n - k and must be absent above (else the input was singular).
+    weights <= n - k and must be absent at weight n - k + 1 (else the input
+    was singular).
 
 Reduction then peels the top weight of an element: solve for the image part,
 subtract K of the solving preimage (which only disturbs lower weights through
@@ -35,6 +36,8 @@ first c_G + d.v0 x exponents.  That x degree is never negative, since every
 d_i >= 1 gives c_G + d.v0 >= (k - n - 1) + (n - k + 1) = 0, and u has room
 for it, since |u| = c_G + d.v >= c_G + d.v0 because v >= v0.  With
 Q(pre(m0)) = m0 read off the weight top + 1 echelon, Q(pre(m0) * m1) = M.
+So closure at weight top + 1 gives closure at every weight above it, and the
+smoothness guard checks that one weight.
 """
 
 from __future__ import annotations
@@ -353,17 +356,30 @@ def _load_row(D: DworkData, solver: _WeightSolver, rdata, images: dict) -> None:
         raise InputError(f"{where}: row {pivot} is not the Q image of its combo")
 
 
+def _quotient_basis(solvers: dict, top: int):
+    """The complement monomials of the weight 0..top solvers, weight by
+    weight, and how many each weight has."""
+    basis, counts = [], []
+    for w in range(top + 1):
+        complement = solvers[w].complement_monomials()
+        basis.extend(complement)
+        counts.append(len(complement))
+    return basis, counts
+
+
 class QuotientPresentation:
     """Monomial basis of the charge-c_G quotient with reduction machinery.
 
     `basis` lists eta-free monomials of charge c_G grouped by increasing
     weight (largest monomial first within a weight); `weight_counts[w]` is
     the number of basis elements of weight exactly w, for w = 0..n-k.
+    `slack` records whether the build checked closure at weight n-k+1
+    (any value >= 1) or left that to the first reduction needing it (0).
 
-    Logically immutable: the per-weight solver data and the weight top + 1
-    preimages behind the lift are memoized lazily, but rebuilding them is
-    deterministic, so concurrent readers can only ever race to store
-    identical values.
+    Logically immutable: a weight solver that `build` did not make (reduce
+    needs weights 0..n-k+1 only) and the weight n-k+1 preimages behind the
+    lift are memoized lazily, but rebuilding them is deterministic, so
+    concurrent readers can only ever race to store identical values.
     """
 
     def __init__(self, dwork: DworkData, basis: Sequence[SuperMonomial],
@@ -383,34 +399,33 @@ class QuotientPresentation:
 
     @classmethod
     def build(cls, D: DworkData, slack: int = 2) -> "QuotientPresentation":
-        """Echelonize weight by weight and collect complement monomials.
+        """Echelonize weights 0..n-k, collect their complement monomials as
+        the basis, and with `slack` >= 1 check closure at weight n-k+1.
 
-        The filtration must close at weight n - k; a nonzero complement in
-        weights (n-k, n-k+slack] trips the smoothness guard.
+        A nonzero complement at weight n-k+1 trips the smoothness guard.
+        That one weight certifies every weight above it: a charge-c_G
+        monomial M of weight >= n-k+2 splits as M = m0 * m1 with m0 of
+        weight n-k+1 and m1 even and eta-free (module docstring), and once
+        m0 = Q(pre(m0)) exactly, M = Q(pre(m0) * m1) is in the image too.
+        So every `slack` >= 1 does the same work.  With `slack` 0 the guard
+        is skipped, and a reduction that meets a weight n-k+1 class outside
+        the image raises SmoothnessError instead.
         """
-        ctx = D.ctx
-        c_G = ctx.background_charge()
-        top = ctx.n - ctx.k
-        basis = []
-        counts = []
-        presentation = cls(D, (), (), slack=slack)
-        for w in range(0, top + 1):
-            solver = presentation._solver(w)
-            complement = solver.complement_monomials()
-            basis.extend(complement)
-            counts.append(len(complement))
-        for w in range(top + 1, top + 1 + max(slack, 0)):
-            solver = presentation._solver(w)
-            leftover = solver.complement_monomials()
+        c_G = D.ctx.background_charge()
+        top = D.ctx.n - D.ctx.k
+        solvers = {w: _build_weight_solver(D, c_G, w) for w in range(top + 1)}
+        basis, counts = _quotient_basis(solvers, top)
+        if slack >= 1:
+            guard = solvers[top + 1] = _build_weight_solver(D, c_G, top + 1)
+            leftover = guard.complement_monomials()
             if leftover:
                 raise SmoothnessError(
-                    f"quotient fails to close at weight {w}: "
+                    f"quotient fails to close at weight {top + 1}: "
                     f"{len(leftover)} unreduced monomials; "
                     "singular or non-complete-intersection input")
-        final = cls(D, basis, counts, slack=slack)
-        final._solvers = presentation._solvers
-        final._lifts = presentation._lifts
-        return final
+        presentation = cls(D, basis, counts, slack=slack)
+        presentation._solvers = solvers
+        return presentation
 
     # -- solver access -----------------------------------------------------
 
@@ -461,14 +476,14 @@ class QuotientPresentation:
         if len(charges) > 1:
             raise InputError(
                 f"reduce expects charge-pure input, found charges {sorted(charges)}")
-        zero = tuple(Fraction(0) for _ in self.basis)
+        if charges == {self.c_G}:
+            return self._reduce_background(f)
+        zero = (Fraction(0),) * len(self.basis)
         if not charges:
             return ReductionResult(zero, SuperElement.zero(f.ctx))
-        if charges != {self.c_G}:
-            lam = charges.pop()
-            witness = charge_witness(self.dwork, f)
-            return ReductionResult(zero, witness.scale(Fraction(1, lam - self.c_G)))
-        return self._reduce_background(f)
+        lam = charges.pop()
+        witness = charge_witness(self.dwork, f)
+        return ReductionResult(zero, witness.scale(Fraction(1, lam - self.c_G)))
 
     def _reduce_background(self, f: SuperElement) -> ReductionResult:
         """Peel the top weight off `f`, one weight-w slice at a time.
@@ -484,7 +499,7 @@ class QuotientPresentation:
         subtracted with delta(xi), which only disturbs lower weights.
         """
         ctx = self.dwork.ctx
-        coeffs = {i: Fraction(0) for i in range(len(self.basis))}
+        coeffs = [Fraction(0)] * len(self.basis)
         certificate = SuperElement.zero(ctx)
         rest = f
         while not rest.is_zero():
@@ -499,13 +514,12 @@ class QuotientPresentation:
             # part = residual + Q(xi); Q preserves weight, so subtracting the
             # whole weight-w slice and delta(xi) accounts for K(xi) exactly
             rest = rest - SuperElement(ctx, part) - apply_delta(xi)
-        return ReductionResult(tuple(coeffs[i] for i in range(len(self.basis))),
-                               certificate)
+        return ReductionResult(tuple(coeffs), certificate)
 
-    def _eliminate_slice(self, w: int, part: dict, coeffs: dict) -> SuperElement:
+    def _eliminate_slice(self, w: int, part: dict, coeffs: list) -> SuperElement:
         """Eliminate the weight-w slice `part` against its echelon.
 
-        Adds the residual to `coeffs` (basis index -> coefficient) and
+        Adds the residual to `coeffs` (indexed like the basis) and
         returns xi with Q(xi) = part - residual.
         """
         solver = self._solver(w)
@@ -609,6 +623,9 @@ class QuotientPresentation:
 
     @classmethod
     def from_json(cls, text: str) -> "QuotientPresentation":
+        """Load an export, checking every stored row against its Q image and
+        the basis and weight counts against the echelons of weights 0..n-k
+        (built here when the file stores none)."""
         from . import polyparse
 
         payload = json.loads(text)
@@ -619,19 +636,35 @@ class QuotientPresentation:
                               cinfo.get("order", "graded-lex"))
         G = [polyparse.parse(text_g, ctx) for text_g in payload["G"]]
         D = dwork_potential(ctx, G)
-        basis = [_monomial_from_json(ctx, m) for m in payload["basis"]]
-        pres = cls(D, basis, payload["weightCounts"], slack=payload.get("slack", 2))
-        if pres.c_G != payload["cG"]:
+        c_G = ctx.background_charge()
+        if c_G != payload["cG"]:
             raise InputError("inconsistent background charge in presentation file")
+        slack = payload.get("slack", 2)
+        if type(slack) is not int or slack < 0:
+            raise InputError(f"presentation file: slack {slack!r} is not an int >= 0")
+        solvers: dict = {}
         for sdata in payload.get("solvers", []):
             w = sdata["weight"]
-            target = enumerate_piece(ctx, pres.c_G, w, 0)
-            generators = enumerate_piece(ctx, pres.c_G, w, -1)
+            target = enumerate_piece(ctx, c_G, w, 0)
+            generators = enumerate_piece(ctx, c_G, w, -1)
             solver = _WeightSolver(target, generators)
             images: dict = {}
             for rdata in sdata["rows"]:
                 _load_row(D, solver, rdata, images)
-            pres._solvers[w] = solver
+            solvers[w] = solver
+        top = ctx.n - ctx.k
+        for w in range(top + 1):
+            if w not in solvers:
+                solvers[w] = _build_weight_solver(D, c_G, w)
+        basis, counts = _quotient_basis(solvers, top)
+        if [_monomial_from_json(ctx, m) for m in payload["basis"]] != basis:
+            raise InputError("presentation file: basis is not the complement of "
+                             "the weight echelons")
+        if payload["weightCounts"] != counts:
+            raise InputError(f"presentation file: weightCounts {payload['weightCounts']!r} "
+                             f"do not match the basis, expected {counts}")
+        pres = cls(D, basis, counts, slack=slack)
+        pres._solvers = solvers
         return pres
 
 

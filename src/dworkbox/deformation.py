@@ -496,27 +496,43 @@ class PeriodMatrix:
 
 @dataclass(frozen=True)
 class BaseChange:
-    """Integer base change on the cycle lattice; unimodular when integral."""
+    """Integer base change on the cycle lattice; unimodular when integral.
+
+    An integral matrix may hold ints, Fractions or floats, provided each is
+    exactly an integer; it is stored as ints.
+    """
 
     matrix: tuple
     integral: bool = True
 
     def __post_init__(self):
         rows = tuple(tuple(v for v in r) for r in self.matrix)
-        object.__setattr__(self, "matrix", rows)
         size = len(rows)
         if any(len(r) != size for r in rows):
             raise InputError("base change matrix must be square")
         if self.integral:
-            if any(not isinstance(v, int) for row in rows for v in row):
-                raise InputError("integral base change needs integer entries")
+            rows = tuple(tuple(_exact_int(v) for v in r) for r in rows)
             det = _determinant(rows)
             if det not in (1, -1):
                 raise InputError(f"integral base change must be unimodular, det = {det}")
+        object.__setattr__(self, "matrix", rows)
 
     @property
     def size(self) -> int:
         return len(self.matrix)
+
+
+def _exact_int(v) -> int:
+    """v as an int, or InputError unless v is exactly an integer (NaN and
+    the infinities are not)."""
+    if isinstance(v, (int, Fraction, float)):
+        try:
+            exact = int(v)
+        except (ValueError, OverflowError):
+            exact = None
+        if exact == v:
+            return exact
+    raise InputError("integral base change needs integer entries")
 
 
 def _determinant(rows) -> Fraction:

@@ -238,6 +238,18 @@ def test_transport_rejects_non_unimodular(capsys, fermat_config, tmp_path):
     assert "unimodular" in err
 
 
+@pytest.mark.parametrize("entry", [1.5, float("nan"), float("inf")],
+                         ids=["fraction", "nan", "infinity"])
+def test_transport_rejects_non_integer_base_change(capsys, fermat_config, tmp_path,
+                                                   monkeypatch, entry):
+    omega, bmat = _matrix_files(tmp_path, [["1", "0"], ["0", "1"]], [[entry, 0], [0, 1]])
+    _no_presentation(monkeypatch)
+    code, _, err = run_cli(capsys, "transport", fermat_config, "--omega", omega,
+                           "--base-change", bmat)
+    assert code == EXIT_INPUT
+    assert "integral base change needs integer entries" in err
+
+
 def test_transport_rejects_mismatched_sizes(capsys, fermat_config, tmp_path):
     omega = tmp_path / "omega.json"
     omega.write_text(json.dumps([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]))

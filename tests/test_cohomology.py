@@ -333,6 +333,40 @@ def test_presentation_import_rejects_tampered_rows(cubic_presentation, case):
         QuotientPresentation.from_json(_json.dumps(payload))
 
 
+TAMPERED_FIELDS = {
+    # the cubic basis is 1 (weight 0) then y1*x0*x1*x2 (weight 1)
+    "reversed basis": (lambda payload: payload["basis"].reverse(),
+                       "basis is not the complement"),
+    "reversed basis, no solvers": (
+        lambda payload: (payload["basis"].reverse(), payload.update({"solvers": []})),
+        "basis is not the complement"),
+    "weight counts": (lambda payload: payload.update({"weightCounts": [2, 0]}),
+                      "weightCounts"),
+    "slack": (lambda payload: payload.update({"slack": "two"}), "slack"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED_FIELDS))
+def test_presentation_import_rejects_tampered_fields(cubic_presentation, case):
+    import json as _json
+
+    edit, message = TAMPERED_FIELDS[case]
+    payload = _json.loads(cubic_presentation.to_json())
+    edit(payload)
+    with pytest.raises(InputError, match=message):
+        QuotientPresentation.from_json(_json.dumps(payload))
+
+
+def test_presentation_import_builds_the_echelons_a_file_lacks(cubic_presentation):
+    import json as _json
+
+    payload = _json.loads(cubic_presentation.to_json())
+    payload["solvers"] = []
+    loaded = QuotientPresentation.from_json(_json.dumps(payload))
+    assert loaded.basis == cubic_presentation.basis
+    assert sorted(loaded._solvers) == [0, 1]
+
+
 def test_presentation_import_normalizes_a_scaled_row(cubic_presentation):
     import json as _json
 
@@ -362,9 +396,9 @@ def test_mixed_degrees_genus_four_curve():
     ctx = VariableContext(3, 2, (2, 3))
     G = [parse("x0^2 + x1^2 + x2^2 + x3^2", ctx),
          parse("x0^3 + x1^3 + x2^3 + x3^3", ctx)]
-    # the default slack runs the closure check on weights 2 and 3
+    # the default slack runs the closure check on weight 2 only
     P = build_presentation(dwork_potential(ctx, G))
-    assert sorted(P._solvers) == [0, 1, 2, 3]
+    assert sorted(P._solvers) == [0, 1, 2]
     assert P.c_G == 1
     assert P.dimension == 8
     assert P.hodge_numbers() == [4, 4]

@@ -141,10 +141,10 @@ def test_matches_fraction_echelon_on_random_rows(seed, bits, content_bits, monke
 
 
 def weight_solvers(D):
-    """The charge-c_G weight solvers a default (slack 2) presentation of D
-    builds, each also rebuilt by a fresh library echelon and by the Fraction
-    echelon from the same Q images in the same order; yields them with the
-    insert values of both."""
+    """The charge-c_G weight solvers of D at weights 0..n-k+2, each also
+    rebuilt by a fresh library echelon and by the Fraction echelon from the
+    same Q images in the same order; yields them with the insert values of
+    both."""
     c_G = D.ctx.background_charge()
     for weight in range(D.ctx.n - D.ctx.k + 3):
         built = _build_weight_solver(D, c_G, weight)

@@ -13,7 +13,7 @@ from dworkbox import (
     dwork_potential,
     parse,
 )
-from dworkbox.cohomology import enumerate_piece
+from dworkbox.cohomology import _build_weight_solver, enumerate_piece
 from dworkbox.deformation import build_deformation, d_ladder, u_basis
 from dworkbox.errors import SmoothnessError
 from dworkbox.verify import random_charge_element
@@ -70,17 +70,17 @@ def test_lift_matches_echelon_route(name):
         result = pres.reduce(f)
         assert result.coefficients == oracle.reduce(f).coefficients
         assert apply_k(D, result.certificate) + result.as_element(pres) == f
-    assert max(pres._solvers) <= top + pres.slack
+    assert sorted(pres._solvers) == list(range(top + 2))
     assert max(oracle.solvers) == top + 4
 
 
-def test_k3_ladder_builds_no_solver_above_weight_four(quartic_dwork):
+def test_k3_ladder_builds_no_solver_above_weight_three(quartic_dwork):
     ctx = quartic_dwork.ctx
     pres = build_presentation(quartic_dwork)
     deform = build_deformation(quartic_dwork, [parse("x0*x1*x2*x3", ctx)])
     basis_u = u_basis(deform, pres, build_presentation(deform.deformed))
     ladder = d_ladder(deform, pres, basis_u, 6)
-    assert sorted(pres._solvers) == [0, 1, 2, 3, 4]
+    assert sorted(pres._solvers) == [0, 1, 2, 3]
     short = d_ladder(deform, pres, basis_u, 3)
     assert all(ladder[m] == short[m] for m in (1, 2, 3))
 
@@ -109,3 +109,52 @@ def test_singular_input_at_slack_zero_fails_where_the_echelon_route_fails():
         assert apply_k(D, result.certificate) + result.as_element(pres) == f
     assert failing == oracle_failing
     assert len(failing) == 19
+
+
+# (n, k, degrees, G); the guard must reject exactly the singular ones
+GUARD_INPUTS = {
+    "cubic_curve": (2, 1, (3,), ["x0^3 + x1^3 + x2^3"]),
+    "sextic_curve": (2, 1, (6,), ["x0^6 + x1^6 + x2^6"]),
+    "two_quadrics": (3, 2, (2, 2),
+                     ["x0^2 + x1^2 + x2^2 + x3^2", "x0^2 + 2*x1^2 + 3*x2^2 + 4*x3^2"]),
+    "quartic_k3": (3, 1, (4,), ["x0^4 + x1^4 + x2^4 + x3^4"]),
+    "genus_four_curve": (3, 2, (2, 3),
+                         ["x0^2 + x1^2 + x2^2 + x3^2", "x0^3 + x1^3 + x2^3 + x3^3"]),
+    "plane_quartic": (2, 1, (4,), ["x0^4 + x1^4 + x2^4"]),
+    "singular:x0^2*x1": (2, 1, (3,), ["x0^2*x1"]),
+    "singular:x0^3+x1^3": (2, 1, (3,), ["x0^3 + x1^3"]),
+    "singular:x0^2+x1^2": (2, 1, (2,), ["x0^2 + x1^2"]),
+    "singular:nodal_cubic": (2, 1, (3,), ["x0^3 + x1^3 + x0*x1*x2"]),
+    "singular:quartic_cone": (3, 1, (4,), ["x0^4 + x1^4 + x2^4"]),
+    "singular:cubic_surface": (3, 1, (3,), ["x0^3 + x1^3 + x2^3 + x0*x1*x2"]),
+    "singular:x0^4+x1^3*x2": (2, 1, (4,), ["x0^4 + x1^3*x2"]),
+    # both quadrics are cones with vertex (0:0:0:1)
+    "singular:quadric_pencil": (3, 2, (2, 2),
+                                ["x0^2 + x1^2 + x2^2", "x0^2 + 2*x1^2 + 3*x2^2"]),
+}
+
+
+@pytest.mark.parametrize("name", list(GUARD_INPUTS))
+def test_guard_on_one_weight_agrees_with_two(name):
+    """The default guard checks weight n - k + 1 only.  It must give the
+    verdict and message of checking the echelons of weights n - k + 1 and
+    n - k + 2 in turn, which is what the guard did before the lift proved
+    the second one redundant."""
+    n, k, degrees, G = GUARD_INPUTS[name]
+    ctx = VariableContext(n, k, degrees)
+    D = dwork_potential(ctx, [parse(g, ctx) for g in G])
+    expected = None
+    for w in (n - k + 1, n - k + 2):
+        leftover = _build_weight_solver(D, ctx.background_charge(), w).complement_monomials()
+        if leftover:
+            expected = (f"quotient fails to close at weight {w}: "
+                        f"{len(leftover)} unreduced monomials; "
+                        "singular or non-complete-intersection input")
+            break
+    assert (expected is not None) == name.startswith("singular:")
+    try:
+        build_presentation(D)
+    except SmoothnessError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
