@@ -56,14 +56,22 @@ def _matrix_json(matrix):
     return [[_frac_str(v) for v in row] for row in matrix]
 
 
+def _int_field(name: str, value) -> int:
+    """`value` if it is a JSON integer; floats, bools and strings are not."""
+    if type(value) is not int:
+        raise InputError(f"config field {name} must be an integer, got {value!r}")
+    return value
+
+
 class JobConfig:
     """Validated problem description loaded from a JSON file."""
 
     def __init__(self, raw: dict):
         try:
-            self.n = int(raw["n"])
-            self.k = int(raw["k"])
-            degrees = tuple(int(d) for d in raw["degrees"])
+            self.n = _int_field("n", raw["n"])
+            self.k = _int_field("k", raw["k"])
+            degrees = tuple(_int_field(f"degrees[{i}]", d)
+                            for i, d in enumerate(raw["degrees"]))
             g_texts = list(raw["G"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"config missing or malformed field: {exc}")
@@ -78,11 +86,10 @@ class JobConfig:
             if len(h_texts) != self.k:
                 raise InputError(f"expected {self.k} polynomials in H, got {len(h_texts)}")
             self.H = [parse(t, self.ctx) for t in h_texts]
-        self.truncation_order = int(raw.get("truncationOrder", 6))
-        self.slack = int(raw.get("slack", 2))
+        self.truncation_order = _int_field("truncationOrder", raw.get("truncationOrder", 6))
         self.h_override = raw.get("h")
         self.y_choice = tuple(raw["yPower"]) if raw.get("yPower") else None
-        self.seed = int(raw.get("seed", 0))
+        self.seed = _int_field("seed", raw.get("seed", 0))
 
     @classmethod
     def load(cls, path: str) -> "JobConfig":
@@ -115,7 +122,7 @@ def _emit(payload: dict, text_lines, args) -> None:
 
 def _build(config: JobConfig):
     D = config.dwork()
-    return D, build_presentation(D, slack=config.slack)
+    return D, build_presentation(D)
 
 
 def cmd_basis(args) -> int:
@@ -170,7 +177,7 @@ def _deformation_base(config: JobConfig):
 def _deformation_setup(config: JobConfig, pres):
     """Deformation and u basis over `pres`, shared by deform and transport."""
     deform = build_deformation(pres.dwork, config.H)
-    pres_U = build_presentation(deform.deformed, slack=config.slack)
+    pres_U = build_presentation(deform.deformed)
     h_elt = parse(config.h_override, config.ctx) if config.h_override else None
     basis_u = u_basis(deform, pres, pres_U, h=h_elt, y_choice=config.y_choice)
     return deform, basis_u

@@ -38,6 +38,10 @@ for it, since |u| = c_G + d.v >= c_G + d.v0 because v >= v0.  With
 Q(pre(m0)) = m0 read off the weight top + 1 echelon, Q(pre(m0) * m1) = M.
 So closure at weight top + 1 gives closure at every weight above it, and the
 smoothness guard checks that one weight.
+
+A presentation is only ever made by `QuotientPresentation.build`, which builds
+the weight solvers 0..top + 1 up front; loading an export rebuilds it from
+the context and G and checks the file against the result.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
 
 from .errors import InputError, InternalCheckError, SmoothnessError
 from .operators import DworkData, apply_delta, apply_k, apply_q, dwork_potential
@@ -252,11 +255,6 @@ class _Echelon:
         self._append(lead, residual, {k: c for k, c in full_combo.items() if c})
         return Fraction(residual[lead], den)
 
-    def add_row(self, pivot: int, row: dict, combo: dict) -> None:
-        """Register a reduced row given by rationals (any nonzero multiple)."""
-        den = lcm(*(c.denominator for part in (row, combo) for c in part.values()))
-        self._append(pivot, _scaled(row, den), _scaled(combo, den))
-
     def _append(self, pivot: int, row: dict, combo: dict) -> None:
         """Store an int row in its primitive form with a positive pivot."""
         g = gcd(*row.values(), *combo.values())
@@ -322,40 +320,6 @@ def _build_weight_solver(D: DworkData, charge: int, weight: int) -> _WeightSolve
     return solver
 
 
-def _load_row(D: DworkData, solver: _WeightSolver, rdata, images: dict) -> None:
-    """Check one stored row of a presentation file, then register it.
-
-    The pivot must be the smallest position of the row and new to the
-    solver, positions and generator indices must lie in their pieces, and
-    the row must equal its combination of Q images exactly.
-    """
-    where = f"presentation file, weight {solver.target.weight}"
-    try:
-        pivot = rdata["pivot"]
-        row = {int(pos): Fraction(c) for pos, c in rdata["row"].items()}
-        combo = {int(g): Fraction(c) for g, c in rdata["combo"].items()}
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{where}: malformed row ({exc!r})") from None
-    if type(pivot) is not int or not row.get(pivot) or pivot != min(row):
-        raise InputError(f"{where}: pivot {pivot!r} is not the first entry of its row")
-    if pivot in solver.pivots:
-        raise InputError(f"{where}: pivot {pivot} repeats")
-    gens = len(solver.generators.monomials)
-    if pivot < 0 or max(row) >= len(solver.target.monomials) or \
-            any(not 0 <= g < gens for g in combo):
-        raise InputError(f"{where}: row {pivot} has an index out of range")
-    solver.add_row(pivot, row, combo)
-    _, ints, int_combo = solver.rows[-1]
-    image: dict = {}
-    for g, c in int_combo.items():
-        if g not in images:
-            images[g] = solver.q_vector(D, g)
-        for pos, v in images[g].items():
-            image[pos] = image.get(pos, 0) + c * v
-    if {pos: v for pos, v in image.items() if v} != ints:
-        raise InputError(f"{where}: row {pivot} is not the Q image of its combo")
-
-
 def _quotient_basis(solvers: dict, top: int):
     """The complement monomials of the weight 0..top solvers, weight by
     weight, and how many each weight has."""
@@ -372,25 +336,26 @@ class QuotientPresentation:
 
     `basis` lists eta-free monomials of charge c_G grouped by increasing
     weight (largest monomial first within a weight); `weight_counts[w]` is
-    the number of basis elements of weight exactly w, for w = 0..n-k.
-    `slack` records whether the build checked closure at weight n-k+1
-    (any value >= 1) or left that to the first reduction needing it (0).
+    the number of basis elements of weight exactly w, for w = 0..n-k.  Both
+    are read off the weight solvers 0..n-k+1, which the presentation holds
+    from construction on; reduction reads no other weight.
 
-    Logically immutable: a weight solver that `build` did not make (reduce
-    needs weights 0..n-k+1 only) and the weight n-k+1 preimages behind the
-    lift are memoized lazily, but rebuilding them is deterministic, so
+    Logically immutable: only the weight n-k+1 preimages behind the lift
+    (`_lifts`) are memoized lazily, but rebuilding them is deterministic, so
     concurrent readers can only ever race to store identical values.
     """
 
-    def __init__(self, dwork: DworkData, basis: Sequence[SuperMonomial],
-                 weight_counts: Sequence[int], slack: int = 2):
+    # perfbench/workloads.py sizes its reduce stream up to weight n - k + slack
+    slack = 2
+
+    def __init__(self, dwork: DworkData, solvers: dict):
         self.dwork = dwork
-        self.basis = tuple(basis)
-        self.weight_counts = tuple(weight_counts)
-        self.slack = slack
         self.c_G = dwork.ctx.background_charge()
+        basis, counts = _quotient_basis(solvers, dwork.ctx.n - dwork.ctx.k)
+        self.basis = tuple(basis)
+        self.weight_counts = tuple(counts)
         self.basis_index = {m: i for i, m in enumerate(self.basis)}
-        self._solvers: dict = {}
+        self._solvers = solvers
         # weight top + 1 monomial m0 -> generator monomial -> coefficient of
         # a Q-preimage; bounded by the size of that piece
         self._lifts: dict = {}
@@ -398,43 +363,26 @@ class QuotientPresentation:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(cls, D: DworkData, slack: int = 2) -> "QuotientPresentation":
-        """Echelonize weights 0..n-k, collect their complement monomials as
-        the basis, and with `slack` >= 1 check closure at weight n-k+1.
+    def build(cls, D: DworkData) -> "QuotientPresentation":
+        """Echelonize weights 0..n-k+1, take the complement monomials of
+        weights 0..n-k as the basis, and check closure at weight n-k+1.
 
         A nonzero complement at weight n-k+1 trips the smoothness guard.
         That one weight certifies every weight above it: a charge-c_G
         monomial M of weight >= n-k+2 splits as M = m0 * m1 with m0 of
         weight n-k+1 and m1 even and eta-free (module docstring), and once
         m0 = Q(pre(m0)) exactly, M = Q(pre(m0) * m1) is in the image too.
-        So every `slack` >= 1 does the same work.  With `slack` 0 the guard
-        is skipped, and a reduction that meets a weight n-k+1 class outside
-        the image raises SmoothnessError instead.
         """
         c_G = D.ctx.background_charge()
         top = D.ctx.n - D.ctx.k
-        solvers = {w: _build_weight_solver(D, c_G, w) for w in range(top + 1)}
-        basis, counts = _quotient_basis(solvers, top)
-        if slack >= 1:
-            guard = solvers[top + 1] = _build_weight_solver(D, c_G, top + 1)
-            leftover = guard.complement_monomials()
-            if leftover:
-                raise SmoothnessError(
-                    f"quotient fails to close at weight {top + 1}: "
-                    f"{len(leftover)} unreduced monomials; "
-                    "singular or non-complete-intersection input")
-        presentation = cls(D, basis, counts, slack=slack)
-        presentation._solvers = solvers
-        return presentation
-
-    # -- solver access -----------------------------------------------------
-
-    def _solver(self, weight: int) -> _WeightSolver:
-        solver = self._solvers.get(weight)
-        if solver is None:
-            solver = _build_weight_solver(self.dwork, self.c_G, weight)
-            self._solvers[weight] = solver
-        return solver
+        solvers = {w: _build_weight_solver(D, c_G, w) for w in range(top + 2)}
+        leftover = solvers[top + 1].complement_monomials()
+        if leftover:
+            raise SmoothnessError(
+                f"quotient fails to close at weight {top + 1}: "
+                f"{len(leftover)} unreduced monomials; "
+                "singular or non-complete-intersection input")
+        return cls(D, solvers)
 
     @property
     def dimension(self) -> int:
@@ -522,7 +470,7 @@ class QuotientPresentation:
         Adds the residual to `coeffs` (indexed like the basis) and
         returns xi with Q(xi) = part - residual.
         """
-        solver = self._solver(w)
+        solver = self._solvers[w]
         vec = {}
         for mono, coeff in part.items():
             pos = solver.index.get(mono)
@@ -577,7 +525,7 @@ class QuotientPresentation:
         pre = self._lifts.get(m0)
         if pre is None:
             top = self.dwork.ctx.n - self.dwork.ctx.k
-            solver = self._solver(top + 1)
+            solver = self._solvers[top + 1]
             residual, combo = solver.eliminate({solver.index[m0]: Fraction(1)})
             if residual:
                 raise SmoothnessError(
@@ -623,9 +571,14 @@ class QuotientPresentation:
 
     @classmethod
     def from_json(cls, text: str) -> "QuotientPresentation":
-        """Load an export, checking every stored row against its Q image and
-        the basis and weight counts against the echelons of weights 0..n-k
-        (built here when the file stores none)."""
+        """Load an export by rebuilding its presentation from the context and
+        G, then check the file against it.
+
+        `cG`, `basis` and `weightCounts` must match the rebuilt ones.  The
+        file may store any subset of the weights 0..n-k+1, and each weight
+        it stores must list every row of that echelon, in order, each equal
+        to the rebuilt row once its pivot entry is scaled to 1.
+        """
         from . import polyparse
 
         payload = json.loads(text)
@@ -635,37 +588,41 @@ class QuotientPresentation:
         ctx = VariableContext(cinfo["n"], cinfo["k"], tuple(cinfo["degrees"]),
                               cinfo.get("order", "graded-lex"))
         G = [polyparse.parse(text_g, ctx) for text_g in payload["G"]]
-        D = dwork_potential(ctx, G)
-        c_G = ctx.background_charge()
-        if c_G != payload["cG"]:
+        if ctx.background_charge() != payload["cG"]:
             raise InputError("inconsistent background charge in presentation file")
         slack = payload.get("slack", 2)
         if type(slack) is not int or slack < 0:
             raise InputError(f"presentation file: slack {slack!r} is not an int >= 0")
-        solvers: dict = {}
-        for sdata in payload.get("solvers", []):
-            w = sdata["weight"]
-            target = enumerate_piece(ctx, c_G, w, 0)
-            generators = enumerate_piece(ctx, c_G, w, -1)
-            solver = _WeightSolver(target, generators)
-            images: dict = {}
-            for rdata in sdata["rows"]:
-                _load_row(D, solver, rdata, images)
-            solvers[w] = solver
-        top = ctx.n - ctx.k
-        for w in range(top + 1):
-            if w not in solvers:
-                solvers[w] = _build_weight_solver(D, c_G, w)
-        basis, counts = _quotient_basis(solvers, top)
-        if [_monomial_from_json(ctx, m) for m in payload["basis"]] != basis:
+        pres = cls.build(dwork_potential(ctx, G))
+        if [_monomial_from_json(ctx, m) for m in payload["basis"]] != list(pres.basis):
             raise InputError("presentation file: basis is not the complement of "
                              "the weight echelons")
-        if payload["weightCounts"] != counts:
+        if payload["weightCounts"] != list(pres.weight_counts):
             raise InputError(f"presentation file: weightCounts {payload['weightCounts']!r} "
-                             f"do not match the basis, expected {counts}")
-        pres = cls(D, basis, counts, slack=slack)
-        pres._solvers = solvers
+                             f"do not match the basis, expected {list(pres.weight_counts)}")
+        for sdata in payload.get("solvers", []):
+            w = sdata["weight"]
+            solver = pres._solvers.get(w)
+            if solver is None:
+                raise InputError(f"presentation file: weight {w!r} has no echelon")
+            where = f"presentation file, weight {w}"
+            rows = [_stored_row(where, rdata) for rdata in sdata["rows"]]
+            if rows != list(solver.rational_rows()):
+                raise InputError(f"{where}: rows differ from the rebuilt echelon")
         return pres
+
+
+def _stored_row(where: str, rdata):
+    """A stored row as (pivot, row, combo) in Fractions, pivot entry 1."""
+    try:
+        pivot = rdata["pivot"]
+        row = {int(pos): Fraction(c) for pos, c in rdata["row"].items()}
+        combo = {int(g): Fraction(c) for g, c in rdata["combo"].items()}
+        lead = row[pivot]
+        return (pivot, {pos: c / lead for pos, c in row.items()},
+                {g: c / lead for g, c in combo.items()})
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{where}: malformed row ({exc!r})") from None
 
 
 def _monomial_to_json(m: SuperMonomial):
@@ -678,8 +635,8 @@ def _monomial_from_json(ctx: VariableContext, data) -> SuperMonomial:
     return make_monomial(ctx, data["q"], data["eta"])
 
 
-def build_presentation(D: DworkData, slack: int = 2) -> QuotientPresentation:
-    return QuotientPresentation.build(D, slack=slack)
+def build_presentation(D: DworkData) -> QuotientPresentation:
+    return QuotientPresentation.build(D)
 
 
 # -- charge concentration ----------------------------------------------------

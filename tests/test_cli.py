@@ -318,6 +318,27 @@ def test_config_arity_mismatch(capsys, tmp_path):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("field,value,name", [
+    ("truncationOrder", "six", "truncationOrder"),
+    ("seed", "x", "seed"),
+    ("truncationOrder", 2.5, "truncationOrder"),
+    ("truncationOrder", True, "truncationOrder"),
+    ("n", 2.9, "n"),
+    ("degrees", [3.7], "degrees[0]"),
+], ids=["order-string", "seed-string", "order-float", "order-bool", "n-float",
+        "degree-float"])
+def test_config_rejects_non_integer_fields(capsys, fermat_config, field, value, name):
+    """Integer fields take JSON integers only: no truncation, no uncaught
+    conversion error."""
+    raw = json.loads(Path(fermat_config).read_text())
+    raw[field] = value
+    Path(fermat_config).write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "deform", fermat_config)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert f"config field {name} must be an integer" in err
+
+
 def test_output_file(capsys, fermat_config, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "--format", "json", "--out", str(target),

@@ -220,7 +220,7 @@ def test_dimension_matches_summed_corank(cubic_dwork, cubic_presentation):
     # corank of the Q matrices per weight, via the internal solvers
     total = 0
     for w in range(0, cubic_dwork.ctx.n - cubic_dwork.ctx.k + 1):
-        solver = cubic_presentation._solver(w)
+        solver = cubic_presentation._solvers[w]
         piece = enumerate_piece(cubic_dwork.ctx, 0, w, 0)
         total += len(piece.monomials) - len(solver.rows)
     assert total == cubic_presentation.dimension
@@ -270,7 +270,7 @@ def test_charge_generator_k_value(cubic_dwork, quadrics_dwork):
 
 def test_presentation_round_trip(cubic_dwork, cubic_presentation):
     ctx = cubic_dwork.ctx
-    # warm the solver cache beyond the built range first
+    # reduce above weight n - k + 1, through the lift, before exporting
     f = parse("y1^3*x0^3*x1^3*x2^3", ctx)
     first = cubic_presentation.reduce(f)
     text = cubic_presentation.to_json()
@@ -306,19 +306,21 @@ def _row_edit(edit):
 
 TAMPERED_ROWS = {
     "row entry": (_row_edit(lambda rows: rows[3]["row"].update({"9": "2"})),
-                  "not the Q image of its combo"),
+                  "rows differ from the rebuilt echelon"),
     "combo entry": (_row_edit(lambda rows: rows[3]["combo"].update({"3": "-1/2"})),
-                    "not the Q image of its combo"),
+                    "rows differ from the rebuilt echelon"),
     "pivot": (_row_edit(lambda rows: rows[3].update({"pivot": 9})),
-              "not the first entry"),
+              "rows differ from the rebuilt echelon"),
     "repeated pivot": (_row_edit(lambda rows: rows.__setitem__(3, dict(rows[0]))),
-                       "pivot 0 repeats"),
+                       "rows differ from the rebuilt echelon"),
     "position range": (_row_edit(lambda rows: rows[3]["row"].update({"1000": "1"})),
-                       "index out of range"),
+                       "rows differ from the rebuilt echelon"),
     "generator range": (_row_edit(lambda rows: rows[3]["combo"].update({"1000": "1"})),
-                        "index out of range"),
+                        "rows differ from the rebuilt echelon"),
     "malformed entry": (_row_edit(lambda rows: rows[3]["row"].update({"9": "one"})),
                         "malformed row"),
+    "truncated echelon": (_row_edit(lambda rows: rows.pop(3)),
+                          "rows differ from the rebuilt echelon"),
 }
 
 
@@ -333,6 +335,15 @@ def test_presentation_import_rejects_tampered_rows(cubic_presentation, case):
         QuotientPresentation.from_json(_json.dumps(payload))
 
 
+def _truncated_with_extended_basis(payload):
+    """Without weight-1 row 3 its pivot y1*x1^3 is outside the image; listed
+    as a third basis element it would make the Fermat cubic's quotient
+    3-dimensional instead of 2."""
+    _row_edit(lambda rows: rows.pop(3))(payload)
+    payload["basis"].append({"q": [1, 0, 3, 0], "eta": []})
+    payload["weightCounts"] = [1, 2]
+
+
 TAMPERED_FIELDS = {
     # the cubic basis is 1 (weight 0) then y1*x0*x1*x2 (weight 1)
     "reversed basis": (lambda payload: payload["basis"].reverse(),
@@ -343,6 +354,11 @@ TAMPERED_FIELDS = {
     "weight counts": (lambda payload: payload.update({"weightCounts": [2, 0]}),
                       "weightCounts"),
     "slack": (lambda payload: payload.update({"slack": "two"}), "slack"),
+    "truncated echelon, extended basis": (_truncated_with_extended_basis,
+                                          "basis is not the complement"),
+    "weight beyond the guard": (
+        lambda payload: payload["solvers"].append({"weight": 3, "rows": []}),
+        "weight 3 has no echelon"),
 }
 
 
@@ -364,7 +380,30 @@ def test_presentation_import_builds_the_echelons_a_file_lacks(cubic_presentation
     payload["solvers"] = []
     loaded = QuotientPresentation.from_json(_json.dumps(payload))
     assert loaded.basis == cubic_presentation.basis
-    assert sorted(loaded._solvers) == [0, 1]
+    assert sorted(loaded._solvers) == [0, 1, 2]
+
+
+def test_presentation_import_loads_a_file_without_the_guard_weight(cubic_presentation):
+    """A file written at slack 0 stores no weight n - k + 1 echelon; loading
+    rebuilds it and runs the guard."""
+    import json as _json
+
+    payload = _json.loads(cubic_presentation.to_json())
+    payload["slack"] = 0
+    payload["solvers"] = [s for s in payload["solvers"] if s["weight"] != 2]
+    assert [s["weight"] for s in payload["solvers"]] == [0, 1]
+    loaded = QuotientPresentation.from_json(_json.dumps(payload))
+    assert sorted(loaded._solvers) == [0, 1, 2]
+    assert loaded.to_json() == cubic_presentation.to_json()
+
+
+def test_presentation_import_rejects_a_singular_g(cubic_presentation):
+    import json as _json
+
+    payload = _json.loads(cubic_presentation.to_json())
+    payload["G"] = ["x0^2*x1"]
+    with pytest.raises(SmoothnessError, match="fails to close at weight 2"):
+        QuotientPresentation.from_json(_json.dumps(payload))
 
 
 def test_presentation_import_normalizes_a_scaled_row(cubic_presentation):
@@ -396,7 +435,7 @@ def test_mixed_degrees_genus_four_curve():
     ctx = VariableContext(3, 2, (2, 3))
     G = [parse("x0^2 + x1^2 + x2^2 + x3^2", ctx),
          parse("x0^3 + x1^3 + x2^3 + x3^3", ctx)]
-    # the default slack runs the closure check on weight 2 only
+    # the closure check runs on weight n - k + 1 = 2 only
     P = build_presentation(dwork_potential(ctx, G))
     assert sorted(P._solvers) == [0, 1, 2]
     assert P.c_G == 1

@@ -85,32 +85,6 @@ def test_k3_ladder_builds_no_solver_above_weight_three(quartic_dwork):
     assert all(ladder[m] == short[m] for m in (1, 2, 3))
 
 
-def test_singular_input_at_slack_zero_fails_where_the_echelon_route_fails():
-    """x0^2*x1 is singular; with slack 0 no weight above n - k is checked at
-    build time, so only the reductions can notice."""
-    ctx = VariableContext(2, 1, (3,))
-    D = dwork_potential(ctx, [parse("x0^2*x1", ctx)])
-    pres = build_presentation(D, slack=0)
-    oracle = EchelonReduction(pres)
-    failing, oracle_failing = set(), set()
-    monomials = enumerate_piece(ctx, pres.c_G, 3, 0).monomials
-    assert len(monomials) == 55
-    for mono in monomials:
-        f = SuperElement(ctx, {mono: 1})
-        try:
-            oracle.reduce(f)
-        except SmoothnessError:
-            oracle_failing.add(mono)
-        try:
-            result = pres.reduce(f)
-        except SmoothnessError:
-            failing.add(mono)
-            continue
-        assert apply_k(D, result.certificate) + result.as_element(pres) == f
-    assert failing == oracle_failing
-    assert len(failing) == 19
-
-
 # (n, k, degrees, G); the guard must reject exactly the singular ones
 GUARD_INPUTS = {
     "cubic_curve": (2, 1, (3,), ["x0^3 + x1^3 + x2^3"]),

@@ -1,13 +1,16 @@
-"""The public surface: package exports and the README quick start."""
+"""The public surface: package exports, the README quick start and the
+stdlib-only runtime."""
 
 import ast
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import dworkbox
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -39,3 +42,22 @@ def test_readme_quick_start_runs_and_states_true_values():
         else:
             exec(code, namespace)
     assert checked >= 7
+
+
+def test_src_imports_only_stdlib():
+    """The runtime depends on nothing outside the standard library
+    (`__future__` is in it; relative imports stay inside the package)."""
+    sources = sorted((ROOT / "src" / "dworkbox").glob("*.py"))
+    assert sources
+    foreign = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not foreign
