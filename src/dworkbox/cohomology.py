@@ -47,9 +47,12 @@ the context and G and checks the file against the result.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from operator import index
 
 from .errors import InputError, InternalCheckError, SmoothnessError
 from .operators import DworkData, apply_delta, apply_k, apply_q, dwork_potential
@@ -57,6 +60,7 @@ from .superalgebra import (
     SuperElement,
     SuperMonomial,
     VariableContext,
+    _tuple_new,
     monomial_weight,
 )
 
@@ -93,9 +97,8 @@ def _eta_subsets(ctx: VariableContext, size: int):
     return combinations(range(1, ctx.nvars + 1), size)
 
 
-def enumerate_piece(ctx: VariableContext, charge: int, weight: int,
-                    eta_degree: int) -> GradedPiece:
-    """Exhaustively list the monomials with the given tri-grading.
+def _piece_blocks(ctx: VariableContext, charge: int, weight: int, eta_degree: int):
+    """(eta, v, xdeg) for each block y^v x^u eta of a piece, |u| = xdeg.
 
     Empty when the charge/weight constraints admit no solution (including
     eta_degree outside [-N, 0]).
@@ -103,22 +106,32 @@ def enumerate_piece(ctx: VariableContext, charge: int, weight: int,
     if weight < 0:
         raise InputError("weight must be >= 0")
     size = -eta_degree
-    monos = []
-    if 0 <= size <= ctx.nvars:
-        for eta in _eta_subsets(ctx, size):
-            ch_eta = sum(ctx.charge_of_eta(mu) for mu in eta)
-            wt_eta = sum(ctx.weight_of_eta(mu) for mu in eta)
-            wt_q = weight - wt_eta
-            if wt_q < 0:
-                continue
-            # y-exponents carry all the q-weight; x-degree is then forced
-            # by the charge equation -sum d_i v_i + |u| = charge - ch_eta.
-            for v in _compositions(wt_q, ctx.k):
-                xdeg = charge - ch_eta + sum(d * e for d, e in zip(ctx.degrees, v))
-                if xdeg < 0:
-                    continue
-                for u in _compositions(xdeg, ctx.n + 1):
-                    monos.append(SuperMonomial(v + u, eta))
+    if not 0 <= size <= ctx.nvars:
+        return
+    for eta in _eta_subsets(ctx, size):
+        ch_eta = sum(ctx.charge_of_eta(mu) for mu in eta)
+        wt_eta = sum(ctx.weight_of_eta(mu) for mu in eta)
+        wt_q = weight - wt_eta
+        if wt_q < 0:
+            continue
+        # y-exponents carry all the q-weight; x-degree is then forced
+        # by the charge equation -sum d_i v_i + |u| = charge - ch_eta.
+        for v in _compositions(wt_q, ctx.k):
+            xdeg = charge - ch_eta + sum(d * e for d, e in zip(ctx.degrees, v))
+            if xdeg >= 0:
+                yield eta, v, xdeg
+
+
+def enumerate_piece(ctx: VariableContext, charge: int, weight: int,
+                    eta_degree: int) -> GradedPiece:
+    """Exhaustively list the monomials with the given tri-grading.
+
+    Empty when the charge/weight constraints admit no solution (including
+    eta_degree outside [-N, 0]).
+    """
+    monos = [SuperMonomial(v + u, eta)
+             for eta, v, xdeg in _piece_blocks(ctx, charge, weight, eta_degree)
+             for u in _compositions(xdeg, ctx.n + 1)]
     # monomial_sort_key without its weight, which is constant on the piece
     if ctx.order == "graded-lex":
         monos.sort(key=lambda m: (sum(m.qexp), m.qexp, m.eta), reverse=True)
@@ -126,6 +139,120 @@ def enumerate_piece(ctx: VariableContext, charge: int, weight: int,
         monos.sort(key=lambda m: (sum(m.qexp), tuple(-e for e in reversed(m.qexp)), m.eta),
                    reverse=True)
     return GradedPiece(charge, weight, eta_degree, tuple(monos))
+
+
+def _composition_at(j: int, total: int, parts: int) -> tuple:
+    """The j-th tuple of `_compositions(total, parts)`, parts >= 1.
+
+    Each part is found by counting completions: with `left` parts after it,
+    a first part f leaves C(total - f + left - 1, left - 1) of them.
+    """
+    out = []
+    for left in range(parts - 1, 0, -1):
+        first = total
+        while True:
+            count = comb(total - first + left - 1, left - 1)
+            if j < count:
+                break
+            j -= count
+            first -= 1
+        out.append(first)
+        total -= first
+    out.append(total)
+    return tuple(out)
+
+
+class PieceView(Sequence):
+    """The monomials of one tri-graded piece, in `enumerate_piece` order,
+    made one at a time instead of listed.
+
+    The piece is a union of blocks y^v x^u eta, one per eta subset, y
+    composition v and its forced x degree |u|; a block holds C(|u| + n, n)
+    monomials (stars and bars).  `len` sums the blocks and `view[j]`
+    unranks the j-th monomial by counting completions (Knuth, TAOCP 4A,
+    7.2.1.3), so drawing from a piece enumerates nothing.  Iterating hands
+    off to `enumerate_piece`.  Nothing is cached beyond the block table.
+
+    The sort key (q-degree, exponents, eta) groups the blocks by q-degree.
+    graded-lex compares v before u, so the groups split further by v: a
+    (q-degree, v) group is x^u for every u of its x degree, each with the
+    group's eta subsets, largest first.  grevlex compares the reversed
+    exponents u_n, ..., u_0, v_k, ..., v_1 ascending, so u_n, ..., u_1 are
+    unranked across the whole q-degree group, and u_0 = |u| - u_1 - ... -
+    u_n then ranks the blocks by x degree, then reversed v, then eta.
+    """
+
+    def __init__(self, ctx: VariableContext, charge: int, weight: int,
+                 eta_degree: int):
+        self.ctx = ctx
+        self.charge = charge
+        self.weight = weight
+        self.eta_degree = eta_degree
+        groups: dict = {}
+        for eta, v, xdeg in _piece_blocks(ctx, charge, weight, eta_degree):
+            qdeg = sum(v) + xdeg
+            if ctx.order == "graded-lex":
+                groups.setdefault((qdeg, v), (xdeg, []))[1].append(eta)
+            else:
+                groups.setdefault(qdeg, []).append((xdeg, v, eta))
+        n = ctx.n
+        self._groups = []
+        self._ends = []
+        end = 0
+        for key in sorted(groups, reverse=True):
+            if ctx.order == "graded-lex":
+                xdeg, etas = groups[key]
+                etas.reverse()
+                end += comb(xdeg + n, n) * len(etas)
+                self._groups.append((key[1], xdeg, etas))
+            else:
+                # eta descending, then (x degree, reversed v) ascending
+                blocks = sorted(groups[key], key=lambda b: b[2], reverse=True)
+                blocks.sort(key=lambda b: (b[0], b[1][::-1]))
+                end += sum(comb(xdeg + n, n) for xdeg, _, _ in blocks)
+                self._groups.append(([b[0] for b in blocks], blocks))
+            self._ends.append(end)
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self):
+        return iter(enumerate_piece(self.ctx, self.charge, self.weight,
+                                    self.eta_degree).monomials)
+
+    def __getitem__(self, j) -> SuperMonomial:
+        j = index(j)
+        size = len(self)
+        if j < 0:
+            j += size
+        if not 0 <= j < size:
+            raise IndexError("piece index out of range")
+        g = bisect_right(self._ends, j)
+        if g:
+            j -= self._ends[g - 1]
+        n = self.ctx.n
+        if self.ctx.order == "graded-lex":
+            v, xdeg, etas = self._groups[g]
+            r, e = divmod(j, len(etas))
+            return _tuple_new(SuperMonomial, (v + _composition_at(r, xdeg, n + 1), etas[e]))
+        xdegs, blocks = self._groups[g]
+        s = 0
+        tail = []  # u_n, ..., u_1, each the smallest value with room for j
+        for left in range(n, 0, -1):
+            a = 0
+            while True:
+                t = s + a
+                count = sum(comb(x - t + left - 1, left - 1)
+                            for x in xdegs[bisect_left(xdegs, t):])
+                if j < count:
+                    break
+                j -= count
+                a += 1
+            tail.append(a)
+            s += a
+        xdeg, v, eta = blocks[bisect_left(xdegs, s) + j]
+        tail.append(xdeg - s)
+        return _tuple_new(SuperMonomial, (v + tuple(reversed(tail)), eta))
 
 
 @dataclass(frozen=True)
@@ -581,32 +708,44 @@ class QuotientPresentation:
         """
         from . import polyparse
 
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except ValueError as exc:
+            raise InputError(f"presentation file is not JSON ({exc})") from None
+        if not isinstance(payload, dict):
+            raise InputError("presentation file: expected a JSON object, found "
+                             f"{type(payload).__name__}")
         if payload.get("version") != PRESENTATION_FORMAT_VERSION:
             raise InputError(f"unsupported presentation version {payload.get('version')}")
-        cinfo = payload["context"]
-        ctx = VariableContext(cinfo["n"], cinfo["k"], tuple(cinfo["degrees"]),
-                              cinfo.get("order", "graded-lex"))
-        G = [polyparse.parse(text_g, ctx) for text_g in payload["G"]]
-        if ctx.background_charge() != payload["cG"]:
+        try:
+            cinfo = payload["context"]
+            ctx = VariableContext(cinfo["n"], cinfo["k"], tuple(cinfo["degrees"]),
+                                  cinfo.get("order", "graded-lex"))
+            G = [polyparse.parse(text_g, ctx) for text_g in payload["G"]]
+            c_G = payload["cG"]
+            slack = payload.get("slack", 2)
+            basis = [_monomial_from_json(ctx, m) for m in payload["basis"]]
+            counts = payload["weightCounts"]
+            stored = [(sdata["weight"], sdata["rows"]) for sdata in payload.get("solvers", [])]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"presentation file: missing or malformed field ({exc!r})") from None
+        if ctx.background_charge() != c_G:
             raise InputError("inconsistent background charge in presentation file")
-        slack = payload.get("slack", 2)
         if type(slack) is not int or slack < 0:
             raise InputError(f"presentation file: slack {slack!r} is not an int >= 0")
         pres = cls.build(dwork_potential(ctx, G))
-        if [_monomial_from_json(ctx, m) for m in payload["basis"]] != list(pres.basis):
+        if basis != list(pres.basis):
             raise InputError("presentation file: basis is not the complement of "
                              "the weight echelons")
-        if payload["weightCounts"] != list(pres.weight_counts):
-            raise InputError(f"presentation file: weightCounts {payload['weightCounts']!r} "
+        if counts != list(pres.weight_counts):
+            raise InputError(f"presentation file: weightCounts {counts!r} "
                              f"do not match the basis, expected {list(pres.weight_counts)}")
-        for sdata in payload.get("solvers", []):
-            w = sdata["weight"]
-            solver = pres._solvers.get(w)
+        for w, stored_rows in stored:
+            solver = pres._solvers.get(w) if type(w) is int else None
             if solver is None:
                 raise InputError(f"presentation file: weight {w!r} has no echelon")
             where = f"presentation file, weight {w}"
-            rows = [_stored_row(where, rdata) for rdata in sdata["rows"]]
+            rows = [_stored_row(where, rdata) for rdata in stored_rows]
             if rows != list(solver.rational_rows()):
                 raise InputError(f"{where}: rows differ from the rebuilt echelon")
         return pres

@@ -27,6 +27,7 @@ functional f(u * e^Gamma).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -34,7 +35,9 @@ from typing import Callable, Optional, Sequence
 from .errors import ContextMismatchError, InputError
 from .superalgebra import (
     SuperElement,
+    SuperMonomial,
     VariableContext,
+    _tuple_new,
     partial_eta,
     partial_q,
 )
@@ -117,8 +120,33 @@ def apply_q(D: DworkData, a: SuperElement) -> SuperElement:
 
 
 def apply_k(D: DworkData, a: SuperElement) -> SuperElement:
-    """The twisted differential K = Q + delta."""
-    return apply_q(D, a) + apply_delta(a)
+    """The twisted differential K = Q + delta, in one pass over the terms of a.
+
+    For each eta_i of a term, d/deta_i strips it with its sign; the delta
+    term d/dq_i of the stripped monomial and the Q terms grad[i] times it go
+    into one numerator dict over a._den * lcm(grad denominators).  S is
+    eta-free, so a Q term keeps the stripped eta and its sign.
+    """
+    if a.ctx != D.ctx:
+        raise ContextMismatchError("element over a different context")
+    grad_den = math.lcm(*(g._den for g in D.grad))
+    grads = [[(q, v * (grad_den // g._den)) for (q, _), v in g._num.items()]
+             for g in D.grad]
+    acc = {}
+    get = acc.get
+    add = operator.add
+    for (qexp, eta), v in a._num.items():
+        for p, i in enumerate(eta):
+            rest = eta[:p] + eta[p + 1:]
+            c = -v if p % 2 else v
+            e = qexp[i - 1]
+            if e:
+                mono = _tuple_new(SuperMonomial, (qexp[:i - 1] + (e - 1,) + qexp[i:], rest))
+                acc[mono] = get(mono, 0) + c * e * grad_den
+            for gq, gv in grads[i - 1]:
+                mono = _tuple_new(SuperMonomial, (tuple(map(add, gq, qexp)), rest))
+                acc[mono] = get(mono, 0) + c * gv
+    return SuperElement._make(D.ctx, acc, a._den * grad_den)
 
 
 def ell2(D: DworkData, a: SuperElement, b: SuperElement) -> SuperElement:

@@ -23,10 +23,10 @@ from typing import Optional
 
 from . import operators as ops
 from .cohomology import (
+    PieceView,
     QuotientPresentation,
     build_presentation,
     charge_generator,
-    enumerate_piece,
 )
 from .deformation import build_deformation, k_gamma, mc_check
 from .errors import InputError
@@ -72,14 +72,18 @@ def random_homogeneous(ctx: VariableContext, rng: random.Random, **kw) -> SuperE
 
 def random_charge_element(D: DworkData, rng: random.Random, charge: int,
                           eta_degree: int, max_weight: int = 3) -> SuperElement:
-    """Random element inside the (charge, eta_degree) slice, weights <= max_weight."""
+    """Random element inside the (charge, eta_degree) slice, weights <= max_weight.
+
+    Two monomials per weight are drawn from a `PieceView`, so no piece is
+    listed unless it is small enough for `random.sample` to copy it.
+    """
     ctx = D.ctx
     acc = {}
     for w in range(0, max_weight + 1):
-        piece = enumerate_piece(ctx, charge, w, eta_degree)
-        if not piece.monomials:
+        piece = PieceView(ctx, charge, w, eta_degree)
+        if not piece:
             continue
-        for mono in rng.sample(piece.monomials, min(2, len(piece.monomials))):
+        for mono in rng.sample(piece, min(2, len(piece))):
             coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             if coeff:
                 acc[mono] = acc.get(mono, Fraction(0)) + coeff
@@ -520,8 +524,12 @@ class fault_injection:
     """Context manager corrupting one operator; only for testing the suite.
 
     It rebinds a global of `dworkbox.operators` (`apply_delta` or `ell2`), so
-    while the block runs every caller in the process sees the corrupted
-    operator.  Not thread-safe: do not run it beside other dworkbox work.
+    while the block runs every caller that looks the operator up there sees
+    the corrupted one.  `apply_k` computes Q + delta in one pass without
+    calling `apply_delta`, so `delta-drop-term` leaves K intact; the
+    delta checks of the differentials family (delta^2 = 0 and
+    delta Q + Q delta = 0) catch it.  Not thread-safe: do not run it beside
+    other dworkbox work.
     """
 
     def __init__(self, name: str):
@@ -539,7 +547,7 @@ class fault_injection:
                 value = original(a)
                 if value.is_zero():
                     return value
-                # drop one term: breaks delta^2 = 0 and K^2 = 0 downstream
+                # drop one term: breaks delta^2 = 0 and delta Q + Q delta = 0
                 terms = dict(value.terms)
                 terms.pop(next(iter(terms)))
                 return SuperElement(value.ctx, terms)

@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 from dworkbox import SuperElement, SuperMonomial, apply_delta
-from dworkbox.cohomology import ReductionResult, _build_weight_solver
+from dworkbox.cohomology import ReductionResult, _build_weight_solver, enumerate_piece
 from dworkbox.errors import SmoothnessError
 from dworkbox.superalgebra import monomial_charge, monomial_weight, partial_q
 
@@ -139,6 +139,22 @@ def brute_force_piece(ctx, charge, weight, eta_degree, exp_bound=12):
                         monomial_weight(ctx, mono) == weight:
                     found.add(mono)
     return found
+
+
+def enumerating_charge_element(D, rng, charge, eta_degree, max_weight=3):
+    """verify.random_charge_element as it was before it drew from a
+    PieceView: every piece listed by enumerate_piece, then sampled."""
+    ctx = D.ctx
+    acc = {}
+    for w in range(0, max_weight + 1):
+        piece = enumerate_piece(ctx, charge, w, eta_degree)
+        if not piece.monomials:
+            continue
+        for mono in rng.sample(piece.monomials, min(2, len(piece.monomials))):
+            coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            if coeff:
+                acc[mono] = acc.get(mono, Fraction(0)) + coeff
+    return SuperElement(ctx, acc)
 
 
 class FractionEchelon:

@@ -8,6 +8,7 @@ Two independent oracles appear here:
     classical Jacobian-ring description.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from dworkbox import (
     enumerate_piece,
     parse,
 )
-from dworkbox.cohomology import QuotientPresentation
+from dworkbox.cohomology import PieceView, QuotientPresentation
 from dworkbox.verify import random_charge_element
 from tests.oracles import brute_force_piece, griffiths_hodge_numbers
 
@@ -86,6 +87,38 @@ def test_enumerate_piece_order_is_monomial_sort_key(n, k, degrees, order):
                 assert list(monos) == expected
                 nonempty += len(monos) > 1
     assert nonempty > 10
+
+
+@pytest.mark.parametrize("order", ["graded-lex", "grevlex"])
+@pytest.mark.parametrize("n,k,degrees", [
+    (2, 1, (3,)), (3, 1, (4,)), (3, 2, (2, 2)), (2, 2, (1, 2)), (3, 2, (2, 3))])
+def test_piece_view_unranks_enumerate_piece(n, k, degrees, order):
+    """PieceView counts and unranks exactly the monomials enumerate_piece
+    lists, in the same order, so draws through it stay fixed."""
+    ctx = VariableContext(n, k, degrees, order)
+    nonempty = 0
+    for charge in range(-3, 4):
+        for weight in range(4):
+            for eta_degree in range(0, -3, -1):
+                monos = list(enumerate_piece(ctx, charge, weight, eta_degree).monomials)
+                view = PieceView(ctx, charge, weight, eta_degree)
+                assert len(view) == len(monos)
+                assert [view[j] for j in range(len(view))] == monos
+                assert list(view) == monos
+                if monos:
+                    assert view[-1] == monos[-1]
+                    assert view[-len(monos)] == monos[0]
+                    nonempty += 1
+                with pytest.raises(IndexError):
+                    view[len(view)]
+                with pytest.raises(IndexError):
+                    view[-len(view) - 1]
+    assert nonempty > 10
+
+
+def test_piece_view_rejects_negative_weight(cubic_ctx):
+    with pytest.raises(InputError):
+        PieceView(cubic_ctx, 0, -1, 0)
 
 
 def test_cubic_curve_presentation(cubic_dwork, cubic_presentation):
@@ -371,6 +404,27 @@ def test_presentation_import_rejects_tampered_fields(cubic_presentation, case):
     edit(payload)
     with pytest.raises(InputError, match=message):
         QuotientPresentation.from_json(_json.dumps(payload))
+
+
+def _without_eta(text):
+    payload = json.loads(text)
+    del payload["basis"][0]["eta"]
+    return json.dumps(payload)
+
+
+STRUCTURAL_FAULTS = {
+    "no context": (lambda text: '{"version": 1}', "KeyError\\('context'\\)"),
+    "not an object": (lambda text: "[1]", "expected a JSON object, found list"),
+    "basis entry without eta": (_without_eta, "KeyError\\('eta'\\)"),
+    "not JSON": (lambda text: text[:40], "not JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURAL_FAULTS))
+def test_presentation_import_rejects_structural_faults(cubic_presentation, case):
+    edit, message = STRUCTURAL_FAULTS[case]
+    with pytest.raises(InputError, match=message):
+        QuotientPresentation.from_json(edit(cubic_presentation.to_json()))
 
 
 def test_presentation_import_builds_the_echelons_a_file_lacks(cubic_presentation):

@@ -31,8 +31,10 @@ from dworkbox import (
     parse,
     phi_n,
 )
+from dworkbox.errors import ContextMismatchError
 from dworkbox.superalgebra import partial_eta, partial_q
-from dworkbox.verify import random_element, random_homogeneous
+from dworkbox.verify import random_charge_element, random_element, random_homogeneous
+from tests.oracles import frac_apply_k
 
 
 def oracle_delta(a):
@@ -108,6 +110,43 @@ def test_differentials_against_direct_expansion(cubic_dwork):
         assert apply_delta(a) == oracle_delta(a)
         assert apply_q(cubic_dwork, a) == oracle_q(cubic_dwork, a)
         assert apply_k(cubic_dwork, a) == oracle_delta(a) + oracle_q(cubic_dwork, a)
+
+
+def _fractional_cubic():
+    ctx = VariableContext(2, 1, (3,))
+    return dwork_potential(ctx, [parse("x0^3 + 1/2*x1^3 + 2/3*x2^3", ctx)])
+
+
+def _grevlex_k3():
+    ctx = VariableContext(3, 1, (4,), "grevlex")
+    return dwork_potential(ctx, [parse("x0^4 + x1^4 + x2^4 + x3^4", ctx)])
+
+
+@pytest.mark.parametrize("geometry", ["cubic_dwork", "quartic_dwork", "quadrics_dwork",
+                                      "grevlex K3", "fractional cubic"])
+def test_one_pass_k_matches_q_plus_delta(geometry, request):
+    """apply_k in one pass equals apply_q + apply_delta and the Fraction
+    reference, also when the gradient denominators are not 1."""
+    D = {"grevlex K3": _grevlex_k3, "fractional cubic": _fractional_cubic}.get(
+        geometry, lambda: request.getfixturevalue(geometry))()
+    ctx, S = D.ctx, D.S.terms
+    if geometry == "fractional cubic":
+        assert max(g._den for g in D.grad) == 6
+    rng = random.Random(53)
+    c_G = ctx.background_charge()
+    for _ in range(40):
+        a = random_element(ctx, rng, max_eta=3)
+        b = random_charge_element(D, rng, c_G + rng.randint(-1, 1), -rng.randint(1, 2))
+        for x in (a, b, a * b):
+            image = apply_k(D, x)
+            assert image == apply_q(D, x) + apply_delta(x)
+            assert image.terms == frac_apply_k(S, ctx.nvars, x.terms)
+            assert math.gcd(image._den, *image._num.values()) == 1
+
+
+def test_one_pass_k_rejects_another_context(cubic_dwork, quadrics_dwork):
+    with pytest.raises(ContextMismatchError):
+        apply_k(cubic_dwork, SuperElement.eta(quadrics_dwork.ctx, 1))
 
 
 def test_squares_and_anticommutator(cubic_dwork, quadrics_dwork):

@@ -9,7 +9,9 @@ from dworkbox import (
     LinearFunctional,
     QuotientPresentation,
     SuperElement,
+    VariableContext,
     apply_k,
+    dwork_potential,
     parse,
     reduction_functional,
 )
@@ -21,6 +23,7 @@ from dworkbox.verify import (
     random_homogeneous,
     run_suite,
 )
+from tests.oracles import enumerating_charge_element
 
 
 def test_suite_passes_on_good_build(cubic_dwork, cubic_presentation):
@@ -50,6 +53,16 @@ def test_fault_injection_caught(cubic_dwork, cubic_presentation, hook):
     assert clean.ok
 
 
+def test_delta_fault_is_caught_by_the_delta_checks(cubic_dwork, cubic_presentation):
+    """apply_k does not call apply_delta, so the dropped delta term shows in
+    the delta checks (delta^2 = 0, delta Q + Q delta = 0), not through K."""
+    with fault_injection("delta-drop-term"):
+        report = run_suite(cubic_dwork, cubic_presentation, seed=3, iterations=25)
+    failing = {c.name: c.detail for c in report.checks if not c.passed}
+    assert failing["differentials: squares and anticommutator vanish"].startswith(
+        ("delta^2: ", "delta Q + Q delta: "))
+
+
 def test_suite_passes_on_two_quadrics(quadrics_dwork, quadrics_presentation):
     """k = 2 with a deformation whose second component is zero."""
     ctx = quadrics_dwork.ctx
@@ -73,6 +86,29 @@ def test_random_element_homogeneity(cubic_ctx):
         assert e.degrees() <= {-1}
         h = random_homogeneous(cubic_ctx, rng)
         assert h.homogeneous_degree() is not None
+
+
+@pytest.mark.parametrize("geometry", ["cubic_dwork", "quartic_dwork", "quadrics_dwork",
+                                      "grevlex sextic"])
+def test_random_charge_element_draws_as_the_enumerating_sampler(geometry, request):
+    """Drawing from a PieceView makes the same elements, and leaves the
+    generator in the same state, as sampling the listed pieces."""
+    if geometry == "grevlex sextic":
+        ctx = VariableContext(2, 1, (6,), "grevlex")
+        D = dwork_potential(ctx, [parse("x0^6 + x1^6 + x2^6", ctx)])
+    else:
+        D = request.getfixturevalue(geometry)
+    top = D.ctx.n - D.ctx.k
+    c_G = D.ctx.background_charge()
+    for seed in range(4):
+        for charge in (c_G - 1, c_G, c_G + 2):
+            for eta_degree in (0, -1):
+                for max_weight in range(top + 3):
+                    rng, ref = random.Random(seed), random.Random(seed)
+                    for _ in range(3):
+                        assert random_charge_element(D, rng, charge, eta_degree, max_weight) == \
+                            enumerating_charge_element(D, ref, charge, eta_degree, max_weight)
+                    assert rng.getstate() == ref.getstate()
 
 
 def test_random_charge_element_slices(cubic_dwork):
