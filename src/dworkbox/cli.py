@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 input error, 3 mathematical-assumption failure
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -287,11 +288,7 @@ def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else config.seed
     iterations = args.iterations
     D, pres = _build(config)
-    if args.inject_fault:
-        with fault_injection(args.inject_fault):
-            report = run_suite(D, pres, seed=seed, iterations=iterations,
-                               deformation_H=config.H)
-    else:
+    with fault_injection(args.inject_fault) if args.inject_fault else contextlib.nullcontext():
         report = run_suite(D, pres, seed=seed, iterations=iterations,
                            deformation_H=config.H)
     payload = {

@@ -264,22 +264,14 @@ class ReductionResult:
 
     def as_element(self, presentation: "QuotientPresentation") -> SuperElement:
         """sum_rho c_rho e_rho as an element (the normal form)."""
-        out = SuperElement.zero(presentation.dwork.ctx)
-        for c, mono in zip(self.coefficients, presentation.basis):
-            if c:
-                out = out + SuperElement(presentation.dwork.ctx, {mono: c})
-        return out
+        return SuperElement(presentation.dwork.ctx,
+                            {mono: c for c, mono in zip(self.coefficients, presentation.basis)
+                             if c})
 
 
 # eliminate divides out the content of its running vector once the common
 # denominator has grown by this many bits since the last time it did
 _CONTENT_BITS = 64
-
-
-def _scaled(vec: dict, den: int) -> dict:
-    """den * vec as ints (rational or int values); den must clear every
-    denominator of vec."""
-    return {k: v.numerator * (den // v.denominator) for k, v in vec.items() if v}
 
 
 class _Echelon:
@@ -298,16 +290,22 @@ class _Echelon:
         self.rows = []
         self.pivots = {}
 
-    def _eliminate(self, vec: dict):
-        """Fraction-free core of `eliminate`: (residual, combo, den) in ints.
+    def eliminate(self, vec: dict):
+        """Reduce `vec` (position -> int or rational) against the rows.
 
-        Keeps den * vec == residual + stack + sum_g combo[g] * vector_g while
-        it clears the stack.  A pivot step scales everything by a and
-        subtracts b * R, with a / b the pivot of R over the lead of the
-        stack in lowest terms, so the pivot entry cancels in integers.
+        Returns (residual, combo, den) in ints with den * vec == residual +
+        sum_g combo[g] * vector_g: residual is supported on non-pivot
+        positions and combo expresses the eliminated part over the inserted
+        vectors (for a weight solver, vector_g = Q(gen_g)).
+
+        Every row's entries sit at positions >= its pivot, so clearing the
+        smallest position of the running stack settles it for good.  A
+        pivot step scales everything by a and subtracts b * R, with a / b
+        the pivot of R over the lead of the stack in lowest terms, so the
+        pivot entry cancels in integers.
         """
         den = lcm(*(v.denominator for v in vec.values()))
-        stack = _scaled(vec, den)
+        stack = {k: v.numerator * (den // v.denominator) for k, v in vec.items() if v}
         combo: dict = {}
         residual: dict = {}
         limit = den.bit_length() + _CONTENT_BITS
@@ -348,21 +346,6 @@ class _Echelon:
                 limit = den.bit_length() + _CONTENT_BITS
         return residual, combo, den
 
-    def eliminate(self, vec: dict):
-        """Reduce `vec` (position -> coeff) against the echelon rows.
-
-        Returns (residual, combo) as Fractions: residual is supported on
-        non-pivot positions and combo expresses the eliminated part over the
-        inserted vectors, so that vec = residual + sum_g combo[g] * vector_g
-        (for a weight solver, vector_g = Q(gen_g)).
-
-        Every row's entries sit at positions >= its pivot, so processing
-        positions in increasing order settles each one for good.
-        """
-        residual, combo, den = self._eliminate(vec)
-        return ({pos: Fraction(c, den) for pos, c in residual.items()},
-                {k: Fraction(c, den) for k, c in combo.items()})
-
     def insert(self, vec: dict, combo: dict) -> Fraction:
         """Echelon-insert `vec`, which equals the combination `combo` (int
         coefficients) of the inserted vectors.
@@ -371,7 +354,7 @@ class _Echelon:
         row's rational view was divided by, or 0 when `vec` is dependent on
         the rows already present.
         """
-        residual, used, den = self._eliminate(vec)
+        residual, used, den = self.eliminate(vec)
         if not residual:
             return Fraction(0)
         lead = min(residual)
@@ -419,17 +402,17 @@ class _WeightSolver(_Echelon):
         return tuple(m for i, m in enumerate(self.target.monomials)
                      if i not in self.pivots)
 
-    def q_vector(self, D: DworkData, g_idx: int) -> dict:
-        """Q of generator `g_idx` as a position -> coefficient dict."""
+    def q_vector(self, D: DworkData, g_idx: int):
+        """Q of generator `g_idx` as (position -> int numerator, denominator)."""
         gen = self.generators.monomials[g_idx]
-        image = apply_q(D, SuperElement(D.ctx, {gen: Fraction(1)}))
+        image = apply_q(D, SuperElement._make(D.ctx, {gen: 1}, 1))
         vec = {}
-        for mono, coeff in image.terms.items():
+        for mono, v in image._num.items():
             pos = self.index.get(mono)
             if pos is None:
                 raise InternalCheckError("Q image escaped its graded piece")
-            vec[pos] = coeff
-        return vec
+            vec[pos] = v
+        return vec, image._den
 
 
 def _build_weight_solver(D: DworkData, charge: int, weight: int) -> _WeightSolver:
@@ -438,10 +421,11 @@ def _build_weight_solver(D: DworkData, charge: int, weight: int) -> _WeightSolve
     solver = _WeightSolver(target, generators)
     full_rank = len(target.monomials)
     for g_idx in range(len(generators.monomials)):
-        vec = solver.q_vector(D, g_idx)
+        vec, den = solver.q_vector(D, g_idx)
         if not vec:
             continue
-        solver.insert(vec, {g_idx: 1})
+        # vec is den * Q(gen), and rows are stored primitive
+        solver.insert(vec, {g_idx: den})
         if len(solver.rows) == full_rank:
             break
     return solver
@@ -483,8 +467,8 @@ class QuotientPresentation:
         self.weight_counts = tuple(counts)
         self.basis_index = {m: i for i, m in enumerate(self.basis)}
         self._solvers = solvers
-        # weight top + 1 monomial m0 -> generator monomial -> coefficient of
-        # a Q-preimage; bounded by the size of that piece
+        # weight top + 1 monomial m0 -> (generator monomial -> int numerator
+        # of a Q-preimage, its denominator); bounded by the size of that piece
         self._lifts: dict = {}
 
     # -- construction ------------------------------------------------------
@@ -530,7 +514,7 @@ class QuotientPresentation:
 
     def basis_elements(self):
         ctx = self.dwork.ctx
-        return [SuperElement(ctx, {m: Fraction(1)}) for m in self.basis]
+        return [SuperElement._make(ctx, {m: 1}, 1) for m in self.basis]
 
     # -- reduction ---------------------------------------------------------
 
@@ -574,37 +558,42 @@ class QuotientPresentation:
         subtracted with delta(xi), which only disturbs lower weights.
         """
         ctx = self.dwork.ctx
+        top = ctx.n - ctx.k
         coeffs = [Fraction(0)] * len(self.basis)
         certificate = SuperElement.zero(ctx)
         rest = f
-        while not rest.is_zero():
+        while rest._num:
             w = rest.top_weight()
-            part = {m: c for m, c in rest.terms.items()
-                    if monomial_weight(ctx, m) == w}
-            if w >= ctx.n - ctx.k + 2:
-                xi = self._lift(part)
+            part, lower = {}, {}
+            for m, v in rest._num.items():
+                (part if monomial_weight(ctx, m) == w else lower)[m] = v
+            if w >= top + 2:
+                xi = self._lift(part, rest._den)
             else:
-                xi = self._eliminate_slice(w, part, coeffs)
+                xi = self._eliminate_slice(w, part, rest._den, coeffs)
             certificate = certificate + xi
-            # part = residual + Q(xi); Q preserves weight, so subtracting the
-            # whole weight-w slice and delta(xi) accounts for K(xi) exactly
-            rest = rest - SuperElement(ctx, part) - apply_delta(xi)
+            # part = residual + Q(xi); Q preserves weight, so dropping the
+            # whole weight-w slice and subtracting delta(xi) accounts for
+            # K(xi) exactly
+            rest = SuperElement._make(ctx, lower, rest._den) - apply_delta(xi)
         return ReductionResult(tuple(coeffs), certificate)
 
-    def _eliminate_slice(self, w: int, part: dict, coeffs: list) -> SuperElement:
-        """Eliminate the weight-w slice `part` against its echelon.
+    def _eliminate_slice(self, w: int, part: dict, den: int, coeffs: list) -> SuperElement:
+        """Eliminate the weight-w slice `part` / `den` (int numerators)
+        against its echelon.
 
         Adds the residual to `coeffs` (indexed like the basis) and
-        returns xi with Q(xi) = part - residual.
+        returns xi with Q(xi) = part / den - residual.
         """
         solver = self._solvers[w]
         vec = {}
-        for mono, coeff in part.items():
+        for mono, v in part.items():
             pos = solver.index.get(mono)
             if pos is None:
                 raise InternalCheckError("monomial escaped its graded piece")
-            vec[pos] = coeff
-        residual, combo = solver.eliminate(vec)
+            vec[pos] = v
+        residual, combo, scale = solver.eliminate(vec)
+        den *= scale
         # residual lives on complement monomials: basis coefficients here
         for pos, c in residual.items():
             mono = solver.target.monomials[pos]
@@ -613,18 +602,19 @@ class QuotientPresentation:
                 raise SmoothnessError(
                     f"nonzero class of weight {w} outside the recorded basis; "
                     "singular or non-complete-intersection input")
-            coeffs[idx] += c
+            coeffs[idx] += Fraction(c, den)
         gens = solver.generators.monomials
-        return SuperElement(self.dwork.ctx, {gens[g]: c for g, c in combo.items()})
+        return SuperElement._make(self.dwork.ctx, {gens[g]: c for g, c in combo.items()}, den)
 
-    def _lift(self, part: dict) -> SuperElement:
-        """xi = sum_M c_M pre(m0) * m1 with Q(xi) = part, for a slice of
-        weight >= top + 2 split monomial by monomial as M = m0 * m1."""
+    def _lift(self, part: dict, den: int) -> SuperElement:
+        """xi = sum_M c_M pre(m0) * m1 with Q(xi) = part / den (int
+        numerators), for a slice of weight >= top + 2 split monomial by
+        monomial as M = m0 * m1."""
         ctx = self.dwork.ctx
         k = ctx.k
         top = ctx.n - k
         by_degree = sorted(range(k), key=lambda i: -ctx.degrees[i])
-        acc: dict = {}
+        splits = []
         for mono, c in part.items():
             v, u = mono.qexp[:k], mono.qexp[k:]
             # m0 takes top + 1 y's, largest degree first ...
@@ -642,25 +632,32 @@ class QuotientPresentation:
                 xdeg -= u0[-1]
             m0 = SuperMonomial(tuple(v0) + tuple(u0), ())
             m1 = [a - b for a, b in zip(mono.qexp, m0.qexp)]
-            for gen, g in self._preimage(m0).items():
+            splits.append((c, m1, self._preimage(m0)))
+        # one denominator for the whole slice: den * lcm(preimage denominators)
+        common = lcm(*(pre_den for _, _, (_, pre_den) in splits))
+        acc: dict = {}
+        for c, m1, (pre, pre_den) in splits:
+            c *= common // pre_den
+            for gen, g in pre.items():
                 key = SuperMonomial(tuple(a + b for a, b in zip(gen.qexp, m1)), gen.eta)
                 acc[key] = acc.get(key, 0) + c * g
-        return SuperElement(ctx, acc)
+        return SuperElement._make(ctx, acc, den * common)
 
-    def _preimage(self, m0: SuperMonomial) -> dict:
-        """pre(m0) with Q(pre(m0)) = m0, for m0 of weight top + 1, memoized."""
+    def _preimage(self, m0: SuperMonomial) -> tuple:
+        """pre(m0) with Q(pre(m0)) = m0, for m0 of weight top + 1, as int
+        numerators over a denominator; memoized."""
         pre = self._lifts.get(m0)
         if pre is None:
             top = self.dwork.ctx.n - self.dwork.ctx.k
             solver = self._solvers[top + 1]
-            residual, combo = solver.eliminate({solver.index[m0]: Fraction(1)})
+            residual, combo, den = solver.eliminate({solver.index[m0]: 1})
             if residual:
                 raise SmoothnessError(
                     f"quotient fails to close at weight {top + 1}: "
                     "nonzero class above the recorded basis; "
                     "singular or non-complete-intersection input")
             gens = solver.generators.monomials
-            pre = self._lifts[m0] = {gens[g]: c for g, c in combo.items()}
+            pre = self._lifts[m0] = ({gens[g]: c for g, c in combo.items()}, den)
         return pre
 
     # -- serialization -----------------------------------------------------

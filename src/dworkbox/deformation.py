@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cohomology import QuotientPresentation, _compositions, _Echelon, enumerate_piece
+from .cohomology import PieceView, QuotientPresentation, _compositions, _Echelon
 from .errors import (
     AssumptionError,
     IndependenceError,
@@ -47,11 +47,7 @@ from .operators import (
     ell2,
     phi_n,
 )
-from .superalgebra import (
-    SuperElement,
-    VariableContext,
-    monomial_sort_key,
-)
+from .superalgebra import SuperElement, VariableContext
 
 
 @dataclass(frozen=True)
@@ -142,11 +138,10 @@ class UBasis:
 
 def _smallest_x_monomial(ctx: VariableContext, degree: int) -> SuperElement:
     """Smallest canonical eta-free x-monomial of the given degree."""
-    piece = [m for m in enumerate_piece(ctx, degree, 0, 0).monomials]
+    piece = PieceView(ctx, degree, 0, 0)
     if not piece:
         raise InputError(f"no x-monomial of degree {degree}")
-    mono = min(piece, key=lambda m: monomial_sort_key(ctx, m))
-    return SuperElement(ctx, {mono: Fraction(1)})
+    return SuperElement._make(ctx, {piece[-1]: 1}, 1)
 
 
 def _check_h_factor(ctx: VariableContext, h: SuperElement, degree: int) -> None:

@@ -8,6 +8,10 @@ super-algebra are
     Q(a)     = sum_i  (dS/dq_i) * d/deta_i (a)         (weight 0)
     K        = Q + delta                               (the twisted differential)
 
+All three share one kernel, `_differential`, which strips each eta of a term
+once and adds its delta and Q terms as integer numerators over one common
+denominator.
+
 K fails to be a derivation of the product; the failure is the degree-1
 bracket
 
@@ -38,7 +42,6 @@ from .superalgebra import (
     SuperMonomial,
     VariableContext,
     _tuple_new,
-    partial_eta,
     partial_q,
 )
 
@@ -96,42 +99,19 @@ def check_x_homogeneous(ctx: VariableContext, poly: SuperElement, degree: int,
                              f"found a degree-{xdeg} monomial")
 
 
-def apply_delta(a: SuperElement) -> SuperElement:
-    """delta = sum_i d/dq_i d/deta_i; drops weight by 1, raises degree by 1."""
-    ctx = a.ctx
-    out = SuperElement.zero(ctx)
-    for i in range(1, ctx.nvars + 1):
-        stripped = partial_eta(i, a)
-        if not stripped.is_zero():
-            out = out + partial_q(i, stripped)
-    return out
-
-
-def apply_q(D: DworkData, a: SuperElement) -> SuperElement:
-    """Q = sum_i (dS/dq_i) d/deta_i; preserves charge and weight."""
-    if a.ctx != D.ctx:
-        raise ContextMismatchError("element over a different context")
-    out = SuperElement.zero(D.ctx)
-    for i in range(1, D.ctx.nvars + 1):
-        stripped = partial_eta(i, a)
-        if not stripped.is_zero():
-            out = out + D.grad[i - 1] * stripped
-    return out
-
-
-def apply_k(D: DworkData, a: SuperElement) -> SuperElement:
-    """The twisted differential K = Q + delta, in one pass over the terms of a.
+def _differential(a: SuperElement, grad: tuple, delta: bool) -> SuperElement:
+    """sum_i (grad[i] + [delta] d/dq_i) d/deta_i (a), in one pass over the
+    terms of a: Q for grad = D.grad without delta, delta for grad = () with
+    it, and K for both.
 
     For each eta_i of a term, d/deta_i strips it with its sign; the delta
     term d/dq_i of the stripped monomial and the Q terms grad[i] times it go
     into one numerator dict over a._den * lcm(grad denominators).  S is
     eta-free, so a Q term keeps the stripped eta and its sign.
     """
-    if a.ctx != D.ctx:
-        raise ContextMismatchError("element over a different context")
-    grad_den = math.lcm(*(g._den for g in D.grad))
+    grad_den = math.lcm(*(g._den for g in grad))
     grads = [[(q, v * (grad_den // g._den)) for (q, _), v in g._num.items()]
-             for g in D.grad]
+             for g in grad] or [()] * a.ctx.nvars
     acc = {}
     get = acc.get
     add = operator.add
@@ -140,13 +120,33 @@ def apply_k(D: DworkData, a: SuperElement) -> SuperElement:
             rest = eta[:p] + eta[p + 1:]
             c = -v if p % 2 else v
             e = qexp[i - 1]
-            if e:
+            if delta and e:
                 mono = _tuple_new(SuperMonomial, (qexp[:i - 1] + (e - 1,) + qexp[i:], rest))
                 acc[mono] = get(mono, 0) + c * e * grad_den
             for gq, gv in grads[i - 1]:
                 mono = _tuple_new(SuperMonomial, (tuple(map(add, gq, qexp)), rest))
                 acc[mono] = get(mono, 0) + c * gv
-    return SuperElement._make(D.ctx, acc, a._den * grad_den)
+    return SuperElement._make(a.ctx, acc, a._den * grad_den)
+
+
+def apply_delta(a: SuperElement) -> SuperElement:
+    """delta = sum_i d/dq_i d/deta_i; drops weight by 1, raises degree by 1."""
+    return _differential(a, (), True)
+
+
+def apply_q(D: DworkData, a: SuperElement) -> SuperElement:
+    """Q = sum_i (dS/dq_i) d/deta_i; preserves charge and weight."""
+    if a.ctx != D.ctx:
+        raise ContextMismatchError("element over a different context")
+    return _differential(a, D.grad, False)
+
+
+def apply_k(D: DworkData, a: SuperElement) -> SuperElement:
+    """The twisted differential K = Q + delta, in one pass; it does not call
+    `apply_delta`."""
+    if a.ctx != D.ctx:
+        raise ContextMismatchError("element over a different context")
+    return _differential(a, D.grad, True)
 
 
 def ell2(D: DworkData, a: SuperElement, b: SuperElement) -> SuperElement:

@@ -394,9 +394,11 @@ def run_suite(D: DworkData, presentation: Optional[QuotientPresentation] = None,
             return _counterexample(xi)
     _check_loop(report, "reduce: vanishes on the image of K", iterations, reduce_kernel)
 
+    basis = presentation.basis_elements()
+
     def reduce_idem(i):
         rho = i % presentation.dimension
-        e = presentation.basis_elements()[rho]
+        e = basis[rho]
         result = presentation.reduce(e)
         expected = tuple(Fraction(1) if j == rho else Fraction(0)
                          for j in range(presentation.dimension))
@@ -525,11 +527,11 @@ class fault_injection:
 
     It rebinds a global of `dworkbox.operators` (`apply_delta` or `ell2`), so
     while the block runs every caller that looks the operator up there sees
-    the corrupted one.  `apply_k` computes Q + delta in one pass without
-    calling `apply_delta`, so `delta-drop-term` leaves K intact; the
-    delta checks of the differentials family (delta^2 = 0 and
-    delta Q + Q delta = 0) catch it.  Not thread-safe: do not run it beside
-    other dworkbox work.
+    the corrupted one.  `apply_k` runs the kernel it shares with
+    `apply_delta` without calling `apply_delta`, so `delta-drop-term`
+    leaves K intact; the delta checks of the differentials family
+    (delta^2 = 0 and delta Q + Q delta = 0) catch it.  Not thread-safe: do
+    not run it beside other dworkbox work.
     """
 
     def __init__(self, name: str):

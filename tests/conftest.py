@@ -62,3 +62,16 @@ def quartic_ctx():
 def quartic_dwork(quartic_ctx):
     return dwork_potential(
         quartic_ctx, [parse("x0^4 + x1^4 + x2^4 + x3^4", quartic_ctx)])
+
+
+@pytest.fixture(scope="session")
+def fractional_cubic_dwork():
+    """A cubic whose gradient has denominators up to 6."""
+    ctx = VariableContext(2, 1, (3,))
+    return dwork_potential(ctx, [parse("x0^3 + 1/2*x1^3 + 2/3*x2^3", ctx)])
+
+
+@pytest.fixture(scope="session")
+def grevlex_k3_dwork():
+    ctx = VariableContext(3, 1, (4,), "grevlex")
+    return dwork_potential(ctx, [parse("x0^4 + x1^4 + x2^4 + x3^4", ctx)])

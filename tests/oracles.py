@@ -157,6 +157,13 @@ def enumerating_charge_element(D, rng, charge, eta_degree, max_weight=3):
     return SuperElement(ctx, acc)
 
 
+def as_fractions(*parts):
+    """The int dicts d_1..d_m of (d_1, ..., d_m, den), as the library's
+    `eliminate` and `q_vector` return them, as Fraction dicts d_i / den."""
+    *dicts, den = parts
+    return tuple({k: Fraction(v, den) for k, v in d.items()} for d in dicts)
+
+
 class FractionEchelon:
     """The sparse echelon on Fraction rows that dworkbox used before its
     elimination went fraction-free; kept as the exact reference.
@@ -359,8 +366,8 @@ class EchelonReduction:
             w = rest.top_weight()
             part = {m: c for m, c in rest.terms.items() if monomial_weight(ctx, m) == w}
             solver = self.solver(w)
-            residual, combo = solver.eliminate(
-                {solver.index[m]: c for m, c in part.items()})
+            residual, combo = as_fractions(*solver.eliminate(
+                {solver.index[m]: c for m, c in part.items()}))
             for pos, c in residual.items():
                 idx = pres.basis_index.get(solver.target.monomials[pos])
                 if idx is None:

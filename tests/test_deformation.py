@@ -184,6 +184,25 @@ def test_u_basis_negative_charge_cubic_surface():
     assert len(basis_u.elements) == 6
 
 
+@pytest.mark.parametrize("order", ["graded-lex", "grevlex"])
+@pytest.mark.parametrize("shape", [(2, 1, (3,)), (3, 2, (2, 2)), (4, 1, (3,))],
+                         ids=["cubic", "two_quadrics", "cubic_threefold"])
+def test_smallest_x_monomial_is_the_last_of_its_piece(shape, order):
+    """Unranking the last monomial of the piece gives the minimum under
+    monomial_sort_key of the listed piece, which is what it replaced."""
+    from dworkbox.cohomology import enumerate_piece
+    from dworkbox.deformation import _smallest_x_monomial
+    from dworkbox.superalgebra import monomial_sort_key
+
+    ctx = VariableContext(*shape, order)
+    for degree in range(6):
+        piece = enumerate_piece(ctx, degree, 0, 0).monomials
+        expected = min(piece, key=lambda m: monomial_sort_key(ctx, m))
+        assert _smallest_x_monomial(ctx, degree) == SuperElement(ctx, {expected: 1})
+    with pytest.raises(InputError, match="no x-monomial of degree -1"):
+        _smallest_x_monomial(ctx, -1)
+
+
 def test_u_basis_requires_room(cubic_dwork, cubic_presentation):
     ctx = cubic_dwork.ctx
     # sabotage: pretend both basis classes are deformed by feeding a fake

@@ -18,7 +18,7 @@ from dworkbox import BaseChange, InputError
 from dworkbox import cohomology
 from dworkbox.cohomology import _build_weight_solver, _Echelon, _WeightSolver
 from dworkbox.deformation import _determinant
-from tests.oracles import FractionEchelon, dense_rank
+from tests.oracles import FractionEchelon, as_fractions, dense_rank
 
 
 def random_rows(rng, nrows, ncols, density=0.4, bits=None):
@@ -97,7 +97,7 @@ def test_eliminate_reconstructs_its_input(seed):
     for pivot, row, combo in echelon.rows:
         assert row[pivot] > 0 and math.gcd(*row.values(), *combo.values()) == 1
     probe = random_rows(rng, 1, ncols, density=0.7)[0]
-    residual, combo = echelon.eliminate(probe)
+    residual, combo = as_fractions(*echelon.eliminate(probe))
     assert not set(residual) & set(echelon.pivots)
     rebuilt = dict(residual)
     for i, c in combo.items():
@@ -135,7 +135,7 @@ def test_matches_fraction_echelon_on_random_rows(seed, bits, content_bits, monke
     monkeypatch.setattr(cohomology, "gcd",
                         lambda *xs: sizes.append(len(xs)) or math.gcd(*xs))
     for probe in random_rows(rng, 4, ncols, density=0.8, bits=bits):
-        assert echelon.eliminate(probe) == oracle.eliminate(probe)
+        assert as_fractions(*echelon.eliminate(probe)) == oracle.eliminate(probe)
     if bits and echelon.rows:
         assert max(sizes) > 2
 
@@ -152,7 +152,7 @@ def weight_solvers(D):
         oracle = FractionEchelon()
         values = []
         for g_idx in range(len(built.generators.monomials)):
-            vec = fresh.q_vector(D, g_idx)
+            vec, = as_fractions(*fresh.q_vector(D, g_idx))
             if not vec:
                 continue
             values.append((fresh.insert(vec, {g_idx: 1}),
@@ -162,9 +162,14 @@ def weight_solvers(D):
         yield built, fresh, oracle, values
 
 
-@pytest.mark.parametrize("geometry", ["cubic_dwork", "quadrics_dwork", "quartic_dwork"])
+@pytest.mark.parametrize("geometry", ["cubic_dwork", "quadrics_dwork", "quartic_dwork",
+                                      "fractional cubic", "grevlex K3"])
 def test_matches_fraction_echelon_on_weight_solvers(geometry, request):
-    D = request.getfixturevalue(geometry)
+    """The build inserts den * Q(gen) under combo {g_idx: den}; the rows and
+    combos are those of the Fraction echelon fed Q(gen) under {g_idx: 1},
+    also for a gradient with denominators up to 6."""
+    D = request.getfixturevalue({"fractional cubic": "fractional_cubic_dwork",
+                                 "grevlex K3": "grevlex_k3_dwork"}.get(geometry, geometry))
     rng = random.Random(geometry)
     for built, fresh, oracle, values in weight_solvers(D):
         assert all(mine == theirs for mine, theirs in values)
@@ -174,7 +179,7 @@ def test_matches_fraction_echelon_on_weight_solvers(geometry, request):
         for _ in range(3):
             probe = {pos: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                      for pos in rng.sample(range(size), min(size, 6))}
-            assert built.eliminate(probe) == oracle.eliminate(probe)
+            assert as_fractions(*built.eliminate(probe)) == oracle.eliminate(probe)
 
 
 @pytest.mark.parametrize("seed", range(15))

@@ -74,6 +74,26 @@ def test_lift_matches_echelon_route(name):
     assert max(oracle.solvers) == top + 4
 
 
+@pytest.mark.parametrize("name", ["cubic_curve", "quartic_k3"])
+def test_build_and_reduce_skip_the_fraction_view(name, monkeypatch):
+    """The weight-solver build, the reduce slices and the lift run on int
+    numerators: none of them reads `SuperElement.terms`."""
+    D, _ = _geometry(name)
+    top = D.ctx.n - D.ctx.k
+    f = random_charge_element(D, random.Random(f"ints:{name}"), D.ctx.background_charge(),
+                              0, max_weight=top + 2)
+    assert f.top_weight() == top + 2
+
+    def forbidden(self):
+        raise AssertionError("SuperElement.terms read")
+
+    monkeypatch.setattr(SuperElement, "terms", property(forbidden))
+    pres = build_presentation(D)
+    result = pres.reduce(f)
+    monkeypatch.undo()
+    assert apply_k(D, result.certificate) + result.as_element(pres) == f
+
+
 def test_k3_ladder_builds_no_solver_above_weight_three(quartic_dwork):
     ctx = quartic_dwork.ctx
     pres = build_presentation(quartic_dwork)

@@ -34,7 +34,7 @@ from dworkbox import (
 from dworkbox.errors import ContextMismatchError
 from dworkbox.superalgebra import partial_eta, partial_q
 from dworkbox.verify import random_charge_element, random_element, random_homogeneous
-from tests.oracles import frac_apply_k
+from tests.oracles import frac_apply_delta, frac_apply_k, frac_apply_q
 
 
 def oracle_delta(a):
@@ -112,23 +112,17 @@ def test_differentials_against_direct_expansion(cubic_dwork):
         assert apply_k(cubic_dwork, a) == oracle_delta(a) + oracle_q(cubic_dwork, a)
 
 
-def _fractional_cubic():
-    ctx = VariableContext(2, 1, (3,))
-    return dwork_potential(ctx, [parse("x0^3 + 1/2*x1^3 + 2/3*x2^3", ctx)])
-
-
-def _grevlex_k3():
-    ctx = VariableContext(3, 1, (4,), "grevlex")
-    return dwork_potential(ctx, [parse("x0^4 + x1^4 + x2^4 + x3^4", ctx)])
+# the two extra geometries are conftest fixtures under these test ids
+EXTRA_DWORK = {"grevlex K3": "grevlex_k3_dwork", "fractional cubic": "fractional_cubic_dwork"}
 
 
 @pytest.mark.parametrize("geometry", ["cubic_dwork", "quartic_dwork", "quadrics_dwork",
                                       "grevlex K3", "fractional cubic"])
 def test_one_pass_k_matches_q_plus_delta(geometry, request):
-    """apply_k in one pass equals apply_q + apply_delta and the Fraction
-    reference, also when the gradient denominators are not 1."""
-    D = {"grevlex K3": _grevlex_k3, "fractional cubic": _fractional_cubic}.get(
-        geometry, lambda: request.getfixturevalue(geometry))()
+    """apply_k, apply_q and apply_delta share one kernel, so each is checked
+    against its own Fraction reference as well as K against Q + delta, also
+    when the gradient denominators are not 1."""
+    D = request.getfixturevalue(EXTRA_DWORK.get(geometry, geometry))
     ctx, S = D.ctx, D.S.terms
     if geometry == "fractional cubic":
         assert max(g._den for g in D.grad) == 6
@@ -138,10 +132,13 @@ def test_one_pass_k_matches_q_plus_delta(geometry, request):
         a = random_element(ctx, rng, max_eta=3)
         b = random_charge_element(D, rng, c_G + rng.randint(-1, 1), -rng.randint(1, 2))
         for x in (a, b, a * b):
-            image = apply_k(D, x)
-            assert image == apply_q(D, x) + apply_delta(x)
+            image, q_image, delta_image = apply_k(D, x), apply_q(D, x), apply_delta(x)
+            assert image == q_image + delta_image
             assert image.terms == frac_apply_k(S, ctx.nvars, x.terms)
-            assert math.gcd(image._den, *image._num.values()) == 1
+            assert q_image.terms == frac_apply_q(S, ctx.nvars, x.terms)
+            assert delta_image.terms == frac_apply_delta(ctx.nvars, x.terms)
+            for y in (image, q_image, delta_image):
+                assert math.gcd(y._den, *y._num.values()) == 1
 
 
 def test_one_pass_k_rejects_another_context(cubic_dwork, quadrics_dwork):
