@@ -260,8 +260,10 @@ def cmd_transport(args) -> int:
     order = _truncation_order(args, config)
     omega_rows, _ = _matrix_from_file(args.omega)
     b_rows, b_meta = _matrix_from_file(args.base_change)
-    base = BaseChange(tuple(tuple(r) for r in b_rows),
-                      integral=bool(b_meta.get("integral", True)))
+    integral = b_meta.get("integral", True)
+    if type(integral) is not bool:
+        raise InputError(f"base change field integral must be true or false, got {integral!r}")
+    base = BaseChange(tuple(tuple(r) for r in b_rows), integral=integral)
     omega = PeriodMatrix(tuple(tuple(r) for r in omega_rows))
     if base.size != omega.size:
         raise InputError(f"base change is {base.size}x{base.size}, expected "
@@ -275,8 +277,7 @@ def cmd_transport(args) -> int:
     ladder = d_ladder(deform, pres, basis_u, order)
     payload = {"orders": []}
     lines = [f"period transport through order {order}:"]
-    for m, mat in ladder.items():
-        result = period_transport(mat, omega, base)
+    for m, result in period_transport(ladder, omega, base).items():
         payload["orders"].append({"order": m, "matrix": _matrix_json(result.entries)})
         lines.append(f"  order {m}: " + json.dumps(_matrix_json(result.entries)))
     _emit(payload, lines, args)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -479,6 +480,7 @@ class PeriodMatrix:
         size = len(rows)
         if any(len(r) != size for r in rows):
             raise InputError("period matrix must be square")
+        _require_finite(rows, "period matrix")
 
     @property
     def size(self) -> int:
@@ -486,7 +488,7 @@ class PeriodMatrix:
 
     @property
     def exact(self) -> bool:
-        return all(isinstance(v, (int, Fraction)) for row in self.entries for v in row)
+        return _is_exact(self.entries)
 
 
 @dataclass(frozen=True)
@@ -510,11 +512,22 @@ class BaseChange:
             det = _determinant(rows)
             if det not in (1, -1):
                 raise InputError(f"integral base change must be unimodular, det = {det}")
+        else:
+            _require_finite(rows, "base change")
         object.__setattr__(self, "matrix", rows)
 
     @property
     def size(self) -> int:
         return len(self.matrix)
+
+
+def _is_exact(rows) -> bool:
+    return all(isinstance(v, (int, Fraction)) for row in rows for v in row)
+
+
+def _require_finite(rows, name: str) -> None:
+    if any(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row):
+        raise InputError(f"{name} entries must be finite numbers, not NaN or infinity")
 
 
 def _exact_int(v) -> int:
@@ -548,25 +561,48 @@ def _determinant(rows) -> Fraction:
 
 
 def _matmul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
-def period_transport(d_entries, omega: PeriodMatrix, base_change: BaseChange) -> PeriodMatrix:
-    """Omega_deformed = D * Omega * B as a plain matrix product.
+def _scaled(rows):
+    """(integer numerators, common denominator) of an exact matrix."""
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
-    Exact whenever Omega is exact; floats propagate otherwise.
+
+def period_transport(ladder: dict, omega: PeriodMatrix,
+                     base_change: BaseChange) -> dict:
+    """Omega_deformed = D * Omega * B for every D of a `d_ladder` result.
+
+    Takes {order m: D} and returns {order m: PeriodMatrix}.  When every
+    entry of Omega, B and the D matrices is exact, each matrix is scaled to
+    integer numerators over one common denominator, Omega * B is multiplied
+    once per call, each D * (Omega * B) is an integer product, and each
+    output entry is one Fraction over the product of the denominators.  A
+    floating entry (a float Omega, or a non-integral B with float entries)
+    keeps the plain product (D * Omega) * B, and floats propagate.
     """
     size = omega.size
-    if len(d_entries) != size or any(len(r) != size for r in d_entries):
-        raise InputError(f"D must be {size}x{size} to match the period matrix")
+    for d in ladder.values():
+        if len(d) != size or any(len(r) != size for r in d):
+            raise InputError(f"D must be {size}x{size} to match the period matrix")
     if base_change.size != size:
         raise InputError(f"base change must be {size}x{size}")
-    product = _matmul(_matmul([list(r) for r in d_entries],
-                              [list(r) for r in omega.entries]),
-                      [list(r) for r in base_change.matrix])
-    return PeriodMatrix(tuple(tuple(r) for r in product))
+    if not (omega.exact and _is_exact(base_change.matrix)
+            and all(_is_exact(d) for d in ladder.values())):
+        return {m: PeriodMatrix(_matmul(_matmul(d, omega.entries), base_change.matrix))
+                for m, d in ladder.items()}
+    omega_num, omega_den = _scaled(omega.entries)
+    b_num, b_den = _scaled(base_change.matrix)
+    ob_num = _matmul(omega_num, b_num)
+    out = {}
+    for m, d in ladder.items():
+        d_num, d_den = _scaled(d)
+        den = d_den * omega_den * b_den
+        out[m] = PeriodMatrix(tuple(tuple(Fraction(v, den) for v in row)
+                                    for row in _matmul(d_num, ob_num)))
+    return out
 
 
 # -- series export ------------------------------------------------------------

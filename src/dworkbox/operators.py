@@ -48,12 +48,19 @@ from .superalgebra import (
 
 @dataclass(frozen=True)
 class DworkData:
-    """A variable context together with S = sum y_l G_l and its gradient."""
+    """A variable context together with S = sum y_l G_l and its gradient.
+
+    `grad_den` is the lcm of the gradient denominators and
+    `grad_num[i]` lists (qexp, numerator over grad_den) of grad[i], the
+    integer table `_differential` reads for the Q terms.
+    """
 
     ctx: VariableContext
     G: tuple
     S: SuperElement
     grad: tuple  # grad[i] = dS/dq_{i+1}
+    grad_num: tuple
+    grad_den: int
 
     def __repr__(self):
         return f"DworkData(n={self.ctx.n}, k={self.ctx.k}, degrees={self.ctx.degrees})"
@@ -78,7 +85,10 @@ def dwork_potential(ctx: VariableContext, G: Sequence[SuperElement]) -> DworkDat
     for l, g in enumerate(G, start=1):
         S = S + SuperElement.variable(ctx, l) * g
     grad = tuple(partial_q(i, S) for i in range(1, ctx.nvars + 1))
-    return DworkData(ctx, G, S, grad)
+    grad_den = math.lcm(*(g._den for g in grad))
+    grad_num = tuple(tuple((q, v * (grad_den // g._den)) for (q, _), v in g._num.items())
+                     for g in grad)
+    return DworkData(ctx, G, S, grad, grad_num, grad_den)
 
 
 def check_x_homogeneous(ctx: VariableContext, poly: SuperElement, degree: int,
@@ -99,19 +109,18 @@ def check_x_homogeneous(ctx: VariableContext, poly: SuperElement, degree: int,
                              f"found a degree-{xdeg} monomial")
 
 
-def _differential(a: SuperElement, grad: tuple, delta: bool) -> SuperElement:
+def _differential(a: SuperElement, grads: tuple, grad_den: int,
+                  delta: bool) -> SuperElement:
     """sum_i (grad[i] + [delta] d/dq_i) d/deta_i (a), in one pass over the
-    terms of a: Q for grad = D.grad without delta, delta for grad = () with
-    it, and K for both.
+    terms of a: Q for the gradient table (D.grad_num, D.grad_den) without
+    delta, delta for the empty table ((), 1) with it, and K for both.
 
     For each eta_i of a term, d/deta_i strips it with its sign; the delta
     term d/dq_i of the stripped monomial and the Q terms grad[i] times it go
-    into one numerator dict over a._den * lcm(grad denominators).  S is
-    eta-free, so a Q term keeps the stripped eta and its sign.
+    into one numerator dict over a._den * grad_den.  S is eta-free, so a Q
+    term keeps the stripped eta and its sign.
     """
-    grad_den = math.lcm(*(g._den for g in grad))
-    grads = [[(q, v * (grad_den // g._den)) for (q, _), v in g._num.items()]
-             for g in grad] or [()] * a.ctx.nvars
+    grads = grads or [()] * a.ctx.nvars
     acc = {}
     get = acc.get
     add = operator.add
@@ -131,14 +140,14 @@ def _differential(a: SuperElement, grad: tuple, delta: bool) -> SuperElement:
 
 def apply_delta(a: SuperElement) -> SuperElement:
     """delta = sum_i d/dq_i d/deta_i; drops weight by 1, raises degree by 1."""
-    return _differential(a, (), True)
+    return _differential(a, (), 1, True)
 
 
 def apply_q(D: DworkData, a: SuperElement) -> SuperElement:
     """Q = sum_i (dS/dq_i) d/deta_i; preserves charge and weight."""
     if a.ctx != D.ctx:
         raise ContextMismatchError("element over a different context")
-    return _differential(a, D.grad, False)
+    return _differential(a, D.grad_num, D.grad_den, False)
 
 
 def apply_k(D: DworkData, a: SuperElement) -> SuperElement:
@@ -146,7 +155,7 @@ def apply_k(D: DworkData, a: SuperElement) -> SuperElement:
     `apply_delta`."""
     if a.ctx != D.ctx:
         raise ContextMismatchError("element over a different context")
-    return _differential(a, D.grad, True)
+    return _differential(a, D.grad_num, D.grad_den, True)
 
 
 def ell2(D: DworkData, a: SuperElement, b: SuperElement) -> SuperElement:

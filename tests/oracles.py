@@ -335,6 +335,20 @@ def d_matrix(series):
     return ladders
 
 
+# -- plain route of period transport ------------------------------------------
+
+def _matmul(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def plain_transport(d, omega, b):
+    """(D * Omega) * B as plain matrix products over the given entries: in
+    Fraction for exact input, the cross-check for `period_transport`."""
+    return _matmul(_matmul(d, omega), b)
+
+
 # -- weight-echelon route of reduce -------------------------------------------
 
 class EchelonReduction:

@@ -250,6 +250,48 @@ def test_transport_rejects_non_integer_base_change(capsys, fermat_config, tmp_pa
     assert "integral base change needs integer entries" in err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("omega_rows, b_rows, message", [
+    ([[NAN, 1.0], [INF, 2.0]], [[1, 0], [0, 1]], "period matrix entries must be finite"),
+    ([["1", "0"], ["0", "1"]], {"matrix": [[NAN, 0], [0, 1]], "integral": False},
+     "base change entries must be finite"),
+    ([["1", "0"], ["0", "1"]], {"matrix": [[1.5, 0], [0, -INF]], "integral": False},
+     "base change entries must be finite"),
+], ids=["omega", "base-change-nan", "base-change-infinity"])
+def test_transport_rejects_non_finite_entries(capsys, fermat_config, tmp_path,
+                                              monkeypatch, omega_rows, b_rows, message):
+    omega, bmat = _matrix_files(tmp_path, omega_rows, b_rows)
+    _no_presentation(monkeypatch)
+    code, out, err = run_cli(capsys, "transport", fermat_config, "--omega", omega,
+                             "--base-change", bmat)
+    assert code == EXIT_INPUT
+    assert message in err and out == ""
+
+
+@pytest.mark.parametrize("flag", ["no", "false", 0, 1, None])
+def test_transport_integral_flag_must_be_boolean(capsys, fermat_config, tmp_path,
+                                                 monkeypatch, flag):
+    omega, bmat = _matrix_files(tmp_path, [["1", "0"], ["0", "1"]],
+                                {"matrix": [[1, 0], [0, 1]], "integral": flag})
+    _no_presentation(monkeypatch)
+    code, _, err = run_cli(capsys, "transport", fermat_config, "--omega", omega,
+                           "--base-change", bmat)
+    assert code == EXIT_INPUT
+    assert "integral must be true or false" in err
+
+
+def test_transport_non_integral_base_change(capsys, fermat_config, tmp_path):
+    omega, bmat = _matrix_files(tmp_path, [["1", "2"], ["3", "4"]],
+                                {"matrix": [["1/2", "0"], ["0", 3]], "integral": False})
+    code, out, _ = run_cli(capsys, "--format", "json", "transport", fermat_config,
+                           "--omega", omega, "--base-change", bmat, "--order", "1")
+    assert code == EXIT_OK
+    # D = [[0,1],[1,0]] at order 1 swaps the rows of Omega * B
+    assert json.loads(out)["orders"][0]["matrix"] == [["3/2", "12/1"], ["1/2", "6/1"]]
+
+
 def test_transport_rejects_mismatched_sizes(capsys, fermat_config, tmp_path):
     omega = tmp_path / "omega.json"
     omega.write_text(json.dumps([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]))

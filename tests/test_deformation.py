@@ -21,6 +21,7 @@ from dworkbox import (
     dwork_potential,
     parse,
 )
+from dworkbox import deformation
 from dworkbox.deformation import (
     BaseChange,
     PeriodMatrix,
@@ -36,7 +37,7 @@ from dworkbox.deformation import (
     u_basis,
 )
 from dworkbox.verify import random_element, reduction_functional
-from tests.oracles import d_matrix
+from tests.oracles import d_matrix, plain_transport
 
 
 @pytest.fixture(scope="module")
@@ -432,7 +433,7 @@ def test_transport_identity():
     omega = PeriodMatrix(((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))))
     eye = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     b = BaseChange(((1, 0), (0, 1)))
-    out = period_transport(eye, omega, b)
+    out = period_transport({1: eye}, omega, b)[1]
     assert out.entries == omega.entries
 
 
@@ -440,7 +441,7 @@ def test_transport_exact_arithmetic():
     omega = PeriodMatrix(((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))))
     d = [[Fraction(1), Fraction(0)], [Fraction(-1, 54), Fraction(1)]]
     b = BaseChange(((1, 0), (0, 1)))
-    out = period_transport(d, omega, b)
+    out = period_transport({1: d}, omega, b)[1]
     assert out.entries == (
         (Fraction(1), Fraction(2)),
         (Fraction(3) - Fraction(1, 54), Fraction(4) - Fraction(2, 54)),
@@ -452,7 +453,7 @@ def test_transport_floating_entries():
     omega = PeriodMatrix(((0.5, 1.25), (2.0, -3.0)))
     d = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(2)]]
     b = BaseChange(((0, 1), (1, 0)))
-    out = period_transport(d, omega, b)
+    out = period_transport({1: d}, omega, b)[1]
     assert not out.exact
     assert out.entries[0][0] == pytest.approx(2.5)
 
@@ -461,9 +462,100 @@ def test_transport_size_mismatch():
     omega = PeriodMatrix(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
     b = BaseChange(((1, 0), (0, 1)))
     with pytest.raises(InputError):
-        period_transport([[Fraction(1)]], omega, b)
+        period_transport({1: [[Fraction(1)]]}, omega, b)
     with pytest.raises(InputError):
         PeriodMatrix(((Fraction(1), Fraction(2)),))
+
+
+def _random_exact(rng, size, bits):
+    """Entries over three random denominators below 2^bits, so that the
+    Fraction products of the oracle stay cheap at size 21."""
+    dens = [rng.randint(1, 2 ** bits) for _ in range(3)]
+    return [[Fraction(rng.randint(-2 ** bits, 2 ** bits), rng.choice(dens))
+             for _ in range(size)] for _ in range(size)]
+
+
+def _random_unimodular(rng, size):
+    m = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(2 * size if size > 1 else 0):
+        i, j = rng.sample(range(size), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    r = rng.randrange(size)
+    m[r] = [-v for v in m[r]]
+    return BaseChange(tuple(map(tuple, m)))
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(deformation, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(deformation, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("size", range(1, 22))
+def test_transport_matches_plain_product(size, monkeypatch):
+    """The integer route equals the Fraction product (D * Omega) * B, with
+    2^70 denominators and a zero D, and forms Omega * B once per call."""
+    rng = random.Random(size)
+    omega = PeriodMatrix(tuple(map(tuple, _random_exact(rng, size, 70))))
+    base = _random_unimodular(rng, size)
+    ladder = {1: _random_exact(rng, size, 70), 2: _random_exact(rng, size, 70),
+              3: [[Fraction(0)] * size for _ in range(size)]}
+    products = _count_calls(monkeypatch, "_matmul")
+    out = period_transport(ladder, omega, base)
+    assert len(products) == len(ladder) + 1
+    assert list(out) == list(ladder)
+    for m, d in ladder.items():
+        assert out[m].exact
+        assert out[m].entries == tuple(map(tuple, plain_transport(d, omega.entries,
+                                                                  base.matrix)))
+    assert all(v == 0 for row in out[3].entries for v in row)
+
+
+def test_transport_fraction_base_change_takes_the_integer_route(monkeypatch):
+    rng = random.Random(5)
+    omega = PeriodMatrix(tuple(map(tuple, _random_exact(rng, 4, 70))))
+    base = BaseChange(tuple(map(tuple, _random_exact(rng, 4, 70))), integral=False)
+    ladder = {m: _random_exact(rng, 4, 70) for m in (1, 2)}
+    scaled = _count_calls(monkeypatch, "_scaled")
+    out = period_transport(ladder, omega, base)
+    assert scaled
+    for m, d in ladder.items():
+        assert out[m].entries == tuple(map(tuple, plain_transport(d, omega.entries,
+                                                                  base.matrix)))
+
+
+def test_transport_floats_take_the_plain_route(monkeypatch):
+    rng = random.Random(6)
+    size = 5
+    floats = [[rng.uniform(-9, 9) for _ in range(size)] for _ in range(size)]
+    exact = PeriodMatrix(tuple(map(tuple, _random_exact(rng, size, 70))))
+    ladder = {m: _random_exact(rng, size, 70) for m in (1, 2)}
+    cases = [(PeriodMatrix(tuple(map(tuple, floats))), _random_unimodular(rng, size)),
+             (exact, BaseChange(tuple(map(tuple, floats)), integral=False))]
+    scaled = _count_calls(monkeypatch, "_scaled")
+    for omega, base in cases:
+        out = period_transport(ladder, omega, base)
+        for m, d in ladder.items():
+            assert not out[m].exact
+            expected = plain_transport(d, omega.entries, base.matrix)
+            for got_row, want_row in zip(out[m].entries, expected):
+                assert list(got_row) == pytest.approx(want_row)
+    assert not scaled
+
+
+def test_transport_rejects_non_finite_entries():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="finite"):
+            PeriodMatrix(((bad, 1.0), (0.0, 1.0)))
+        with pytest.raises(InputError, match="finite"):
+            BaseChange(((bad, 1.0), (0.0, 1.0)), integral=False)
 
 
 def test_base_change_unimodularity():
