@@ -37,7 +37,7 @@ from .errors import (
 from .operators import dwork_potential
 from .polyparse import parse, render
 from .superalgebra import VariableContext
-from .verify import fault_injection, run_suite
+from .verify import FAULT_HOOKS, fault_injection, run_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -89,7 +89,13 @@ class JobConfig:
             self.H = [parse(t, self.ctx) for t in h_texts]
         self.truncation_order = _int_field("truncationOrder", raw.get("truncationOrder", 6))
         self.h_override = raw.get("h")
-        self.y_choice = tuple(raw["yPower"]) if raw.get("yPower") else None
+        self.y_choice = raw.get("yPower")
+        if self.y_choice is not None:
+            if type(self.y_choice) is not list or len(self.y_choice) != 2:
+                raise InputError("config field yPower must be a list of two "
+                                 f"integers [j, m], got {self.y_choice!r}")
+            self.y_choice = tuple(_int_field(f"yPower[{i}]", v)
+                                  for i, v in enumerate(self.y_choice))
         self.seed = _int_field("seed", raw.get("seed", 0))
 
     @classmethod
@@ -288,6 +294,8 @@ def cmd_verify(args) -> int:
     config = JobConfig.load(args.config)
     seed = args.seed if args.seed is not None else config.seed
     iterations = args.iterations
+    if iterations < 1:
+        raise InputError(f"--iterations must be >= 1, got {iterations}")
     D, pres = _build(config)
     with fault_injection(args.inject_fault) if args.inject_fault else contextlib.nullcontext():
         report = run_suite(D, pres, seed=seed, iterations=iterations,
@@ -339,7 +347,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("config")
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--iterations", type=int, default=200)
-    p_verify.add_argument("--inject-fault", default=None,
+    p_verify.add_argument("--inject-fault", default=None, choices=sorted(FAULT_HOOKS),
                           help="testing hook: corrupt an operator on purpose")
     p_verify.set_defaults(func=cmd_verify)
     return parser

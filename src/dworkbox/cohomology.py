@@ -716,14 +716,15 @@ class QuotientPresentation:
             raise InputError(f"unsupported presentation version {payload.get('version')}")
         try:
             cinfo = payload["context"]
-            ctx = VariableContext(cinfo["n"], cinfo["k"], tuple(cinfo["degrees"]),
+            ctx = VariableContext(cinfo["n"], cinfo["k"], cinfo["degrees"],
                                   cinfo.get("order", "graded-lex"))
             G = [polyparse.parse(text_g, ctx) for text_g in payload["G"]]
             c_G = payload["cG"]
             slack = payload.get("slack", 2)
             basis = [_monomial_from_json(ctx, m) for m in payload["basis"]]
             counts = payload["weightCounts"]
-            stored = [(sdata["weight"], sdata["rows"]) for sdata in payload.get("solvers", [])]
+            stored = [(sdata["weight"], list(sdata["rows"]))
+                      for sdata in payload.get("solvers", [])]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"presentation file: missing or malformed field ({exc!r})") from None
         if ctx.background_charge() != c_G:

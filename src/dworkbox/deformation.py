@@ -127,8 +127,10 @@ class UBasis:
 
     The first ``len(prime_indices)`` entries are the classes built from the
     nonzero H_i; ``prime_indices`` records their (1-based) positions in the
-    basis order, i.e. I' viewed inside I.  For negative background charge the
-    construction multiplies by y_j^m h; the choice made is recorded.
+    basis order, i.e. I' viewed inside I, and is always (1, ..., |I'|):
+    `t_series` relies on the I' classes coming first.  For negative
+    background charge the construction multiplies by y_j^m h; the choice
+    made is recorded.
     """
 
     elements: tuple
@@ -231,22 +233,22 @@ def u_basis(def_data: DeformationData, pres_G: QuotientPresentation,
 
     # incremental exact rank tracking over reduced coordinate vectors
     echelon = _Echelon()
-    for idx, u in enumerate(leaders, start=1):
+
+    def grows(u):
         coeffs = pres_U.reduce(u).coefficients
-        vec = {i: c for i, c in enumerate(coeffs) if c}
-        if not echelon.insert(vec, {}):
+        return echelon.insert({i: c for i, c in enumerate(coeffs) if c}, {})
+
+    for idx, u in enumerate(leaders, start=1):
+        if not grows(u):
             raise IndependenceError(
                 f"deformation class {idx} is linearly dependent on the "
                 "previous ones in the deformed quotient")
 
     elements = list(leaders)
-    for mono in pres_G.basis:
+    for candidate in pres_G.basis_elements():
         if len(elements) == dim:
             break
-        candidate = SuperElement(ctx, {mono: Fraction(1)})
-        coeffs = pres_U.reduce(candidate).coefficients
-        vec = {i: c for i, c in enumerate(coeffs) if c}
-        if echelon.insert(vec, {}):
+        if grows(candidate):
             elements.append(candidate)
     if len(elements) != dim:
         raise InternalCheckError("failed to complete the deformed basis")
@@ -320,32 +322,29 @@ def t_series(def_data: DeformationData, pres_G: QuotientPresentation,
     else:
         # exponential part: only the I' variables appear in the exponent, and
         # the prefactor (h + sum_{b outside I'} t^b u_b) supplies the charge,
-        # so an admissible exponent is an I' exponent, alone or plus one e_b
+        # so an admissible exponent is an I' exponent, alone or plus one e_b.
+        # The I' classes come first in the u basis (see UBasis), so each
+        # exponent is the I' part followed by the part outside I'.
+        ell = len(def_data.nonzero_indices)
+        if prime != tuple(range(1, ell + 1)):
+            raise InputError(f"u basis must list the {ell} deformation classes "
+                             f"first, got prime indices {prime}")
         prefactor_const = (basis_u.h_factor if c_G > 0
                            else basis_u.h_factor * SuperElement.variable(
                                ctx, basis_u.y_choice[0]) ** basis_u.y_choice[1])
-        prime_pos = [p - 1 for p in prime]
-        outside = [b for b in range(dim) if b + 1 not in prime]
         gamma_parts = [SuperElement.variable(ctx, i) * def_data.H[i - 1]
                        for i in def_data.nonzero_indices]
-
-        def embed(inner, b=None):
-            expo = [0] * dim
-            for a, e in zip(prime_pos, inner):
-                expo[a] = e
-            if b is not None:
-                expo[b] = 1
-            return tuple(expo)
-
+        zeros = (0,) * (dim - ell)
+        units = [zeros[:j] + (1,) + zeros[j + 1:] for j in range(dim - ell)]
         previous = {}
-        for total, level in _scaled_products(ctx, gamma_parts, order):
-            terms = [(embed(inner), prefactor_const * value)
-                     for inner, value in level.items()]
-            terms += [(embed(inner, b), elements[b] * value)
-                      for inner, value in previous.items() for b in outside]
-            # the order of _compositions(total, dim)
-            for expo, value in sorted(terms, key=lambda term: term[0], reverse=True):
-                _record(pres_G, coefficients, certificates, expo, value)
+        for _, level in _scaled_products(ctx, gamma_parts, order):
+            for inner, value in level.items():
+                _record(pres_G, coefficients, certificates, inner + zeros,
+                        prefactor_const * value)
+            for inner, value in previous.items():
+                for b, unit in enumerate(units, start=ell):
+                    _record(pres_G, coefficients, certificates, inner + unit,
+                            elements[b] * value)
             previous = level
 
     return DeformationSeries(order, dim, prime, coefficients, certificates)

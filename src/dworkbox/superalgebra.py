@@ -65,7 +65,10 @@ class VariableContext:
     order: str = "graded-lex"
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
+        object.__setattr__(self, "degrees", tuple(self.degrees))
+        if any(type(v) is not int for v in (self.n, self.k, *self.degrees)):
+            raise InputError(f"n, k and the degrees must be integers, got n={self.n!r}, "
+                             f"k={self.k!r}, degrees={list(self.degrees)!r}")
         if self.k < 1 or self.n < self.k:
             raise InputError(f"need n >= k >= 1, got n={self.n}, k={self.k}")
         if len(self.degrees) != self.k:

@@ -15,6 +15,7 @@ suite is expected to catch it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from dataclasses import dataclass, field
@@ -22,12 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import operators as ops
-from .cohomology import (
-    PieceView,
-    QuotientPresentation,
-    build_presentation,
-    charge_generator,
-)
+from .cohomology import PieceView, QuotientPresentation, charge_witness
 from .deformation import build_deformation, k_gamma, mc_check
 from .errors import InputError
 from .operators import DworkData, LinearFunctional
@@ -210,15 +206,13 @@ def exp_identity_rhs(D: DworkData, gamma: SuperElement, lam: Optional[SuperEleme
     return out + sign * (lam * tail)
 
 
-def run_suite(D: DworkData, presentation: Optional[QuotientPresentation] = None,
+def run_suite(D: DworkData, presentation: QuotientPresentation,
               seed: int = 0, iterations: int = 200,
               deformation_H=None) -> VerifyReport:
     """All invariant families on one geometry; deterministic under the seed."""
     ctx = D.ctx
     rng = random.Random(seed)
     report = VerifyReport(seed, iterations)
-    if presentation is None:
-        presentation = build_presentation(D)
 
     def rand():
         return random_element(ctx, rng)
@@ -425,10 +419,7 @@ def run_suite(D: DworkData, presentation: Optional[QuotientPresentation] = None,
         f = ops.apply_k(D, xi)  # K-closed by construction
         if f.is_zero():
             return None
-        deg = f.homogeneous_degree()
-        sign = -1 if deg % 2 else 1
-        R = charge_generator(D)
-        witness = (f * R).scale(Fraction(sign, lam - c_G))
+        witness = charge_witness(D, f).scale(Fraction(1, lam - c_G))
         if ops.apply_k(D, witness) != f:
             return _counterexample(f)
     _check_loop(report, "charge concentration: R-witness gives exact preimages",
@@ -519,55 +510,48 @@ def reduction_functional(presentation: QuotientPresentation, row) -> LinearFunct
 
 # -- fault injection (harness self-test) --------------------------------------
 
-FAULT_HOOKS = ("delta-drop-term", "bracket-sign")
+def _drop_first_term(apply_delta):
+    def corrupted(a):
+        # drop one term: breaks delta^2 = 0 and delta Q + Q delta = 0
+        value = apply_delta(a)
+        num = dict(value._num)
+        if num:
+            num.pop(next(iter(num)))
+        return SuperElement._make(value.ctx, num, value._den)
+    return corrupted
 
 
-class fault_injection:
-    """Context manager corrupting one operator; only for testing the suite.
+def _flip_sign(ell2):
+    return lambda D, a, b: ell2(D, a, b).scale(-1)
 
-    It rebinds a global of `dworkbox.operators` (`apply_delta` or `ell2`), so
-    while the block runs every caller that looks the operator up there sees
-    the corrupted one.  `apply_k` runs the kernel it shares with
-    `apply_delta` without calling `apply_delta`, so `delta-drop-term`
-    leaves K intact; the delta checks of the differentials family
-    (delta^2 = 0 and delta Q + Q delta = 0) catch it.  Not thread-safe: do
-    not run it beside other dworkbox work.
+
+# fault name -> (global of dworkbox.operators, factory of its corrupted version)
+FAULT_HOOKS = {
+    "delta-drop-term": ("apply_delta", _drop_first_term),
+    "bracket-sign": ("ell2", _flip_sign),
+}
+
+
+def fault_injection(name: str):
+    """Return a context manager corrupting one operator; only for testing the suite.
+
+    `name` is a key of `FAULT_HOOKS` (another raises `ValueError` at once).
+    While the block runs, the named global of `dworkbox.operators` is
+    rebound, so every caller that looks the operator up there sees the
+    corrupted one.  `apply_k` does not call `apply_delta`, so
+    `delta-drop-term` leaves K intact; the delta checks of the
+    differentials family catch it.  Not thread-safe.
     """
+    if name not in FAULT_HOOKS:
+        raise ValueError(f"unknown fault hook {name!r}; choose from {sorted(FAULT_HOOKS)}")
+    return _rebound(*FAULT_HOOKS[name])
 
-    def __init__(self, name: str):
-        if name not in FAULT_HOOKS:
-            raise ValueError(f"unknown fault hook {name!r}; choose from {FAULT_HOOKS}")
-        self.name = name
-        self._saved = None
 
-    def __enter__(self):
-        if self.name == "delta-drop-term":
-            self._saved = ops.apply_delta
-            original = self._saved
-
-            def corrupted(a):
-                value = original(a)
-                if value.is_zero():
-                    return value
-                # drop one term: breaks delta^2 = 0 and delta Q + Q delta = 0
-                terms = dict(value.terms)
-                terms.pop(next(iter(terms)))
-                return SuperElement(value.ctx, terms)
-
-            ops.apply_delta = corrupted
-        else:
-            self._saved = ops.ell2
-            original = self._saved
-
-            def corrupted(D, a, b):
-                return original(D, a, b).scale(-1)
-
-            ops.ell2 = corrupted
-        return self
-
-    def __exit__(self, *exc):
-        if self.name == "delta-drop-term":
-            ops.apply_delta = self._saved
-        else:
-            ops.ell2 = self._saved
-        return False
+@contextlib.contextmanager
+def _rebound(attr: str, corrupt):
+    original = getattr(ops, attr)
+    setattr(ops, attr, corrupt(original))
+    try:
+        yield
+    finally:
+        setattr(ops, attr, original)

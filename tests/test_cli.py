@@ -337,6 +337,26 @@ def test_verify_catches_injected_fault(capsys, fermat_config):
     assert "FAIL" in out
 
 
+def test_verify_rejects_unknown_fault_before_any_build(capsys, fermat_config,
+                                                      monkeypatch):
+    _no_presentation(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", fermat_config, "--inject-fault", "no-such-hook"])
+    assert exc.value.code == EXIT_INPUT
+    assert "invalid choice: 'no-such-hook'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("iterations", ["0", "-3"])
+def test_verify_needs_at_least_one_iteration(capsys, fermat_config, monkeypatch,
+                                             iterations):
+    _no_presentation(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", fermat_config,
+                             "--iterations", iterations)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "--iterations must be >= 1" in err
+
+
 def test_missing_config(capsys, tmp_path):
     code, _, err = run_cli(capsys, "basis", str(tmp_path / "nope.json"))
     assert code == EXIT_INPUT
@@ -367,8 +387,9 @@ def test_config_arity_mismatch(capsys, tmp_path):
     ("truncationOrder", True, "truncationOrder"),
     ("n", 2.9, "n"),
     ("degrees", [3.7], "degrees[0]"),
+    ("yPower", ["a", 2], "yPower[0]"),
 ], ids=["order-string", "seed-string", "order-float", "order-bool", "n-float",
-        "degree-float"])
+        "degree-float", "ypower-string"])
 def test_config_rejects_non_integer_fields(capsys, fermat_config, field, value, name):
     """Integer fields take JSON integers only: no truncation, no uncaught
     conversion error."""
@@ -379,6 +400,18 @@ def test_config_rejects_non_integer_fields(capsys, fermat_config, field, value, 
     assert code == EXIT_INPUT
     assert out == ""
     assert f"config field {name} must be an integer" in err
+
+
+@pytest.mark.parametrize("value", [5, "1,2", [1, 2, 3]],
+                         ids=["number", "string", "three-entries"])
+def test_config_rejects_y_power_that_is_not_a_pair(capsys, fermat_config, value):
+    raw = json.loads(Path(fermat_config).read_text())
+    raw["yPower"] = value
+    Path(fermat_config).write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "deform", fermat_config)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "config field yPower must be a list of two integers" in err
 
 
 def test_output_file(capsys, fermat_config, tmp_path):

@@ -406,17 +406,29 @@ def test_presentation_import_rejects_tampered_fields(cubic_presentation, case):
         QuotientPresentation.from_json(_json.dumps(payload))
 
 
-def _without_eta(text):
-    payload = json.loads(text)
-    del payload["basis"][0]["eta"]
-    return json.dumps(payload)
+def _edited(edit):
+    """A text edit that applies `edit` to the parsed payload."""
+    def apply(text):
+        payload = json.loads(text)
+        edit(payload)
+        return json.dumps(payload)
+    return apply
 
 
 STRUCTURAL_FAULTS = {
     "no context": (lambda text: '{"version": 1}', "KeyError\\('context'\\)"),
     "not an object": (lambda text: "[1]", "expected a JSON object, found list"),
-    "basis entry without eta": (_without_eta, "KeyError\\('eta'\\)"),
+    "basis entry without eta": (_edited(lambda p: p["basis"][0].pop("eta")),
+                                "KeyError\\('eta'\\)"),
     "not JSON": (lambda text: text[:40], "not JSON"),
+    "float degree": (_edited(lambda p: p["context"].update(degrees=[3.7])),
+                     "degrees must be integers, got .*degrees=\\[3.7\\]"),
+    "bool n": (_edited(lambda p: p["context"].update(n=True)),
+               "must be integers, got n=True"),
+    "rows not a list": (_edited(lambda p: p["solvers"][0].update(rows=5)),
+                        "malformed field \\(TypeError"),
+    "rows null": (_edited(lambda p: p["solvers"][0].update(rows=None)),
+                  "malformed field \\(TypeError"),
 }
 
 

@@ -165,6 +165,22 @@ def test_u_basis_positive_charge_quintic():
     assert dense_rank(vectors, columns) == 12
 
 
+def test_t_series_needs_the_deformation_classes_first():
+    """A hand-built u basis whose I' classes are not in front is refused
+    when the charge is nonzero, instead of placing exponents wrongly."""
+    import dataclasses
+
+    ctx = VariableContext(2, 1, (5,))
+    D = dwork_potential(ctx, [parse("x0^5 + x1^5 + x2^5", ctx)])
+    P = build_presentation(D)
+    dd = build_deformation(D, [parse("x0^5", ctx)])
+    basis_u = u_basis(dd, P, build_presentation(dd.deformed))
+    assert basis_u.prime_indices == (1,)
+    moved = dataclasses.replace(basis_u, prime_indices=(2,))
+    with pytest.raises(InputError, match="deformation classes first"):
+        t_series(dd, P, moved, 1)
+
+
 def test_u_basis_negative_charge_cubic_surface():
     ctx = VariableContext(3, 1, (3,))
     D = dwork_potential(ctx, [parse("x0^3 + x1^3 + x2^3 + x3^3", ctx)])

@@ -247,6 +247,16 @@ def test_context_validation():
         VariableContext(2, 1, (3,), "mystery-order")
 
 
+@pytest.mark.parametrize("shape", [(2, 1, (3.7,)), (2, 1, (3.0,)), (True, 1, (3,)),
+                                   (2, True, (3,)), (2, 1, (True,)), (2, 1, ("3",))],
+                         ids=["float-degree", "integral-float-degree", "bool-n", "bool-k",
+                              "bool-degree", "string-degree"])
+def test_context_refuses_non_int_shapes(shape):
+    """n, k and the degrees are ints; nothing is coerced."""
+    with pytest.raises(InputError, match="must be integers"):
+        VariableContext(*shape)
+
+
 def test_exact_scalar_invariants():
     # lowest terms and positive denominator are guaranteed by the scalar type
     c = Fraction(6, -4)
