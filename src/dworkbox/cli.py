@@ -64,6 +64,13 @@ def _int_field(name: str, value) -> int:
     return value
 
 
+def _list_field(name: str, value) -> list:
+    """`value` if it is a JSON list; a string is not split into characters."""
+    if type(value) is not list:
+        raise InputError(f"config field {name} must be a list of polynomials, got {value!r}")
+    return value
+
+
 class JobConfig:
     """Validated problem description loaded from a JSON file."""
 
@@ -73,7 +80,7 @@ class JobConfig:
             self.k = _int_field("k", raw["k"])
             degrees = tuple(_int_field(f"degrees[{i}]", d)
                             for i, d in enumerate(raw["degrees"]))
-            g_texts = list(raw["G"])
+            g_texts = _list_field("G", raw["G"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"config missing or malformed field: {exc}")
         order_name = raw.get("monomialOrder", "graded-lex")
@@ -83,7 +90,7 @@ class JobConfig:
         self.G = [parse(t, self.ctx) for t in g_texts]
         self.H = None
         if raw.get("H") is not None:
-            h_texts = list(raw["H"])
+            h_texts = _list_field("H", raw["H"])
             if len(h_texts) != self.k:
                 raise InputError(f"expected {self.k} polynomials in H, got {len(h_texts)}")
             self.H = [parse(t, self.ctx) for t in h_texts]
@@ -185,7 +192,7 @@ def _deformation_setup(config: JobConfig, pres):
     """Deformation and u basis over `pres`, shared by deform and transport."""
     deform = build_deformation(pres.dwork, config.H)
     pres_U = build_presentation(deform.deformed)
-    h_elt = parse(config.h_override, config.ctx) if config.h_override else None
+    h_elt = parse(config.h_override, config.ctx) if config.h_override is not None else None
     basis_u = u_basis(deform, pres, pres_U, h=h_elt, y_choice=config.y_choice)
     return deform, basis_u
 

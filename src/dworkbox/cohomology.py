@@ -39,7 +39,7 @@ Q(pre(m0)) = m0 read off the weight top + 1 echelon, Q(pre(m0) * m1) = M.
 So closure at weight top + 1 gives closure at every weight above it, and the
 smoothness guard checks that one weight.
 
-A presentation is only ever made by `QuotientPresentation.build`, which builds
+A presentation is only ever made by `QuotientPresentation(D)`, which builds
 the weight solvers 0..top + 1 up front; loading an export rebuilds it from
 the context and G and checks the file against the result.
 """
@@ -389,7 +389,8 @@ class _WeightSolver(_Echelon):
 
     Positions index the descending monomial order of the degree-0 piece, so
     a row's pivot is its largest monomial; combos are keyed by position in
-    the degree -1 generator piece.
+    the degree -1 generator piece.  `_positions` and `solve` are the only
+    translations between monomials and positions.
     """
 
     def __init__(self, target: GradedPiece, generators: GradedPiece):
@@ -402,17 +403,31 @@ class _WeightSolver(_Echelon):
         return tuple(m for i, m in enumerate(self.target.monomials)
                      if i not in self.pivots)
 
+    def _positions(self, num: dict) -> dict:
+        """`num` (target monomial -> value) keyed by position instead."""
+        index = self.index
+        try:
+            return {index[mono]: v for mono, v in num.items()}
+        except KeyError:
+            raise InternalCheckError("monomial escaped its graded piece") from None
+
     def q_vector(self, D: DworkData, g_idx: int):
         """Q of generator `g_idx` as (position -> int numerator, denominator)."""
         gen = self.generators.monomials[g_idx]
         image = apply_q(D, SuperElement._make(D.ctx, {gen: 1}, 1))
-        vec = {}
-        for mono, v in image._num.items():
-            pos = self.index.get(mono)
-            if pos is None:
-                raise InternalCheckError("Q image escaped its graded piece")
-            vec[pos] = v
-        return vec, image._den
+        return self._positions(image._num), image._den
+
+    def solve(self, num: dict):
+        """(residual, preimage, scale) in ints with scale * num == residual +
+        Q(preimage), for `num` mapping target monomials to ints or rationals.
+
+        The residual is keyed by complement monomial and the preimage by
+        generator monomial.
+        """
+        residual, combo, scale = self.eliminate(self._positions(num))
+        target, gens = self.target.monomials, self.generators.monomials
+        return ({target[pos]: c for pos, c in residual.items()},
+                {gens[g]: c for g, c in combo.items()}, scale)
 
 
 def _build_weight_solver(D: DworkData, charge: int, weight: int) -> _WeightSolver:
@@ -431,17 +446,6 @@ def _build_weight_solver(D: DworkData, charge: int, weight: int) -> _WeightSolve
     return solver
 
 
-def _quotient_basis(solvers: dict, top: int):
-    """The complement monomials of the weight 0..top solvers, weight by
-    weight, and how many each weight has."""
-    basis, counts = [], []
-    for w in range(top + 1):
-        complement = solvers[w].complement_monomials()
-        basis.extend(complement)
-        counts.append(len(complement))
-    return basis, counts
-
-
 class QuotientPresentation:
     """Monomial basis of the charge-c_G quotient with reduction machinery.
 
@@ -449,7 +453,9 @@ class QuotientPresentation:
     weight (largest monomial first within a weight); `weight_counts[w]` is
     the number of basis elements of weight exactly w, for w = 0..n-k.  Both
     are read off the weight solvers 0..n-k+1, which the presentation holds
-    from construction on; reduction reads no other weight.
+    from construction on; reduction reads no other weight, and goes through
+    `_WeightSolver.solve` for every translation between monomials and
+    echelon positions.
 
     Logically immutable: only the weight n-k+1 preimages behind the lift
     (`_lifts`) are memoized lazily, but rebuilding them is deterministic, so
@@ -459,22 +465,7 @@ class QuotientPresentation:
     # perfbench/workloads.py sizes its reduce stream up to weight n - k + slack
     slack = 2
 
-    def __init__(self, dwork: DworkData, solvers: dict):
-        self.dwork = dwork
-        self.c_G = dwork.ctx.background_charge()
-        basis, counts = _quotient_basis(solvers, dwork.ctx.n - dwork.ctx.k)
-        self.basis = tuple(basis)
-        self.weight_counts = tuple(counts)
-        self.basis_index = {m: i for i, m in enumerate(self.basis)}
-        self._solvers = solvers
-        # weight top + 1 monomial m0 -> (generator monomial -> int numerator
-        # of a Q-preimage, its denominator); bounded by the size of that piece
-        self._lifts: dict = {}
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def build(cls, D: DworkData) -> "QuotientPresentation":
+    def __init__(self, D: DworkData):
         """Echelonize weights 0..n-k+1, take the complement monomials of
         weights 0..n-k as the basis, and check closure at weight n-k+1.
 
@@ -484,16 +475,23 @@ class QuotientPresentation:
         weight n-k+1 and m1 even and eta-free (module docstring), and once
         m0 = Q(pre(m0)) exactly, M = Q(pre(m0) * m1) is in the image too.
         """
-        c_G = D.ctx.background_charge()
+        self.dwork = D
+        self.c_G = D.ctx.background_charge()
         top = D.ctx.n - D.ctx.k
-        solvers = {w: _build_weight_solver(D, c_G, w) for w in range(top + 2)}
-        leftover = solvers[top + 1].complement_monomials()
+        self._solvers = {w: _build_weight_solver(D, self.c_G, w) for w in range(top + 2)}
+        leftover = self._solvers[top + 1].complement_monomials()
         if leftover:
             raise SmoothnessError(
                 f"quotient fails to close at weight {top + 1}: "
                 f"{len(leftover)} unreduced monomials; "
                 "singular or non-complete-intersection input")
-        return cls(D, solvers)
+        complements = [self._solvers[w].complement_monomials() for w in range(top + 1)]
+        self.basis = tuple(m for complement in complements for m in complement)
+        self.weight_counts = tuple(len(complement) for complement in complements)
+        self.basis_index = {m: i for i, m in enumerate(self.basis)}
+        # weight top + 1 monomial m0 -> (generator monomial -> int numerator
+        # of a Q-preimage, its denominator); bounded by the size of that piece
+        self._lifts: dict = {}
 
     @property
     def dimension(self) -> int:
@@ -585,26 +583,17 @@ class QuotientPresentation:
         Adds the residual to `coeffs` (indexed like the basis) and
         returns xi with Q(xi) = part / den - residual.
         """
-        solver = self._solvers[w]
-        vec = {}
-        for mono, v in part.items():
-            pos = solver.index.get(mono)
-            if pos is None:
-                raise InternalCheckError("monomial escaped its graded piece")
-            vec[pos] = v
-        residual, combo, scale = solver.eliminate(vec)
+        residual, preimage, scale = self._solvers[w].solve(part)
         den *= scale
         # residual lives on complement monomials: basis coefficients here
-        for pos, c in residual.items():
-            mono = solver.target.monomials[pos]
+        for mono, c in residual.items():
             idx = self.basis_index.get(mono)
             if idx is None:
                 raise SmoothnessError(
                     f"nonzero class of weight {w} outside the recorded basis; "
                     "singular or non-complete-intersection input")
             coeffs[idx] += Fraction(c, den)
-        gens = solver.generators.monomials
-        return SuperElement._make(self.dwork.ctx, {gens[g]: c for g, c in combo.items()}, den)
+        return SuperElement._make(self.dwork.ctx, preimage, den)
 
     def _lift(self, part: dict, den: int) -> SuperElement:
         """xi = sum_M c_M pre(m0) * m1 with Q(xi) = part / den (int
@@ -649,15 +638,13 @@ class QuotientPresentation:
         pre = self._lifts.get(m0)
         if pre is None:
             top = self.dwork.ctx.n - self.dwork.ctx.k
-            solver = self._solvers[top + 1]
-            residual, combo, den = solver.eliminate({solver.index[m0]: 1})
+            residual, preimage, den = self._solvers[top + 1].solve({m0: 1})
             if residual:
                 raise SmoothnessError(
                     f"quotient fails to close at weight {top + 1}: "
                     "nonzero class above the recorded basis; "
                     "singular or non-complete-intersection input")
-            gens = solver.generators.monomials
-            pre = self._lifts[m0] = ({gens[g]: c for g, c in combo.items()}, den)
+            pre = self._lifts[m0] = (preimage, den)
         return pre
 
     # -- serialization -----------------------------------------------------
@@ -718,6 +705,8 @@ class QuotientPresentation:
             cinfo = payload["context"]
             ctx = VariableContext(cinfo["n"], cinfo["k"], cinfo["degrees"],
                                   cinfo.get("order", "graded-lex"))
+            if type(payload["G"]) is not list:
+                raise InputError(f"presentation file: G must be a list, got {payload['G']!r}")
             G = [polyparse.parse(text_g, ctx) for text_g in payload["G"]]
             c_G = payload["cG"]
             slack = payload.get("slack", 2)
@@ -731,7 +720,7 @@ class QuotientPresentation:
             raise InputError("inconsistent background charge in presentation file")
         if type(slack) is not int or slack < 0:
             raise InputError(f"presentation file: slack {slack!r} is not an int >= 0")
-        pres = cls.build(dwork_potential(ctx, G))
+        pres = cls(dwork_potential(ctx, G))
         if basis != list(pres.basis):
             raise InputError("presentation file: basis is not the complement of "
                              "the weight echelons")
@@ -773,7 +762,7 @@ def _monomial_from_json(ctx: VariableContext, data) -> SuperMonomial:
 
 
 def build_presentation(D: DworkData) -> QuotientPresentation:
-    return QuotientPresentation.build(D)
+    return QuotientPresentation(D)
 
 
 # -- charge concentration ----------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cohomology import PieceView, QuotientPresentation, _compositions, _Echelon
+from .cohomology import QuotientPresentation, _compositions, _Echelon
 from .errors import (
     AssumptionError,
     IndependenceError,
@@ -140,11 +140,11 @@ class UBasis:
 
 
 def _smallest_x_monomial(ctx: VariableContext, degree: int) -> SuperElement:
-    """Smallest canonical eta-free x-monomial of the given degree."""
-    piece = PieceView(ctx, degree, 0, 0)
-    if not piece:
+    """Smallest canonical eta-free x-monomial of the given degree: x_n^degree,
+    the last monomial of its piece in both graded-lex and grevlex."""
+    if degree < 0:
         raise InputError(f"no x-monomial of degree {degree}")
-    return SuperElement._make(ctx, {piece[-1]: 1}, 1)
+    return SuperElement.variable(ctx, ctx.nvars) ** degree
 
 
 def _check_h_factor(ctx: VariableContext, h: SuperElement, degree: int) -> None:

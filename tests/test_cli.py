@@ -380,6 +380,41 @@ def test_config_arity_mismatch(capsys, tmp_path):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("field,value", [
+    ("G", "x0^3 + x1^3 + x2^3"),
+    ("H", "x0*x1*x2"),
+    ("H", "0"),
+], ids=["g-string", "h-string", "h-one-character"])
+def test_config_reads_polynomial_blocks_only_as_lists(capsys, fermat_config, field, value):
+    """A string G or H is not split into its characters: a one-character
+    string would otherwise pass as a list of one polynomial."""
+    raw = json.loads(Path(fermat_config).read_text())
+    raw[field] = value
+    Path(fermat_config).write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "deform", fermat_config)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert f"config field {field} must be a list of polynomials" in err
+
+
+def test_config_empty_h_factor_is_not_dropped(capsys, tmp_path):
+    """The genus-4 curve has c_G = 1, so deform multiplies by an h factor;
+    an h that is present is parsed, even when it is empty."""
+    path = tmp_path / "genus4.json"
+    raw = {
+        "n": 3, "k": 2, "degrees": [2, 3],
+        "G": ["x0^2 + x1^2 + x2^2 + x3^2", "x0^3 + x1^3 + x2^3 + x3^3"],
+        "H": ["x0*x1", "0"],
+    }
+    path.write_text(json.dumps(raw))
+    code, _, _ = run_cli(capsys, "deform", str(path), "--order", "1")
+    assert code == EXIT_OK
+    path.write_text(json.dumps(dict(raw, h="")))
+    code, out, _ = run_cli(capsys, "deform", str(path), "--order", "1")
+    assert code == EXIT_INPUT
+    assert out == ""
+
+
 @pytest.mark.parametrize("field,value,name", [
     ("truncationOrder", "six", "truncationOrder"),
     ("seed", "x", "seed"),

@@ -429,6 +429,8 @@ STRUCTURAL_FAULTS = {
                         "malformed field \\(TypeError"),
     "rows null": (_edited(lambda p: p["solvers"][0].update(rows=None)),
                   "malformed field \\(TypeError"),
+    "G a string": (_edited(lambda p: p.update(G=p["G"][0])),
+                   "G must be a list, got 'x0\\^3"),
 }
 
 

@@ -220,6 +220,21 @@ def test_smallest_x_monomial_is_the_last_of_its_piece(shape, order):
         _smallest_x_monomial(ctx, -1)
 
 
+@pytest.mark.parametrize("order", ["graded-lex", "grevlex"])
+def test_smallest_x_monomial_is_the_last_unranked_monomial(order):
+    """x_n^degree in closed form equals the last monomial PieceView unranks,
+    for every n <= 5 and k <= n."""
+    from dworkbox.cohomology import PieceView
+    from dworkbox.deformation import _smallest_x_monomial
+
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            ctx = VariableContext(n, k, tuple(range(2, k + 2)), order)
+            for degree in range(6):
+                last = PieceView(ctx, degree, 0, 0)[-1]
+                assert _smallest_x_monomial(ctx, degree) == SuperElement(ctx, {last: 1})
+
+
 def test_u_basis_requires_room(cubic_dwork, cubic_presentation):
     ctx = cubic_dwork.ctx
     # sabotage: pretend both basis classes are deformed by feeding a fake

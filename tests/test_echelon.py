@@ -14,9 +14,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from dworkbox import BaseChange, InputError
+from dworkbox import BaseChange, InputError, InternalCheckError, SuperElement, apply_q
 from dworkbox import cohomology
-from dworkbox.cohomology import _build_weight_solver, _Echelon, _WeightSolver
+from dworkbox.cohomology import _build_weight_solver, _Echelon, _WeightSolver, enumerate_piece
 from dworkbox.deformation import _determinant
 from tests.oracles import FractionEchelon, as_fractions, dense_rank
 
@@ -180,6 +180,34 @@ def test_matches_fraction_echelon_on_weight_solvers(geometry, request):
             probe = {pos: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                      for pos in rng.sample(range(size), min(size, 6))}
             assert as_fractions(*built.eliminate(probe)) == oracle.eliminate(probe)
+
+
+@pytest.mark.parametrize("geometry", ["cubic_dwork", "quadrics_dwork", "quartic_dwork",
+                                      "grevlex K3"])
+def test_solve_is_exact_and_leaves_only_complement_monomials(geometry, request):
+    """scale * num == residual + Q(preimage) exactly for seeded rational
+    vectors of every weight 0..n-k+1, with the residual on complement
+    monomials; a monomial of another piece is refused."""
+    D = request.getfixturevalue({"grevlex K3": "grevlex_k3_dwork"}.get(geometry, geometry))
+    ctx = D.ctx
+    c_G = ctx.background_charge()
+    rng = random.Random(f"solve:{geometry}")
+    for weight in range(ctx.n - ctx.k + 2):
+        solver = _build_weight_solver(D, c_G, weight)
+        target = solver.target.monomials
+        complement = set(solver.complement_monomials())
+        for _ in range(4):
+            num = {m: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                   for m in rng.sample(target, min(len(target), 6))}
+            residual, preimage, scale = solver.solve(num)
+            assert set(residual) <= complement
+            assert all(type(c) is int
+                       for c in (scale, *residual.values(), *preimage.values()))
+            assert (SuperElement(ctx, num).scale(scale)
+                    == SuperElement(ctx, residual) + apply_q(D, SuperElement(ctx, preimage)))
+        stranger = enumerate_piece(ctx, c_G, weight + 1, 0).monomials[0]
+        with pytest.raises(InternalCheckError, match="monomial escaped its graded piece"):
+            solver.solve({stranger: 1})
 
 
 @pytest.mark.parametrize("seed", range(15))

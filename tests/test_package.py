@@ -92,3 +92,36 @@ def test_tracer_hooks_resolve():
         except (LookupError, AttributeError):
             unresolved.add(f"{module_name}.{path}")
     assert unresolved == STALE_TRACER_HOOKS
+
+
+def test_tracer_reads_every_span_it_records():
+    """A traced cubic run through module attributes, as perfbench drives it:
+    every hooked layer it passes through records calls and no span's
+    attributes go unread."""
+    import importlib.util
+
+    from dworkbox import VariableContext, cohomology, deformation, dwork_potential, parse
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    hooks = tracer_module.install(tracer)
+    try:
+        ctx = VariableContext(2, 1, (3,))
+        D = dwork_potential(ctx, [parse("x0^3 + x1^3 + x2^3", ctx)])
+        pres = cohomology.build_presentation(D)
+        # weight 3 > n - k + 1 = 2: the reduction goes through the lift
+        pres.reduce(parse("y1^3*x0^3*x1^3*x2^3 + y1*x0*x1*x2", ctx))
+        deform = deformation.build_deformation(D, [parse("x0*x1*x2", ctx)])
+        pres_U = cohomology.build_presentation(deform.deformed)
+        basis_u = deformation.u_basis(deform, pres, pres_U)
+        deformation.t_series(deform, pres, basis_u, 2)
+        deformation.d_ladder(deform, pres, basis_u, 2)
+    finally:
+        hooks.remove()
+    assert tracer.unreadable == {}
+    for name in ("cohomology.build_presentation", "cohomology.build_weight_solver",
+                 "cohomology.enumerate_piece", "cohomology.reduce"):
+        assert tracer.calls.get(name, 0) > 0, name
