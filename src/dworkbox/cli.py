@@ -128,8 +128,11 @@ def _emit(payload: dict, text_lines, args) -> None:
     else:
         body = "\n".join(text_lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(body)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(body)
+        except OSError as exc:
+            raise InputError(f"cannot write report: {exc}")
     else:
         sys.stdout.write(body)
 

@@ -51,6 +51,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, gcd, lcm
 from operator import index
 
@@ -91,56 +92,6 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _eta_subsets(ctx: VariableContext, size: int):
-    from itertools import combinations
-
-    return combinations(range(1, ctx.nvars + 1), size)
-
-
-def _piece_blocks(ctx: VariableContext, charge: int, weight: int, eta_degree: int):
-    """(eta, v, xdeg) for each block y^v x^u eta of a piece, |u| = xdeg.
-
-    Empty when the charge/weight constraints admit no solution (including
-    eta_degree outside [-N, 0]).
-    """
-    if weight < 0:
-        raise InputError("weight must be >= 0")
-    size = -eta_degree
-    if not 0 <= size <= ctx.nvars:
-        return
-    for eta in _eta_subsets(ctx, size):
-        ch_eta = sum(ctx.charge_of_eta(mu) for mu in eta)
-        wt_eta = sum(ctx.weight_of_eta(mu) for mu in eta)
-        wt_q = weight - wt_eta
-        if wt_q < 0:
-            continue
-        # y-exponents carry all the q-weight; x-degree is then forced
-        # by the charge equation -sum d_i v_i + |u| = charge - ch_eta.
-        for v in _compositions(wt_q, ctx.k):
-            xdeg = charge - ch_eta + sum(d * e for d, e in zip(ctx.degrees, v))
-            if xdeg >= 0:
-                yield eta, v, xdeg
-
-
-def enumerate_piece(ctx: VariableContext, charge: int, weight: int,
-                    eta_degree: int) -> GradedPiece:
-    """Exhaustively list the monomials with the given tri-grading.
-
-    Empty when the charge/weight constraints admit no solution (including
-    eta_degree outside [-N, 0]).
-    """
-    monos = [SuperMonomial(v + u, eta)
-             for eta, v, xdeg in _piece_blocks(ctx, charge, weight, eta_degree)
-             for u in _compositions(xdeg, ctx.n + 1)]
-    # monomial_sort_key without its weight, which is constant on the piece
-    if ctx.order == "graded-lex":
-        monos.sort(key=lambda m: (sum(m.qexp), m.qexp, m.eta), reverse=True)
-    else:
-        monos.sort(key=lambda m: (sum(m.qexp), tuple(-e for e in reversed(m.qexp)), m.eta),
-                   reverse=True)
-    return GradedPiece(charge, weight, eta_degree, tuple(monos))
-
-
 def _composition_at(j: int, total: int, parts: int) -> tuple:
     """The j-th tuple of `_compositions(total, parts)`, parts >= 1.
 
@@ -163,38 +114,51 @@ def _composition_at(j: int, total: int, parts: int) -> tuple:
 
 
 class PieceView(Sequence):
-    """The monomials of one tri-graded piece, in `enumerate_piece` order,
-    made one at a time instead of listed.
+    """The monomials of one tri-graded piece, largest first by
+    `monomial_sort_key`, made one at a time instead of listed.  This is the
+    one place the order inside a piece is defined: iteration walks the block
+    table, `view[j]` counts the same walk, and `enumerate_piece` lists a view.
 
     The piece is a union of blocks y^v x^u eta, one per eta subset, y
     composition v and its forced x degree |u|; a block holds C(|u| + n, n)
     monomials (stars and bars).  `len` sums the blocks and `view[j]`
     unranks the j-th monomial by counting completions (Knuth, TAOCP 4A,
-    7.2.1.3), so drawing from a piece enumerates nothing.  Iterating hands
-    off to `enumerate_piece`.  Nothing is cached beyond the block table.
+    7.2.1.3), so drawing from a piece enumerates nothing.  Nothing is
+    cached beyond the block table.
 
     The sort key (q-degree, exponents, eta) groups the blocks by q-degree.
     graded-lex compares v before u, so the groups split further by v: a
     (q-degree, v) group is x^u for every u of its x degree, each with the
     group's eta subsets, largest first.  grevlex compares the reversed
-    exponents u_n, ..., u_0, v_k, ..., v_1 ascending, so u_n, ..., u_1 are
-    unranked across the whole q-degree group, and u_0 = |u| - u_1 - ... -
-    u_n then ranks the blocks by x degree, then reversed v, then eta.
+    exponents u_n, ..., u_0, v_k, ..., v_1 ascending, so the tails u_n,
+    ..., u_1 run ascending across the whole q-degree group, and u_0 = |u| -
+    u_1 - ... - u_n then ranks the blocks by x degree, then reversed v,
+    then eta.
     """
 
     def __init__(self, ctx: VariableContext, charge: int, weight: int,
                  eta_degree: int):
+        if weight < 0:
+            raise InputError("weight must be >= 0")
         self.ctx = ctx
-        self.charge = charge
-        self.weight = weight
-        self.eta_degree = eta_degree
         groups: dict = {}
-        for eta, v, xdeg in _piece_blocks(ctx, charge, weight, eta_degree):
-            qdeg = sum(v) + xdeg
-            if ctx.order == "graded-lex":
-                groups.setdefault((qdeg, v), (xdeg, []))[1].append(eta)
-            else:
-                groups.setdefault(qdeg, []).append((xdeg, v, eta))
+        size = -eta_degree
+        for eta in combinations(range(1, ctx.nvars + 1), size) if size >= 0 else ():
+            wt_q = weight - sum(ctx.weight_of_eta(mu) for mu in eta)
+            if wt_q < 0:
+                continue  # _compositions(wt_q, 1) would still yield (wt_q,)
+            ch_q = charge - sum(ctx.charge_of_eta(mu) for mu in eta)
+            # y-exponents carry all the q-weight; x-degree is then forced
+            # by the charge equation -sum d_i v_i + |u| = charge - ch_eta.
+            for v in _compositions(wt_q, ctx.k):
+                xdeg = ch_q + sum(d * e for d, e in zip(ctx.degrees, v))
+                if xdeg < 0:
+                    continue
+                qdeg = sum(v) + xdeg
+                if ctx.order == "graded-lex":
+                    groups.setdefault((qdeg, v), (xdeg, []))[1].append(eta)
+                else:
+                    groups.setdefault(qdeg, []).append((xdeg, v, eta))
         n = ctx.n
         self._groups = []
         self._ends = []
@@ -217,8 +181,23 @@ class PieceView(Sequence):
         return self._ends[-1] if self._ends else 0
 
     def __iter__(self):
-        return iter(enumerate_piece(self.ctx, self.charge, self.weight,
-                                    self.eta_degree).monomials)
+        n = self.ctx.n
+        if self.ctx.order == "graded-lex":
+            for v, xdeg, etas in self._groups:
+                for u in _compositions(xdeg, n + 1):
+                    qexp = v + u
+                    for eta in etas:
+                        yield _tuple_new(SuperMonomial, (qexp, eta))
+            return
+        for xdegs, blocks in self._groups:
+            # (u_n, ..., u_1, rest) ascending, rest the x degree the tail
+            # leaves: every tail that fits the largest block comes once
+            top = xdegs[-1]
+            for parts in reversed(list(_compositions(top, n + 1))):
+                s = top - parts[-1]
+                tail = parts[-2::-1]  # u_1, ..., u_n
+                for xdeg, v, eta in blocks[bisect_left(xdegs, s):]:
+                    yield _tuple_new(SuperMonomial, (v + (xdeg - s,) + tail, eta))
 
     def __getitem__(self, j) -> SuperMonomial:
         j = index(j)
@@ -253,6 +232,15 @@ class PieceView(Sequence):
         xdeg, v, eta = blocks[bisect_left(xdegs, s) + j]
         tail.append(xdeg - s)
         return _tuple_new(SuperMonomial, (v + tuple(reversed(tail)), eta))
+
+
+def enumerate_piece(ctx: VariableContext, charge: int, weight: int,
+                    eta_degree: int) -> GradedPiece:
+    """The monomials with the given tri-grading, in the order their
+    `PieceView` walks them; empty when the charge/weight constraints admit
+    no solution (including eta_degree outside [-N, 0])."""
+    return GradedPiece(charge, weight, eta_degree,
+                       tuple(PieceView(ctx, charge, weight, eta_degree)))
 
 
 @dataclass(frozen=True)
@@ -699,8 +687,9 @@ class QuotientPresentation:
         if not isinstance(payload, dict):
             raise InputError("presentation file: expected a JSON object, found "
                              f"{type(payload).__name__}")
-        if payload.get("version") != PRESENTATION_FORMAT_VERSION:
-            raise InputError(f"unsupported presentation version {payload.get('version')}")
+        version = payload.get("version")
+        if type(version) is not int or version != PRESENTATION_FORMAT_VERSION:
+            raise InputError(f"unsupported presentation version {version!r}")
         try:
             cinfo = payload["context"]
             ctx = VariableContext(cinfo["n"], cinfo["k"], cinfo["degrees"],
@@ -716,10 +705,12 @@ class QuotientPresentation:
                       for sdata in payload.get("solvers", [])]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"presentation file: missing or malformed field ({exc!r})") from None
-        if ctx.background_charge() != c_G:
-            raise InputError("inconsistent background charge in presentation file")
+        if type(c_G) is not int or ctx.background_charge() != c_G:
+            raise InputError(f"inconsistent background charge {c_G!r} in presentation file")
         if type(slack) is not int or slack < 0:
             raise InputError(f"presentation file: slack {slack!r} is not an int >= 0")
+        if type(counts) is not list or any(type(c) is not int for c in counts):
+            raise InputError(f"presentation file: weightCounts {counts!r} are not ints")
         pres = cls(dwork_potential(ctx, G))
         if basis != list(pres.basis):
             raise InputError("presentation file: basis is not the complement of "
@@ -742,6 +733,8 @@ def _stored_row(where: str, rdata):
     """A stored row as (pivot, row, combo) in Fractions, pivot entry 1."""
     try:
         pivot = rdata["pivot"]
+        if type(pivot) is not int:
+            raise InputError(f"{where}: pivot {pivot!r} is not an int")
         row = {int(pos): Fraction(c) for pos, c in rdata["row"].items()}
         combo = {int(g): Fraction(c) for g, c in rdata["combo"].items()}
         lead = row[pivot]

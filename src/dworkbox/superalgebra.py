@@ -133,8 +133,10 @@ class SuperMonomial(NamedTuple):
 
 
 def make_monomial(ctx: VariableContext, qexp: Iterable[int], eta: Iterable[int] = ()) -> SuperMonomial:
-    qexp = tuple(int(e) for e in qexp)
-    eta = tuple(int(i) for i in eta)
+    qexp = tuple(qexp)
+    eta = tuple(eta)
+    if any(type(e) is not int for e in qexp + eta):
+        raise InputError(f"exponents and eta indices must be ints, got {qexp!r}, {eta!r}")
     if len(qexp) != ctx.nvars:
         raise InputError(f"exponent vector length {len(qexp)} != {ctx.nvars}")
     if any(e < 0 for e in qexp):

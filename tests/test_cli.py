@@ -459,6 +459,16 @@ def test_output_file(capsys, fermat_config, tmp_path):
     assert payload["dimension"] == 2
 
 
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+def test_output_file_that_cannot_be_written(capsys, fermat_config, tmp_path, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "r.txt"
+    code, out, err = run_cli(capsys, "--out", str(target), "basis", fermat_config)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "cannot write report" in err
+    assert "Traceback" not in err
+
+
 def test_text_format_basis(capsys, fermat_config):
     code, out, _ = run_cli(capsys, "basis", fermat_config)
     assert code == EXIT_OK

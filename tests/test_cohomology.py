@@ -70,10 +70,12 @@ def test_enumerate_piece_sorted_descending(cubic_ctx):
 
 @pytest.mark.parametrize("order", ["graded-lex", "grevlex"])
 @pytest.mark.parametrize("n,k,degrees", [
-    (2, 1, (3,)), (3, 1, (4,)), (3, 2, (2, 2)), (2, 2, (1, 2)), (3, 2, (2, 3))])
+    (2, 1, (3,)), (3, 1, (4,)), (3, 2, (2, 2)), (2, 2, (1, 2)), (3, 2, (2, 3)),
+    (4, 1, (3,)), (4, 2, (2, 3))])
 def test_enumerate_piece_order_is_monomial_sort_key(n, k, degrees, order):
-    """The piece sort drops the (constant) weight from monomial_sort_key;
-    the order must be exactly the full key's, so seeded draws stay fixed."""
+    """The order PieceView walks inside a piece, where the weight is
+    constant, must be exactly monomial_sort_key's, so the quotient basis,
+    the echelon rows and seeded draws stay fixed."""
     from dworkbox.superalgebra import monomial_sort_key
 
     ctx = VariableContext(n, k, degrees, order)
@@ -114,6 +116,28 @@ def test_piece_view_unranks_enumerate_piece(n, k, degrees, order):
                 with pytest.raises(IndexError):
                     view[-len(view) - 1]
     assert nonempty > 10
+
+
+@pytest.mark.parametrize("n,k,degrees,order,pieces", [
+    (2, 1, (3,), "graded-lex", [(0, 1, 0), (0, 2, -1), (0, 2, -2)]),
+    (3, 2, (2, 2), "graded-lex", [(0, 1, 0), (0, 2, -1), (-1, 2, -2)]),
+    (3, 1, (4,), "grevlex", [(0, 1, 0), (0, 2, -1), (0, 2, -2), (2, 1, -1)]),
+])
+def test_piece_view_iterates_without_enumerate_piece(monkeypatch, n, k, degrees,
+                                                     order, pieces):
+    """Iterating a view walks its own block table, in the order `view[j]`
+    unranks; it lists nothing through enumerate_piece."""
+    import dworkbox.cohomology as cohomology
+
+    def refuse(*args):
+        raise AssertionError("PieceView iteration called enumerate_piece")
+
+    monkeypatch.setattr(cohomology, "enumerate_piece", refuse)
+    ctx = VariableContext(n, k, degrees, order)
+    for charge, weight, eta_degree in pieces:
+        view = PieceView(ctx, charge, weight, eta_degree)
+        assert len(view) > 1
+        assert list(view) == [view[j] for j in range(len(view))]
 
 
 def test_piece_view_rejects_negative_weight(cubic_ctx):
@@ -386,6 +410,14 @@ TAMPERED_FIELDS = {
         "basis is not the complement"),
     "weight counts": (lambda payload: payload.update({"weightCounts": [2, 0]}),
                       "weightCounts"),
+    "bool weight counts": (lambda payload: payload.update({"weightCounts": [True, True]}),
+                           "weightCounts \\[True, True\\] are not ints"),
+    "float weight counts": (lambda payload: payload.update({"weightCounts": [1.0, 1.0]}),
+                            "weightCounts \\[1.0, 1.0\\] are not ints"),
+    "float cG": (lambda payload: payload.update({"cG": 0.0}), "background charge 0.0"),
+    "bool cG": (lambda payload: payload.update({"cG": False}), "background charge False"),
+    "float row pivot": (lambda payload: payload["solvers"][1]["rows"][3].update({"pivot": 6.0}),
+                        "weight 1: pivot 6.0 is not an int"),
     "slack": (lambda payload: payload.update({"slack": "two"}), "slack"),
     "truncated echelon, extended basis": (_truncated_with_extended_basis,
                                           "basis is not the complement"),
@@ -431,6 +463,16 @@ STRUCTURAL_FAULTS = {
                   "malformed field \\(TypeError"),
     "G a string": (_edited(lambda p: p.update(G=p["G"][0])),
                    "G must be a list, got 'x0\\^3"),
+    "bool version": (_edited(lambda p: p.update(version=True)),
+                     "unsupported presentation version True"),
+    "float version": (_edited(lambda p: p.update(version=1.0)),
+                      "unsupported presentation version 1.0"),
+    "float basis exponent": (_edited(lambda p: p["basis"][0].update(q=[0.5, 0, 0, 0])),
+                             "must be ints, got \\(0.5, 0, 0, 0\\)"),
+    "string basis exponent": (_edited(lambda p: p["basis"][0].update(q=["0", 0, 0, 0])),
+                              "must be ints, got \\('0', 0, 0, 0\\)"),
+    "float basis eta index": (_edited(lambda p: p["basis"][0].update(eta=[1.0])),
+                              "must be ints, got .*\\(1.0,\\)"),
 }
 
 
