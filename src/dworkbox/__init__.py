@@ -18,7 +18,6 @@ from .errors import (
     SmoothnessError,
 )
 from .superalgebra import (
-    ExactScalar,
     SuperElement,
     SuperMonomial,
     VariableContext,
@@ -46,7 +45,6 @@ from .cohomology import (
     build_presentation,
     charge_generator,
     charge_witness,
-    charge_witness_check,
     enumerate_piece,
 )
 from .deformation import (
@@ -60,7 +58,6 @@ from .deformation import (
     k_gamma,
     mc_check,
     period_transport,
-    series_to_json,
     t_series,
     expansion_coefficients,
     bell_expansion,
@@ -79,7 +76,6 @@ __all__ = [
     "DeformationSeries",
     "DworkboxError",
     "DworkData",
-    "ExactScalar",
     "GradedPiece",
     "IndependenceError",
     "InputError",
@@ -103,7 +99,6 @@ __all__ = [
     "build_presentation",
     "charge_generator",
     "charge_witness",
-    "charge_witness_check",
     "d_ladder",
     "dwork_potential",
     "ell2",
@@ -122,7 +117,6 @@ __all__ = [
     "reduction_functional",
     "render",
     "run_suite",
-    "series_to_json",
     "t_series",
     "expansion_coefficients",
     "bell_expansion",

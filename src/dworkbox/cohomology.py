@@ -56,7 +56,7 @@ from math import comb, gcd, lcm
 from operator import index
 
 from .errors import InputError, InternalCheckError, SmoothnessError
-from .operators import DworkData, apply_delta, apply_k, apply_q, dwork_potential
+from .operators import DworkData, apply_delta, apply_q, dwork_potential
 from .superalgebra import (
     SuperElement,
     SuperMonomial,
@@ -735,13 +735,22 @@ def _stored_row(where: str, rdata):
         pivot = rdata["pivot"]
         if type(pivot) is not int:
             raise InputError(f"{where}: pivot {pivot!r} is not an int")
-        row = {int(pos): Fraction(c) for pos, c in rdata["row"].items()}
-        combo = {int(g): Fraction(c) for g, c in rdata["combo"].items()}
+        row = {_canonical(int, pos): _canonical(Fraction, c) for pos, c in rdata["row"].items()}
+        combo = {_canonical(int, g): _canonical(Fraction, c) for g, c in rdata["combo"].items()}
         lead = row[pivot]
         return (pivot, {pos: c / lead for pos, c in row.items()},
                 {g: c / lead for g, c in combo.items()})
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{where}: malformed row ({exc!r})") from None
+
+
+def _canonical(kind, text):
+    """kind(text) for a string exactly as `to_json` writes it; else ValueError."""
+    if type(text) is str:
+        value = kind(text)
+        if str(value) == text:
+            return value
+    raise ValueError(f"non-canonical {kind.__name__} {text!r}")
 
 
 def _monomial_to_json(m: SuperMonomial):
@@ -794,18 +803,3 @@ def charge_witness(D: DworkData, f: SuperElement) -> SuperElement:
     R = charge_generator(D)
     sign = -1 if deg % 2 else 1
     return (f * R).scale(sign)
-
-
-def charge_witness_check(D: DworkData, f: SuperElement) -> SuperElement:
-    """Verify the concentration identity on f and return the witness product.
-
-    Checks K(f R) = (-1)^|f| [ (lam - c_G) f - R K(f) ] exactly (which for
-    K-closed f is the statement that f is exact whenever lam != c_G) and
-    returns f R.
-    """
-    witness = charge_witness(D, f)  # (-1)^|f| f R; validates f
-    lam = f.homogeneous_charge()
-    c_G = D.ctx.background_charge()
-    if apply_k(D, witness) != f.scale(lam - c_G) - charge_generator(D) * apply_k(D, f):
-        raise InternalCheckError("charge concentration identity failed")
-    return witness.scale(-1 if f.homogeneous_degree() % 2 else 1)

@@ -24,7 +24,6 @@ transport is plain matrix algebra in whatever arithmetic the entries carry.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -60,10 +59,6 @@ class DeformationData:
     gamma: SuperElement
     deformed: DworkData
     nonzero_indices: tuple  # 1-based positions i with H_i != 0
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.nonzero_indices
 
 
 def mc_check(D: DworkData, gamma: SuperElement) -> None:
@@ -602,15 +597,3 @@ def period_transport(ladder: dict, omega: PeriodMatrix,
         out[m] = PeriodMatrix(tuple(tuple(Fraction(v, den) for v in row)
                                     for row in _matmul(d_num, ob_num)))
     return out
-
-
-# -- series export ------------------------------------------------------------
-
-def series_to_json(series: DeformationSeries) -> str:
-    payload = {
-        "order": series.order,
-        "dimension": series.dimension,
-        "primeIndices": list(series.prime_indices),
-        "coefficients": series.series_rows(),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)

@@ -218,7 +218,7 @@ def _ell_rec(D: DworkData, args: tuple, cache: dict) -> SuperElement:
 class LinearFunctional:
     """A linear map from the super-algebra to exact scalars.
 
-    The callable contract: linear over ExactScalar and vanishing outside
+    The callable contract: linear over the rationals and vanishing outside
     cohomological degree 0.  ``cochain`` flags maps known to kill the image
     of K (the reduction-derived functionals set it; ad-hoc stand-ins may
     not).

@@ -33,9 +33,6 @@ from typing import Iterable, NamedTuple
 
 from .errors import ContextMismatchError, InputError
 
-# All core arithmetic is exact rational.
-ExactScalar = Fraction
-
 MONOMIAL_ORDERS = ("graded-lex", "grevlex")
 
 
@@ -296,14 +293,6 @@ class SuperElement:
         if len(chs) == 1:
             return chs.pop()
         return None
-
-    def weight_parts(self) -> dict:
-        """Split into weight-homogeneous summands: weight -> SuperElement."""
-        parts = {}
-        for mono, v in self._num.items():
-            parts.setdefault(monomial_weight(self.ctx, mono), {})[mono] = v
-        return {w: SuperElement._make(self.ctx, t, self._den)
-                for w, t in sorted(parts.items())}
 
     def top_weight(self):
         if not self._num:

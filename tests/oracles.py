@@ -10,8 +10,14 @@ the D ladder) are the library's own earlier paths, kept as cross-checks.
 import itertools
 from fractions import Fraction
 
-from dworkbox import SuperElement, SuperMonomial, apply_delta
-from dworkbox.cohomology import ReductionResult, _build_weight_solver, enumerate_piece
+from dworkbox import SuperElement, SuperMonomial, apply_delta, apply_k
+from dworkbox.cohomology import (
+    ReductionResult,
+    _build_weight_solver,
+    charge_generator,
+    charge_witness,
+    enumerate_piece,
+)
 from dworkbox.errors import SmoothnessError
 from dworkbox.superalgebra import monomial_charge, monomial_weight, partial_q
 
@@ -392,3 +398,18 @@ class EchelonReduction:
             certificate = certificate + xi
             rest = rest - SuperElement(ctx, part) - apply_delta(xi)
         return ReductionResult(tuple(coeffs), certificate)
+
+
+def charge_witness_check(D, f):
+    """Check the concentration identity on f and return the witness product f R.
+
+    Asserts K(f R) = (-1)^|f| [ (lam - c_G) f - R K(f) ] exactly (which for
+    K-closed f is the statement that f is exact whenever lam != c_G).
+    `charge_witness` validates f, so mixed-charge input raises InputError.
+    """
+    witness = charge_witness(D, f)  # (-1)^|f| f R
+    lam = f.homogeneous_charge()
+    c_G = D.ctx.background_charge()
+    assert apply_k(D, witness) == f.scale(lam - c_G) - charge_generator(D) * apply_k(D, f), \
+        "charge concentration identity failed"
+    return witness.scale(-1 if f.homogeneous_degree() % 2 else 1)

@@ -23,14 +23,13 @@ from dworkbox import (
     apply_k,
     build_presentation,
     charge_generator,
-    charge_witness_check,
     dwork_potential,
     enumerate_piece,
     parse,
 )
 from dworkbox.cohomology import PieceView, QuotientPresentation
 from dworkbox.verify import random_charge_element
-from tests.oracles import brute_force_piece, griffiths_hodge_numbers
+from tests.oracles import brute_force_piece, charge_witness_check, griffiths_hodge_numbers
 
 
 # -- enumeration oracle --------------------------------------------------------
@@ -361,6 +360,11 @@ def _row_edit(edit):
     return apply
 
 
+def _row_as(row):
+    """Replace the row of weight-1 row 3, keeping its pivot and combo."""
+    return _row_edit(lambda rows: rows[3].update({"row": row}))
+
+
 TAMPERED_ROWS = {
     "row entry": (_row_edit(lambda rows: rows[3]["row"].update({"9": "2"})),
                   "rows differ from the rebuilt echelon"),
@@ -378,6 +382,12 @@ TAMPERED_ROWS = {
                         "malformed row"),
     "truncated echelon": (_row_edit(lambda rows: rows.pop(3)),
                           "rows differ from the rebuilt echelon"),
+    # each of these still reads as {6: 1, 9: 1} when parsed leniently
+    "signed and padded positions": (_row_as({"+6": "1", " 9 ": "1"}), "malformed row"),
+    "underscored position": (_row_as({"0_6": "1", "9": "1"}), "malformed row"),
+    "bool and int entries": (_row_as({"6": True, "9": 1}), "malformed row"),
+    "unreduced fraction entry": (_row_as({"6": "1", "9": "2/2"}), "malformed row"),
+    "decimal entries": (_row_as({"6": "1.0", "9": "1e0"}), "malformed row"),
 }
 
 

@@ -32,7 +32,6 @@ from dworkbox.deformation import (
     k_gamma,
     mc_check,
     period_transport,
-    series_to_json,
     t_series,
     u_basis,
 )
@@ -66,7 +65,7 @@ def test_build_deformation_hesse(cubic_dwork, hesse):
 
 def test_build_deformation_trivial(cubic_dwork):
     dd = build_deformation(cubic_dwork, [SuperElement.zero(cubic_dwork.ctx)])
-    assert dd.is_trivial
+    assert not dd.nonzero_indices
     assert dd.gamma.is_zero()
     assert dd.deformed.S == cubic_dwork.S
 
@@ -320,17 +319,27 @@ def test_series_rejects_bad_order(hesse_setup):
 
 
 def test_series_export_shape(hesse_setup):
-    import json
-
     hesse, pres_G, pres_U, basis_u = hesse_setup
     series = t_series(hesse, pres_G, basis_u, 3)
-    payload = json.loads(series_to_json(series))
-    assert payload["order"] == 3
-    assert payload["dimension"] == 2
-    rows = payload["coefficients"]
+    assert series.order == 3
+    assert series.dimension == 2
+    rows = series.series_rows()
     assert {"rho", "exponent", "value"} <= set(rows[0])
     linear = [r for r in rows if r["exponent"] == [1, 0] and r["rho"] == 2]
     assert linear and linear[0]["value"] == "1/1"
+
+
+def test_series_rows_index_the_coefficients(hesse_setup, quadrics_presentation,
+                                            quadrics_deformation):
+    """Each exported row is one coefficient, with rho numbered from 1."""
+    hesse, pres_G, _, basis_u = hesse_setup
+    dd, _, quadrics_u = quadrics_deformation
+    for series in (t_series(hesse, pres_G, basis_u, 3),
+                   t_series(dd, quadrics_presentation, quadrics_u, 4)):
+        rows = series.series_rows()
+        assert len(rows) == len(series.coefficients)
+        for row in rows:
+            assert Fraction(row["value"]) == series.coefficient(row["rho"] - 1, row["exponent"])
 
 
 # -- D matrix ladder -----------------------------------------------------------------
@@ -770,7 +779,7 @@ def test_d_ladder_equals_series_route(name):
     ladder = d_ladder(dd, P, basis_u, order)
     assert set(ladder) == set(range(1, order + 1))
     assert ladder == d_matrix(t_series(dd, P, basis_u, order))
-    if dd.is_trivial:
+    if not dd.nonzero_indices:
         identity = [[Fraction(int(i == j)) for j in range(P.dimension)]
                     for i in range(P.dimension)]
         assert all(matrix == identity for matrix in ladder.values())

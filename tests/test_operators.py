@@ -28,6 +28,7 @@ from dworkbox import (
     ell_n,
     exp_identity_lhs,
     exp_identity_rhs,
+    grade,
     parse,
     phi_n,
 )
@@ -162,7 +163,7 @@ def test_delta_weight_drop(cubic_dwork):
     ctx = cubic_dwork.ctx
     for _ in range(80):
         a = random_element(ctx, rng)
-        for w, part in a.weight_parts().items():
+        for _, w, _, part in grade(a):
             image = apply_delta(part)
             assert image.weights() <= {w - 1}
             q_image = apply_q(cubic_dwork, part)

@@ -63,6 +63,27 @@ def test_src_imports_only_stdlib():
     assert not foreign
 
 
+def test_src_has_no_unused_imports():
+    """Each name a module imports at module level (`__future__` aside) is
+    read somewhere in that module, directly or as the base of an attribute;
+    `__init__.py` imports to re-export and is left out."""
+    unused = []
+    for path in sorted((ROOT / "src" / "dworkbox").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}: {name}" for name in bound if name not in used]
+    assert not unused
+
+
 # hooks in perfbench/tracer.py whose targets were renamed or removed; the
 # benchmark's next revision is expected to repoint them
 STALE_TRACER_HOOKS = {
