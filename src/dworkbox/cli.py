@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -64,11 +65,24 @@ def _int_field(name: str, value) -> int:
     return value
 
 
-def _list_field(name: str, value) -> list:
-    """`value` if it is a JSON list; a string is not split into characters."""
+def _polynomials(name: str, value, ctx: VariableContext) -> list:
+    """k polynomial texts from a JSON list; a string is not split into characters."""
     if type(value) is not list:
         raise InputError(f"config field {name} must be a list of polynomials, got {value!r}")
-    return value
+    if len(value) != ctx.k:
+        raise InputError(f"expected {ctx.k} polynomials in {name}, got {len(value)}")
+    return [parse(text, ctx) for text in value]
+
+
+def _read_json(path: str, what: str):
+    """The JSON value in the file at `path`; `what` names the file in errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise InputError(f"cannot read {what}: {exc}")
+    except ValueError as exc:  # also bad UTF-8 and an integer past the int-string limit
+        raise InputError(f"{what} is not valid JSON: {exc}")
 
 
 class JobConfig:
@@ -80,20 +94,13 @@ class JobConfig:
             self.k = _int_field("k", raw["k"])
             degrees = tuple(_int_field(f"degrees[{i}]", d)
                             for i, d in enumerate(raw["degrees"]))
-            g_texts = _list_field("G", raw["G"])
+            g_texts = raw["G"]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"config missing or malformed field: {exc}")
         order_name = raw.get("monomialOrder", "graded-lex")
         self.ctx = VariableContext(self.n, self.k, degrees, order_name)
-        if len(g_texts) != self.k:
-            raise InputError(f"expected {self.k} polynomials in G, got {len(g_texts)}")
-        self.G = [parse(t, self.ctx) for t in g_texts]
-        self.H = None
-        if raw.get("H") is not None:
-            h_texts = _list_field("H", raw["H"])
-            if len(h_texts) != self.k:
-                raise InputError(f"expected {self.k} polynomials in H, got {len(h_texts)}")
-            self.H = [parse(t, self.ctx) for t in h_texts]
+        self.G = _polynomials("G", g_texts, self.ctx)
+        self.H = None if raw.get("H") is None else _polynomials("H", raw["H"], self.ctx)
         self.truncation_order = _int_field("truncationOrder", raw.get("truncationOrder", 6))
         self.h_override = raw.get("h")
         self.y_choice = raw.get("yPower")
@@ -107,13 +114,7 @@ class JobConfig:
 
     @classmethod
     def load(cls, path: str) -> "JobConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except OSError as exc:
-            raise InputError(f"cannot read config: {exc}")
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config is not valid JSON: {exc}")
+        raw = _read_json(path, "config")
         if not isinstance(raw, dict):
             raise InputError("config must be a JSON object")
         return cls(raw)
@@ -248,6 +249,10 @@ def _parse_matrix_entry(value):
         return value
     if isinstance(value, str):
         try:
+            # Fraction would expand 10**exponent: bound it as Python bounds numerals
+            exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)", value)
+            if exponent and 0 < sys.get_int_max_str_digits() < abs(int(exponent[1])):
+                raise ValueError(f"exponent beyond {sys.get_int_max_str_digits()}")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad matrix entry {value!r}: {exc}")
@@ -255,13 +260,7 @@ def _parse_matrix_entry(value):
 
 
 def _matrix_from_file(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise InputError(f"cannot read matrix file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"matrix file is not valid JSON: {exc}")
+    raw = _read_json(path, "matrix file")
     meta = {}
     if isinstance(raw, dict):
         meta = raw

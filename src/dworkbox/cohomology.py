@@ -47,6 +47,7 @@ the context and G and checks the file against the result.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -745,8 +746,9 @@ def _stored_row(where: str, rdata):
 
 
 def _canonical(kind, text):
-    """kind(text) for a string exactly as `to_json` writes it; else ValueError."""
-    if type(text) is str:
+    """kind(text) for a string exactly as `to_json` writes it; else ValueError.
+    Only that shape is converted, so Fraction never expands "1e20000000"."""
+    if type(text) is str and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
         value = kind(text)
         if str(value) == text:
             return value

@@ -175,13 +175,19 @@ def u_basis(def_data: DeformationData, pres_G: QuotientPresentation,
     For background charge 0 the leading classes are y_i H_i; for positive
     charge they are multiplied by an x-polynomial h of degree c_G (smallest
     canonical monomial unless supplied); for negative charge additionally by
-    y_j^m with (j, m) minimizing m d_j (overridable).  After verifying that
+    y_j^m with (j, m) minimizing m d_j (overridable).  An override that the
+    background charge does not use raises InputError.  After verifying that
     these classes are linearly independent in the deformed quotient, the
     basis is completed greedily by the undeformed basis monomials whose
     deformed reductions keep the rank growing.
     """
     ctx = def_data.base.ctx
     c_G = ctx.background_charge()
+    if h is not None and c_G == 0:
+        raise InputError("h override applies only to a nonzero background charge, got 0")
+    if y_choice is not None and c_G >= 0:
+        raise InputError(f"y power override {y_choice} applies only to a negative "
+                         f"background charge, got {c_G}")
     dim = pres_G.dimension
     if pres_U.dimension != dim:
         raise InternalCheckError(
@@ -216,8 +222,6 @@ def u_basis(def_data: DeformationData, pres_G: QuotientPresentation,
             _check_h_factor(ctx, h, hdeg)
         factor = h * SuperElement.variable(ctx, j) ** m
         picked_y = (j, m)
-    else:
-        h = None
 
     leaders = []
     for i in def_data.nonzero_indices:

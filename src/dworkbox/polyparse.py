@@ -4,10 +4,13 @@ Grammar (whitespace between tokens is ignored):
 
     expr     := ['-'] term (('+' | '-') term)*
     term     := factor ('*' factor)*
-    factor   := rational | var ('^' nat)? | '(' expr ')'
-    rational := int ('/' posint)?
-    var      := 'x' nat | 'y' posnat | 'e' nat
+    factor   := ['-'] rational | var ('^' nat)? | '(' expr ')'
+    rational := nat ('/' nat)?
+    var      := ('x' | 'y' | 'e') nat
+    nat      := digit+
 
+A digit is a decimal digit ('²' is not one); a numeral past Python's
+int-string limit (4300 digits) is a ParseError at its token.
 x0..xn and y1..yk are the even variables; e1..eN name the odd variables,
 paired positionally with q_1..q_N (y's first, then x's).  Implicit
 multiplication is rejected: "2x0" is a syntax error.  An eta power above 1
@@ -20,6 +23,7 @@ terms by the canonical monomial order, largest first.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InputError, ParseError
@@ -44,46 +48,35 @@ class _Token:
         return f"_Token({self.kind}, {self.value!r})"
 
 
+# One alternative per lexeme: a newline, other blanks, an operator, a
+# numeral, a variable letter with its index, and any other character.
+_LEXEME = re.compile(r"(\n)|[^\S\n]+|([-+*/^()])|(\d+)|([xye])(\d*)|(.)")
+
+
 def _tokenize(text: str):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c in "+-*/^()":
-            tokens.append(_Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            tokens.append(_Token("nat", int(text[start:i]), line, col))
-            col += i - start
-            continue
-        if c in "xye":
-            if i + 1 >= n or not text[i + 1].isdigit():
-                raise ParseError(f"variable '{c}' needs a numeric index", line, col)
-            start = i + 1
-            i += 1
-            while i < n and text[i].isdigit():
-                i += 1
-            tokens.append(_Token("var", (c, int(text[start:i])), line, col))
-            col += i - start + 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("end", None, line, col))
+    line, line_start = 1, 0
+    try:
+        for match in _LEXEME.finditer(text):
+            newline, op, digits, letter, index, other = match.groups()
+            column = match.start() - line_start + 1
+            if newline:
+                line += 1
+                line_start = match.end()
+            elif op:
+                tokens.append(_Token(op, op, line, column))
+            elif digits:
+                tokens.append(_Token("nat", int(digits), line, column))
+            elif letter:
+                if not index:
+                    raise ParseError(f"variable '{letter}' needs a numeric index", line, column)
+                tokens.append(_Token("var", (letter, int(index)), line, column))
+            elif other:
+                raise ParseError(f"unexpected character {other!r}", line, column)
+    except ValueError:  # int() refuses a numeral past Python's int-string limit
+        raise ParseError(f"numeral of {len(digits or index)} digits is too long",
+                         line, column) from None
+    tokens.append(_Token("end", None, line, len(text) - line_start + 1))
     return tokens
 
 
@@ -214,10 +207,6 @@ def _render_monomial(ctx: VariableContext, mono: SuperMonomial) -> str:
     return "*".join(factors)
 
 
-def _render_coefficient(c: Fraction) -> str:
-    return str(c)  # Fraction formats as 'p' or 'p/q' with positive q
-
-
 def render(a: SuperElement) -> str:
     """Canonical text form: terms sorted largest-first, signs folded in.
 
@@ -238,9 +227,9 @@ def render(a: SuperElement) -> str:
         if body and mag == 1:
             text = body
         elif body:
-            text = f"{_render_coefficient(mag)}*{body}"
+            text = f"{mag}*{body}"
         else:
-            text = _render_coefficient(mag)
+            text = str(mag)  # Fraction writes p or p/q with q > 0
         if position == 0:
             pieces.append(text if coeff > 0 else f"-{text}")
         else:

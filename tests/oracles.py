@@ -9,6 +9,7 @@ the D ladder) are the library's own earlier paths, kept as cross-checks.
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 from dworkbox import SuperElement, SuperMonomial, apply_delta, apply_k
 from dworkbox.cohomology import (
@@ -98,6 +99,67 @@ def griffiths_hodge_numbers(ctx, G):
         degree = (q + 1) * d - (n + 1)
         out.append(0 if degree < 0 else jacobian_ring_dimension(n + 1, grads, degree))
     return out
+
+
+def _series_mul(a, b, top):
+    """Product of two series in z and y, stored as {(z power, y power): int}
+    and truncated after z^top."""
+    out = {}
+    for (i, p), c in a.items():
+        for (j, r), d in b.items():
+            if i + j <= top:
+                out[i + j, p + r] = out.get((i + j, p + r), 0) + c * d
+    return {key: c for key, c in out.items() if c}
+
+
+def _series_inverse(a, top):
+    """1/a for a series whose z^0 coefficient is 1: the sum of (1 - a)^t."""
+    step = {key: -c for key, c in a.items() if key != (0, 0)}
+    inverse, power = {(0, 0): 1}, {(0, 0): 1}
+    for _ in range(top):
+        power = _series_mul(power, step, top)
+        for key, c in power.items():
+            inverse[key] = inverse.get(key, 0) + c
+    return inverse
+
+
+def hirzebruch_hodge_numbers(n, degrees):
+    """Primitive Hodge numbers of a smooth complete intersection of the given
+    degrees in P^n, in the order of `hodge_numbers()`: entry q is
+    h^{m-q,q}_prim with m = n - k.  Nothing here touches the library.
+
+    Hirzebruch (Topological Methods in Algebraic Geometry, section 22):
+
+        sum_m chi_y(V_m) z^(m+k) = 1/((1+zy)(1-z))
+            * prod_j ((1+zy)^d - (1-z)^d) / ((1+zy)^d + y(1-z)^d),
+
+    and chi_y(V) is the coefficient of z^n.  With q_i = (y^i - (-1)^i)/(1+y)
+    the j-th factor is z (sum_i C(d,i) q_i z^(i-1)) / (1 + sum_i C(d,i) y
+    q_(i-1) z^i), so chi_y(V) is the z^m coefficient of a series whose
+    denominators have constant term 1.  Off the middle degree V has the
+    Hodge numbers of P^m, and the primitive part drops the hyperplane class.
+    """
+    m = n - len(degrees)
+
+    def quotient(i):  # q_i, as {y power: coefficient}
+        return {t: (-1) ** (i - 1 - t) for t in range(i)}
+
+    # 1/((1+zy)(1-z)) has z^i coefficient sum_{t<=i} (-y)^t
+    series = {(i, t): (-1) ** t for i in range(m + 1) for t in range(i + 1)}
+    for d in degrees:
+        numerator = {(i - 1, t): comb(d, i) * c
+                     for i in range(1, min(d, m + 1) + 1) for t, c in quotient(i).items()}
+        denominator = {(i, t + 1): comb(d, i) * c
+                       for i in range(2, min(d, m) + 1) for t, c in quotient(i - 1).items()}
+        denominator[0, 0] = 1
+        series = _series_mul(series, numerator, m)
+        series = _series_mul(series, _series_inverse(denominator, m), m)
+    hodge = []
+    for p in range(m, -1, -1):  # entry q = m - p
+        middle = 2 * p == m
+        chi_p = series.get((m, p), 0)
+        hodge.append((-1) ** (m - p) * (chi_p - (0 if middle else (-1) ** p)) - middle)
+    return hodge
 
 
 def two_quadrics_weight_coranks(dwork):

@@ -270,6 +270,32 @@ def test_transport_rejects_non_finite_entries(capsys, fermat_config, tmp_path,
     assert message in err and out == ""
 
 
+@pytest.mark.parametrize("entry", ["1e20000000", "1E-20000000", "2.5e+99999", "1e4301"])
+def test_transport_refuses_a_huge_exponent_before_expanding_it(
+        capsys, fermat_config, tmp_path, monkeypatch, entry):
+    """Fraction would build 10**20000000 before anything else; an exponent
+    is bounded by Python's int-string limit (4300) instead."""
+    import time
+
+    omega, bmat = _matrix_files(tmp_path, [[entry, "0"], ["0", "1"]], [[1, 0], [0, 1]])
+    _no_presentation(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "transport", fermat_config, "--omega", omega,
+                             "--base-change", bmat)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert f"bad matrix entry {entry!r}: exponent beyond 4300" in err
+
+
+def test_transport_accepts_an_exponent_within_the_limit(capsys, fermat_config, tmp_path):
+    omega, bmat = _matrix_files(tmp_path, [["1e3", "2.5e-1"], ["3", "4"]], [[1, 0], [0, 1]])
+    code, out, _ = run_cli(capsys, "--format", "json", "transport", fermat_config,
+                           "--omega", omega, "--base-change", bmat, "--order", "1")
+    assert code == EXIT_OK
+    assert json.loads(out)["orders"][0]["matrix"] == [["3/1", "4/1"], ["1000/1", "1/4"]]
+
+
 @pytest.mark.parametrize("flag", ["no", "false", 0, 1, None])
 def test_transport_integral_flag_must_be_boolean(capsys, fermat_config, tmp_path,
                                                  monkeypatch, flag):
@@ -447,6 +473,54 @@ def test_config_rejects_y_power_that_is_not_a_pair(capsys, fermat_config, value)
     assert code == EXIT_INPUT
     assert out == ""
     assert "config field yPower must be a list of two integers" in err
+
+
+@pytest.mark.parametrize("geometry, field, value", [
+    ("cubic", "h", "x0^7 + x1"),
+    ("cubic", "yPower", [1, 3]),
+    ("sextic", "yPower", [1, 3]),
+], ids=["cubic-h", "cubic-ypower", "sextic-ypower"])
+def test_config_override_the_charge_does_not_use(capsys, tmp_path, geometry, field, value):
+    """The cubic has c_G = 0 and uses neither h nor yPower; the sextic has
+    c_G = 3 > 0 and uses h only.  An unused override exits 2."""
+    degree = 3 if geometry == "cubic" else 6
+    path = tmp_path / f"{geometry}.json"
+    path.write_text(json.dumps({
+        "n": 2, "k": 1, "degrees": [degree],
+        "G": [f"x0^{degree} + x1^{degree} + x2^{degree}"],
+        "H": ["x0*x1*x2" if degree == 3 else "x0^2*x1^2*x2^2"],
+        field: value,
+    }))
+    code, out, err = run_cli(capsys, "deform", str(path), "--order", "1")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert ("h override" if field == "h" else "y power override") in err
+
+
+LONG_NUMERAL = "7" * 5000  # past Python's 4300-digit int-string limit
+
+
+@pytest.mark.parametrize("where", ["config", "omega", "polynomial", "undecodable"])
+def test_oversized_or_undecodable_input_exits_2(capsys, fermat_config, tmp_path, where):
+    """Reading a 5000-digit integer raises ValueError inside json and int;
+    each place that reads one reports it as an input error."""
+    omega, bmat = _matrix_files(tmp_path, [["1", "0"], ["0", "1"]], [[1, 0], [0, 1]])
+    if where == "config":
+        text = Path(fermat_config).read_text()
+        Path(fermat_config).write_text(text[:-1] + f', "seed": {LONG_NUMERAL}}}')
+        argv = ["basis", fermat_config]
+    elif where == "omega":
+        Path(omega).write_text(f"[[{LONG_NUMERAL}, 0], [0, 1]]")
+        argv = ["transport", fermat_config, "--omega", omega, "--base-change", bmat]
+    elif where == "polynomial":
+        argv = ["reduce", fermat_config, f"y1*x0^{LONG_NUMERAL}"]
+    else:
+        Path(fermat_config).write_bytes(b'{"n": 2, "k": 1, "degrees": [3], "G": ["\xff"]}')
+        argv = ["basis", fermat_config]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_output_file(capsys, fermat_config, tmp_path):

@@ -29,7 +29,12 @@ from dworkbox import (
 )
 from dworkbox.cohomology import PieceView, QuotientPresentation
 from dworkbox.verify import random_charge_element
-from tests.oracles import brute_force_piece, charge_witness_check, griffiths_hodge_numbers
+from tests.oracles import (
+    brute_force_piece,
+    charge_witness_check,
+    griffiths_hodge_numbers,
+    hirzebruch_hodge_numbers,
+)
 
 
 # -- enumeration oracle --------------------------------------------------------
@@ -188,6 +193,43 @@ def test_cubic_surface_presentation():
     assert P.dimension == 6
     assert P.hodge_numbers() == [0, 6, 0]
     assert P.hodge_numbers() == griffiths_hodge_numbers(ctx, G)
+
+
+def _diagonal_complete_intersection(n, degrees, order):
+    """G_l = sum_j (j+1)^l x_j^(d_l): smooth for the shapes tested here."""
+    ctx = VariableContext(n, len(degrees), degrees, order)
+    G = [parse(" + ".join(f"{(j + 1) ** l}*x{j}^{d}" for j in range(n + 1)), ctx)
+         for l, d in enumerate(degrees)]
+    return dwork_potential(ctx, G)
+
+
+@pytest.mark.parametrize("order", ["graded-lex", "grevlex"])
+@pytest.mark.parametrize("n, degrees", [(3, (2, 2)), (3, (2, 3)), (4, (2, 2))],
+                         ids=["two quadrics", "genus-4 curve", "quartic del Pezzo"])
+def test_hodge_numbers_match_hirzebruch_for_k2(n, degrees, order):
+    """k = 2 against the independent oracle.  (2,2,2) in P^5 is left out: it
+    takes about 3 s per order to build on a 2-core CPython 3.11 machine."""
+    P = build_presentation(_diagonal_complete_intersection(n, degrees, order))
+    assert P.hodge_numbers() == hirzebruch_hodge_numbers(n, degrees)
+
+
+@pytest.mark.parametrize("fixture", ["cubic_dwork", "fractional_cubic_dwork", "quartic_dwork",
+                                     "grevlex_k3_dwork", "quadrics_dwork"])
+def test_hodge_numbers_match_hirzebruch_on_the_fixtures(request, fixture):
+    D = request.getfixturevalue(fixture)
+    ctx = D.ctx
+    assert build_presentation(D).hodge_numbers() == hirzebruch_hodge_numbers(ctx.n, ctx.degrees)
+
+
+def test_hirzebruch_oracle_on_known_geometries():
+    """Values from the literature, on geometries too large to build here."""
+    assert hirzebruch_hodge_numbers(4, (5,)) == [1, 101, 101, 1]  # quintic threefold
+    assert hirzebruch_hodge_numbers(5, (2, 2, 2)) == [1, 19, 1]  # K3
+    assert hirzebruch_hodge_numbers(4, (2, 3)) == [1, 19, 1]  # K3
+    assert hirzebruch_hodge_numbers(5, (3, 3)) == [1, 73, 73, 1]  # Calabi-Yau threefold
+    assert hirzebruch_hodge_numbers(7, (2, 2, 2, 2)) == [1, 65, 65, 1]  # Calabi-Yau threefold
+    assert hirzebruch_hodge_numbers(6, (2, 2, 2)) == [0, 14, 14, 0]
+    assert hirzebruch_hodge_numbers(3, (2,)) == [0, 1, 0]  # quadric surface
 
 
 def test_singular_input_trips_guard():
@@ -388,6 +430,11 @@ TAMPERED_ROWS = {
     "bool and int entries": (_row_as({"6": True, "9": 1}), "malformed row"),
     "unreduced fraction entry": (_row_as({"6": "1", "9": "2/2"}), "malformed row"),
     "decimal entries": (_row_as({"6": "1.0", "9": "1e0"}), "malformed row"),
+    # Fraction would expand these to 20-million-digit numbers before comparing
+    "exponent entry": (_row_as({"6": "1", "9": "1e20000000"}), "malformed row"),
+    "exponent combo entry": (
+        _row_edit(lambda rows: rows[3]["combo"].update({"3": "-1e-20000000"})),
+        "malformed row"),
 }
 
 
@@ -400,6 +447,16 @@ def test_presentation_import_rejects_tampered_rows(cubic_presentation, case):
     edit(payload)
     with pytest.raises(InputError, match=message):
         QuotientPresentation.from_json(_json.dumps(payload))
+
+
+@pytest.mark.parametrize("case", ["exponent entry", "exponent combo entry"])
+def test_presentation_import_refuses_an_exponent_without_expanding_it(
+        cubic_presentation, case):
+    import time
+
+    start = time.perf_counter()
+    test_presentation_import_rejects_tampered_rows(cubic_presentation, case)
+    assert time.perf_counter() - start < 1.0
 
 
 def _truncated_with_extended_basis(payload):

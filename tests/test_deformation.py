@@ -803,3 +803,20 @@ def test_u_basis_rejects_malformed_h():
         u_basis(dd, P, PU, h=parse("y1*x0^2", ctx))  # y variable
     with pytest.raises(InputError):
         u_basis(dd, P, PU, h=parse("0", ctx))
+
+
+def test_u_basis_rejects_overrides_the_charge_does_not_use(hesse_setup):
+    """h enters only at nonzero background charge and y_choice only at
+    negative charge; an unused override is an error, not silently dropped."""
+    hesse, P, PU, _ = hesse_setup
+    ctx = P.dwork.ctx
+    with pytest.raises(InputError, match="h override"):
+        u_basis(hesse, P, PU, h=parse("x0^7 + x1", ctx))
+    with pytest.raises(InputError, match=r"y power override \(1, 3\)"):
+        u_basis(hesse, P, PU, y_choice=(1, 3))
+    ctx = VariableContext(2, 1, (5,))  # c_G = 2
+    D = dwork_potential(ctx, [parse("x0^5 + x1^5 + x2^5", ctx)])
+    dd = build_deformation(D, [parse("x0^5", ctx)])
+    P5 = build_presentation(D)
+    with pytest.raises(InputError, match=r"y power override \(1, 1\)"):
+        u_basis(dd, P5, build_presentation(dd.deformed), y_choice=(1, 1))

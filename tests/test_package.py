@@ -63,6 +63,13 @@ def test_src_imports_only_stdlib():
     assert not foreign
 
 
+def test_src_parses_as_python_3_10():
+    """pyproject.toml declares requires-python >= 3.10; newer syntax (such as
+    `except*`) would break that floor unnoticed."""
+    for path in sorted((ROOT / "src" / "dworkbox").glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
 def test_src_has_no_unused_imports():
     """Each name a module imports at module level (`__future__` aside) is
     read somewhere in that module, directly or as the base of an attribute;

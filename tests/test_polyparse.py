@@ -82,6 +82,30 @@ def test_syntax_errors_carry_position(ctx):
     assert "'$'" in str(info.value)
 
 
+def test_digits_are_decimal_digits(ctx):
+    """A superscript is not a digit and fails at its position; a decimal
+    digit of another script (Arabic-Indic two and three) is one."""
+    for text, column in [("x0^²", 4), ("x²", 1), ("3²*x0", 2)]:
+        with pytest.raises(ParseError) as info:
+            parse(text, ctx)
+        assert (info.value.line, info.value.column) == (1, column), text
+    assert parse("x٢ + ٣", ctx) == parse("x2 + 3", ctx)
+
+
+@pytest.mark.parametrize("template, column", [
+    ("{}", 1),
+    ("y1*x0^{}", 7),
+    ("x{}", 1),
+    ("1/{}", 3),
+], ids=["numeral", "exponent", "variable-index", "denominator"])
+def test_numeral_past_the_int_string_limit_is_a_syntax_error(ctx, template, column):
+    """Python refuses to read a decimal string over 4300 digits; the lexer
+    reports it at its token instead of raising ValueError."""
+    with pytest.raises(ParseError, match="5000 digits") as info:
+        parse("x0 +\n" + template.format("7" * 5000), ctx)
+    assert (info.value.line, info.value.column) == (2, column)
+
+
 def test_malformed_rational(ctx):
     with pytest.raises(ParseError):
         parse("1/0", ctx)
@@ -132,7 +156,8 @@ def test_render_is_canonical_and_idempotent(ctx):
 
 def test_parser_totality_fuzz(ctx):
     rng = random.Random(93)
-    alphabet = "xye0123456789+-*/^() .\n" + string.ascii_lowercase
+    # '²' is a digit to str.isdigit but not a decimal digit; '٣' is one
+    alphabet = "xye0123456789+-*/^() .\n\xa0²٣" + string.ascii_lowercase
     for _ in range(800):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24)))
         try:
