@@ -83,6 +83,8 @@ def _read_json(path: str, what: str):
         raise InputError(f"cannot read {what}: {exc}")
     except ValueError as exc:  # also bad UTF-8 and an integer past the int-string limit
         raise InputError(f"{what} is not valid JSON: {exc}")
+    except RecursionError:
+        raise InputError(f"{what} is nested too deeply to read") from None
 
 
 class JobConfig:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
-from operator import index
+from operator import index, le
 
 from .errors import InputError, InternalCheckError, SmoothnessError
 from .operators import DworkData, apply_delta, apply_q, dwork_potential
@@ -63,6 +63,7 @@ from .superalgebra import (
     SuperMonomial,
     VariableContext,
     _tuple_new,
+    monomial_sort_key,
     monomial_weight,
 )
 
@@ -418,13 +419,70 @@ class _WeightSolver(_Echelon):
         return ({target[pos]: c for pos, c in residual.items()},
                 {gens[g]: c for g, c in combo.items()}, scale)
 
+    def spans_like(self, D: DworkData, rows) -> bool:
+        """Whether `rows`, (pivot, R, C) with Fraction entries, are another
+        echelon of this Q image: their pivots are these pivots, each the
+        smallest position of its row, and R == sum_g C[g] * Q(gen_g)
+        exactly.  The last puts every R in the image, so each would
+        eliminate to zero against these rows.
+
+        Which generators an echelon inserts, and in what order, changes its
+        rows but not this verdict.
+        """
+        if sorted(pivot for pivot, _, _ in rows) != sorted(self.pivots):
+            return False
+        ngens = len(self.generators.monomials)
+        for pivot, row, combo in rows:
+            if min(row) != pivot or not all(0 <= g < ngens for g in combo):
+                return False
+            image: dict = {}
+            for g, c in combo.items():
+                vec, den = self.q_vector(D, g)
+                for pos, v in vec.items():
+                    image[pos] = image.get(pos, 0) + c * Fraction(v, den)
+            if {pos: v for pos, v in image.items() if v} != row:
+                return False
+        return True
+
 
 def _build_weight_solver(D: DworkData, charge: int, weight: int) -> _WeightSolver:
-    target = enumerate_piece(D.ctx, charge, weight, 0)
-    generators = enumerate_piece(D.ctx, charge, weight, -1)
+    """Echelonize the Q image of the (charge, weight) generators, skipping
+    the Koszul-redundant ones (the Koszul criterion of Faugère's F5, ISSAC
+    2002).
+
+    Write g_i = grad[i], so the row of the generator m * eta_j is g_j * m,
+    and L_i for the leading monomial of g_i under `monomial_sort_key`.  The
+    generator m * eta_j is skipped when L_i divides m for some i > j with
+    g_i nonzero.  Its row is in the span of the kept rows: with m = L_i * m'
+    and g_i = c * L_i + sum_t c_t * t,
+
+        c * g_j * m = g_i * (g_j * m') - sum_t c_t * g_j * (t * m').
+
+    The first term is a combination of rows of generators with eta index
+    i > j, and each other term is c_t times the row of t * m' * eta_j, whose
+    monomial is smaller than m because the order is multiplicative (in both
+    graded-lex and grevlex).  Each g_i is homogeneous in charge and weight,
+    so all these generators lie in the same piece.  Induction on j
+    downward, then on the monomial, puts every skipped row in the span.
+
+    So the kept rows span the whole image at every weight, and the pivot
+    set, an invariant of the row space, is that of the full echelon: the
+    basis, the Hodge numbers and the smoothness guard do not change.  Only
+    the rows and their combos, and with them the certificates, do.
+    """
+    ctx = D.ctx
+    target = enumerate_piece(ctx, charge, weight, 0)
+    generators = enumerate_piece(ctx, charge, weight, -1)
     solver = _WeightSolver(target, generators)
     full_rank = len(target.monomials)
-    for g_idx in range(len(generators.monomials)):
+    # leads[i] is L_i, or None where g_i is zero
+    leads = [max(g._num, key=lambda m: monomial_sort_key(ctx, m)).qexp if g._num else None
+             for g in D.grad]
+    for g_idx, gen in enumerate(generators.monomials):
+        # gen.eta is (j,) with j counted from 1, so leads[j:] are the i > j
+        if any(lead is not None and all(map(le, lead, gen.qexp))
+               for lead in leads[gen.eta[0]:]):
+            continue
         vec, den = solver.q_vector(D, g_idx)
         if not vec:
             continue
@@ -675,15 +733,18 @@ class QuotientPresentation:
         G, then check the file against it.
 
         `cG`, `basis` and `weightCounts` must match the rebuilt ones.  The
-        file may store any subset of the weights 0..n-k+1, and each weight
-        it stores must list every row of that echelon, in order, each equal
-        to the rebuilt row once its pivot entry is scaled to 1.
+        file may store any subset of the weights 0..n-k+1, and the rows of
+        each weight it stores must be an echelon of the rebuilt row space
+        (`_WeightSolver.spans_like`), in any order and scaled by any nonzero
+        pivot entry.  So a file written by an echelon that inserted other
+        generators, such as one before the Koszul criterion, still loads;
+        the presentation returned is always the rebuilt one.
         """
         from . import polyparse
 
         try:
             payload = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"presentation file is not JSON ({exc})") from None
         if not isinstance(payload, dict):
             raise InputError("presentation file: expected a JSON object, found "
@@ -725,7 +786,7 @@ class QuotientPresentation:
                 raise InputError(f"presentation file: weight {w!r} has no echelon")
             where = f"presentation file, weight {w}"
             rows = [_stored_row(where, rdata) for rdata in stored_rows]
-            if rows != list(solver.rational_rows()):
+            if not solver.spans_like(pres.dwork, rows):
                 raise InputError(f"{where}: rows differ from the rebuilt echelon")
         return pres
 

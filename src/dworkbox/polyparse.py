@@ -10,7 +10,8 @@ Grammar (whitespace between tokens is ignored):
     nat      := digit+
 
 A digit is a decimal digit ('²' is not one); a numeral past Python's
-int-string limit (4300 digits) is a ParseError at its token.
+int-string limit (4300 digits) is a ParseError at its token, and so is a
+'(' nested more than MAX_NESTING deep.
 x0..xn and y1..yk are the even variables; e1..eN name the odd variables,
 paired positionally with q_1..q_N (y's first, then x's).  Implicit
 multiplication is rejected: "2x0" is a syntax error.  An eta power above 1
@@ -80,11 +81,16 @@ def _tokenize(text: str):
     return tokens
 
 
+# each level of parentheses costs three stack frames (expr, term, factor)
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, ctx: VariableContext):
         self.ctx = ctx
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -135,8 +141,12 @@ class _Parser:
     def factor(self) -> SuperElement:
         tok = self.peek()
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING}")
             self.advance()
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             self.expect(")")
             return value
         if tok.kind == "nat":

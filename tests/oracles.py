@@ -287,6 +287,36 @@ class FractionEchelon:
         return scale
 
 
+def koszul_redundant(D):
+    """The predicate gen -> bool that is true for the weight-solver
+    generators gen = m * eta_j the Koszul criterion skips: those where the
+    leading monomial of some nonzero dS/dq_i with i > j divides m.
+
+    Re-derived here from the potential S and the definition of the orders
+    (y degree, then total degree, then the exponents read from y_1 in
+    graded-lex, or the last exponent smallest first in grevlex), so that it
+    shares no code with the library's criterion.
+    """
+    ctx = D.ctx
+
+    def key(q):
+        tie = q if ctx.order == "graded-lex" else tuple(-e for e in reversed(q))
+        return (sum(q[:ctx.k]), sum(q), tie)
+
+    leads = {}
+    for i in range(1, ctx.nvars + 1):
+        terms = partial_q(i, D.S).terms
+        if terms:
+            leads[i] = max((mono.qexp for mono in terms), key=key)
+
+    def redundant(gen):
+        (j,) = gen.eta
+        return any(all(a <= b for a, b in zip(lead, gen.qexp))
+                   for i, lead in leads.items() if i > j)
+
+    return redundant
+
+
 # -- Fraction reference for the super-algebra kernel --------------------------
 # Elements are plain dicts SuperMonomial -> Fraction without zero values; the
 # Koszul sign counts inversions directly instead of merging the eta tuples.

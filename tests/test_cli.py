@@ -523,6 +523,41 @@ def test_oversized_or_undecodable_input_exits_2(capsys, fermat_config, tmp_path,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where", ["config", "omega", "base change", "polynomial"])
+def test_deep_nesting_exits_2(capsys, fermat_config, tmp_path, where):
+    """100,000 nested '[' in a JSON file and 2,000 nested parentheses in a
+    polynomial overflow the stack of a recursive reader; each is an input
+    error, the polynomial one at the column of the first '(' too deep."""
+    omega, bmat = _matrix_files(tmp_path, [["1", "0"], ["0", "1"]], [[1, 0], [0, 1]])
+    deep = "[" * 100_000 + "]" * 100_000
+    transport = ["transport", fermat_config, "--omega", omega, "--base-change", bmat]
+    if where == "config":
+        Path(fermat_config).write_text(deep)
+        argv = ["basis", fermat_config]
+    elif where == "omega":
+        Path(omega).write_text(deep)
+        argv = transport
+    elif where == "base change":
+        Path(bmat).write_text(deep)
+        argv = transport
+    else:
+        argv = ["reduce", fermat_config, "(" * 2000 + "y1*x0^3" + ")" * 2000]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if where == "polynomial":
+        assert "nested deeper than 100 (line 1, column 101)" in err
+    else:
+        assert "nested too deeply" in err
+
+
+def test_fifty_nested_parentheses_still_parse(capsys, fermat_config):
+    code, out, _ = run_cli(capsys, "reduce", fermat_config, "(" * 50 + "y1*x0^3" + ")" * 50)
+    assert code == EXIT_OK
+    assert out.startswith("input: y1*x0^3\n")
+
+
 def test_output_file(capsys, fermat_config, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "--format", "json", "--out", str(target),

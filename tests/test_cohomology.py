@@ -204,11 +204,12 @@ def _diagonal_complete_intersection(n, degrees, order):
 
 
 @pytest.mark.parametrize("order", ["graded-lex", "grevlex"])
-@pytest.mark.parametrize("n, degrees", [(3, (2, 2)), (3, (2, 3)), (4, (2, 2))],
-                         ids=["two quadrics", "genus-4 curve", "quartic del Pezzo"])
+@pytest.mark.parametrize("n, degrees", [(3, (2, 2)), (3, (2, 3)), (4, (2, 2)), (4, (2, 3)),
+                                        (5, (2, 2, 2))],
+                         ids=["two quadrics", "genus-4 curve", "quartic del Pezzo",
+                              "(2,3) K3", "(2,2,2) K3"])
 def test_hodge_numbers_match_hirzebruch_for_k2(n, degrees, order):
-    """k = 2 against the independent oracle.  (2,2,2) in P^5 is left out: it
-    takes about 3 s per order to build on a 2-core CPython 3.11 machine."""
+    """k = 2, and the K3 of three quadrics, against the independent oracle."""
     P = build_presentation(_diagonal_complete_intersection(n, degrees, order))
     assert P.hodge_numbers() == hirzebruch_hodge_numbers(n, degrees)
 
@@ -424,6 +425,12 @@ TAMPERED_ROWS = {
                         "malformed row"),
     "truncated echelon": (_row_edit(lambda rows: rows.pop(3)),
                           "rows differ from the rebuilt echelon"),
+    # row 3 plus row 0 {0: 1, 6: 1, 9: 1} with both combos: in the row space
+    # and consistent, but its leading position 0 is not its stored pivot 6
+    "pivot not the leading position": (
+        _row_edit(lambda rows: rows[3].update({"row": {"0": "1", "6": "2", "9": "2"},
+                                               "combo": {"0": "2", "3": "-1/3"}})),
+        "rows differ from the rebuilt echelon"),
     # each of these still reads as {6: 1, 9: 1} when parsed leniently
     "signed and padded positions": (_row_as({"+6": "1", " 9 ": "1"}), "malformed row"),
     "underscored position": (_row_as({"0_6": "1", "9": "1"}), "malformed row"),
@@ -520,6 +527,7 @@ STRUCTURAL_FAULTS = {
     "basis entry without eta": (_edited(lambda p: p["basis"][0].pop("eta")),
                                 "KeyError\\('eta'\\)"),
     "not JSON": (lambda text: text[:40], "not JSON"),
+    "nested too deeply": (lambda text: "[" * 100_000 + "]" * 100_000, "not JSON"),
     "float degree": (_edited(lambda p: p["context"].update(degrees=[3.7])),
                      "degrees must be integers, got .*degrees=\\[3.7\\]"),
     "bool n": (_edited(lambda p: p["context"].update(n=True)),
@@ -590,6 +598,28 @@ def test_presentation_import_normalizes_a_scaled_row(cubic_presentation):
     payload = _json.loads(text)
     _row_edit(lambda rows: rows[3].update(
         {"row": {"6": "-2", "9": "-2"}, "combo": {"0": "-2", "3": "2/3"}}))(payload)
+    assert QuotientPresentation.from_json(_json.dumps(payload)).to_json() == text
+
+
+def test_presentation_import_reads_rows_by_row_space(cubic_presentation):
+    """Stored rows may come in another order, and a row may carry a multiple
+    of a later row (with its combo), as long as they are an echelon of the
+    same Q image."""
+    import json as _json
+
+    text = cubic_presentation.to_json()
+    payload = _json.loads(text)
+    rows = payload["solvers"][1]["rows"]
+    rows.reverse()
+    first = {pos: Fraction(c) for pos, c in rows[-1]["row"].items()}
+    combo = {g: Fraction(c) for g, c in rows[-1]["combo"].items()}
+    later = rows[0]
+    assert int(later["pivot"]) > int(rows[-1]["pivot"])
+    for part, extra in ((first, later["row"]), (combo, later["combo"])):
+        for key, c in extra.items():
+            part[key] = part.get(key, 0) + 2 * Fraction(c)
+    rows[-1]["row"] = {pos: str(c) for pos, c in first.items() if c}
+    rows[-1]["combo"] = {g: str(c) for g, c in combo.items() if c}
     assert QuotientPresentation.from_json(_json.dumps(payload)).to_json() == text
 
 

@@ -18,7 +18,7 @@ from dworkbox import BaseChange, InputError, InternalCheckError, SuperElement, a
 from dworkbox import cohomology
 from dworkbox.cohomology import _build_weight_solver, _Echelon, _WeightSolver, enumerate_piece
 from dworkbox.deformation import _determinant
-from tests.oracles import FractionEchelon, as_fractions, dense_rank
+from tests.oracles import FractionEchelon, as_fractions, dense_rank, koszul_redundant
 
 
 def random_rows(rng, nrows, ncols, density=0.4, bits=None):
@@ -143,15 +143,18 @@ def test_matches_fraction_echelon_on_random_rows(seed, bits, content_bits, monke
 def weight_solvers(D):
     """The charge-c_G weight solvers of D at weights 0..n-k+2, each also
     rebuilt by a fresh library echelon and by the Fraction echelon from the
-    same Q images in the same order; yields them with the insert values of
-    both."""
+    Q images of the generators the oracle's Koszul criterion keeps, in the
+    same order; yields them with the insert values of both."""
     c_G = D.ctx.background_charge()
+    redundant = koszul_redundant(D)
     for weight in range(D.ctx.n - D.ctx.k + 3):
         built = _build_weight_solver(D, c_G, weight)
         fresh = _WeightSolver(built.target, built.generators)
         oracle = FractionEchelon()
         values = []
-        for g_idx in range(len(built.generators.monomials)):
+        for g_idx, gen in enumerate(built.generators.monomials):
+            if redundant(gen):
+                continue
             vec, = as_fractions(*fresh.q_vector(D, g_idx))
             if not vec:
                 continue
@@ -165,9 +168,10 @@ def weight_solvers(D):
 @pytest.mark.parametrize("geometry", ["cubic_dwork", "quadrics_dwork", "quartic_dwork",
                                       "fractional cubic", "grevlex K3"])
 def test_matches_fraction_echelon_on_weight_solvers(geometry, request):
-    """The build inserts den * Q(gen) under combo {g_idx: den}; the rows and
-    combos are those of the Fraction echelon fed Q(gen) under {g_idx: 1},
-    also for a gradient with denominators up to 6."""
+    """The build inserts den * Q(gen) under combo {g_idx: den} for each
+    generator the Koszul criterion keeps; the rows and combos are those of
+    the Fraction echelon fed Q(gen) under {g_idx: 1} for the generators the
+    oracle's criterion keeps, also for a gradient with denominators up to 6."""
     D = request.getfixturevalue({"fractional cubic": "fractional_cubic_dwork",
                                  "grevlex K3": "grevlex_k3_dwork"}.get(geometry, geometry))
     rng = random.Random(geometry)

@@ -9,6 +9,10 @@ a transported matrix or the presentation JSON shows up here.  To rewrite
 them after an intended report change:
 
     python -c "from tests.test_golden import write_goldens; write_goldens()"
+
+`presentation-cubic_curve-full-echelon.json` is the cubic export from before
+the build skipped Koszul-redundant generators, when every generator was
+inserted; `write_goldens` leaves it alone, and it must keep loading.
 """
 
 import json
@@ -113,3 +117,17 @@ def test_cli_report_is_byte_identical(command, geometry, fmt, tmp_path):
 def test_presentation_json_is_byte_identical():
     expected = (GOLDEN / "presentation-cubic_curve.json").read_text(encoding="utf-8")
     assert render_cubic_presentation() == expected
+
+
+def test_presentation_file_of_the_full_echelon_still_loads():
+    """presentation-cubic_curve-full-echelon.json holds the rows of the echelon
+    of every generator, as written before the build skipped the Koszul-redundant
+    ones; it loads by row space and gives a fresh build's basis and export."""
+    from dworkbox import QuotientPresentation
+
+    older = (GOLDEN / "presentation-cubic_curve-full-echelon.json").read_text(encoding="utf-8")
+    fresh = render_cubic_presentation()
+    assert json.loads(older)["solvers"] != json.loads(fresh)["solvers"]
+    loaded = QuotientPresentation.from_json(older)
+    assert loaded.basis == QuotientPresentation.from_json(fresh).basis
+    assert loaded.to_json() == fresh

@@ -17,7 +17,7 @@ from dworkbox.cohomology import _build_weight_solver, enumerate_piece
 from dworkbox.deformation import build_deformation, d_ladder, u_basis
 from dworkbox.errors import SmoothnessError
 from dworkbox.verify import random_charge_element
-from tests.oracles import EchelonReduction
+from tests.oracles import EchelonReduction, FractionEchelon, as_fractions, koszul_redundant
 
 # (n, k, degrees, G, H): H gives Gamma = sum y_i H_i for the known chains
 GEOMETRIES = {
@@ -152,3 +152,59 @@ def test_guard_on_one_weight_agrees_with_two(name):
         assert str(exc) == expected
     else:
         assert expected is None
+
+
+# the geometry set, the grevlex K3, the (2,3) K3 in P^4 in grevlex and the
+# inputs of the guard test, singular ones included: (n, k, degrees, G, order)
+KOSZUL_INPUTS = {
+    **{name: (n, k, degrees, G, "graded-lex") for name, (n, k, degrees, G, _)
+       in GEOMETRIES.items()},
+    "grevlex_k3": (3, 1, (4,), ["x0^4 + x1^4 + x2^4 + x3^4"], "grevlex"),
+    "k3_2_3_grevlex": (4, 2, (2, 3), ["x0^2 + x1^2 + x2^2 + x3^2 + x4^2",
+                                      "x0^3 + 2*x1^3 + 3*x2^3 + 4*x3^3 + 5*x4^3"],
+                       "grevlex"),
+    **{name: (*spec, "graded-lex") for name, spec in GUARD_INPUTS.items()
+       if name not in GEOMETRIES},
+}
+
+
+@pytest.mark.parametrize("name", list(KOSZUL_INPUTS))
+def test_koszul_pruned_echelon_spans_the_full_image(name):
+    """At every weight 0..n-k+1 the build's echelon, which skips the
+    Koszul-redundant generators, spans the Q image of every generator.
+
+    The criterion is the oracle's own: each generator it calls redundant is
+    absent from every combo, and its Q image eliminates to zero residual.
+    The pivots equal those of the Fraction echelon of every generator, fed
+    the kept ones first (the pivot set does not depend on the order; the
+    natural order takes over a minute on the (2,3) K3 on 2 cores).  A
+    singular input raises the SmoothnessError whose count the full echelon
+    gives."""
+    n, k, degrees, G, order = KOSZUL_INPUTS[name]
+    ctx = VariableContext(n, k, degrees, order)
+    D = dwork_potential(ctx, [parse(g, ctx) for g in G])
+    is_redundant = koszul_redundant(D)
+    skipped_somewhere = False
+    for w in range(n - k + 2):
+        pruned = _build_weight_solver(D, ctx.background_charge(), w)
+        used = {g for _, _, combo in pruned.rows for g in combo}
+        gens = pruned.generators.monomials
+        redundant = {g for g, gen in enumerate(gens) if is_redundant(gen)}
+        assert not used & redundant
+        skipped_somewhere = skipped_somewhere or bool(redundant)
+        for g in redundant:
+            assert not pruned.eliminate(pruned.q_vector(D, g)[0])[0]
+        full = FractionEchelon()
+        for g in sorted(range(len(gens)), key=lambda g: g in redundant):
+            full.insert(as_fractions(*pruned.q_vector(D, g))[0], {g: 1})
+            if len(full.rows) == len(pruned.target.monomials):
+                break  # no later generator can add a pivot
+        assert sorted(pruned.pivots) == sorted(full.pivots)
+        leftover = len(pruned.target.monomials) - len(full.pivots)
+    assert skipped_somewhere
+    try:
+        build_presentation(D)
+    except SmoothnessError as exc:
+        assert f": {leftover} unreduced monomials" in str(exc)
+    else:
+        assert leftover == 0
