@@ -63,6 +63,7 @@ from .superalgebra import (
     SuperMonomial,
     VariableContext,
     _tuple_new,
+    monomial_charge,
     monomial_sort_key,
     monomial_weight,
 )
@@ -145,11 +146,13 @@ class PieceView(Sequence):
         self.ctx = ctx
         groups: dict = {}
         size = -eta_degree
+        zeros = (0,) * ctx.nvars
         for eta in combinations(range(1, ctx.nvars + 1), size) if size >= 0 else ():
-            wt_q = weight - sum(ctx.weight_of_eta(mu) for mu in eta)
+            bare = SuperMonomial(zeros, eta)
+            wt_q = weight - monomial_weight(ctx, bare)
             if wt_q < 0:
                 continue  # _compositions(wt_q, 1) would still yield (wt_q,)
-            ch_q = charge - sum(ctx.charge_of_eta(mu) for mu in eta)
+            ch_q = charge - monomial_charge(ctx, bare)
             # y-exponents carry all the q-weight; x-degree is then forced
             # by the charge equation -sum d_i v_i + |u| = charge - ch_eta.
             for v in _compositions(wt_q, ctx.k):
@@ -632,14 +635,10 @@ class QuotientPresentation:
         """
         residual, preimage, scale = self._solvers[w].solve(part)
         den *= scale
-        # residual lives on complement monomials: basis coefficients here
+        # the residual lives on complement monomials, which are the basis at
+        # w <= n - k; at n - k + 1 the guard in __init__ left none
         for mono, c in residual.items():
-            idx = self.basis_index.get(mono)
-            if idx is None:
-                raise SmoothnessError(
-                    f"nonzero class of weight {w} outside the recorded basis; "
-                    "singular or non-complete-intersection input")
-            coeffs[idx] += Fraction(c, den)
+            coeffs[self.basis_index[mono]] += Fraction(c, den)
         return SuperElement._make(self.dwork.ctx, preimage, den)
 
     def _lift(self, part: dict, den: int) -> SuperElement:
@@ -686,11 +685,7 @@ class QuotientPresentation:
         if pre is None:
             top = self.dwork.ctx.n - self.dwork.ctx.k
             residual, preimage, den = self._solvers[top + 1].solve({m0: 1})
-            if residual:
-                raise SmoothnessError(
-                    f"quotient fails to close at weight {top + 1}: "
-                    "nonzero class above the recorded basis; "
-                    "singular or non-complete-intersection input")
+            assert not residual, "weight top + 1 passed the guard but left a class"
             pre = self._lifts[m0] = (preimage, den)
         return pre
 
@@ -837,12 +832,8 @@ def charge_generator(D: DworkData) -> SuperElement:
     ctx = D.ctx
     terms = {}
     for mu in range(1, ctx.nvars + 1):
-        ch = ctx.charge_of_var(mu)
-        if ch == 0:
-            continue
-        qexp = [0] * ctx.nvars
-        qexp[mu - 1] = 1
-        terms[SuperMonomial(tuple(qexp), (mu,))] = Fraction(ch)
+        qexp = tuple(int(nu == mu) for nu in range(1, ctx.nvars + 1))
+        terms[SuperMonomial(qexp, (mu,))] = monomial_charge(ctx, SuperMonomial(qexp))
     return SuperElement(ctx, terms)
 
 

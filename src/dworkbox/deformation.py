@@ -123,15 +123,17 @@ class UBasis:
     The first ``len(prime_indices)`` entries are the classes built from the
     nonzero H_i; ``prime_indices`` records their (1-based) positions in the
     basis order, i.e. I' viewed inside I, and is always (1, ..., |I'|):
-    `t_series` relies on the I' classes coming first.  For negative
-    background charge the construction multiplies by y_j^m h; the choice
-    made is recorded.
+    `t_series` relies on the I' classes coming first.  Each leading class
+    is y_i H_i times ``prefactor``: 1 at background charge 0, h at positive
+    charge and h y_j^m at negative charge; the choices of h and (j, m) are
+    recorded too.
     """
 
     elements: tuple
     prime_indices: tuple
     h_factor: Optional[SuperElement]
     y_choice: Optional[tuple]  # (j, m) for negative background charge
+    prefactor: SuperElement
 
 
 def _smallest_x_monomial(ctx: VariableContext, degree: int) -> SuperElement:
@@ -199,14 +201,14 @@ def u_basis(def_data: DeformationData, pres_G: QuotientPresentation,
             f"need strictly more basis classes than deformed equations "
             f"(|I| = {dim} <= |I'| = {ell})")
 
-    factor = SuperElement.one(ctx)
+    prefactor = SuperElement.one(ctx)
     picked_y = None
     if c_G > 0:
         if h is None:
             h = _smallest_x_monomial(ctx, c_G)
         else:
             _check_h_factor(ctx, h, c_G)
-        factor = h
+        prefactor = h
     elif c_G < 0:
         if y_choice is None:
             y_choice = _pick_y_power(ctx, c_G)
@@ -220,12 +222,12 @@ def u_basis(def_data: DeformationData, pres_G: QuotientPresentation,
             h = _smallest_x_monomial(ctx, hdeg)
         else:
             _check_h_factor(ctx, h, hdeg)
-        factor = h * SuperElement.variable(ctx, j) ** m
+        prefactor = h * SuperElement.variable(ctx, j) ** m
         picked_y = (j, m)
 
     leaders = []
     for i in def_data.nonzero_indices:
-        u = SuperElement.variable(ctx, i) * def_data.H[i - 1] * factor
+        u = SuperElement.variable(ctx, i) * def_data.H[i - 1] * prefactor
         if u.homogeneous_charge() != c_G:
             raise InternalCheckError("u class misses the background charge")
         leaders.append(u)
@@ -251,7 +253,7 @@ def u_basis(def_data: DeformationData, pres_G: QuotientPresentation,
             elements.append(candidate)
     if len(elements) != dim:
         raise InternalCheckError("failed to complete the deformed basis")
-    return UBasis(tuple(elements), tuple(range(1, ell + 1)), h, picked_y)
+    return UBasis(tuple(elements), tuple(range(1, ell + 1)), h, picked_y, prefactor)
 
 
 # -- the T series -------------------------------------------------------------
@@ -296,8 +298,9 @@ def t_series(def_data: DeformationData, pres_G: QuotientPresentation,
 
     Background charge 0:  sum_rho T^rho(t) e_rho + K(Lambda(t)) = e^{sum t^a u_a} - 1.
     Nonzero background charge: the exponential only carries the deformation
-    classes y_i H_i and the prefactor (h + sum_{b outside I'} t^b u_b) or its
-    y_j^m-twisted variant supplies the charge.
+    classes y_i H_i, and (p + sum_{b outside I'} t^b u_b) supplies the
+    charge, with p the factor `u_basis` used: h, or h y_j^m at negative
+    charge.
 
     Every t-coefficient of the right side is reduced through the undeformed
     presentation; coefficients land in T, certificates in Lambda.
@@ -320,7 +323,7 @@ def t_series(def_data: DeformationData, pres_G: QuotientPresentation,
                     _record(pres_G, coefficients, certificates, expo, value)
     else:
         # exponential part: only the I' variables appear in the exponent, and
-        # the prefactor (h + sum_{b outside I'} t^b u_b) supplies the charge,
+        # (p + sum_{b outside I'} t^b u_b) supplies the charge,
         # so an admissible exponent is an I' exponent, alone or plus one e_b.
         # The I' classes come first in the u basis (see UBasis), so each
         # exponent is the I' part followed by the part outside I'.
@@ -328,9 +331,6 @@ def t_series(def_data: DeformationData, pres_G: QuotientPresentation,
         if prime != tuple(range(1, ell + 1)):
             raise InputError(f"u basis must list the {ell} deformation classes "
                              f"first, got prime indices {prime}")
-        prefactor_const = (basis_u.h_factor if c_G > 0
-                           else basis_u.h_factor * SuperElement.variable(
-                               ctx, basis_u.y_choice[0]) ** basis_u.y_choice[1])
         gamma_parts = [SuperElement.variable(ctx, i) * def_data.H[i - 1]
                        for i in def_data.nonzero_indices]
         zeros = (0,) * (dim - ell)
@@ -339,7 +339,7 @@ def t_series(def_data: DeformationData, pres_G: QuotientPresentation,
         for _, level in _scaled_products(ctx, gamma_parts, order):
             for inner, value in level.items():
                 _record(pres_G, coefficients, certificates, inner + zeros,
-                        prefactor_const * value)
+                        basis_u.prefactor * value)
             for inner, value in previous.items():
                 for b, unit in enumerate(units, start=ell):
                     _record(pres_G, coefficients, certificates, inner + unit,

@@ -16,11 +16,14 @@ form is unique, so equality of elements is equality of (denominator, dict).
 The product and derivative kernels run on these ints; coefficients surface as
 exact Fractions only through ``terms`` and ``coefficient``.
 
-Three gradings:
+Three gradings, additive over the factors of a monomial:
 
   charge:  ch(y_i) = -d_i,  ch(x_j) = 1,   ch(eta_mu) = -ch(q_mu)
   weight:  wt(y_i) = 1,     wt(x_j) = 0,   wt(eta_mu) = 1 - wt(q_mu)
   degree:  cohomological; each eta contributes -1, so deg = -s in [-N, 0]
+
+`monomial_charge` and `monomial_weight` are the only definitions of the
+first two; everything else grades through them.
 """
 
 from __future__ import annotations
@@ -80,23 +83,6 @@ class VariableContext:
         """Total number of even variables N = n + k + 1."""
         return self.n + self.k + 1
 
-    def charge_of_var(self, mu: int) -> int:
-        """Charge of q_mu (1-based index)."""
-        self._check_index(mu)
-        if mu <= self.k:
-            return -self.degrees[mu - 1]
-        return 1
-
-    def weight_of_var(self, mu: int) -> int:
-        self._check_index(mu)
-        return 1 if mu <= self.k else 0
-
-    def charge_of_eta(self, mu: int) -> int:
-        return -self.charge_of_var(mu)
-
-    def weight_of_eta(self, mu: int) -> int:
-        return 1 - self.weight_of_var(mu)
-
     def var_name(self, mu: int) -> str:
         self._check_index(mu)
         if mu <= self.k:
@@ -146,20 +132,21 @@ def make_monomial(ctx: VariableContext, qexp: Iterable[int], eta: Iterable[int] 
 
 
 def monomial_charge(ctx: VariableContext, m: SuperMonomial) -> int:
-    ch = 0
-    for mu, e in enumerate(m.qexp, start=1):
-        if e:
-            ch += e * ctx.charge_of_var(mu)
+    """ch(y^v x^u eta_S) = |u| - sum_i d_i v_i + sum_{mu in S, mu <= k} d_mu
+    - #{mu in S : mu > k}; the one definition of the charge."""
+    k, degrees = ctx.k, ctx.degrees
+    # map stops after the k degrees, so it pairs d_i with v_i only
+    ch = sum(m.qexp[k:]) - sum(map(operator.mul, degrees, m.qexp))
     for mu in m.eta:
-        ch += ctx.charge_of_eta(mu)
+        ch += degrees[mu - 1] if mu <= k else -1
     return ch
 
 
 def monomial_weight(ctx: VariableContext, m: SuperMonomial) -> int:
-    w = sum(m.qexp[i] for i in range(ctx.k))
-    for mu in m.eta:
-        w += ctx.weight_of_eta(mu)
-    return w
+    """wt(y^v x^u eta_S) = |v| + #{mu in S : mu > k}; the one definition of
+    the weight."""
+    k = ctx.k
+    return sum(m.qexp[:k]) + sum(mu > k for mu in m.eta)
 
 
 def monomial_sort_key(ctx: VariableContext, m: SuperMonomial):
@@ -270,9 +257,6 @@ class SuperElement:
 
     def charges(self) -> set:
         return {monomial_charge(self.ctx, m) for m in self._num}
-
-    def weights(self) -> set:
-        return {monomial_weight(self.ctx, m) for m in self._num}
 
     def degrees(self) -> set:
         return {m.degree() for m in self._num}

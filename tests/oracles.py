@@ -20,7 +20,7 @@ from dworkbox.cohomology import (
     enumerate_piece,
 )
 from dworkbox.errors import SmoothnessError
-from dworkbox.superalgebra import monomial_charge, monomial_weight, partial_q
+from dworkbox.superalgebra import monomial_weight, partial_q
 
 
 def poly_mul(a, b):
@@ -193,8 +193,32 @@ def two_quadrics_weight_coranks(dwork):
     return [1, corank1]
 
 
+def var_charge(ctx, mu):
+    """ch(q_mu), 1-based: -d_mu for y_mu (mu <= k), 1 for an x."""
+    return -ctx.degrees[mu - 1] if mu <= ctx.k else 1
+
+
+def var_weight(ctx, mu):
+    """wt(q_mu), 1-based: 1 for a y, 0 for an x."""
+    return 1 if mu <= ctx.k else 0
+
+
+def table_charge(ctx, mono):
+    """Charge summed factor by factor from the per-variable table of the
+    superalgebra module docstring, with ch(eta_mu) = -ch(q_mu)."""
+    return (sum(e * var_charge(ctx, mu) for mu, e in enumerate(mono.qexp, start=1))
+            - sum(var_charge(ctx, mu) for mu in mono.eta))
+
+
+def table_weight(ctx, mono):
+    """Weight summed factor by factor, with wt(eta_mu) = 1 - wt(q_mu)."""
+    return (sum(e * var_weight(ctx, mu) for mu, e in enumerate(mono.qexp, start=1))
+            + sum(1 - var_weight(ctx, mu) for mu in mono.eta))
+
+
 def brute_force_piece(ctx, charge, weight, eta_degree, exp_bound=12):
-    """Enumerate a graded piece by scanning a bounded exponent box."""
+    """Enumerate a graded piece by scanning a bounded exponent box, graded
+    by the per-variable table."""
     found = set()
     size = -eta_degree
     if size < 0 or size > ctx.nvars:
@@ -203,8 +227,8 @@ def brute_force_piece(ctx, charge, weight, eta_degree, exp_bound=12):
         for v in itertools.product(range(0, weight + 1), repeat=ctx.k):
             for u in itertools.product(range(0, exp_bound + 1), repeat=ctx.n + 1):
                 mono = SuperMonomial(tuple(v) + tuple(u), eta)
-                if monomial_charge(ctx, mono) == charge and \
-                        monomial_weight(ctx, mono) == weight:
+                if table_charge(ctx, mono) == charge and \
+                        table_weight(ctx, mono) == weight:
                     found.add(mono)
     return found
 

@@ -200,6 +200,27 @@ def test_u_basis_negative_charge_cubic_surface():
     assert len(basis_u.elements) == 6
 
 
+@pytest.mark.parametrize("n,degree,H,h,prefactor", [
+    (2, 3, "x0*x1*x2", None, "1"),
+    (2, 6, "x0^2*x1^2*x2^2", None, "x2^3"),
+    (3, 3, "x0*x1*x2", "x2^2", "y1*x2^2"),
+], ids=["cubic c_G=0", "sextic c_G=3", "cubic surface c_G=-1"])
+def test_leading_classes_carry_the_recorded_prefactor(n, degree, H, h, prefactor):
+    """`t_series` multiplies by `UBasis.prefactor`; it is the factor every
+    leading class y_i H_i was built with."""
+    ctx = VariableContext(n, 1, (degree,))
+    G = " + ".join(f"x{i}^{degree}" for i in range(n + 1))
+    D = dwork_potential(ctx, [parse(G, ctx)])
+    P = build_presentation(D)
+    dd = build_deformation(D, [parse(H, ctx)])
+    h_elt = parse(h, ctx) if h is not None else None
+    basis_u = u_basis(dd, P, build_presentation(dd.deformed), h=h_elt)
+    assert basis_u.prefactor == parse(prefactor, ctx)
+    for a, i in enumerate(dd.nonzero_indices):
+        assert basis_u.elements[a] == \
+            SuperElement.variable(ctx, i) * dd.H[i - 1] * basis_u.prefactor
+
+
 @pytest.mark.parametrize("order", ["graded-lex", "grevlex"])
 @pytest.mark.parametrize("shape", [(2, 1, (3,)), (3, 2, (2, 2)), (4, 1, (3,))],
                          ids=["cubic", "two_quadrics", "cubic_threefold"])

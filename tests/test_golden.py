@@ -4,9 +4,12 @@ Each case runs one CLI command in process and compares its report, byte for
 byte, with a file under tests/golden/.  The files were written by the code
 before the elimination and enumeration rewrites, and the quintic-curve ones
 (positive background charge) before transport switched to the direct
-D-ladder route, so any change in a basis, a series coefficient, a D ladder,
-a transported matrix or the presentation JSON shows up here.  To rewrite
-them after an intended report change:
+D-ladder route; the cubic-surface ones (negative background charge), the
+cubic `reduce` and the cubic `verify` were written before the charge and
+weight gradings moved into `monomial_charge` and `monomial_weight`.  So
+any change in a basis, a series coefficient, a D ladder, a reduction
+certificate, a verify verdict, a transported matrix or the presentation
+JSON shows up here.  To rewrite them after an intended report change:
 
     python -c "from tests.test_golden import write_goldens; write_goldens()"
 
@@ -37,8 +40,13 @@ GEOMETRIES = {
     "quintic_curve": {
         "n": 2, "k": 1, "degrees": [5],
         "G": ["x0^5 + x1^5 + x2^5"], "H": ["x0^2*x1^2*x2"]},
+    # negative background charge c_G = -1: u basis built with h * y1
+    "cubic_surface": {
+        "n": 3, "k": 1, "degrees": [3],
+        "G": ["x0^3 + x1^3 + x2^3 + x3^3"], "H": ["x0*x1*x2"], "h": "x2^2"},
 }
-DIMENSIONS = {"cubic_curve": 2, "two_quadrics": 2, "quintic_curve": 12}
+DIMENSIONS = {"cubic_curve": 2, "two_quadrics": 2, "quintic_curve": 12,
+              "cubic_surface": 6}
 # exact and decimal period entries; unimodular base changes of determinant -1
 # whose elimination needs a row swap
 OMEGA = [["3/7", "-2"], ["0.25", "5/3"]]
@@ -60,11 +68,17 @@ COMMANDS = {
     "basis": [],
     "deform": ["--order", "3"],
     "transport": ["--order", "3", "--omega", "{omega}", "--base-change", "{base}"],
+    # run on the cubic only: a certificate through the lift and the echelon,
+    # and seeded draws through the piece views and the grading checks
+    "reduce": ["y1^3*x0^3*x1^3*x2^3 + y1*x0*x1*x2"],
+    "verify": ["--seed", "2", "--iterations", "20"],
 }
+CUBIC_ONLY = ("reduce", "verify")
 
 CASES = [(command, geometry, fmt)
          for geometry in GEOMETRIES
          for command in COMMANDS
+         if geometry == "cubic_curve" or command not in CUBIC_ONLY
          for fmt in ("text", "json")]
 
 

@@ -165,9 +165,9 @@ def test_delta_weight_drop(cubic_dwork):
         a = random_element(ctx, rng)
         for _, w, _, part in grade(a):
             image = apply_delta(part)
-            assert image.weights() <= {w - 1}
+            assert {wt for _, wt, _, _ in grade(image)} <= {w - 1}
             q_image = apply_q(cubic_dwork, part)
-            assert q_image.weights() <= {w}
+            assert {wt for _, wt, _, _ in grade(q_image)} <= {w}
 
 
 # -- the bracket ----------------------------------------------------------------

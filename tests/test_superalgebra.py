@@ -7,6 +7,7 @@ adjacent transpositions, counting swaps.
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -35,6 +36,8 @@ from tests.oracles import (
     frac_mul,
     frac_partial_eta,
     frac_partial_q,
+    table_charge,
+    table_weight,
 )
 
 
@@ -197,6 +200,22 @@ def test_monomial_gradings(ctx):
     assert monomial_charge(ctx, m) == -3
     assert monomial_weight(ctx, m) == 3
     assert m.degree() == -2
+
+
+@pytest.mark.parametrize("n,k,degrees,bound", [
+    (2, 1, (3,), 2), (3, 2, (2, 3), 2), (2, 2, (1, 2), 2), (4, 3, (1, 2, 3), 1)])
+def test_gradings_match_the_per_variable_table(n, k, degrees, bound):
+    """monomial_charge and monomial_weight against the docstring's table,
+    summed factor by factor, on every exponent vector with entries <= bound
+    and every eta subset."""
+    ctx = VariableContext(n, k, degrees)
+    etas = [eta for size in range(ctx.nvars + 1)
+            for eta in combinations(range(1, ctx.nvars + 1), size)]
+    monos = [SuperMonomial(qexp, eta)
+             for qexp in product(range(bound + 1), repeat=ctx.nvars) for eta in etas]
+    for graded, table in ((monomial_charge, table_charge), (monomial_weight, table_weight)):
+        wrong = [m for m in monos if graded(ctx, m) != table(ctx, m)]
+        assert not wrong, (graded.__name__, wrong[:3])
 
 
 def test_canonical_order_is_total_and_weight_major(ctx):
