@@ -49,8 +49,6 @@ EXIT_INTERNAL = 4
 def _frac_str(value) -> str:
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, int):
-        return f"{value}/1"
     return repr(value)  # floating entries stay floating
 
 

@@ -12,10 +12,10 @@ inside the degree-0 piece of the same weight yields
     weights <= n - k and must be absent at weight n - k + 1 (else the input
     was singular).
 
-Reduction then peels the top weight of an element: solve for the image part,
-subtract K of the solving preimage (which only disturbs lower weights through
-delta) and recurse, collecting basis coefficients and an exact degree -1
-certificate xi with
+Reduction then grades an element once and walks its weight slices from the
+top down: solve each slice for its image part, and carry delta of the solving
+preimage into the slice one weight lower, collecting basis coefficients and
+an exact degree -1 certificate xi with
 
     input = sum_rho c_rho e_rho + K(xi)
 
@@ -63,6 +63,7 @@ from .superalgebra import (
     SuperMonomial,
     VariableContext,
     _tuple_new,
+    grade,
     monomial_charge,
     monomial_sort_key,
     monomial_weight,
@@ -434,16 +435,13 @@ class _WeightSolver(_Echelon):
         """
         if sorted(pivot for pivot, _, _ in rows) != sorted(self.pivots):
             return False
-        ngens = len(self.generators.monomials)
+        gens = self.generators.monomials
         for pivot, row, combo in rows:
-            if min(row) != pivot or not all(0 <= g < ngens for g in combo):
+            if min(row) != pivot or not all(0 <= g < len(gens) for g in combo):
                 return False
-            image: dict = {}
-            for g, c in combo.items():
-                vec, den = self.q_vector(D, g)
-                for pos, v in vec.items():
-                    image[pos] = image.get(pos, 0) + c * Fraction(v, den)
-            if {pos: v for pos, v in image.items() if v} != row:
+            image = apply_q(D, SuperElement(D.ctx, {gens[g]: c for g, c in combo.items()}))
+            if {pos: Fraction(v, image._den)
+                    for pos, v in self._positions(image._num).items()} != row:
                 return False
         return True
 
@@ -576,24 +574,23 @@ class QuotientPresentation:
         """
         if f.ctx != self.dwork.ctx:
             raise InputError("element over a different context")
-        degs = f.degrees()
-        if degs and degs != {0}:
+        components = grade(f)
+        if any(deg for _, _, deg, _ in components):
             raise InputError("reduce expects eta-free (degree 0) input")
-        charges = f.charges()
+        charges = sorted({ch for ch, _, _, _ in components})
         if len(charges) > 1:
-            raise InputError(
-                f"reduce expects charge-pure input, found charges {sorted(charges)}")
-        if charges == {self.c_G}:
-            return self._reduce_background(f)
+            raise InputError(f"reduce expects charge-pure input, found charges {charges}")
+        if charges == [self.c_G]:
+            return self._reduce_background({w: part for _, w, _, part in components})
         zero = (Fraction(0),) * len(self.basis)
         if not charges:
             return ReductionResult(zero, SuperElement.zero(f.ctx))
-        lam = charges.pop()
         witness = charge_witness(self.dwork, f)
-        return ReductionResult(zero, witness.scale(Fraction(1, lam - self.c_G)))
+        return ReductionResult(zero, witness.scale(Fraction(1, charges[0] - self.c_G)))
 
-    def _reduce_background(self, f: SuperElement) -> ReductionResult:
-        """Peel the top weight off `f`, one weight-w slice at a time.
+    def _reduce_background(self, slices: dict) -> ReductionResult:
+        """Reduce the weight slices `slices` (weight -> nonzero element),
+        from the top weight down to 0.
 
         A slice of weight w <= top + 1 (top = n - k) is eliminated against
         the weight-w echelon: its residual gives basis coefficients and its
@@ -602,55 +599,50 @@ class QuotientPresentation:
         with Q(xi) = slice from memoized weight top + 1 preimages, by
         Q(pre(m0) * m1) = Q(pre(m0)) * m1 for even, eta-free m1 (see the
         module docstring for why the split M = m0 * m1 always exists).  So
-        no echelon is built above weight top + 1.  Either way the slice is
-        subtracted with delta(xi), which only disturbs lower weights.
+        no echelon is built above weight top + 1.  Either way K(xi) =
+        Q(xi) + delta(xi) settles slice w, and delta(xi) has weight exactly
+        w - 1: each delta term strips one eta_i with one q_i.  So it is
+        subtracted from slice w - 1 alone.
         """
         ctx = self.dwork.ctx
         top = ctx.n - ctx.k
         coeffs = [Fraction(0)] * len(self.basis)
         certificate = SuperElement.zero(ctx)
-        rest = f
-        while rest._num:
-            w = rest.top_weight()
-            part, lower = {}, {}
-            for m, v in rest._num.items():
-                (part if monomial_weight(ctx, m) == w else lower)[m] = v
+        for w in range(max(slices), -1, -1):
+            part = slices.get(w)
+            if not part:
+                continue
             if w >= top + 2:
-                xi = self._lift(part, rest._den)
+                xi = self._lift(part)
             else:
-                xi = self._eliminate_slice(w, part, rest._den, coeffs)
+                xi = self._eliminate_slice(w, part, coeffs)
             certificate = certificate + xi
-            # part = residual + Q(xi); Q preserves weight, so dropping the
-            # whole weight-w slice and subtracting delta(xi) accounts for
-            # K(xi) exactly
-            rest = SuperElement._make(ctx, lower, rest._den) - apply_delta(xi)
+            slices[w - 1] = slices.get(w - 1, SuperElement.zero(ctx)) - apply_delta(xi)
         return ReductionResult(tuple(coeffs), certificate)
 
-    def _eliminate_slice(self, w: int, part: dict, den: int, coeffs: list) -> SuperElement:
-        """Eliminate the weight-w slice `part` / `den` (int numerators)
-        against its echelon.
+    def _eliminate_slice(self, w: int, part: SuperElement, coeffs: list) -> SuperElement:
+        """Eliminate the weight-w slice `part` against its echelon.
 
         Adds the residual to `coeffs` (indexed like the basis) and
-        returns xi with Q(xi) = part / den - residual.
+        returns xi with Q(xi) = part - residual.
         """
-        residual, preimage, scale = self._solvers[w].solve(part)
-        den *= scale
+        residual, preimage, scale = self._solvers[w].solve(part._num)
+        den = part._den * scale
         # the residual lives on complement monomials, which are the basis at
         # w <= n - k; at n - k + 1 the guard in __init__ left none
         for mono, c in residual.items():
             coeffs[self.basis_index[mono]] += Fraction(c, den)
         return SuperElement._make(self.dwork.ctx, preimage, den)
 
-    def _lift(self, part: dict, den: int) -> SuperElement:
-        """xi = sum_M c_M pre(m0) * m1 with Q(xi) = part / den (int
-        numerators), for a slice of weight >= top + 2 split monomial by
-        monomial as M = m0 * m1."""
+    def _lift(self, part: SuperElement) -> SuperElement:
+        """xi = sum_M c_M pre(m0) * m1 with Q(xi) = part, for a slice of
+        weight >= top + 2 split monomial by monomial as M = m0 * m1."""
         ctx = self.dwork.ctx
         k = ctx.k
         top = ctx.n - k
         by_degree = sorted(range(k), key=lambda i: -ctx.degrees[i])
         splits = []
-        for mono, c in part.items():
+        for mono, c in part._num.items():
             v, u = mono.qexp[:k], mono.qexp[k:]
             # m0 takes top + 1 y's, largest degree first ...
             v0 = [0] * k
@@ -668,7 +660,8 @@ class QuotientPresentation:
             m0 = SuperMonomial(tuple(v0) + tuple(u0), ())
             m1 = [a - b for a, b in zip(mono.qexp, m0.qexp)]
             splits.append((c, m1, self._preimage(m0)))
-        # one denominator for the whole slice: den * lcm(preimage denominators)
+        # one denominator for the whole slice: its own times the lcm of the
+        # preimage denominators
         common = lcm(*(pre_den for _, _, (_, pre_den) in splits))
         acc: dict = {}
         for c, m1, (pre, pre_den) in splits:
@@ -676,7 +669,7 @@ class QuotientPresentation:
             for gen, g in pre.items():
                 key = SuperMonomial(tuple(a + b for a, b in zip(gen.qexp, m1)), gen.eta)
                 acc[key] = acc.get(key, 0) + c * g
-        return SuperElement._make(ctx, acc, den * common)
+        return SuperElement._make(ctx, acc, part._den * common)
 
     def _preimage(self, m0: SuperMonomial) -> tuple:
         """pre(m0) with Q(pre(m0)) = m0, for m0 of weight top + 1, as int

@@ -124,9 +124,9 @@ class UBasis:
     nonzero H_i; ``prime_indices`` records their (1-based) positions in the
     basis order, i.e. I' viewed inside I, and is always (1, ..., |I'|):
     `t_series` relies on the I' classes coming first.  Each leading class
-    is y_i H_i times ``prefactor``: 1 at background charge 0, h at positive
-    charge and h y_j^m at negative charge; the choices of h and (j, m) are
-    recorded too.
+    is y_i H_i times ``prefactor`` = h y_j^m, which is 1 at background
+    charge 0, h at positive charge and h y_j^m at negative charge; h is
+    recorded at nonzero charge and (j, m) at negative charge.
     """
 
     elements: tuple
@@ -142,13 +142,6 @@ def _smallest_x_monomial(ctx: VariableContext, degree: int) -> SuperElement:
     if degree < 0:
         raise InputError(f"no x-monomial of degree {degree}")
     return SuperElement.variable(ctx, ctx.nvars) ** degree
-
-
-def _check_h_factor(ctx: VariableContext, h: SuperElement, degree: int) -> None:
-    """Supplied charge-matching factors must be x-only of the forced degree."""
-    if h.is_zero():
-        raise InputError("h factor must be nonzero")
-    check_x_homogeneous(ctx, h, degree, "h factor")
 
 
 def _pick_y_power(ctx: VariableContext, c_G: int):
@@ -201,29 +194,25 @@ def u_basis(def_data: DeformationData, pres_G: QuotientPresentation,
             f"need strictly more basis classes than deformed equations "
             f"(|I| = {dim} <= |I'| = {ell})")
 
-    prefactor = SuperElement.one(ctx)
-    picked_y = None
-    if c_G > 0:
-        if h is None:
-            h = _smallest_x_monomial(ctx, c_G)
-        else:
-            _check_h_factor(ctx, h, c_G)
-        prefactor = h
-    elif c_G < 0:
+    # prefactor = h * y_j^m with x degree c_G + m d_j; (j, m) = (1, 0) unless
+    # c_G < 0, so at c_G = 0 it is x_n^0 * y_1^0 = 1
+    j, m = 1, 0
+    if c_G < 0:
         if y_choice is None:
             y_choice = _pick_y_power(ctx, c_G)
         j, m = y_choice
         if not (1 <= j <= ctx.k) or m < 1:
             raise InputError(f"invalid y power choice {y_choice}")
-        hdeg = m * ctx.degrees[j - 1] + c_G
-        if hdeg < 0:
-            raise InputError(f"y power choice {y_choice} cannot reach charge {c_G}")
-        if h is None:
-            h = _smallest_x_monomial(ctx, hdeg)
-        else:
-            _check_h_factor(ctx, h, hdeg)
-        prefactor = h * SuperElement.variable(ctx, j) ** m
-        picked_y = (j, m)
+    hdeg = c_G + m * ctx.degrees[j - 1]
+    if hdeg < 0:
+        raise InputError(f"y power choice {y_choice} cannot reach charge {c_G}")
+    if h is None:
+        h = _smallest_x_monomial(ctx, hdeg)
+    elif h.is_zero():
+        raise InputError("h factor must be nonzero")
+    else:
+        check_x_homogeneous(ctx, h, hdeg, "h factor")
+    prefactor = h * SuperElement.variable(ctx, j) ** m
 
     leaders = []
     for i in def_data.nonzero_indices:
@@ -253,7 +242,8 @@ def u_basis(def_data: DeformationData, pres_G: QuotientPresentation,
             elements.append(candidate)
     if len(elements) != dim:
         raise InternalCheckError("failed to complete the deformed basis")
-    return UBasis(tuple(elements), tuple(range(1, ell + 1)), h, picked_y, prefactor)
+    return UBasis(tuple(elements), tuple(range(1, ell + 1)), h if c_G else None,
+                  (j, m) if c_G < 0 else None, prefactor)
 
 
 # -- the T series -------------------------------------------------------------

@@ -406,13 +406,10 @@ _tuple_new = tuple.__new__
 def _merge_eta(ea: tuple, eb: tuple):
     """Merge two increasing eta index tuples with the Koszul sign.
 
-    Returns (sign, merged) or None if an index repeats (odd square = 0).
-    The sign is (-1)^(number of transpositions moving eb's entries past ea's).
+    Both tuples are nonempty.  Returns (sign, merged) or None if an index
+    repeats (odd square = 0).  The sign is (-1)^(number of transpositions
+    moving eb's entries past ea's).
     """
-    if not ea:
-        return 1, eb
-    if not eb:
-        return 1, ea
     merged = []
     sign = 1
     i = j = 0

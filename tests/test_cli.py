@@ -148,6 +148,49 @@ def test_deform_trivial_identity(capsys, tmp_path):
         assert matrix == eye
 
 
+def test_trivial_deformation_at_nonzero_background_charge(capsys, tmp_path):
+    """The sextic (c_G = 3) deformed by H = 0 has no deformation class: the
+    series is reduce(h) at the zero exponent, h = x2^3 the default factor,
+    every D is the identity and transport returns Omega * B."""
+    from fractions import Fraction
+
+    path = tmp_path / "sextic.json"
+    path.write_text(json.dumps({
+        "n": 2, "k": 1, "degrees": [6],
+        "G": ["x0^6 + x1^6 + x2^6"],
+        "H": ["0"],
+    }))
+    code, out, _ = run_cli(capsys, "--format", "json", "deform", str(path), "--order", "3")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    size = 20
+    eye = [[f"{int(i == j)}/1" for j in range(size)] for i in range(size)]
+    assert sorted(payload["dLadder"]) == ["1", "2", "3"]
+    assert all(matrix == eye for matrix in payload["dLadder"].values())
+    code, out, _ = run_cli(capsys, "--format", "json", "reduce", str(path), "x2^3")
+    assert code == EXIT_OK
+    reduced = json.loads(out)["coefficients"]
+    assert [i + 1 for i, c in enumerate(reduced) if c != "0/1"] == [10]
+    assert reduced[9] == "1/1"
+    zero = [row for row in payload["series"] if not any(row["exponent"])]
+    assert [(row["rho"], row["value"]) for row in zero] == [(10, "1/1")]
+
+    omega = [[Fraction(i - 2 * j, i + j + 1) for j in range(size)] for i in range(size)]
+    base = [[int(i == j) + int(j == i + 1) for j in range(size)] for i in range(size)]
+    omega_path, base_path = tmp_path / "omega.json", tmp_path / "base.json"
+    omega_path.write_text(json.dumps([[str(v) for v in row] for row in omega]))
+    base_path.write_text(json.dumps(base))
+    code, out, _ = run_cli(capsys, "--format", "json", "transport", str(path), "--order", "3",
+                           "--omega", str(omega_path), "--base-change", str(base_path))
+    assert code == EXIT_OK
+    product = [[str(sum(omega[i][t] * base[t][j] for t in range(size)))
+                for j in range(size)] for i in range(size)]
+    orders = json.loads(out)["orders"]
+    assert [entry["order"] for entry in orders] == [1, 2, 3]
+    for entry in orders:
+        assert [[str(Fraction(v)) for v in row] for row in entry["matrix"]] == product
+
+
 def test_deform_without_h(capsys, quartic_config):
     code, _, err = run_cli(capsys, "deform", quartic_config)
     assert code == EXIT_INPUT
@@ -495,6 +538,36 @@ def test_config_override_the_charge_does_not_use(capsys, tmp_path, geometry, fie
     assert code == EXIT_INPUT
     assert out == ""
     assert ("h override" if field == "h" else "y power override") in err
+
+
+@pytest.mark.parametrize("y_power", [[2, 1], [1, 0]], ids=["no-y2", "zero-power"])
+def test_deform_rejects_an_invalid_y_power(capsys, tmp_path, y_power):
+    """The cubic surface has c_G = -1 and one y variable: j must be 1 and
+    m at least 1."""
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({
+        "n": 3, "k": 1, "degrees": [3],
+        "G": ["x0^3 + x1^3 + x2^3 + x3^3"], "H": ["x0*x1*x2"],
+        "yPower": y_power,
+    }))
+    code, out, err = run_cli(capsys, "deform", str(path), "--order", "1")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "invalid y power choice" in err
+
+
+def test_deform_rejects_a_y_power_short_of_the_charge(capsys, tmp_path):
+    """The quadric 4-fold has c_G = -4 and d_1 = 2: y1^1 leaves x degree -2."""
+    path = tmp_path / "quadric.json"
+    path.write_text(json.dumps({
+        "n": 5, "k": 1, "degrees": [2],
+        "G": ["x0^2 + x1^2 + x2^2 + x3^2 + x4^2 + x5^2"], "H": ["0"],
+        "yPower": [1, 1],
+    }))
+    code, out, err = run_cli(capsys, "deform", str(path), "--order", "1")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "cannot reach charge -4" in err
 
 
 LONG_NUMERAL = "7" * 5000  # past Python's 4300-digit int-string limit

@@ -623,6 +623,26 @@ def test_presentation_import_reads_rows_by_row_space(cubic_presentation):
     assert QuotientPresentation.from_json(_json.dumps(payload)).to_json() == text
 
 
+def test_stored_rows_are_checked_with_one_q_image_each(cubic_presentation, monkeypatch):
+    """`spans_like` maps each stored row's combination through Q once and
+    never asks for a generator's image on its own."""
+    from dworkbox import cohomology
+
+    images = []
+    real = cohomology.apply_q
+    monkeypatch.setattr(cohomology, "apply_q", lambda D, a: images.append(a) or real(D, a))
+
+    def forbidden(self, D, g_idx):
+        raise AssertionError("q_vector called")
+
+    monkeypatch.setattr(cohomology._WeightSolver, "q_vector", forbidden)
+    for solver in cubic_presentation._solvers.values():
+        rows = list(solver.rational_rows())
+        images.clear()
+        assert solver.spans_like(cubic_presentation.dwork, rows)
+        assert len(images) == len(rows)
+
+
 def test_conic_has_no_primitive_cohomology():
     ctx = VariableContext(2, 1, (2,))
     P = build_presentation(dwork_potential(ctx, [parse("x0^2 + x1^2 + x2^2", ctx)]))

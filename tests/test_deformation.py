@@ -216,6 +216,9 @@ def test_leading_classes_carry_the_recorded_prefactor(n, degree, H, h, prefactor
     h_elt = parse(h, ctx) if h is not None else None
     basis_u = u_basis(dd, P, build_presentation(dd.deformed), h=h_elt)
     assert basis_u.prefactor == parse(prefactor, ctx)
+    c_G = ctx.background_charge()
+    assert (basis_u.h_factor is None) == (c_G == 0)
+    assert (basis_u.y_choice is None) == (c_G >= 0)
     for a, i in enumerate(dd.nonzero_indices):
         assert basis_u.elements[a] == \
             SuperElement.variable(ctx, i) * dd.H[i - 1] * basis_u.prefactor

@@ -6,10 +6,12 @@ before the elimination and enumeration rewrites, and the quintic-curve ones
 (positive background charge) before transport switched to the direct
 D-ladder route; the cubic-surface ones (negative background charge), the
 cubic `reduce` and the cubic `verify` were written before the charge and
-weight gradings moved into `monomial_charge` and `monomial_weight`.  So
-any change in a basis, a series coefficient, a D ladder, a reduction
-certificate, a verify verdict, a transported matrix or the presentation
-JSON shows up here.  To rewrite them after an intended report change:
+weight gradings moved into `monomial_charge` and `monomial_weight`; the
+cubic transport of a float period matrix and the quartic K3 `reduce` were
+written before `reduce` graded its input once and walked the weight
+slices.  So any change in a basis, a series coefficient, a D ladder, a
+reduction certificate, a verify verdict, a transported matrix or the
+presentation JSON shows up here.  To rewrite them after an intended report change:
 
     python -c "from tests.test_golden import write_goldens; write_goldens()"
 
@@ -44,13 +46,19 @@ GEOMETRIES = {
     "cubic_surface": {
         "n": 3, "k": 1, "degrees": [3],
         "G": ["x0^3 + x1^3 + x2^3 + x3^3"], "H": ["x0*x1*x2"], "h": "x2^2"},
+    # no H: only reduced, never deformed
+    "quartic_k3": {
+        "n": 3, "k": 1, "degrees": [4],
+        "G": ["x0^4 + x1^4 + x2^4 + x3^4"]},
 }
 DIMENSIONS = {"cubic_curve": 2, "two_quadrics": 2, "quintic_curve": 12,
-              "cubic_surface": 6}
+              "cubic_surface": 6, "quartic_k3": 21}
 # exact and decimal period entries; unimodular base changes of determinant -1
 # whose elimination needs a row swap
 OMEGA = [["3/7", "-2"], ["0.25", "5/3"]]
 BASE_CHANGE = [[0, 1], [1, 3]]
+# JSON floats stay floats through the transport and are reported by repr
+FLOAT_OMEGA = [[1.5, 0.25], [0.125, -2.0]]
 
 
 def periods(size):
@@ -64,21 +72,32 @@ def periods(size):
     base[0], base[1] = base[1], base[0]
     return omega, base
 
+# case name -> the subcommand, then its arguments after the config
 COMMANDS = {
-    "basis": [],
-    "deform": ["--order", "3"],
-    "transport": ["--order", "3", "--omega", "{omega}", "--base-change", "{base}"],
-    # run on the cubic only: a certificate through the lift and the echelon,
-    # and seeded draws through the piece views and the grading checks
-    "reduce": ["y1^3*x0^3*x1^3*x2^3 + y1*x0*x1*x2"],
-    "verify": ["--seed", "2", "--iterations", "20"],
+    "basis": ["basis"],
+    "deform": ["deform", "--order", "3"],
+    "transport": ["transport", "--order", "3", "--omega", "{omega}", "--base-change", "{base}"],
+    "transport_float": ["transport", "--order", "3", "--omega", "{float_omega}",
+                        "--base-change", "{base}"],
+    "reduce": ["reduce", "{polynomial}"],
+    # seeded draws through the piece views and the grading checks
+    "verify": ["verify", "--seed", "2", "--iterations", "20"],
 }
-CUBIC_ONLY = ("reduce", "verify")
+# a certificate through the lift and the echelon; on the K3 the lift at
+# weight 4 leaves weights 3 and 2 to the delta terms alone
+REDUCE_INPUTS = {
+    "cubic_curve": "y1^3*x0^3*x1^3*x2^3 + y1*x0*x1*x2",
+    "quartic_k3": "y1^4*x0^4*x1^4*x2^4*x3^4 + y1*x0^2*x1^2 + 1",
+}
+# the geometries a case runs on, where not every geometry with an H block
+ONLY = {"transport_float": ("cubic_curve",), "reduce": tuple(REDUCE_INPUTS),
+        "verify": ("cubic_curve",)}
+DEFORMED = tuple(name for name, spec in GEOMETRIES.items() if "H" in spec)
 
 CASES = [(command, geometry, fmt)
          for geometry in GEOMETRIES
          for command in COMMANDS
-         if geometry == "cubic_curve" or command not in CUBIC_ONLY
+         if geometry in ONLY.get(command, DEFORMED)
          for fmt in ("text", "json")]
 
 
@@ -95,9 +114,13 @@ def render_case(command, geometry, fmt, workdir: Path) -> str:
     omega.write_text(json.dumps(omega_rows))
     base = workdir / "base.json"
     base.write_text(json.dumps(base_rows))
+    float_omega = workdir / "float_omega.json"
+    float_omega.write_text(json.dumps(FLOAT_OMEGA))
     out = workdir / _case_name(command, geometry, fmt)
-    extra = [a.format(omega=omega, base=base) for a in COMMANDS[command]]
-    code = main(["--format", fmt, "--out", str(out), command, str(config), *extra])
+    subcommand, *extra = [a.format(omega=omega, base=base, float_omega=float_omega,
+                                   polynomial=REDUCE_INPUTS.get(geometry))
+                          for a in COMMANDS[command]]
+    code = main(["--format", fmt, "--out", str(out), subcommand, str(config), *extra])
     assert code == EXIT_OK
     return out.read_text(encoding="utf-8")
 

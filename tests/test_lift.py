@@ -94,6 +94,34 @@ def test_build_and_reduce_skip_the_fraction_view(name, monkeypatch):
     assert apply_k(D, result.certificate) + result.as_element(pres) == f
 
 
+@pytest.mark.parametrize("name", ["cubic_curve", "quartic_k3"])
+def test_reduce_grades_its_input_once(name, monkeypatch):
+    """`reduce` takes its weight slices from one `grade` of the input and
+    carries each delta(xi) into the slice below; it never regrades a
+    remainder."""
+    from dworkbox import cohomology
+
+    D, _ = _geometry(name)
+    top = D.ctx.n - D.ctx.k
+    pres = build_presentation(D)
+    f = random_charge_element(D, random.Random(f"grade:{name}"), pres.c_G, 0,
+                              max_weight=top + 3)
+    assert f.top_weight() == top + 3
+    graded = []
+    real = cohomology.grade
+    monkeypatch.setattr(cohomology, "grade", lambda a: graded.append(a) or real(a))
+
+    def forbidden(self):
+        raise AssertionError("reduce regraded an element")
+
+    for attr in ("top_weight", "charges", "degrees"):
+        monkeypatch.setattr(SuperElement, attr, forbidden)
+    result = pres.reduce(f)
+    monkeypatch.undo()
+    assert graded == [f]
+    assert apply_k(D, result.certificate) + result.as_element(pres) == f
+
+
 def test_k3_ladder_builds_no_solver_above_weight_three(quartic_dwork):
     ctx = quartic_dwork.ctx
     pres = build_presentation(quartic_dwork)

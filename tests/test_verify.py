@@ -63,6 +63,20 @@ def test_delta_fault_is_caught_by_the_delta_checks(cubic_dwork, cubic_presentati
         ("delta^2: ", "delta Q + Q delta: "))
 
 
+def test_gradings_family_catches_a_non_additive_grading(cubic_dwork, cubic_presentation,
+                                                       monkeypatch):
+    """With every charge shifted by one, the charge of a product is not the
+    sum of its factors' charges; the family must say so."""
+    from dworkbox import verify
+
+    real = verify.grade
+    monkeypatch.setattr(verify, "grade", lambda a: [(ch + 1, w, deg, part)
+                                                   for ch, w, deg, part in real(a)])
+    report = run_suite(cubic_dwork, cubic_presentation, seed=3, iterations=20)
+    verdicts = {c.name: c.passed for c in report.checks}
+    assert verdicts["product: gradings additive"] is False
+
+
 def test_suite_passes_on_two_quadrics(quadrics_dwork, quadrics_presentation):
     """k = 2 with a deformation whose second component is zero."""
     ctx = quadrics_dwork.ctx
