@@ -123,11 +123,13 @@ class JobConfig:
         return dwork_potential(self.ctx, self.G)
 
 
-def _emit(payload: dict, text_lines, args) -> None:
+def _emit(args, payload: dict, text_lines) -> None:
+    """Write `payload` as JSON, or the lines `text_lines()`, which is only
+    called for --format text."""
     if args.format == "json":
         body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        body = "\n".join(text_lines) + "\n"
+        body = "\n".join(text_lines()) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -154,14 +156,12 @@ def cmd_basis(args) -> int:
         "basis": basis_texts,
         "weights": list(pres.weight_counts),
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"background charge: {pres.c_G}",
         f"quotient dimension: {pres.dimension}",
         "hodge numbers: " + " ".join(str(h) for h in pres.hodge_numbers()),
         "basis (by weight, largest monomials first):",
-    ]
-    lines += [f"  e{i + 1} = {t}" for i, t in enumerate(basis_texts)]
-    _emit(payload, lines, args)
+        *(f"  e{i + 1} = {t}" for i, t in enumerate(basis_texts))])
     return EXIT_OK
 
 
@@ -176,12 +176,11 @@ def cmd_reduce(args) -> int:
         "basis": [render(e) for e in pres.basis_elements()],
         "certificate": render(result.certificate),
     }
-    lines = [f"input: {payload['input']}", "coefficients:"]
-    lines += [
-        f"  e{i + 1}: {c}" for i, c in enumerate(payload["coefficients"])
-    ]
-    lines.append(f"certificate: {payload['certificate']}")
-    _emit(payload, lines, args)
+    _emit(args, payload, lambda: [
+        f"input: {payload['input']}",
+        "coefficients:",
+        *(f"  e{i + 1}: {c}" for i, c in enumerate(payload["coefficients"])),
+        f"certificate: {payload['certificate']}"])
     return EXIT_OK
 
 
@@ -224,19 +223,14 @@ def cmd_deform(args) -> int:
         "series": series_rows,
         "dLadder": {str(m): _matrix_json(mat) for m, mat in ladder.items()},
     }
-    lines = [
+    _emit(args, payload, lambda: [
         "u basis: " + ", ".join(payload["uBasis"]),
         f"deformed indices I': {list(basis_u.prime_indices)}",
         f"series to total order {order} (T^rho, exponent, value):",
-    ]
-    lines += [
-        f"  T^{row['rho']} t^{tuple(row['exponent'])} = {row['value']}"
-        for row in series_rows
-    ]
-    lines.append("D-matrix ladder:")
-    for m, mat in ladder.items():
-        lines.append(f"  order {m}: " + json.dumps(_matrix_json(mat)))
-    _emit(payload, lines, args)
+        *(f"  T^{row['rho']} t^{tuple(row['exponent'])} = {row['value']}"
+          for row in series_rows),
+        "D-matrix ladder:",
+        *(f"  order {m}: " + json.dumps(mat) for m, mat in payload["dLadder"].items())])
     return EXIT_OK
 
 
@@ -290,12 +284,11 @@ def cmd_transport(args) -> int:
     deform, basis_u = _deformation_setup(config, pres)
     # only the ladder is needed, so the series is never expanded
     ladder = d_ladder(deform, pres, basis_u, order)
-    payload = {"orders": []}
-    lines = [f"period transport through order {order}:"]
-    for m, result in period_transport(ladder, omega, base).items():
-        payload["orders"].append({"order": m, "matrix": _matrix_json(result.entries)})
-        lines.append(f"  order {m}: " + json.dumps(_matrix_json(result.entries)))
-    _emit(payload, lines, args)
+    payload = {"orders": [{"order": m, "matrix": _matrix_json(result.entries)}
+                          for m, result in period_transport(ladder, omega, base).items()]}
+    _emit(args, payload, lambda: [
+        f"period transport through order {order}:",
+        *(f"  order {o['order']}: " + json.dumps(o["matrix"]) for o in payload["orders"])])
     return EXIT_OK
 
 
@@ -318,7 +311,7 @@ def cmd_verify(args) -> int:
             for c in report.checks
         ],
     }
-    _emit(payload, report.lines(), args)
+    _emit(args, payload, report.lines)
     return EXIT_OK if report.ok else EXIT_INTERNAL
 
 

@@ -52,7 +52,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb, gcd, lcm
 from operator import index, le
 
@@ -83,17 +83,16 @@ class GradedPiece:
 
 
 def _compositions(total: int, parts: int):
-    """All tuples of `parts` non-negative ints summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All tuples of `parts` non-negative ints summing to `total` >= 0,
+    lexicographically largest first: the multiplicity vectors of the
+    multisets `combinations_with_replacement(range(parts), total)` lists in
+    lexicographic order.  A multiset's first element is the first nonzero
+    index of its tuple."""
+    for multiset in combinations_with_replacement(range(parts), total):
+        expo = [0] * parts
+        for i in multiset:
+            expo[i] += 1
+        yield tuple(expo)
 
 
 def _composition_at(j: int, total: int, parts: int) -> tuple:
@@ -152,7 +151,7 @@ class PieceView(Sequence):
             bare = SuperMonomial(zeros, eta)
             wt_q = weight - monomial_weight(ctx, bare)
             if wt_q < 0:
-                continue  # _compositions(wt_q, 1) would still yield (wt_q,)
+                continue  # _compositions takes no negative total
             ch_q = charge - monomial_charge(ctx, bare)
             # y-exponents carry all the q-weight; x-degree is then forced
             # by the charge equation -sum d_i v_i + |u| = charge - ch_eta.

@@ -28,6 +28,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
 from .cohomology import QuotientPresentation, _compositions, _Echelon
@@ -293,7 +294,8 @@ def t_series(def_data: DeformationData, pres_G: QuotientPresentation,
     charge.
 
     Every t-coefficient of the right side is reduced through the undeformed
-    presentation; coefficients land in T, certificates in Lambda.
+    presentation; coefficients land in T, certificates in Lambda.  By
+    linearity, each distinct monomial is reduced once per call (`_record`).
     """
     if order < 1:
         raise InputError("truncation order must be >= 1")
@@ -302,15 +304,14 @@ def t_series(def_data: DeformationData, pres_G: QuotientPresentation,
     dim = pres_G.dimension
     elements = basis_u.elements
     prime = basis_u.prime_indices
-    coefficients = {}
-    certificates = {}
+    coefficients, certificates, memo = {}, {}, {}
 
     if c_G == 0:
         # coefficient of t^m is prod u_a^{m_a} / prod m_a!
         for total, level in _scaled_products(ctx, elements, order):
             if total:
                 for expo, value in level.items():
-                    _record(pres_G, coefficients, certificates, expo, value)
+                    _record(pres_G, memo, coefficients, certificates, expo, value)
     else:
         # exponential part: only the I' variables appear in the exponent, and
         # (p + sum_{b outside I'} t^b u_b) supplies the charge,
@@ -328,11 +329,11 @@ def t_series(def_data: DeformationData, pres_G: QuotientPresentation,
         previous = {}
         for _, level in _scaled_products(ctx, gamma_parts, order):
             for inner, value in level.items():
-                _record(pres_G, coefficients, certificates, inner + zeros,
+                _record(pres_G, memo, coefficients, certificates, inner + zeros,
                         basis_u.prefactor * value)
             for inner, value in previous.items():
                 for b, unit in enumerate(units, start=ell):
-                    _record(pres_G, coefficients, certificates, inner + unit,
+                    _record(pres_G, memo, coefficients, certificates, inner + unit,
                             elements[b] * value)
             previous = level
 
@@ -343,27 +344,45 @@ def _scaled_products(ctx: VariableContext, factors, order: int):
     """Yield (total, {m: prod factors[a]^{m_a} / m_a!}) for total = 0..order.
 
     Each level lists the exponents in the order of _compositions and builds
-    every product from the previous level by one multiplication.
-    """
-    level = {(0,) * len(factors): SuperElement.one(ctx)}
+    every product from the previous level by one multiplication, by the
+    factor at the first nonzero index: the first element of the exponent's
+    multiset, which `combinations_with_replacement` lists in the same order."""
+    parts = len(factors)
+    level = {(0,) * parts: SuperElement.one(ctx)}
     yield 0, level
     for total in range(1, order + 1):
         parent_level, level = level, {}
-        for expo in _compositions(total, len(factors)):
-            a = next(i for i, e in enumerate(expo) if e)
+        for multiset, expo in zip(combinations_with_replacement(range(parts), total),
+                                  _compositions(total, parts)):
+            a = multiset[0]
             parent = expo[:a] + (expo[a] - 1,) + expo[a + 1:]
             level[expo] = (parent_level[parent] * factors[a]).scale(
                 Fraction(1, expo[a]))
         yield total, level
 
 
-def _record(pres: QuotientPresentation, coefficients, certificates, expo, value):
-    result = pres.reduce(value)
-    for rho, c in enumerate(result.coefficients):
-        if c:
-            coefficients[(rho, expo)] = c
-    if not result.certificate.is_zero():
-        certificates[expo] = result.certificate
+def _record(pres: QuotientPresentation, memo: dict, coefficients, certificates,
+            expo, value):
+    """Reduce `value`, the t^expo coefficient, into the series.  `reduce`
+    and its certificate are linear, so value = sum c m reduces to sum c
+    reduce(m): `memo` holds the nonzero (rho, c_rho) pairs and certificate
+    of every monomial m reduced so far in one `t_series` call."""
+    ctx = pres.dwork.ctx
+    sums = {}
+    certificate = SuperElement.zero(ctx)
+    for mono, num in value._num.items():
+        if mono not in memo:
+            result = pres.reduce(SuperElement._make(ctx, {mono: 1}, 1))
+            memo[mono] = ([(rho, c) for rho, c in enumerate(result.coefficients) if c],
+                          result.certificate)
+        pairs, cert = memo[mono]
+        scale = Fraction(num, value._den)
+        for rho, c in pairs:
+            sums[rho] = sums.get(rho, 0) + scale * c
+        certificate = certificate + cert.scale(scale)
+    coefficients.update(((rho, expo), c) for rho, c in sorted(sums.items()) if c)
+    if certificate:
+        certificates[expo] = certificate
 
 
 # -- the D matrix ladder ------------------------------------------------------

@@ -3,13 +3,14 @@
 Most of them deliberately avoid the library's SuperElement machinery:
 polynomials are plain dicts over x exponent tuples, ranks come from dense
 rational elimination, and enumeration scans bounded exponent boxes.  The
-retained exact routes (the weight-echelon reduction and the series route to
-the D ladder) are the library's own earlier paths, kept as cross-checks.
+retained exact routes (the weight-echelon reduction, the series route to
+the D ladder, the unmemoised T series and the recursive composition
+enumerator) are the library's own earlier paths, kept as cross-checks.
 """
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from dworkbox import SuperElement, SuperMonomial, apply_delta, apply_k
 from dworkbox.cohomology import (
@@ -19,6 +20,7 @@ from dworkbox.cohomology import (
     charge_witness,
     enumerate_piece,
 )
+from dworkbox.deformation import DeformationSeries
 from dworkbox.errors import SmoothnessError
 from dworkbox.superalgebra import monomial_weight, partial_q
 
@@ -422,6 +424,78 @@ def frac_apply_q(S, nvars, a):
 
 def frac_apply_k(S, nvars, a):
     return frac_add(frac_apply_q(S, nvars, a), frac_apply_delta(nvars, a))
+
+
+# -- recursive composition enumerator ------------------------------------------
+
+def compositions(total, parts):
+    """All tuples of `parts` non-negative ints summing to `total`, first
+    part largest first, by recursion on the first part: the reference order
+    for `cohomology._compositions`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+# -- unmemoised T series -------------------------------------------------------
+
+def _scaled_power_product(ctx, factors, expo):
+    """prod factors[a]^{m_a} / m_a! for the exponent m = expo."""
+    value = SuperElement.one(ctx)
+    for factor, e in zip(factors, expo):
+        if e:
+            value = (value * factor ** e).scale(Fraction(1, factorial(e)))
+    return value
+
+
+def t_series_values(def_data, basis_u, dimension, order):
+    """Yield (exponent, right-side t-coefficient) in `deformation.t_series`'
+    order, each value built as a product of powers."""
+    ctx = def_data.base.ctx
+    elements = basis_u.elements
+    if ctx.background_charge() == 0:
+        for total in range(1, order + 1):
+            for expo in compositions(total, dimension):
+                yield expo, _scaled_power_product(ctx, elements, expo)
+        return
+    # an I' exponent of total order m times the prefactor, then every I'
+    # exponent of order m - 1 plus one e_b with b outside I'
+    ell = len(def_data.nonzero_indices)
+    gamma_parts = [SuperElement.variable(ctx, i) * def_data.H[i - 1]
+                   for i in def_data.nonzero_indices]
+    zeros = (0,) * (dimension - ell)
+    for total in range(order + 1):
+        for inner in compositions(total, ell):
+            yield inner + zeros, basis_u.prefactor * _scaled_power_product(
+                ctx, gamma_parts, inner)
+        for inner in compositions(total - 1, ell) if total else ():
+            value = _scaled_power_product(ctx, gamma_parts, inner)
+            for b in range(ell, dimension):
+                unit = tuple(int(a == b) for a in range(ell, dimension))
+                yield inner + unit, elements[b] * value
+
+
+def plain_t_series(def_data, pres_G, basis_u, order):
+    """`deformation.t_series` without its monomial memo, the cross-check for
+    it: each t-coefficient is reduced whole, in t_series' exponent order, so
+    the coefficient and certificate dicts must match it entry for entry."""
+    dim = pres_G.dimension
+    coefficients, certificates = {}, {}
+    for expo, value in t_series_values(def_data, basis_u, dim, order):
+        result = pres_G.reduce(value)
+        for rho, c in enumerate(result.coefficients):
+            if c:
+                coefficients[(rho, expo)] = c
+        if not result.certificate.is_zero():
+            certificates[expo] = result.certificate
+    return DeformationSeries(order, dim, basis_u.prime_indices, coefficients, certificates)
 
 
 # -- series route to the D ladder ---------------------------------------------

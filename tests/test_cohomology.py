@@ -11,6 +11,7 @@ Two independent oracles appear here:
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -27,11 +28,12 @@ from dworkbox import (
     enumerate_piece,
     parse,
 )
-from dworkbox.cohomology import PieceView, QuotientPresentation
+from dworkbox.cohomology import PieceView, QuotientPresentation, _compositions
 from dworkbox.verify import random_charge_element
 from tests.oracles import (
     brute_force_piece,
     charge_witness_check,
+    compositions,
     griffiths_hodge_numbers,
     hirzebruch_hodge_numbers,
 )
@@ -142,6 +144,17 @@ def test_piece_view_iterates_without_enumerate_piece(monkeypatch, n, k, degrees,
         view = PieceView(ctx, charge, weight, eta_degree)
         assert len(view) > 1
         assert list(view) == [view[j] for j in range(len(view))]
+
+
+def test_compositions_follow_the_recursive_order():
+    """The iterative enumerator lists the recursive reference's tuples in
+    its order, parts = 0 and total = 0 included, and at scale lists the
+    C(205, 2) exponents of total 2 over 204 parts (the Dwork quintic's
+    T series at order 2)."""
+    for total in range(9):
+        for parts in range(9):
+            assert list(_compositions(total, parts)) == list(compositions(total, parts))
+    assert sum(1 for _ in _compositions(2, 204)) == comb(205, 2) == 20910
 
 
 def test_piece_view_rejects_negative_weight(cubic_ctx):

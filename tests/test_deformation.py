@@ -22,6 +22,7 @@ from dworkbox import (
     parse,
 )
 from dworkbox import deformation
+from dworkbox.cohomology import QuotientPresentation
 from dworkbox.deformation import (
     BaseChange,
     PeriodMatrix,
@@ -36,7 +37,7 @@ from dworkbox.deformation import (
     u_basis,
 )
 from dworkbox.verify import random_element, reduction_functional
-from tests.oracles import d_matrix, plain_transport
+from tests.oracles import d_matrix, plain_t_series, plain_transport, t_series_values
 
 
 @pytest.fixture(scope="module")
@@ -790,16 +791,21 @@ LADDER_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(LADDER_CASES))
-def test_d_ladder_equals_series_route(name):
-    """d_ladder and d_matrix(t_series) agree exactly at every order."""
-    n, degrees, G, H, h, order = LADDER_CASES[name]
+def _deformation_case(n, degrees, G, H, h):
+    """(base presentation, deformation, u basis) of one case's texts."""
     ctx = VariableContext(n, len(degrees), degrees)
     D = dwork_potential(ctx, [parse(g, ctx) for g in G])
     P = build_presentation(D)
     dd = build_deformation(D, [parse(t, ctx) for t in H])
     PU = build_presentation(dd.deformed)
-    basis_u = u_basis(dd, P, PU, h=parse(h, ctx) if h else None)
+    return P, dd, u_basis(dd, P, PU, h=parse(h, ctx) if h else None)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_CASES))
+def test_d_ladder_equals_series_route(name):
+    """d_ladder and d_matrix(t_series) agree exactly at every order."""
+    *texts, order = LADDER_CASES[name]
+    P, dd, basis_u = _deformation_case(*texts)
     ladder = d_ladder(dd, P, basis_u, order)
     assert set(ladder) == set(range(1, order + 1))
     assert ladder == d_matrix(t_series(dd, P, basis_u, order))
@@ -807,6 +813,86 @@ def test_d_ladder_equals_series_route(name):
         identity = [[Fraction(int(i == j)) for j in range(P.dimension)]
                     for i in range(P.dimension)]
         assert all(matrix == identity for matrix in ladder.values())
+
+
+# -- the memoised T series against the unmemoised route --------------------------
+
+# (n, degrees, G, H, h factor, order): the four benchmark geometries, c_G = 2
+# and c_G = -1 as in the tests above, and H with several terms at c_G = 0
+# and c_G = 2, so that a value's terms are reduced apart and summed
+SERIES_CASES = {
+    "cubic_curve": LADDER_CASES["cubic_curve"],
+    "sextic_curve": (2, (6,), ["x0^6 + x1^6 + x2^6"], ["x0^2*x1^2*x2^2"], None, 6),
+    "two_quadrics": LADDER_CASES["two_quadrics"][:-1] + (3,),
+    "quartic_k3": (3, (4,), ["x0^4 + x1^4 + x2^4 + x3^4"], ["x0*x1*x2*x3"], None, 3),
+    "quintic_curve": (2, (5,), ["x0^5 + x1^5 + x2^5"], ["x0^5"], None, 2),
+    "cubic_surface": LADDER_CASES["cubic_surface"][:-1] + (2,),
+    "cubic_several_terms": (2, (3,), ["x0^3 + x1^3 + x2^3"],
+                            ["x0*x1*x2 + 2*x0^2*x1 - 1/3*x2^3"], None, 5),
+    "quintic_several_terms": (2, (5,), ["x0^5 + x1^5 + x2^5"],
+                              ["x0^2*x1^2*x2 - 3/2*x0*x1^4"], None, 3),
+}
+
+
+@pytest.fixture(scope="module")
+def series_case():
+    """(presentation, deformation, u basis, order) of a SERIES_CASES name,
+    each built once per module."""
+    built = {}
+
+    def get(name):
+        if name not in built:
+            *texts, order = SERIES_CASES[name]
+            built[name] = _deformation_case(*texts) + (order,)
+        return built[name]
+    return get
+
+
+@pytest.mark.parametrize("name", list(SERIES_CASES))
+def test_t_series_equals_the_unmemoised_route(series_case, name):
+    """Reducing each distinct monomial once and summing the scaled results
+    gives the coefficients (in the same dict order) and the certificates of
+    reducing each t-coefficient whole, and every exponent's certificate
+    settles its value: K(certificate) + sum c_rho e_rho == value."""
+    P, dd, basis_u, order = series_case(name)
+    series = t_series(dd, P, basis_u, order)
+    plain = plain_t_series(dd, P, basis_u, order)
+    assert list(series.coefficients.items()) == list(plain.coefficients.items())
+    assert list(series.certificates.items()) == list(plain.certificates.items())
+    basis = P.basis_elements()
+    zero = SuperElement.zero(P.dwork.ctx)
+    several = False
+    for expo, value in t_series_values(dd, basis_u, P.dimension, order):
+        several |= len(value.terms) > 1
+        normal = zero
+        for rho, e in enumerate(basis):
+            normal = normal + e.scale(series.coefficient(rho, expo))
+        assert apply_k(P.dwork, series.certificates.get(expo, zero)) + normal == value
+    assert several == name.endswith("several_terms")
+
+
+def test_t_series_memo_lives_for_one_call(series_case, monkeypatch):
+    """On the K3 at order 3 the 2023 t-coefficients are scaled monomials
+    over 441 distinct ones: t_series reduces each once, and again on a
+    second call, so no memo outlives a call, and the presentation gains or
+    loses no attribute."""
+    P, dd, basis_u, order = series_case("quartic_k3")
+    original = QuotientPresentation.reduce
+    inputs = []
+
+    def spy(pres, f):
+        inputs.append(f)
+        return original(pres, f)
+
+    monkeypatch.setattr(QuotientPresentation, "reduce", spy)
+    attributes = set(vars(P))
+    counts = []
+    for route in (t_series, t_series, plain_t_series):
+        inputs.clear()
+        route(dd, P, basis_u, order)
+        counts.append(len(inputs))
+        assert set(vars(P)) == attributes
+    assert counts == [441, 441, 2023]
 
 
 def test_d_ladder_rejects_bad_order(hesse_setup):
