@@ -90,15 +90,15 @@ class JobConfig:
 
     def __init__(self, raw: dict):
         try:
-            self.n = _int_field("n", raw["n"])
-            self.k = _int_field("k", raw["k"])
+            n = _int_field("n", raw["n"])
+            k = _int_field("k", raw["k"])
             degrees = tuple(_int_field(f"degrees[{i}]", d)
                             for i, d in enumerate(raw["degrees"]))
             g_texts = raw["G"]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"config missing or malformed field: {exc}")
         order_name = raw.get("monomialOrder", "graded-lex")
-        self.ctx = VariableContext(self.n, self.k, degrees, order_name)
+        self.ctx = VariableContext(n, k, degrees, order_name)
         self.G = _polynomials("G", g_texts, self.ctx)
         self.H = None if raw.get("H") is None else _polynomials("H", raw["H"], self.ctx)
         self.truncation_order = _int_field("truncationOrder", raw.get("truncationOrder", 6))
@@ -141,13 +141,12 @@ def _emit(args, payload: dict, text_lines) -> None:
 
 
 def _build(config: JobConfig):
-    D = config.dwork()
-    return D, build_presentation(D)
+    return build_presentation(config.dwork())
 
 
 def cmd_basis(args) -> int:
     config = JobConfig.load(args.config)
-    D, pres = _build(config)
+    pres = _build(config)
     basis_texts = [render(e) for e in pres.basis_elements()]
     payload = {
         "cG": pres.c_G,
@@ -167,7 +166,7 @@ def cmd_basis(args) -> int:
 
 def cmd_reduce(args) -> int:
     config = JobConfig.load(args.config)
-    D, pres = _build(config)
+    pres = _build(config)
     f = parse(args.polynomial, config.ctx)
     result = pres.reduce(f)
     payload = {
@@ -188,7 +187,7 @@ def _deformation_base(config: JobConfig):
     """Base presentation of a config that has an H block to deform by."""
     if config.H is None:
         raise InputError("config has no H block; nothing to deform")
-    return _build(config)[1]
+    return _build(config)
 
 
 def _deformation_setup(config: JobConfig, pres):
@@ -298,9 +297,9 @@ def cmd_verify(args) -> int:
     iterations = args.iterations
     if iterations < 1:
         raise InputError(f"--iterations must be >= 1, got {iterations}")
-    D, pres = _build(config)
+    pres = _build(config)
     with fault_injection(args.inject_fault) if args.inject_fault else contextlib.nullcontext():
-        report = run_suite(D, pres, seed=seed, iterations=iterations,
+        report = run_suite(pres.dwork, pres, seed=seed, iterations=iterations,
                            deformation_H=config.H)
     payload = {
         "seed": seed,

@@ -450,11 +450,11 @@ def _build_weight_solver(D: DworkData, charge: int, weight: int) -> _WeightSolve
     the Koszul-redundant ones (the Koszul criterion of Faugère's F5, ISSAC
     2002).
 
-    Write g_i = grad[i], so the row of the generator m * eta_j is g_j * m,
-    and L_i for the leading monomial of g_i under `monomial_sort_key`.  The
-    generator m * eta_j is skipped when L_i divides m for some i > j with
-    g_i nonzero.  Its row is in the span of the kept rows: with m = L_i * m'
-    and g_i = c * L_i + sum_t c_t * t,
+    Write g_i = dS/dq_i (terms D.grad_num[i - 1]), so the row of the
+    generator m * eta_j is g_j * m, and L_i for the leading monomial of g_i
+    under `monomial_sort_key`.  The generator m * eta_j is skipped when L_i
+    divides m for some i > j with g_i nonzero.  Its row is in the span of
+    the kept rows: with m = L_i * m' and g_i = c * L_i + sum_t c_t * t,
 
         c * g_j * m = g_i * (g_j * m') - sum_t c_t * g_j * (t * m').
 
@@ -475,9 +475,9 @@ def _build_weight_solver(D: DworkData, charge: int, weight: int) -> _WeightSolve
     generators = enumerate_piece(ctx, charge, weight, -1)
     solver = _WeightSolver(target, generators)
     full_rank = len(target.monomials)
-    # leads[i] is L_i, or None where g_i is zero
-    leads = [max(g._num, key=lambda m: monomial_sort_key(ctx, m)).qexp if g._num else None
-             for g in D.grad]
+    # leads[i] is L_{i+1}, or None where that g is zero; S and g are eta-free
+    leads = [max((q for q, _ in g), key=lambda q: monomial_sort_key(ctx, SuperMonomial(q)))
+             if g else None for g in D.grad_num]
     for g_idx, gen in enumerate(generators.monomials):
         # gen.eta is (j,) with j counted from 1, so leads[j:] are the i > j
         if any(lead is not None and all(map(le, lead, gen.qexp))

@@ -126,14 +126,12 @@ class UBasis:
     basis order, i.e. I' viewed inside I, and is always (1, ..., |I'|):
     `t_series` relies on the I' classes coming first.  Each leading class
     is y_i H_i times ``prefactor`` = h y_j^m, which is 1 at background
-    charge 0, h at positive charge and h y_j^m at negative charge; h is
-    recorded at nonzero charge and (j, m) at negative charge.
+    charge 0, h at positive charge and h y_j^m at negative charge; it is the
+    one record of both h and (j, m).
     """
 
     elements: tuple
     prime_indices: tuple
-    h_factor: Optional[SuperElement]
-    y_choice: Optional[tuple]  # (j, m) for negative background charge
     prefactor: SuperElement
 
 
@@ -243,8 +241,7 @@ def u_basis(def_data: DeformationData, pres_G: QuotientPresentation,
             elements.append(candidate)
     if len(elements) != dim:
         raise InternalCheckError("failed to complete the deformed basis")
-    return UBasis(tuple(elements), tuple(range(1, ell + 1)), h if c_G else None,
-                  (j, m) if c_G < 0 else None, prefactor)
+    return UBasis(tuple(elements), tuple(range(1, ell + 1)), prefactor)
 
 
 # -- the T series -------------------------------------------------------------

@@ -50,15 +50,14 @@ from .superalgebra import (
 class DworkData:
     """A variable context together with S = sum y_l G_l and its gradient.
 
-    `grad_den` is the lcm of the gradient denominators and
-    `grad_num[i]` lists (qexp, numerator over grad_den) of grad[i], the
-    integer table `_differential` reads for the Q terms.
+    `grad_num[i]` lists (qexp, numerator over `grad_den`) of dS/dq_{i+1}:
+    the integer table `_differential` reads for the Q terms, and the only
+    record of the gradient (`partial_q(i, D.S)` is dS/dq_i as an element).
     """
 
     ctx: VariableContext
     G: tuple
     S: SuperElement
-    grad: tuple  # grad[i] = dS/dq_{i+1}
     grad_num: tuple
     grad_den: int
 
@@ -88,7 +87,7 @@ def dwork_potential(ctx: VariableContext, G: Sequence[SuperElement]) -> DworkDat
     grad_den = math.lcm(*(g._den for g in grad))
     grad_num = tuple(tuple((q, v * (grad_den // g._den)) for (q, _), v in g._num.items())
                      for g in grad)
-    return DworkData(ctx, G, S, grad, grad_num, grad_den)
+    return DworkData(ctx, G, S, grad_num, grad_den)
 
 
 def check_x_homogeneous(ctx: VariableContext, poly: SuperElement, degree: int,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError, ParseError
 from .superalgebra import (
@@ -36,17 +37,11 @@ from .superalgebra import (
 )
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "column")
-
-    def __init__(self, kind, value, line, column):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.column = column
-
-    def __repr__(self):
-        return f"_Token({self.kind}, {self.value!r})"
+class _Token(NamedTuple):
+    kind: str
+    value: object
+    line: int
+    column: int
 
 
 # One alternative per lexeme: a newline, other blanks, an operator, a

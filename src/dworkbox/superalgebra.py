@@ -255,15 +255,9 @@ class SuperElement:
     def coefficient(self, mono: SuperMonomial) -> Fraction:
         return Fraction(self._num.get(mono, 0), self._den)
 
-    def charges(self) -> set:
-        return {monomial_charge(self.ctx, m) for m in self._num}
-
-    def degrees(self) -> set:
-        return {m.degree() for m in self._num}
-
     def homogeneous_degree(self):
         """Cohomological degree if homogeneous, else None (0 for the zero element)."""
-        degs = self.degrees()
+        degs = {m.degree() for m in self._num}
         if not degs:
             return 0
         if len(degs) == 1:
@@ -271,17 +265,10 @@ class SuperElement:
         return None
 
     def homogeneous_charge(self):
-        chs = self.charges()
-        if not chs:
-            return None
+        chs = {monomial_charge(self.ctx, m) for m in self._num}
         if len(chs) == 1:
             return chs.pop()
         return None
-
-    def top_weight(self):
-        if not self._num:
-            return None
-        return max(monomial_weight(self.ctx, m) for m in self._num)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -573,7 +573,7 @@ class EchelonReduction:
         certificate = SuperElement.zero(ctx)
         rest = f
         while not rest.is_zero():
-            w = rest.top_weight()
+            w = max(monomial_weight(ctx, m) for m in rest.terms)
             part = {m: c for m, c in rest.terms.items() if monomial_weight(ctx, m) == w}
             solver = self.solver(w)
             residual, combo = as_fractions(*solver.eliminate(
@@ -603,3 +603,43 @@ def charge_witness_check(D, f):
     assert apply_k(D, witness) == f.scale(lam - c_G) - charge_generator(D) * apply_k(D, f), \
         "charge concentration identity failed"
     return witness.scale(-1 if f.homogeneous_degree() % 2 else 1)
+
+
+def fermat_reduce(n, d, s, b):
+    """Normal form of y^s x^b for the Fermat hypersurface x_0^d + ... + x_n^d.
+
+    Dwork's diagonal reduction (Dwork, "p-adic cycles", 1969): from
+    d/dx_i e^{yG} = d y x_i^(d-1) e^{yG}, y x_i^(a+d-1) = -(a/d) x_i^(a-1) in
+    the quotient.  Writing b_i = r_i + q_i d with 0 <= r_i < d, y^s x^b is
+
+        prod_i (-1)^q_i ((r_i + 1)/d)_q_i * y^(s - sum q_i) x^r
+
+    with (x)_q the rising factorial, and zero when some r_i = d - 1.  The
+    basis is the y^s x^r of charge d - n - 1 with every r_i <= d - 2.
+    Returns {(s', r): c}, empty for a zero class; any other charge is exact.
+    """
+    assert len(b) == n + 1
+    if sum(b) - d * s != d - n - 1:
+        return {}
+    coeff = Fraction(1)
+    for b_i in b:
+        q_i, r_i = divmod(b_i, d)
+        if r_i == d - 1:
+            return {}
+        for t in range(q_i):
+            coeff *= -Fraction(r_i + 1 + t * d, d)
+    return {(s - sum(b_i // d for b_i in b), tuple(b_i % d for b_i in b)): coeff}
+
+
+def fermat_ladder(n, d, rows, order):
+    """{M: D_M} for the Dwork pencil Gamma = y x_0 ... x_n over the Fermat
+    hypersurface: row beta of D_M is sum_{m < M} fermat_reduce(u_beta Gamma^m) / m!
+    as a dict {(s', r): c}, for u_beta = y^s x^b given as (s, b) in `rows`."""
+    ladder = {}
+    sums = [{} for _ in rows]
+    for m in range(order):
+        for acc, (s, b) in zip(sums, rows):
+            for key, c in fermat_reduce(n, d, s + m, tuple(e + m for e in b)).items():
+                acc[key] = acc.get(key, 0) + c / factorial(m)
+        ladder[m + 1] = [{key: c for key, c in acc.items() if c} for acc in sums]
+    return ladder

@@ -153,7 +153,7 @@ def test_u_basis_positive_charge_quintic():
     dd = build_deformation(D, [parse("x0^5", ctx)])
     PU = build_presentation(dd.deformed)
     basis_u = u_basis(dd, P, PU)
-    assert basis_u.h_factor == parse("x2^2", ctx)
+    assert basis_u.prefactor == parse("x2^2", ctx)
     assert basis_u.elements[0] == parse("y1*x0^5*x2^2", ctx)
     assert len(basis_u.elements) == 12
     # all classes must really be independent mod the deformed kernel
@@ -195,8 +195,8 @@ def test_u_basis_negative_charge_cubic_surface():
         u_basis(dd, P, PU)
     # a user-supplied h clears it
     basis_u = u_basis(dd, P, PU, h=parse("x2^2", ctx))
-    assert basis_u.y_choice == (1, 1)
-    assert basis_u.h_factor == parse("x2^2", ctx)
+    # h = x2^2 and the default (j, m) = (1, 1)
+    assert basis_u.prefactor == parse("y1*x2^2", ctx)
     assert basis_u.elements[0] == parse("y1^2*x0*x1*x2^3", ctx)
     assert len(basis_u.elements) == 6
 
@@ -217,9 +217,6 @@ def test_leading_classes_carry_the_recorded_prefactor(n, degree, H, h, prefactor
     h_elt = parse(h, ctx) if h is not None else None
     basis_u = u_basis(dd, P, build_presentation(dd.deformed), h=h_elt)
     assert basis_u.prefactor == parse(prefactor, ctx)
-    c_G = ctx.background_charge()
-    assert (basis_u.h_factor is None) == (c_G == 0)
-    assert (basis_u.y_choice is None) == (c_G >= 0)
     for a, i in enumerate(dd.nonzero_indices):
         assert basis_u.elements[a] == \
             SuperElement.variable(ctx, i) * dd.H[i - 1] * basis_u.prefactor
@@ -676,7 +673,7 @@ def test_series_positive_charge_quintic():
     nonzero = {rho: series.coefficient(rho, zero_expo)
                for rho in range(12) if series.coefficient(rho, zero_expo)}
     assert list(nonzero.values()) == [Fraction(1)]
-    _nonzero_charge_series_case(ctx, D, P, dd, basis_u, series, basis_u.h_factor)
+    _nonzero_charge_series_case(ctx, D, P, dd, basis_u, series, basis_u.prefactor)
 
 
 def test_series_negative_charge_cubic_surface():
@@ -687,9 +684,7 @@ def test_series_negative_charge_cubic_surface():
     PU = build_presentation(dd.deformed)
     basis_u = u_basis(dd, P, PU, h=parse("x2^2", ctx))
     series = t_series(dd, P, basis_u, 2)
-    j, m = basis_u.y_choice
-    prefactor = basis_u.h_factor * SuperElement.variable(ctx, j) ** m
-    _nonzero_charge_series_case(ctx, D, P, dd, basis_u, series, prefactor)
+    _nonzero_charge_series_case(ctx, D, P, dd, basis_u, series, basis_u.prefactor)
 
 
 # -- concurrency: shared immutable presentation --------------------------------------

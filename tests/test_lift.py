@@ -11,6 +11,7 @@ from dworkbox import (
     apply_k,
     build_presentation,
     dwork_potential,
+    grade,
     parse,
 )
 from dworkbox.cohomology import _build_weight_solver, enumerate_piece
@@ -42,6 +43,11 @@ def _geometry(name):
     return D, gamma
 
 
+def top_weight(f):
+    """The largest weight of a nonzero f, from its `grade` components."""
+    return max(w for _, w, _, _ in grade(f))
+
+
 def known_chains(presentation, gamma, max_weight):
     """e_rho * Gamma^m for every basis element, up to weight max_weight."""
     chains = []
@@ -49,7 +55,7 @@ def known_chains(presentation, gamma, max_weight):
         value = e
         while True:
             value = value * gamma
-            if value.is_zero() or value.top_weight() > max_weight:
+            if value.is_zero() or top_weight(value) > max_weight:
                 break
             chains.append(value)
     return chains
@@ -65,7 +71,7 @@ def test_lift_matches_echelon_route(name):
     inputs = [random_charge_element(D, rng, pres.c_G, 0, max_weight=top + 4)
               for _ in range(4)]
     inputs += known_chains(pres, gamma, top + 4)
-    assert max(f.top_weight() for f in inputs) == top + 4
+    assert max(top_weight(f) for f in inputs) == top + 4
     for f in inputs:
         result = pres.reduce(f)
         assert result.coefficients == oracle.reduce(f).coefficients
@@ -82,7 +88,7 @@ def test_build_and_reduce_skip_the_fraction_view(name, monkeypatch):
     top = D.ctx.n - D.ctx.k
     f = random_charge_element(D, random.Random(f"ints:{name}"), D.ctx.background_charge(),
                               0, max_weight=top + 2)
-    assert f.top_weight() == top + 2
+    assert top_weight(f) == top + 2
 
     def forbidden(self):
         raise AssertionError("SuperElement.terms read")
@@ -106,7 +112,7 @@ def test_reduce_grades_its_input_once(name, monkeypatch):
     pres = build_presentation(D)
     f = random_charge_element(D, random.Random(f"grade:{name}"), pres.c_G, 0,
                               max_weight=top + 3)
-    assert f.top_weight() == top + 3
+    assert top_weight(f) == top + 3
     graded = []
     real = cohomology.grade
     monkeypatch.setattr(cohomology, "grade", lambda a: graded.append(a) or real(a))
@@ -114,7 +120,7 @@ def test_reduce_grades_its_input_once(name, monkeypatch):
     def forbidden(self):
         raise AssertionError("reduce regraded an element")
 
-    for attr in ("top_weight", "charges", "degrees"):
+    for attr in ("homogeneous_charge", "homogeneous_degree"):
         monkeypatch.setattr(SuperElement, attr, forbidden)
     result = pres.reduce(f)
     monkeypatch.undo()

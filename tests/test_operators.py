@@ -17,6 +17,7 @@ from dworkbox import (
     InputError,
     LinearFunctional,
     SuperElement,
+    SuperMonomial,
     VariableContext,
     apply_delta,
     apply_k,
@@ -51,7 +52,7 @@ def oracle_q(D, a):
     ctx = a.ctx
     out = SuperElement.zero(ctx)
     for i in range(1, ctx.nvars + 1):
-        out = out + D.grad[i - 1] * partial_eta(i, a)
+        out = out + partial_q(i, D.S) * partial_eta(i, a)
     return out
 
 
@@ -60,9 +61,12 @@ def oracle_q(D, a):
 def test_dwork_potential_single(cubic_ctx):
     D = dwork_potential(cubic_ctx, [parse("x0^3 + x1^3 + x2^3", cubic_ctx)])
     assert D.S == parse("y1*x0^3 + y1*x1^3 + y1*x2^3", cubic_ctx)
-    # gradient entries: dS/dy1 = G, dS/dx_j = 3 y1 x_j^2
-    assert D.grad[0] == parse("x0^3 + x1^3 + x2^3", cubic_ctx)
-    assert D.grad[1] == parse("3*y1*x0^2", cubic_ctx)
+    # gradient table rows: dS/dy1 = G, dS/dx_j = 3 y1 x_j^2
+    grad = [SuperElement(cubic_ctx, {SuperMonomial(q): Fraction(v, D.grad_den) for q, v in row})
+            for row in D.grad_num]
+    assert grad[0] == parse("x0^3 + x1^3 + x2^3", cubic_ctx)
+    assert grad[1] == parse("3*y1*x0^2", cubic_ctx)
+    assert grad == [partial_q(i, D.S) for i in range(1, cubic_ctx.nvars + 1)]
 
 
 def test_dwork_potential_two_blocks():
@@ -126,7 +130,7 @@ def test_one_pass_k_matches_q_plus_delta(geometry, request):
     D = request.getfixturevalue(EXTRA_DWORK.get(geometry, geometry))
     ctx, S = D.ctx, D.S.terms
     if geometry == "fractional cubic":
-        assert max(g._den for g in D.grad) == 6
+        assert max(partial_q(i, D.S)._den for i in range(1, ctx.nvars + 1)) == 6
     rng = random.Random(53)
     c_G = ctx.background_charge()
     for _ in range(40):

@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import dworkbox
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -153,3 +155,30 @@ def test_tracer_reads_every_span_it_records():
     for name in ("cohomology.build_presentation", "cohomology.build_weight_solver",
                  "cohomology.enumerate_piece", "cohomology.reduce"):
         assert tracer.calls.get(name, 0) > 0, name
+
+
+@pytest.mark.parametrize("workload", ["build", "deform", "transport", "reduce"])
+def test_benchmark_workloads_run_against_the_library(workload, tmp_path):
+    """One set-up, pass and check of each `perfbench/workloads.py` workload
+    on the installed package, loaded as the tracer tests load `tracer.py`:
+    a change that drops a name the benchmark calls (`build_presentation`,
+    `random_charge_element(..., max_weight=)`, `pres.slack`, `as_element`,
+    `JobConfig.dwork` and `.H`) fails here.  `verify` is left out: one pass
+    takes seconds."""
+    import importlib
+    import importlib.util
+    import types
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    prog = types.SimpleNamespace(**{
+        name: importlib.import_module("dworkbox." + name)
+        for name in ("cli", "cohomology", "deformation", "operators", "polyparse",
+                     "superalgebra", "verify")})
+    bench = workloads.WORKLOADS[workload](prog, 1, tmp_path)
+    bench.run_pass()
+    operations, failures = bench.check_pass()
+    assert operations > 0
+    assert failures == []

@@ -12,6 +12,7 @@ from dworkbox import (
     VariableContext,
     apply_k,
     dwork_potential,
+    grade,
     parse,
     reduction_functional,
 )
@@ -97,7 +98,7 @@ def test_random_element_homogeneity(cubic_ctx):
     rng = random.Random(8)
     for _ in range(50):
         e = random_element(cubic_ctx, rng, homogeneous_degree=1)
-        assert e.degrees() <= {-1}
+        assert {deg for _, _, deg, _ in grade(e)} <= {-1}
         h = random_homogeneous(cubic_ctx, rng)
         assert h.homogeneous_degree() is not None
 
@@ -130,8 +131,8 @@ def test_random_charge_element_slices(cubic_dwork):
     for lam in (-3, 0, 1):
         for s in (0, -1):
             e = random_charge_element(cubic_dwork, rng, lam, s, max_weight=2)
-            assert e.charges() <= {lam}
-            assert e.degrees() <= {s}
+            assert {ch for ch, _, _, _ in grade(e)} <= {lam}
+            assert {deg for _, _, deg, _ in grade(e)} <= {s}
 
 
 def test_reduction_functional_contract(cubic_dwork, cubic_presentation):
