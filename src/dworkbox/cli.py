@@ -171,7 +171,8 @@ def cmd_reduce(args) -> int:
     result = pres.reduce(f)
     payload = {
         "input": render(f),
-        "coefficients": [_frac_str(c) for c in result.coefficients],
+        "coefficients": [_frac_str(result.coefficients.get(rho, Fraction(0)))
+                         for rho in range(pres.dimension)],
         "basis": [render(e) for e in pres.basis_elements()],
         "certificate": render(result.certificate),
     }

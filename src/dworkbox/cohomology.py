@@ -250,16 +250,18 @@ def enumerate_piece(ctx: VariableContext, charge: int, weight: int,
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """Coefficients over the quotient basis plus an exact K-preimage witness."""
+    """Coefficients over the quotient basis plus an exact K-preimage witness.
 
-    coefficients: tuple
+    coefficients maps a basis position to its coefficient, nonzero ones only,
+    so it is {} for exact or off-charge input."""
+
+    coefficients: dict
     certificate: SuperElement
 
     def as_element(self, presentation: "QuotientPresentation") -> SuperElement:
         """sum_rho c_rho e_rho as an element (the normal form)."""
         return SuperElement(presentation.dwork.ctx,
-                            {mono: c for c, mono in zip(self.coefficients, presentation.basis)
-                             if c})
+                            {presentation.basis[rho]: c for rho, c in self.coefficients.items()})
 
 
 # eliminate divides out the content of its running vector once the common
@@ -581,11 +583,10 @@ class QuotientPresentation:
             raise InputError(f"reduce expects charge-pure input, found charges {charges}")
         if charges == [self.c_G]:
             return self._reduce_background({w: part for _, w, _, part in components})
-        zero = (Fraction(0),) * len(self.basis)
         if not charges:
-            return ReductionResult(zero, SuperElement.zero(f.ctx))
+            return ReductionResult({}, SuperElement.zero(f.ctx))
         witness = charge_witness(self.dwork, f)
-        return ReductionResult(zero, witness.scale(Fraction(1, charges[0] - self.c_G)))
+        return ReductionResult({}, witness.scale(Fraction(1, charges[0] - self.c_G)))
 
     def _reduce_background(self, slices: dict) -> ReductionResult:
         """Reduce the weight slices `slices` (weight -> nonzero element),
@@ -605,7 +606,7 @@ class QuotientPresentation:
         """
         ctx = self.dwork.ctx
         top = ctx.n - ctx.k
-        coeffs = [Fraction(0)] * len(self.basis)
+        coeffs: dict = {}
         certificate = SuperElement.zero(ctx)
         for w in range(max(slices), -1, -1):
             part = slices.get(w)
@@ -617,20 +618,22 @@ class QuotientPresentation:
                 xi = self._eliminate_slice(w, part, coeffs)
             certificate = certificate + xi
             slices[w - 1] = slices.get(w - 1, SuperElement.zero(ctx)) - apply_delta(xi)
-        return ReductionResult(tuple(coeffs), certificate)
+        return ReductionResult(coeffs, certificate)
 
-    def _eliminate_slice(self, w: int, part: SuperElement, coeffs: list) -> SuperElement:
+    def _eliminate_slice(self, w: int, part: SuperElement, coeffs: dict) -> SuperElement:
         """Eliminate the weight-w slice `part` against its echelon.
 
-        Adds the residual to `coeffs` (indexed like the basis) and
-        returns xi with Q(xi) = part - residual.
+        Stores the residual in `coeffs` (basis position -> nonzero Fraction)
+        and returns xi with Q(xi) = part - residual.
         """
         residual, preimage, scale = self._solvers[w].solve(part._num)
         den = part._den * scale
         # the residual lives on complement monomials, which are the basis at
-        # w <= n - k; at n - k + 1 the guard in __init__ left none
+        # w <= n - k; at n - k + 1 the guard in __init__ left none.  Each
+        # basis monomial has one weight, so exactly one slice sets it, and
+        # the echelon leaves no zero in a residual
         for mono, c in residual.items():
-            coeffs[self.basis_index[mono]] += Fraction(c, den)
+            coeffs[self.basis_index[mono]] = Fraction(c, den)
         return SuperElement._make(self.dwork.ctx, preimage, den)
 
     def _lift(self, part: SuperElement) -> SuperElement:

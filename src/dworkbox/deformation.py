@@ -199,9 +199,11 @@ def u_basis(def_data: DeformationData, pres_G: QuotientPresentation,
     if c_G < 0:
         if y_choice is None:
             y_choice = _pick_y_power(ctx, c_G)
-        j, m = y_choice
-        if not (1 <= j <= ctx.k) or m < 1:
+        if (not isinstance(y_choice, (tuple, list))
+                or [type(e) for e in y_choice] != [int, int]
+                or not 1 <= y_choice[0] <= ctx.k or y_choice[1] < 1):
             raise InputError(f"invalid y power choice {y_choice}")
+        j, m = y_choice
     hdeg = c_G + m * ctx.degrees[j - 1]
     if hdeg < 0:
         raise InputError(f"y power choice {y_choice} cannot reach charge {c_G}")
@@ -224,8 +226,7 @@ def u_basis(def_data: DeformationData, pres_G: QuotientPresentation,
     echelon = _Echelon()
 
     def grows(u):
-        coeffs = pres_U.reduce(u).coefficients
-        return echelon.insert({i: c for i, c in enumerate(coeffs) if c}, {})
+        return echelon.insert(pres_U.reduce(u).coefficients, {})
 
     for idx, u in enumerate(leaders, start=1):
         if not grows(u):
@@ -362,21 +363,19 @@ def _record(pres: QuotientPresentation, memo: dict, coefficients, certificates,
             expo, value):
     """Reduce `value`, the t^expo coefficient, into the series.  `reduce`
     and its certificate are linear, so value = sum c m reduces to sum c
-    reduce(m): `memo` holds the nonzero (rho, c_rho) pairs and certificate
-    of every monomial m reduced so far in one `t_series` call."""
+    reduce(m): `memo` holds the `ReductionResult` of every monomial m
+    reduced so far in one `t_series` call."""
     ctx = pres.dwork.ctx
     sums = {}
     certificate = SuperElement.zero(ctx)
     for mono, num in value._num.items():
-        if mono not in memo:
-            result = pres.reduce(SuperElement._make(ctx, {mono: 1}, 1))
-            memo[mono] = ([(rho, c) for rho, c in enumerate(result.coefficients) if c],
-                          result.certificate)
-        pairs, cert = memo[mono]
+        result = memo.get(mono)
+        if result is None:
+            result = memo[mono] = pres.reduce(SuperElement._make(ctx, {mono: 1}, 1))
         scale = Fraction(num, value._den)
-        for rho, c in pairs:
+        for rho, c in result.coefficients.items():
             sums[rho] = sums.get(rho, 0) + scale * c
-        certificate = certificate + cert.scale(scale)
+        certificate = certificate + result.certificate.scale(scale)
     coefficients.update(((rho, expo), c) for rho, c in sorted(sums.items()) if c)
     if certificate:
         certificates[expo] = certificate
@@ -425,8 +424,8 @@ def expansion_coefficients(def_data: DeformationData, pres_G: QuotientPresentati
         if m:
             power = power * def_data.gamma
         term = power.scale(Fraction(1, math.factorial(m)))
-        red = pres_G.reduce(term)
-        running = [a + b for a, b in zip(running, red.coefficients)]
+        for rho, c in pres_G.reduce(term).coefficients.items():
+            running[rho] += c
         out.append(tuple(running))
     return out
 

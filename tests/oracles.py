@@ -490,9 +490,8 @@ def plain_t_series(def_data, pres_G, basis_u, order):
     coefficients, certificates = {}, {}
     for expo, value in t_series_values(def_data, basis_u, dim, order):
         result = pres_G.reduce(value)
-        for rho, c in enumerate(result.coefficients):
-            if c:
-                coefficients[(rho, expo)] = c
+        for rho, c in sorted(result.coefficients.items()):
+            coefficients[(rho, expo)] = c
         if not result.certificate.is_zero():
             certificates[expo] = result.certificate
     return DeformationSeries(order, dim, basis_u.prime_indices, coefficients, certificates)
@@ -569,7 +568,7 @@ class EchelonReduction:
     def reduce(self, f):
         pres = self.presentation
         ctx = pres.dwork.ctx
-        coeffs = [Fraction(0)] * pres.dimension
+        coeffs = {}
         certificate = SuperElement.zero(ctx)
         rest = f
         while not rest.is_zero():
@@ -582,12 +581,12 @@ class EchelonReduction:
                 idx = pres.basis_index.get(solver.target.monomials[pos])
                 if idx is None:
                     raise SmoothnessError(f"nonzero class of weight {w}")
-                coeffs[idx] += c
+                coeffs[idx] = coeffs.get(idx, 0) + c
             xi = SuperElement(ctx, {solver.generators.monomials[g]: c
                                     for g, c in combo.items()})
             certificate = certificate + xi
             rest = rest - SuperElement(ctx, part) - apply_delta(xi)
-        return ReductionResult(tuple(coeffs), certificate)
+        return ReductionResult({i: c for i, c in coeffs.items() if c}, certificate)
 
 
 def charge_witness_check(D, f):

@@ -160,7 +160,7 @@ def test_u_basis_positive_charge_quintic():
     rows = [PU.reduce(u).coefficients for u in basis_u.elements]
     from tests.oracles import dense_rank
 
-    vectors = [{(0, (i,)): c for i, c in enumerate(r) if c} for r in rows]
+    vectors = [{(0, (i,)): c for i, c in r.items()} for r in rows]
     columns = [(0, (i,)) for i in range(12)]
     assert dense_rank(vectors, columns) == 12
 
@@ -199,6 +199,20 @@ def test_u_basis_negative_charge_cubic_surface():
     assert basis_u.prefactor == parse("y1*x2^2", ctx)
     assert basis_u.elements[0] == parse("y1^2*x0*x1*x2^3", ctx)
     assert len(basis_u.elements) == 6
+
+
+def test_u_basis_rejects_a_y_power_that_is_not_two_ints():
+    """y_choice must be a pair (j, m) of ints, as the CLI's yPower is; a
+    pair of the wrong length, of non-int entries or a scalar is an
+    InputError."""
+    ctx = VariableContext(3, 1, (3,))  # c_G = -1
+    D = dwork_potential(ctx, [parse("x0^3 + x1^3 + x2^3 + x3^3", ctx)])
+    P = build_presentation(D)
+    dd = build_deformation(D, [parse("x0*x1*x2", ctx)])
+    PU = build_presentation(dd.deformed)
+    for y_choice in [(1,), (1, 1, 1), (1.0, 1), ("1", 1), 1]:
+        with pytest.raises(InputError, match="invalid y power choice"):
+            u_basis(dd, P, PU, h=parse("x2^2", ctx), y_choice=y_choice)
 
 
 @pytest.mark.parametrize("n,degree,H,h,prefactor", [
@@ -285,8 +299,7 @@ def test_u_basis_surfaces_dependence(cubic_dwork, cubic_presentation):
         gamma = parse("y1*x0^3 - y1*x1^3", ctx)
         deformed = cubic_dwork
 
-    assert not any(
-        cubic_presentation.reduce(parse("y1*x0^3 - y1*x1^3", ctx)).coefficients)
+    assert cubic_presentation.reduce(parse("y1*x0^3 - y1*x1^3", ctx)).coefficients == {}
     with pytest.raises(IndependenceError):
         u_basis(FakeDef(), cubic_presentation, cubic_presentation)
 
@@ -418,7 +431,8 @@ def test_expansion_constant_for_trivial_gamma(cubic_dwork, cubic_presentation):
     seq = expansion_coefficients(dd, cubic_presentation, u, 5)
     assert len(seq) == 6
     assert all(v == seq[0] for v in seq)
-    assert seq[0] == cubic_presentation.reduce(u).coefficients
+    reduced = cubic_presentation.reduce(u).coefficients
+    assert seq[0] == tuple(reduced.get(rho, 0) for rho in range(cubic_presentation.dimension))
 
 
 def test_expansion_hesse_partial_sums(cubic_presentation, hesse):
@@ -716,8 +730,7 @@ def test_two_quadrics_deformation_series(quadrics_dwork, quadrics_presentation,
     dd, pres_U, basis_u = quadrics_deformation
     assert [render_u for render_u in basis_u.elements] == [
         parse("y1*x0*x1", ctx), SuperElement.one(ctx)]
-    assert not any(
-        quadrics_presentation.reduce(parse("y1*x0*x1", ctx)).coefficients)
+    assert quadrics_presentation.reduce(parse("y1*x0*x1", ctx)).coefficients == {}
     series = t_series(dd, quadrics_presentation, basis_u, 4)
     assert series.coefficient(0, (1, 0)) == 0
     assert series.coefficient(1, (1, 0)) == 0

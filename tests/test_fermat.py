@@ -68,7 +68,7 @@ def test_reduce_matches_the_fermat_closed_form(n, d, order):
             b = random_exponents(rng, xdeg, n + 1)
             f = SuperElement(ctx, {monomial(s, b): 1})
             result = pres.reduce(f)
-            got = {pres.basis[i]: c for i, c in enumerate(result.coefficients) if c}
+            got = {pres.basis[i]: c for i, c in result.coefficients.items()}
             expected = {monomial(*key): c for key, c in fermat_reduce(n, d, s, b).items()}
             assert got == expected, (s, b)
             assert apply_k(D, result.certificate) + result.as_element(pres) == f
@@ -76,10 +76,11 @@ def test_reduce_matches_the_fermat_closed_form(n, d, order):
     assert checked >= 3 * PER_WEIGHT
 
 
-@pytest.mark.parametrize("n", [2, 3], ids=["cubic_curve", "quartic_k3"])
+@pytest.mark.parametrize("n", [2, 3, 4], ids=["cubic_curve", "quartic_k3", "quintic_threefold"])
 def test_dwork_pencil_ladder_matches_the_fermat_closed_form(n):
     """D_M[beta][rho] = sum_{m < M} fermat_reduce(u_beta Gamma^m) / m! for
-    Gamma = y x_0 ... x_n, the ladder of the Dwork pencil, to order 6."""
+    Gamma = y x_0 ... x_n, the ladder of the Dwork pencil, to order 6; on
+    the quintic threefold the ladder is 204 x 204."""
     d = n + 1
     D = fermat_dwork(n, d)
     ctx = D.ctx
@@ -102,3 +103,9 @@ def test_dwork_pencil_ladder_matches_the_fermat_closed_form(n):
         # the Hesse value: the m = 2 term of row y x0 x1 x2 is (-1/3)^3 / 2!
         assert expected[3][0][(0, (0, 0, 0))] == Fraction(-1, 54)
         assert ladder[3][0][0] == Fraction(-1, 54)
+    if n == 4:
+        # the quintic analogue: of m < 6 only m = 4 takes row y x0...x4 to the
+        # class of 1, with (-1/5)^5 / 4!
+        assert pres.dimension == 204 and pres.basis[0] == monomial(0, (0,) * 5)
+        assert [ladder[m][0][0] for m in range(1, 7)] == \
+            [0] * 4 + [Fraction(-1, 75000)] * 2

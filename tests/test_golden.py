@@ -9,7 +9,8 @@ cubic `reduce` and the cubic `verify` were written before the charge and
 weight gradings moved into `monomial_charge` and `monomial_weight`; the
 cubic transport of a float period matrix and the quartic K3 `reduce` were
 written before `reduce` graded its input once and walked the weight
-slices.  So any change in a basis, a series coefficient, a D ladder, a
+slices; the quintic-curve `reduce` of an off-charge input was written
+before `reduce` returned its coefficients as a sparse dict.  So any change in a basis, a series coefficient, a D ladder, a
 reduction certificate, a verify verdict, a transported matrix or the
 presentation JSON shows up here.  To rewrite them after an intended report change:
 
@@ -87,6 +88,9 @@ COMMANDS = {
 # weight 4 leaves weights 3 and 2 to the delta terms alone
 REDUCE_INPUTS = {
     "cubic_curve": "y1^3*x0^3*x1^3*x2^3 + y1*x0*x1*x2",
+    # charge 1 != c_G = 2 and eta-free, so K-closed: no coefficient, only
+    # the charge witness as certificate
+    "quintic_curve": "x0",
     "quartic_k3": "y1^4*x0^4*x1^4*x2^4*x3^4 + y1*x0^2*x1^2 + 1",
 }
 # the geometries a case runs on, where not every geometry with an H block

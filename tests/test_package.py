@@ -93,6 +93,23 @@ def test_src_has_no_unused_imports():
     assert not unused
 
 
+def test_no_dense_scan_of_a_coefficients_record():
+    """A reduction's and a series' `coefficients` are dicts, so `any`, `all`,
+    `zip`, `enumerate`, `tuple` or `sum` called on one walks its keys, where
+    position 0 is falsy: `any({0: Fraction(5)})` is False.  No such call is
+    right, so none may appear in src/ or tests/."""
+    scans = {"any", "all", "zip", "enumerate", "tuple", "sum"}
+    found = []
+    for path in sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in scans
+                    and any(isinstance(arg, ast.Attribute) and arg.attr == "coefficients"
+                            for arg in node.args)):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.func.id}")
+    assert not found
+
+
 # hooks in perfbench/tracer.py whose targets were renamed or removed; the
 # benchmark's next revision is expected to repoint them
 STALE_TRACER_HOOKS = {
