@@ -37,11 +37,14 @@ d_i >= 1 gives c_G + d.v0 >= (k - n - 1) + (n - k + 1) = 0, and u has room
 for it, since |u| = c_G + d.v >= c_G + d.v0 because v >= v0.  With
 Q(pre(m0)) = m0 read off the weight top + 1 echelon, Q(pre(m0) * m1) = M.
 So closure at weight top + 1 gives closure at every weight above it, and the
-smoothness guard checks that one weight.
+smoothness guard checks that one weight, by the rank mod a prime of its Q
+rows; only a short rank builds the exact echelon there.
 
 A presentation is only ever made by `QuotientPresentation(D)`, which builds
-the weight solvers 0..top + 1 up front; loading an export rebuilds it from
-the context and G and checks the file against the result.
+the weight solvers 0..top up front and the weight top + 1 solver on first
+need; loading an export rebuilds it from the context and G and checks the
+file against the result.  Every solver takes its Q rows straight from the
+integer gradient table (`_WeightSolver.q_vector`).
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd, lcm
-from operator import index, le
+from operator import add, index, le
 
 from .errors import InputError, InternalCheckError, SmoothnessError
 from .operators import DworkData, apply_delta, apply_q, dwork_potential
@@ -407,10 +410,20 @@ class _WeightSolver(_Echelon):
             raise InternalCheckError("monomial escaped its graded piece") from None
 
     def q_vector(self, D: DworkData, g_idx: int):
-        """Q of generator `g_idx` as (position -> int numerator, denominator)."""
-        gen = self.generators.monomials[g_idx]
-        image = apply_q(D, SuperElement._make(D.ctx, {gen: 1}, 1))
-        return self._positions(image._num), image._den
+        """Q of generator `g_idx` as (position -> int numerator, denominator).
+
+        Q(m * eta_j) = (dS/dq_j) * m, so the image is the gradient table row
+        D.grad_num[j - 1] shifted by m, over D.grad_den; no element is made.
+        A SuperMonomial is a NamedTuple, so the plain (qexp, eta) tuple finds
+        its position.
+        """
+        qexp, (j,) = self.generators.monomials[g_idx]
+        index = self.index
+        try:
+            return ({index[tuple(map(add, gq, qexp)), ()]: c for gq, c in D.grad_num[j - 1]},
+                    D.grad_den)
+        except KeyError:
+            raise InternalCheckError("monomial escaped its graded piece") from None
 
     def solve(self, num: dict):
         """(residual, preimage, scale) in ints with scale * num == residual +
@@ -447,10 +460,10 @@ class _WeightSolver(_Echelon):
         return True
 
 
-def _build_weight_solver(D: DworkData, charge: int, weight: int) -> _WeightSolver:
-    """Echelonize the Q image of the (charge, weight) generators, skipping
-    the Koszul-redundant ones (the Koszul criterion of Faugère's F5, ISSAC
-    2002).
+def _koszul_rows(D: DworkData, solver: _WeightSolver):
+    """(g_idx, vec, den) with vec = den * Q(gen) nonzero, by position, for
+    each generator of `solver` that the Koszul criterion of Faugère's F5
+    (ISSAC 2002) keeps, in generator order.
 
     Write g_i = dS/dq_i (terms D.grad_num[i - 1]), so the row of the
     generator m * eta_j is g_j * m, and L_i for the leading monomial of g_i
@@ -473,26 +486,76 @@ def _build_weight_solver(D: DworkData, charge: int, weight: int) -> _WeightSolve
     the rows and their combos, and with them the certificates, do.
     """
     ctx = D.ctx
-    target = enumerate_piece(ctx, charge, weight, 0)
-    generators = enumerate_piece(ctx, charge, weight, -1)
-    solver = _WeightSolver(target, generators)
-    full_rank = len(target.monomials)
     # leads[i] is L_{i+1}, or None where that g is zero; S and g are eta-free
     leads = [max((q for q, _ in g), key=lambda q: monomial_sort_key(ctx, SuperMonomial(q)))
              if g else None for g in D.grad_num]
-    for g_idx, gen in enumerate(generators.monomials):
-        # gen.eta is (j,) with j counted from 1, so leads[j:] are the i > j
-        if any(lead is not None and all(map(le, lead, gen.qexp))
-               for lead in leads[gen.eta[0]:]):
+    # later[j - 1] holds the L_i of the nonzero g_i with i > j
+    later = [[lead for lead in leads[j:] if lead is not None] for j in range(1, len(leads) + 1)]
+    for g_idx, (qexp, (j,)) in enumerate(solver.generators.monomials):
+        if any(all(map(le, lead, qexp)) for lead in later[j - 1]):
             continue
         vec, den = solver.q_vector(D, g_idx)
-        if not vec:
-            continue
+        if vec:
+            yield g_idx, vec, den
+
+
+def _empty_solver(D: DworkData, charge: int, weight: int) -> _WeightSolver:
+    """A solver of the (charge, weight) pieces with no row yet."""
+    ctx = D.ctx
+    return _WeightSolver(enumerate_piece(ctx, charge, weight, 0),
+                         enumerate_piece(ctx, charge, weight, -1))
+
+
+def _build_weight_solver(D: DworkData, charge: int, weight: int) -> _WeightSolver:
+    """Echelonize the Q image of the (charge, weight) generators that
+    `_koszul_rows` keeps."""
+    solver = _empty_solver(D, charge, weight)
+    full_rank = len(solver.target.monomials)
+    for g_idx, vec, den in _koszul_rows(D, solver):
         # vec is den * Q(gen), and rows are stored primitive
         solver.insert(vec, {g_idx: den})
         if len(solver.rows) == full_rank:
             break
     return solver
+
+
+# the prime modulus of the smoothness guard's rank, 2^61 - 1
+_GUARD_PRIME = (1 << 61) - 1
+
+
+def _closes_mod_p(D: DworkData, charge: int, weight: int) -> bool:
+    """Whether the Koszul-kept Q rows of the (charge, weight) slice reach
+    full rank mod _GUARD_PRIME, eliminated without combos.
+
+    The rows den * Q(gen) are integer vectors, so full rank mod p means a
+    maximal minor that is nonzero mod p, hence a nonzero integer: the rows
+    have full rank over Q too, and True is exact.  False proves nothing,
+    since p may divide every maximal minor; the caller then asks the exact
+    echelon.
+    """
+    p = _GUARD_PRIME
+    solver = _empty_solver(D, charge, weight)
+    full_rank = len(solver.target.monomials)
+    pivots: dict = {}  # pivot position -> row mod p with pivot entry 1
+    for _, vec, _ in _koszul_rows(D, solver):
+        row = {pos: c % p for pos, c in vec.items() if c % p}
+        while row:
+            lead = min(row)
+            hit = pivots.get(lead)
+            if hit is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {pos: c * inv % p for pos, c in row.items()}
+                break
+            f = row[lead]
+            for pos, c in hit.items():
+                new = (row.get(pos, 0) - f * c) % p
+                if new:
+                    row[pos] = new
+                else:
+                    row.pop(pos, None)
+        if len(pivots) == full_rank:
+            break
+    return len(pivots) == full_rank
 
 
 class QuotientPresentation:
@@ -501,39 +564,45 @@ class QuotientPresentation:
     `basis` lists eta-free monomials of charge c_G grouped by increasing
     weight (largest monomial first within a weight); `weight_counts[w]` is
     the number of basis elements of weight exactly w, for w = 0..n-k.  Both
-    are read off the weight solvers 0..n-k+1, which the presentation holds
-    from construction on; reduction reads no other weight, and goes through
-    `_WeightSolver.solve` for every translation between monomials and
-    echelon positions.
+    are read off the weight solvers 0..n-k, which the presentation holds
+    from construction on.  Reduction reads no weight above n-k+1, and goes
+    through `_WeightSolver.solve` for every translation between monomials
+    and echelon positions.
 
-    Logically immutable: only the weight n-k+1 preimages behind the lift
-    (`_lifts`) are memoized lazily, but rebuilding them is deterministic, so
-    concurrent readers can only ever race to store identical values.
+    Logically immutable: the weight n-k+1 echelon (`_solver`) and the
+    preimages behind the lift (`_lifts`) are memoized lazily, but
+    rebuilding them is deterministic, so concurrent readers can only ever
+    race to store identical values.
     """
 
     # perfbench/workloads.py sizes its reduce stream up to weight n - k + slack
     slack = 2
 
     def __init__(self, D: DworkData):
-        """Echelonize weights 0..n-k+1, take the complement monomials of
-        weights 0..n-k as the basis, and check closure at weight n-k+1.
+        """Echelonize weights 0..n-k, take their complement monomials as the
+        basis, and check closure at weight n-k+1.
 
-        A nonzero complement at weight n-k+1 trips the smoothness guard.
-        That one weight certifies every weight above it: a charge-c_G
-        monomial M of weight >= n-k+2 splits as M = m0 * m1 with m0 of
-        weight n-k+1 and m1 even and eta-free (module docstring), and once
-        m0 = Q(pre(m0)) exactly, M = Q(pre(m0) * m1) is in the image too.
+        Closure is decided by the rank mod p of the weight n-k+1 Q rows
+        (`_closes_mod_p`), which is exact when full.  Only a short rank
+        builds the exact weight n-k+1 echelon, and a nonzero complement
+        there trips the smoothness guard; when the exact echelon closes
+        after all, it is kept for the lift.  That one weight certifies
+        every weight above it: a charge-c_G monomial M of weight >= n-k+2
+        splits as M = m0 * m1 with m0 of weight n-k+1 and m1 even and
+        eta-free (module docstring), and once m0 = Q(pre(m0)) exactly,
+        M = Q(pre(m0) * m1) is in the image too.
         """
         self.dwork = D
         self.c_G = D.ctx.background_charge()
         top = D.ctx.n - D.ctx.k
-        self._solvers = {w: _build_weight_solver(D, self.c_G, w) for w in range(top + 2)}
-        leftover = self._solvers[top + 1].complement_monomials()
-        if leftover:
-            raise SmoothnessError(
-                f"quotient fails to close at weight {top + 1}: "
-                f"{len(leftover)} unreduced monomials; "
-                "singular or non-complete-intersection input")
+        self._solvers = {w: _build_weight_solver(D, self.c_G, w) for w in range(top + 1)}
+        if not _closes_mod_p(D, self.c_G, top + 1):
+            leftover = self._solver(top + 1).complement_monomials()
+            if leftover:
+                raise SmoothnessError(
+                    f"quotient fails to close at weight {top + 1}: "
+                    f"{len(leftover)} unreduced monomials; "
+                    "singular or non-complete-intersection input")
         complements = [self._solvers[w].complement_monomials() for w in range(top + 1)]
         self.basis = tuple(m for complement in complements for m in complement)
         self.weight_counts = tuple(len(complement) for complement in complements)
@@ -541,6 +610,15 @@ class QuotientPresentation:
         # weight top + 1 monomial m0 -> (generator monomial -> int numerator
         # of a Q-preimage, its denominator); bounded by the size of that piece
         self._lifts: dict = {}
+
+    def _solver(self, w: int) -> _WeightSolver:
+        """The weight-w echelon, 0 <= w <= n-k+1.  Weight n-k+1's is built
+        on first need (a lift, a slice of that weight, an export or an
+        import's row check) and memoized."""
+        solver = self._solvers.get(w)
+        if solver is None:
+            solver = self._solvers[w] = _build_weight_solver(self.dwork, self.c_G, w)
+        return solver
 
     @property
     def dimension(self) -> int:
@@ -626,7 +704,7 @@ class QuotientPresentation:
         Stores the residual in `coeffs` (basis position -> nonzero Fraction)
         and returns xi with Q(xi) = part - residual.
         """
-        residual, preimage, scale = self._solvers[w].solve(part._num)
+        residual, preimage, scale = self._solver(w).solve(part._num)
         den = part._den * scale
         # the residual lives on complement monomials, which are the basis at
         # w <= n - k; at n - k + 1 the guard in __init__ left none.  Each
@@ -679,7 +757,7 @@ class QuotientPresentation:
         pre = self._lifts.get(m0)
         if pre is None:
             top = self.dwork.ctx.n - self.dwork.ctx.k
-            residual, preimage, den = self._solvers[top + 1].solve({m0: 1})
+            residual, preimage, den = self._solver(top + 1).solve({m0: 1})
             assert not residual, "weight top + 1 passed the guard but left a class"
             pre = self._lifts[m0] = (preimage, den)
         return pre
@@ -709,10 +787,10 @@ class QuotientPresentation:
                             "row": {str(pos): str(c) for pos, c in sorted(row.items())},
                             "combo": {str(g): str(c) for g, c in sorted(combo.items())},
                         }
-                        for pivot, row, combo in solver.rational_rows()
+                        for pivot, row, combo in self._solver(w).rational_rows()
                     ],
                 }
-                for w, solver in sorted(self._solvers.items())
+                for w in range(ctx.n - ctx.k + 2)
             ],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
@@ -771,9 +849,9 @@ class QuotientPresentation:
             raise InputError(f"presentation file: weightCounts {counts!r} "
                              f"do not match the basis, expected {list(pres.weight_counts)}")
         for w, stored_rows in stored:
-            solver = pres._solvers.get(w) if type(w) is int else None
-            if solver is None:
+            if type(w) is not int or not 0 <= w <= ctx.n - ctx.k + 1:
                 raise InputError(f"presentation file: weight {w!r} has no echelon")
+            solver = pres._solver(w)
             where = f"presentation file, weight {w}"
             rows = [_stored_row(where, rdata) for rdata in stored_rows]
             if not solver.spans_like(pres.dwork, rows):

@@ -579,12 +579,16 @@ def test_presentation_import_builds_the_echelons_a_file_lacks(cubic_presentation
     payload["solvers"] = []
     loaded = QuotientPresentation.from_json(_json.dumps(payload))
     assert loaded.basis == cubic_presentation.basis
+    # weights 0..n-k are built with the presentation, weight n-k+1 on the
+    # export's first need
+    assert sorted(loaded._solvers) == [0, 1]
+    assert loaded.to_json() == cubic_presentation.to_json()
     assert sorted(loaded._solvers) == [0, 1, 2]
 
 
 def test_presentation_import_loads_a_file_without_the_guard_weight(cubic_presentation):
     """A file written at slack 0 stores no weight n - k + 1 echelon; loading
-    rebuilds it and runs the guard."""
+    runs the guard, and the export builds that echelon on first need."""
     import json as _json
 
     payload = _json.loads(cubic_presentation.to_json())
@@ -592,8 +596,9 @@ def test_presentation_import_loads_a_file_without_the_guard_weight(cubic_present
     payload["solvers"] = [s for s in payload["solvers"] if s["weight"] != 2]
     assert [s["weight"] for s in payload["solvers"]] == [0, 1]
     loaded = QuotientPresentation.from_json(_json.dumps(payload))
-    assert sorted(loaded._solvers) == [0, 1, 2]
+    assert sorted(loaded._solvers) == [0, 1]
     assert loaded.to_json() == cubic_presentation.to_json()
+    assert sorted(loaded._solvers) == [0, 1, 2]
 
 
 def test_presentation_import_rejects_a_singular_g(cubic_presentation):
@@ -649,8 +654,9 @@ def test_stored_rows_are_checked_with_one_q_image_each(cubic_presentation, monke
     def forbidden(self, D, g_idx):
         raise AssertionError("q_vector called")
 
+    solvers = [cubic_presentation._solver(w) for w in range(3)]
     monkeypatch.setattr(cohomology._WeightSolver, "q_vector", forbidden)
-    for solver in cubic_presentation._solvers.values():
+    for solver in solvers:
         rows = list(solver.rational_rows())
         images.clear()
         assert solver.spans_like(cubic_presentation.dwork, rows)
@@ -676,8 +682,11 @@ def test_mixed_degrees_genus_four_curve():
     ctx = VariableContext(3, 2, (2, 3))
     G = [parse("x0^2 + x1^2 + x2^2 + x3^2", ctx),
          parse("x0^3 + x1^3 + x2^3 + x3^3", ctx)]
-    # the closure check runs on weight n - k + 1 = 2 only
+    # the closure check runs on weight n - k + 1 = 2 only, by its rank mod
+    # p, so the build holds no exact echelon there
     P = build_presentation(dwork_potential(ctx, G))
+    assert sorted(P._solvers) == [0, 1]
+    assert P._solver(2).complement_monomials() == ()
     assert sorted(P._solvers) == [0, 1, 2]
     assert P.c_G == 1
     assert P.dimension == 8

@@ -1,22 +1,33 @@
 """Reduction above weight n - k + 1 by the lift, against the weight-echelon
 route kept in `tests.oracles.EchelonReduction`."""
 
+import json
 import random
 
 import pytest
+import sympy
 
 from dworkbox import (
     SuperElement,
     VariableContext,
     apply_k,
+    apply_q,
     build_presentation,
     dwork_potential,
     grade,
     parse,
 )
-from dworkbox.cohomology import _build_weight_solver, enumerate_piece
+from dworkbox import cohomology
+from dworkbox.cli import EXIT_OK, main
+from dworkbox.cohomology import (
+    _GUARD_PRIME,
+    _build_weight_solver,
+    _closes_mod_p,
+    _WeightSolver,
+    enumerate_piece,
+)
 from dworkbox.deformation import build_deformation, d_ladder, u_basis
-from dworkbox.errors import SmoothnessError
+from dworkbox.errors import InternalCheckError, SmoothnessError
 from dworkbox.verify import random_charge_element
 from tests.oracles import EchelonReduction, FractionEchelon, as_fractions, koszul_redundant
 
@@ -242,3 +253,109 @@ def test_koszul_pruned_echelon_spans_the_full_image(name):
         assert f": {leftover} unreduced monomials" in str(exc)
     else:
         assert leftover == 0
+
+
+# the geometry set, the grevlex K3, the (2,3) K3 in P^4 and a cubic whose
+# gradient has denominators up to 6
+ROW_INPUTS = {
+    **{name: KOSZUL_INPUTS[name] for name in [*GEOMETRIES, "grevlex_k3", "k3_2_3_grevlex"]},
+    "fractional_cubic": (2, 1, (3,), ["x0^3 + 1/2*x1^3 + 2/3*x2^3"], "graded-lex"),
+}
+
+
+@pytest.mark.parametrize("name", list(ROW_INPUTS))
+def test_q_rows_from_the_gradient_table_match_apply_q(name):
+    """`q_vector` reads the Q image of each generator m * eta_j off the
+    integer gradient table, over its denominator; at every weight 0..n-k+1
+    and for every generator it equals `apply_q` of the one-term element, as
+    rationals.  A target piece that does not hold the image is refused."""
+    n, k, degrees, G, order = ROW_INPUTS[name]
+    ctx = VariableContext(n, k, degrees, order)
+    D = dwork_potential(ctx, [parse(g, ctx) for g in G])
+    c_G = ctx.background_charge()
+    for w in range(n - k + 2):
+        gens = enumerate_piece(ctx, c_G, w, -1)
+        solver = _WeightSolver(enumerate_piece(ctx, c_G, w, 0), gens)
+        target = solver.target.monomials
+        for g_idx, gen in enumerate(gens.monomials):
+            vec, den = solver.q_vector(D, g_idx)
+            assert den == D.grad_den
+            assert ({target[pos]: c for pos, c in as_fractions(vec, den)[0].items()}
+                    == apply_q(D, SuperElement(ctx, {gen: 1})).terms)
+        if gens.monomials:
+            stranger = _WeightSolver(enumerate_piece(ctx, c_G, w + 1, 0), gens)
+            with pytest.raises(InternalCheckError, match="monomial escaped its graded piece"):
+                stranger.q_vector(D, 0)
+
+
+def _guard_dwork(name):
+    n, k, degrees, G = GUARD_INPUTS[name]
+    ctx = VariableContext(n, k, degrees)
+    return dwork_potential(ctx, [parse(g, ctx) for g in G])
+
+
+@pytest.mark.parametrize("name", list(GUARD_INPUTS))
+def test_modular_guard_agrees_with_the_exact_complement(name):
+    """Rank mod p of the weight n-k+1 rows is full exactly when the exact
+    echelon there leaves no complement monomial."""
+    D = _guard_dwork(name)
+    ctx = D.ctx
+    w = ctx.n - ctx.k + 1
+    closes = not _build_weight_solver(D, ctx.background_charge(), w).complement_monomials()
+    assert closes == (not name.startswith("singular:"))
+    assert _closes_mod_p(D, ctx.background_charge(), w) == closes
+
+
+def test_guard_prime_is_prime():
+    assert _GUARD_PRIME == 2**61 - 1
+    assert sympy.isprime(_GUARD_PRIME)
+
+
+def test_guard_falls_back_to_the_exact_echelon_when_p_divides_a_row(monkeypatch):
+    """x0^3 + x1^3 + p*x2^3 is smooth over Q, but its x2 row vanishes mod
+    p: the modular rank is short, the exact weight 2 echelon closes, and the
+    presentation keeps it and has the plain Fermat cubic's basis."""
+    ctx = VariableContext(2, 1, (3,))
+    D = dwork_potential(ctx, [parse(f"x0^3 + x1^3 + {_GUARD_PRIME}*x2^3", ctx)])
+    assert not _closes_mod_p(D, ctx.background_charge(), 2)
+    fermat = build_presentation(dwork_potential(ctx, [parse("x0^3 + x1^3 + x2^3", ctx)]))
+    built = []
+    real = cohomology._build_weight_solver
+    monkeypatch.setattr(cohomology, "_build_weight_solver",
+                        lambda D, charge, w: built.append(w) or real(D, charge, w))
+    pres = build_presentation(D)
+    assert built == [0, 1, 2]
+    assert sorted(pres._solvers) == [0, 1, 2]
+    assert pres.basis == fermat.basis
+    assert pres.hodge_numbers() == fermat.hodge_numbers() == [1, 1]
+    f = SuperElement(ctx, {enumerate_piece(ctx, pres.c_G, 3, 0).monomials[0]: 1})
+    result = pres.reduce(f)
+    assert apply_k(D, result.certificate) + result.as_element(pres) == f
+    assert built == [0, 1, 2]
+
+
+@pytest.mark.parametrize("name", list(GEOMETRIES))
+def test_basis_builds_no_exact_echelon_above_the_quotient(name, tmp_path, monkeypatch):
+    """`basis` builds the weight solvers 0..n-k only; the first lift builds
+    the weight n-k+1 solver, once, and later lifts and slices reuse it."""
+    n, k, degrees, G, _ = GEOMETRIES[name]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": n, "k": k, "degrees": list(degrees), "G": G}))
+    built = []
+    real = cohomology._build_weight_solver
+    monkeypatch.setattr(cohomology, "_build_weight_solver",
+                        lambda D, charge, w: built.append(w) or real(D, charge, w))
+    assert main(["--out", str(tmp_path / "basis.txt"), "basis", str(config)]) == EXIT_OK
+    top = n - k
+    assert built == list(range(top + 1))
+    D, _ = _geometry(name)
+    built.clear()
+    pres = build_presentation(D)
+    assert built == list(range(top + 1))
+    above = enumerate_piece(D.ctx, pres.c_G, top + 2, 0).monomials
+    at = enumerate_piece(D.ctx, pres.c_G, top + 1, 0).monomials
+    for mono in (above[0], above[-1], at[0]):
+        f = SuperElement(D.ctx, {mono: 1})
+        result = pres.reduce(f)
+        assert apply_k(D, result.certificate) + result.as_element(pres) == f
+        assert built == [*range(top + 1), top + 1]
