@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd, lcm
-from operator import add, index, le
+from operator import index, mul
 
 from .errors import InputError, InternalCheckError, SmoothnessError
 from .operators import DworkData, apply_delta, apply_q, dwork_potential
@@ -65,7 +65,6 @@ from .superalgebra import (
     SuperElement,
     SuperMonomial,
     VariableContext,
-    _tuple_new,
     grade,
     monomial_charge,
     monomial_sort_key,
@@ -77,7 +76,8 @@ PRESENTATION_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class GradedPiece:
-    """Ordered monomial basis of one tri-graded piece (largest first)."""
+    """Ordered monomial basis of one tri-graded piece (largest first), as
+    packed keys (`VariableContext.unpack` gives the SuperMonomials)."""
 
     charge: int
     weight: int
@@ -120,10 +120,11 @@ def _composition_at(j: int, total: int, parts: int) -> tuple:
 
 
 class PieceView(Sequence):
-    """The monomials of one tri-graded piece, largest first by
-    `monomial_sort_key`, made one at a time instead of listed.  This is the
-    one place the order inside a piece is defined: iteration walks the block
-    table, `view[j]` counts the same walk, and `enumerate_piece` lists a view.
+    """The packed keys of the monomials of one tri-graded piece, largest
+    first by `monomial_sort_key`, made one at a time instead of listed.
+    This is the one place the order inside a piece is defined: iteration
+    walks the block table, `view[j]` counts the same walk, and
+    `enumerate_piece` lists a view.
 
     The piece is a union of blocks y^v x^u eta, one per eta subset, y
     composition v and its forced x degree |u|; a block holds C(|u| + n, n)
@@ -140,6 +141,10 @@ class PieceView(Sequence):
     ..., u_1 run ascending across the whole q-degree group, and u_0 = |u| -
     u_1 - ... - u_n then ranks the blocks by x degree, then reversed v,
     then eta.
+
+    A key is a sum of field units, so a walk adds ints: the x part of a
+    composition is the sum of the x units over its multiset (see
+    `_compositions`), and a block contributes its y, eta and x_0 parts.
     """
 
     def __init__(self, ctx: VariableContext, charge: int, weight: int,
@@ -149,9 +154,8 @@ class PieceView(Sequence):
         self.ctx = ctx
         groups: dict = {}
         size = -eta_degree
-        zeros = (0,) * ctx.nvars
         for eta in combinations(range(1, ctx.nvars + 1), size) if size >= 0 else ():
-            bare = SuperMonomial(zeros, eta)
+            bare = sum(1 << (mu - 1) for mu in eta)
             wt_q = weight - monomial_weight(ctx, bare)
             if wt_q < 0:
                 continue  # _compositions takes no negative total
@@ -164,10 +168,11 @@ class PieceView(Sequence):
                     continue
                 qdeg = sum(v) + xdeg
                 if ctx.order == "graded-lex":
-                    groups.setdefault((qdeg, v), (xdeg, []))[1].append(eta)
+                    groups.setdefault((qdeg, v), (xdeg, []))[1].append(bare)
                 else:
-                    groups.setdefault(qdeg, []).append((xdeg, v, eta))
+                    groups.setdefault(qdeg, []).append((xdeg, v, eta, bare))
         n = ctx.n
+        units = ctx.q_units
         self._groups = []
         self._ends = []
         end = 0
@@ -176,14 +181,20 @@ class PieceView(Sequence):
                 xdeg, etas = groups[key]
                 etas.reverse()
                 end += comb(xdeg + n, n) * len(etas)
-                self._groups.append((key[1], xdeg, etas))
+                self._groups.append((sum(map(mul, key[1], units)), xdeg, etas))
             else:
                 # eta descending, then (x degree, reversed v) ascending
                 blocks = sorted(groups[key], key=lambda b: b[2], reverse=True)
                 blocks.sort(key=lambda b: (b[0], b[1][::-1]))
-                end += sum(comb(xdeg + n, n) for xdeg, _, _ in blocks)
-                self._groups.append(([b[0] for b in blocks], blocks))
+                end += sum(comb(xdeg + n, n) for xdeg, _, _, _ in blocks)
+                self._groups.append(([b[0] for b in blocks],
+                                     [(xdeg, sum(map(mul, v, units)) + bare)
+                                      for xdeg, v, _, bare in blocks]))
             self._ends.append(end)
+        k = ctx.k
+        # the keys of x_0, ..., x_n; for grevlex of x_n, ..., x_1, x_0
+        self._x_units = (units[k:] if ctx.order == "graded-lex"
+                         else units[:k:-1] + (units[k],))
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
@@ -191,23 +202,28 @@ class PieceView(Sequence):
     def __iter__(self):
         n = self.ctx.n
         if self.ctx.order == "graded-lex":
-            for v, xdeg, etas in self._groups:
-                for u in _compositions(xdeg, n + 1):
-                    qexp = v + u
+            x_unit = self._x_units.__getitem__
+            for vkey, xdeg, etas in self._groups:
+                for multiset in combinations_with_replacement(range(n + 1), xdeg):
+                    base = vkey + sum(map(x_unit, multiset))
                     for eta in etas:
-                        yield _tuple_new(SuperMonomial, (qexp, eta))
+                        yield base + eta
             return
+        tail_unit = self._x_units.__getitem__
+        x0 = self._x_units[-1]
         for xdegs, blocks in self._groups:
             # (u_n, ..., u_1, rest) ascending, rest the x degree the tail
-            # leaves: every tail that fits the largest block comes once
+            # leaves: every tail that fits the largest block comes once.
+            # The rest adds to x_0, so a block adds its x degree less top.
             top = xdegs[-1]
-            for parts in reversed(list(_compositions(top, n + 1))):
-                s = top - parts[-1]
-                tail = parts[-2::-1]  # u_1, ..., u_n
-                for xdeg, v, eta in blocks[bisect_left(xdegs, s):]:
-                    yield _tuple_new(SuperMonomial, (v + (xdeg - s,) + tail, eta))
+            bases = [block + (xdeg - top) * x0 for xdeg, block in blocks]
+            for multiset in reversed(list(combinations_with_replacement(range(n + 1), top))):
+                s = bisect_left(multiset, n)  # u_1 + ... + u_n
+                tail = sum(map(tail_unit, multiset))
+                for base in bases[bisect_left(xdegs, s):]:
+                    yield base + tail
 
-    def __getitem__(self, j) -> SuperMonomial:
+    def __getitem__(self, j) -> int:
         j = index(j)
         size = len(self)
         if j < 0:
@@ -219,9 +235,10 @@ class PieceView(Sequence):
             j -= self._ends[g - 1]
         n = self.ctx.n
         if self.ctx.order == "graded-lex":
-            v, xdeg, etas = self._groups[g]
+            vkey, xdeg, etas = self._groups[g]
             r, e = divmod(j, len(etas))
-            return _tuple_new(SuperMonomial, (v + _composition_at(r, xdeg, n + 1), etas[e]))
+            return (vkey + sum(map(mul, _composition_at(r, xdeg, n + 1), self._x_units))
+                    + etas[e])
         xdegs, blocks = self._groups[g]
         s = 0
         tail = []  # u_n, ..., u_1, each the smallest value with room for j
@@ -237,9 +254,9 @@ class PieceView(Sequence):
                 a += 1
             tail.append(a)
             s += a
-        xdeg, v, eta = blocks[bisect_left(xdegs, s) + j]
+        xdeg, block = blocks[bisect_left(xdegs, s) + j]
         tail.append(xdeg - s)
-        return _tuple_new(SuperMonomial, (v + tuple(reversed(tail)), eta))
+        return block + sum(map(mul, tail, self._x_units))
 
 
 def enumerate_piece(ctx: VariableContext, charge: int, weight: int,
@@ -413,14 +430,15 @@ class _WeightSolver(_Echelon):
         """Q of generator `g_idx` as (position -> int numerator, denominator).
 
         Q(m * eta_j) = (dS/dq_j) * m, so the image is the gradient table row
-        D.grad_num[j - 1] shifted by m, over D.grad_den; no element is made.
-        A SuperMonomial is a NamedTuple, so the plain (qexp, eta) tuple finds
-        its position.
+        D.grad_num[j - 1] shifted by m, over D.grad_den: the key of each
+        term is the table key plus the key of m.  No element is made.
         """
-        qexp, (j,) = self.generators.monomials[g_idx]
+        gen = self.generators.monomials[g_idx]
+        bit = gen & D.ctx.eta_mask  # a generator has the one eta_j
+        m = gen - bit
         index = self.index
         try:
-            return ({index[tuple(map(add, gq, qexp)), ()]: c for gq, c in D.grad_num[j - 1]},
+            return ({index[gk + m]: c for gk, c in D.grad_num[bit.bit_length() - 1]},
                     D.grad_den)
         except KeyError:
             raise InternalCheckError("monomial escaped its graded piece") from None
@@ -430,7 +448,7 @@ class _WeightSolver(_Echelon):
         Q(preimage), for `num` mapping target monomials to ints or rationals.
 
         The residual is keyed by complement monomial and the preimage by
-        generator monomial.
+        generator monomial, both as packed keys.
         """
         residual, combo, scale = self.eliminate(self._positions(num))
         target, gens = self.target.monomials, self.generators.monomials
@@ -453,7 +471,8 @@ class _WeightSolver(_Echelon):
         for pivot, row, combo in rows:
             if min(row) != pivot or not all(0 <= g < len(gens) for g in combo):
                 return False
-            image = apply_q(D, SuperElement(D.ctx, {gens[g]: c for g, c in combo.items()}))
+            image = apply_q(D, SuperElement._from_scalars(
+                D.ctx, {gens[g]: c for g, c in combo.items()}))
             if {pos: Fraction(v, image._den)
                     for pos, v in self._positions(image._num).items()} != row:
                 return False
@@ -487,12 +506,18 @@ def _koszul_rows(D: DworkData, solver: _WeightSolver):
     """
     ctx = D.ctx
     # leads[i] is L_{i+1}, or None where that g is zero; S and g are eta-free
-    leads = [max((q for q, _ in g), key=lambda q: monomial_sort_key(ctx, SuperMonomial(q)))
+    leads = [max((q for q, _ in g), key=lambda q: monomial_sort_key(ctx, ctx.unpack(q)))
              if g else None for g in D.grad_num]
     # later[j - 1] holds the L_i of the nonzero g_i with i > j
     later = [[lead for lead in leads[j:] if lead is not None] for j in range(1, len(leads) + 1)]
-    for g_idx, (qexp, (j,)) in enumerate(solver.generators.monomials):
-        if any(all(map(le, lead, qexp)) for lead in later[j - 1]):
+    # L divides m when (m with every guard bit set) - L borrows from no
+    # field's guard bit (Monagan and Pearce); the eta bits of m lie below
+    # every field and L has none, so they borrow nothing
+    guard, mask = ctx.guard_mask, ctx.eta_mask
+    for g_idx, gen in enumerate(solver.generators.monomials):
+        lifted = gen | guard
+        if any((lifted - lead) & guard == guard
+               for lead in later[(gen & mask).bit_length() - 1]):
             continue
         vec, den = solver.q_vector(D, g_idx)
         if vec:
@@ -604,11 +629,13 @@ class QuotientPresentation:
                     f"{len(leftover)} unreduced monomials; "
                     "singular or non-complete-intersection input")
         complements = [self._solvers[w].complement_monomials() for w in range(top + 1)]
-        self.basis = tuple(m for complement in complements for m in complement)
+        # packed basis key -> position; its keys are the basis in order
+        self.basis_index = {m: i for i, m in
+                            enumerate(m for complement in complements for m in complement)}
+        self.basis = tuple(map(D.ctx.unpack, self.basis_index))
         self.weight_counts = tuple(len(complement) for complement in complements)
-        self.basis_index = {m: i for i, m in enumerate(self.basis)}
-        # weight top + 1 monomial m0 -> (generator monomial -> int numerator
-        # of a Q-preimage, its denominator); bounded by the size of that piece
+        # weight top + 1 key m0 -> (generator key -> int numerator of a
+        # Q-preimage, its denominator); bounded by the size of that piece
         self._lifts: dict = {}
 
     def _solver(self, w: int) -> _WeightSolver:
@@ -639,7 +666,7 @@ class QuotientPresentation:
 
     def basis_elements(self):
         ctx = self.dwork.ctx
-        return [SuperElement._make(ctx, {m: 1}, 1) for m in self.basis]
+        return [SuperElement._make(ctx, {m: 1}, 1) for m in self.basis_index]
 
     # -- reduction ---------------------------------------------------------
 
@@ -716,14 +743,21 @@ class QuotientPresentation:
 
     def _lift(self, part: SuperElement) -> SuperElement:
         """xi = sum_M c_M pre(m0) * m1 with Q(xi) = part, for a slice of
-        weight >= top + 2 split monomial by monomial as M = m0 * m1."""
+        weight >= top + 2 split monomial by monomial as M = m0 * m1.
+
+        On packed keys m1 = M - m0, and pre(m0) * m1 adds m1 to each
+        generator key.  No exponent grows past M's: a generator m * eta_j
+        of pre(m0) has Q(m * eta_j) = (dS/dq_j) m containing m0, so m
+        divides m0."""
         ctx = self.dwork.ctx
         k = ctx.k
         top = ctx.n - k
+        units = ctx.q_units
         by_degree = sorted(range(k), key=lambda i: -ctx.degrees[i])
         splits = []
         for mono, c in part._num.items():
-            v, u = mono.qexp[:k], mono.qexp[k:]
+            qexp = ctx.exponents(mono)
+            v, u = qexp[:k], qexp[k:]
             # m0 takes top + 1 y's, largest degree first ...
             v0 = [0] * k
             need = top + 1
@@ -737,9 +771,8 @@ class QuotientPresentation:
             for e in u:
                 u0.append(min(e, xdeg))
                 xdeg -= u0[-1]
-            m0 = SuperMonomial(tuple(v0) + tuple(u0), ())
-            m1 = [a - b for a, b in zip(mono.qexp, m0.qexp)]
-            splits.append((c, m1, self._preimage(m0)))
+            m0 = sum(map(mul, v0 + u0, units))
+            splits.append((c, mono - m0, self._preimage(m0)))
         # one denominator for the whole slice: its own times the lcm of the
         # preimage denominators
         common = lcm(*(pre_den for _, _, (_, pre_den) in splits))
@@ -747,13 +780,13 @@ class QuotientPresentation:
         for c, m1, (pre, pre_den) in splits:
             c *= common // pre_den
             for gen, g in pre.items():
-                key = SuperMonomial(tuple(a + b for a, b in zip(gen.qexp, m1)), gen.eta)
+                key = gen + m1
                 acc[key] = acc.get(key, 0) + c * g
         return SuperElement._make(ctx, acc, part._den * common)
 
-    def _preimage(self, m0: SuperMonomial) -> tuple:
-        """pre(m0) with Q(pre(m0)) = m0, for m0 of weight top + 1, as int
-        numerators over a denominator; memoized."""
+    def _preimage(self, m0: int) -> tuple:
+        """pre(m0) with Q(pre(m0)) = m0, for the key m0 of weight top + 1,
+        as int numerators by generator key over a denominator; memoized."""
         pre = self._lifts.get(m0)
         if pre is None:
             top = self.dwork.ctx.n - self.dwork.ctx.k
@@ -903,11 +936,8 @@ def build_presentation(D: DworkData) -> QuotientPresentation:
 def charge_generator(D: DworkData) -> SuperElement:
     """R = sum_mu ch(q_mu) q_mu eta_mu; satisfies K(R) = -c_G."""
     ctx = D.ctx
-    terms = {}
-    for mu in range(1, ctx.nvars + 1):
-        qexp = tuple(int(nu == mu) for nu in range(1, ctx.nvars + 1))
-        terms[SuperMonomial(qexp, (mu,))] = monomial_charge(ctx, SuperMonomial(qexp))
-    return SuperElement(ctx, terms)
+    return SuperElement._make(ctx, {unit + (1 << mu): monomial_charge(ctx, unit)
+                                    for mu, unit in enumerate(ctx.q_units)}, 1)
 
 
 def charge_witness(D: DworkData, f: SuperElement) -> SuperElement:

@@ -31,17 +31,16 @@ functional f(u * e^Gamma).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import ContextMismatchError, InputError
 from .superalgebra import (
+    MAX_EXPONENT,
     SuperElement,
-    SuperMonomial,
     VariableContext,
-    _tuple_new,
+    _check_guard,
     partial_q,
 )
 
@@ -50,8 +49,9 @@ from .superalgebra import (
 class DworkData:
     """A variable context together with S = sum y_l G_l and its gradient.
 
-    `grad_num[i]` lists (qexp, numerator over `grad_den`) of dS/dq_{i+1}:
-    the integer table `_differential` reads for the Q terms, and the only
+    `grad_num[i]` lists (packed key, numerator over `grad_den`) of the terms
+    of dS/dq_{i+1}, eta-free keys as `SuperElement._num` holds them: the
+    integer table `_differential` reads for the Q terms, and the only
     record of the gradient (`partial_q(i, D.S)` is dS/dq_i as an element).
     """
 
@@ -85,7 +85,7 @@ def dwork_potential(ctx: VariableContext, G: Sequence[SuperElement]) -> DworkDat
         S = S + SuperElement.variable(ctx, l) * g
     grad = tuple(partial_q(i, S) for i in range(1, ctx.nvars + 1))
     grad_den = math.lcm(*(g._den for g in grad))
-    grad_num = tuple(tuple((q, v * (grad_den // g._den)) for (q, _), v in g._num.items())
+    grad_num = tuple(tuple((key, v * (grad_den // g._den)) for key, v in g._num.items())
                      for g in grad)
     return DworkData(ctx, G, S, grad_num, grad_den)
 
@@ -114,27 +114,38 @@ def _differential(a: SuperElement, grads: tuple, grad_den: int,
     terms of a: Q for the gradient table (D.grad_num, D.grad_den) without
     delta, delta for the empty table ((), 1) with it, and K for both.
 
-    For each eta_i of a term, d/deta_i strips it with its sign; the delta
-    term d/dq_i of the stripped monomial and the Q terms grad[i] times it go
-    into one numerator dict over a._den * grad_den.  S is eta-free, so a Q
-    term keeps the stripped eta and its sign.
+    For each eta_i of a term, lowest first, d/deta_i strips it with its
+    sign; the delta term d/dq_i of the stripped monomial and the Q terms
+    grad[i] times it go into one numerator dict over a._den * grad_den, in
+    that order.  S is eta-free, so a Q term keeps the stripped eta and its
+    sign, and its key is the stripped key plus the gradient term's.
     """
-    grads = grads or [()] * a.ctx.nvars
+    ctx = a.ctx
+    table = grads or [()] * ctx.nvars
+    units, shifts = ctx.q_units, ctx.q_shifts
+    mask = ctx.eta_mask
     acc = {}
     get = acc.get
-    add = operator.add
-    for (qexp, eta), v in a._num.items():
-        for p, i in enumerate(eta):
-            rest = eta[:p] + eta[p + 1:]
-            c = -v if p % 2 else v
-            e = qexp[i - 1]
-            if delta and e:
-                mono = _tuple_new(SuperMonomial, (qexp[:i - 1] + (e - 1,) + qexp[i:], rest))
-                acc[mono] = get(mono, 0) + c * e * grad_den
-            for gq, gv in grads[i - 1]:
-                mono = _tuple_new(SuperMonomial, (tuple(map(add, gq, qexp)), rest))
+    for key, v in a._num.items():
+        eta = key & mask
+        c = v
+        while eta:
+            bit = eta & -eta
+            eta -= bit
+            i = bit.bit_length() - 1
+            rest = key - bit
+            if delta:
+                e = key >> shifts[i] & MAX_EXPONENT
+                if e:
+                    mono = rest - units[i]
+                    acc[mono] = get(mono, 0) + c * e * grad_den
+            for gk, gv in table[i]:
+                mono = rest + gk
                 acc[mono] = get(mono, 0) + c * gv
-    return SuperElement._make(a.ctx, acc, a._den * grad_den)
+            c = -c  # the next eta sits one odd factor further in
+    if grads:  # only a Q term raises an exponent
+        _check_guard(ctx, acc)
+    return SuperElement._make(ctx, acc, a._den * grad_den)
 
 
 def apply_delta(a: SuperElement) -> SuperElement:

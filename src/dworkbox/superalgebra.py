@@ -10,11 +10,21 @@ Every element is a finite sum of terms
     c * y^v x^u eta_{i_1} ... eta_{i_s}      (i_1 < ... < i_s)
 
 stored as integer numerators over one positive common denominator: a dict
-mapping SuperMonomial -> int and an int, in lowest terms (no zero numerator,
-gcd of the denominator and all numerators 1, denominator 1 for zero).  That
-form is unique, so equality of elements is equality of (denominator, dict).
-The product and derivative kernels run on these ints; coefficients surface as
-exact Fractions only through ``terms`` and ``coefficient``.
+mapping a packed monomial key -> int and an int, in lowest terms (no zero
+numerator, gcd of the denominator and all numerators 1, denominator 1 for
+zero).  That form is unique, so equality of elements is equality of
+(denominator, dict).  The product and derivative kernels run on these ints;
+coefficients surface as exact Fractions, and monomials as SuperMonomials,
+only through ``terms`` and ``coefficient``.
+
+A packed key is one int (Monagan and Pearce, CASC 2007): bit mu - 1 is set
+when eta_mu is present, and above those N bits sit N exponent fields of 32
+bits, q_1 (the y's) lowest.  Each field holds an exponent of at most
+MAX_EXPONENT = 2^31 - 1 below one guard bit, so the key of a product term is
+the sum of the keys of its factors, and an exponent sum past the limit shows
+as a set guard bit instead of spilling into the next field.  Every place an
+exponent can grow (packing, the product, the Q terms of the differentials)
+checks the guard bits and raises InputError past the limit.
 
 Three gradings, additive over the factors of a monomial:
 
@@ -22,21 +32,30 @@ Three gradings, additive over the factors of a monomial:
   weight:  wt(y_i) = 1,     wt(x_j) = 0,   wt(eta_mu) = 1 - wt(q_mu)
   degree:  cohomological; each eta contributes -1, so deg = -s in [-N, 0]
 
-`monomial_charge` and `monomial_weight` are the only definitions of the
-first two; everything else grades through them.
+`monomial_charge` and `monomial_weight`, on packed keys, are the only
+definitions of the first two; everything else grades through them.
 """
 
 from __future__ import annotations
 
 import operator
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
 from .errors import ContextMismatchError, InputError
 
 MONOMIAL_ORDERS = ("graded-lex", "grevlex")
+
+# value bits of an exponent field, and the largest exponent a key holds
+EXPONENT_BITS = 31
+MAX_EXPONENT = (1 << EXPONENT_BITS) - 1
+# a field is its value bits and the guard bit above them: one struct "I"
+_FIELD_BITS = EXPONENT_BITS + 1
+_OVERFLOW = f"exponent past the limit {MAX_EXPONENT} (2^{EXPONENT_BITS} - 1)"
 
 
 def as_scalar(value) -> Fraction:
@@ -57,6 +76,12 @@ class VariableContext:
     degrees[i] is the degree d_{i+1} attached to y_{i+1}; it drives the
     charge grading.  The monomial order is fixed per context so that basis
     choices and rendering are deterministic.
+
+    The context also owns the layout of packed monomial keys (module
+    docstring): `eta_mask` selects the eta bits, `q_units[mu - 1]` is the
+    key of q_mu and `q_shifts[mu - 1]` the position of its field,
+    `guard_mask` holds every guard bit, and `pack` / `unpack` translate
+    between keys and SuperMonomials.
     """
 
     n: int
@@ -77,6 +102,15 @@ class VariableContext:
             raise InputError("degrees must be positive")
         if self.order not in MONOMIAL_ORDERS:
             raise InputError(f"unknown monomial order {self.order!r}")
+        size = self.nvars
+        shifts = tuple(size + _FIELD_BITS * i for i in range(size))
+        object.__setattr__(self, "eta_mask", (1 << size) - 1)
+        object.__setattr__(self, "q_shifts", shifts)
+        object.__setattr__(self, "q_units", tuple(1 << s for s in shifts))
+        object.__setattr__(self, "guard_mask", sum(1 << (s + EXPONENT_BITS) for s in shifts))
+        # the exponent fields as struct "I"s above the eta bits, so
+        # `exponents` unpacks them in C: (format, shift, byte count)
+        object.__setattr__(self, "_fields", (f"<{size}I", size, 4 * size))
 
     @property
     def nvars(self) -> int:
@@ -101,6 +135,56 @@ class VariableContext:
         if not 1 <= mu <= self.nvars:
             raise InputError(f"variable index {mu} out of range 1..{self.nvars}")
 
+    def exponents(self, key: int) -> tuple:
+        """The exponent vector over q_1..q_N of a packed key."""
+        fields, shift, length = self._fields
+        return struct.unpack(fields, (key >> shift).to_bytes(length, "little"))
+
+    def unpack(self, key: int) -> SuperMonomial:
+        """The SuperMonomial of a packed key."""
+        eta = key & self.eta_mask
+        indices = []
+        while eta:
+            bit = eta & -eta
+            indices.append(bit.bit_length())
+            eta -= bit
+        return _tuple_new(SuperMonomial, (self.exponents(key), tuple(indices)))
+
+    def pack(self, mono) -> int:
+        """The packed key of a SuperMonomial (or a (qexp, eta) pair).
+
+        Raises InputError unless qexp has N int entries in 0..MAX_EXPONENT
+        and eta is strictly increasing in 1..N.
+        """
+        qexp, eta = mono
+        size = self.nvars
+        try:
+            fields = int.from_bytes(struct.pack(self._fields[0], *qexp), "little") << size
+        except struct.error:  # a wrong length, or an entry no "I" holds
+            fields = self.guard_mask
+        if fields & self.guard_mask:
+            if len(qexp) != size:
+                raise InputError(f"exponent vector length {len(qexp)} != {size}")
+            if any(type(e) is not int or e < 0 for e in qexp):
+                raise InputError(f"exponents must be non-negative ints, got {tuple(qexp)!r}")
+            raise InputError(_OVERFLOW)
+        mask = 0
+        previous = 0
+        for mu in eta:
+            if type(mu) is not int or not previous < mu <= size:
+                raise InputError(f"eta indices must increase strictly in 1..{size}, "
+                                 f"got {tuple(eta)!r}")
+            mask |= 1 << (mu - 1)
+            previous = mu
+        return fields | mask
+
+
+def _check_guard(ctx: VariableContext, keys) -> None:
+    """Raise InputError if a key carries a guard bit: an exponent sum past
+    MAX_EXPONENT.  Keys are sums of keys without one, so no field spilled."""
+    if reduce(operator.or_, keys, 0) & ctx.guard_mask:
+        raise InputError(_OVERFLOW)
+
 
 class SuperMonomial(NamedTuple):
     """A single monomial: exponent vector over q_1..q_N plus an eta subset.
@@ -120,33 +204,40 @@ def make_monomial(ctx: VariableContext, qexp: Iterable[int], eta: Iterable[int] 
     eta = tuple(eta)
     if any(type(e) is not int for e in qexp + eta):
         raise InputError(f"exponents and eta indices must be ints, got {qexp!r}, {eta!r}")
-    if len(qexp) != ctx.nvars:
-        raise InputError(f"exponent vector length {len(qexp)} != {ctx.nvars}")
-    if any(e < 0 for e in qexp):
-        raise InputError("negative exponent")
-    if any(not 1 <= i <= ctx.nvars for i in eta):
-        raise InputError("eta index out of range")
-    if any(eta[i] >= eta[i + 1] for i in range(len(eta) - 1)):
-        raise InputError("eta indices must be strictly increasing")
-    return SuperMonomial(qexp, eta)
+    mono = SuperMonomial(qexp, eta)
+    ctx.pack(mono)  # the length, the exponent range and the eta indices
+    return mono
 
 
-def monomial_charge(ctx: VariableContext, m: SuperMonomial) -> int:
+def monomial_charge(ctx: VariableContext, key: int) -> int:
     """ch(y^v x^u eta_S) = |u| - sum_i d_i v_i + sum_{mu in S, mu <= k} d_mu
-    - #{mu in S : mu > k}; the one definition of the charge."""
+    - #{mu in S : mu > k}, of a packed key; the one definition of the
+    charge."""
     k, degrees = ctx.k, ctx.degrees
-    # map stops after the k degrees, so it pairs d_i with v_i only
-    ch = sum(m.qexp[k:]) - sum(map(operator.mul, degrees, m.qexp))
-    for mu in m.eta:
-        ch += degrees[mu - 1] if mu <= k else -1
+    ch = 0
+    if key >> ctx.q_shifts[0]:
+        qexp = ctx.exponents(key)
+        # map stops after the k degrees, so it pairs d_i with v_i only
+        ch = sum(qexp[k:]) - sum(map(operator.mul, degrees, qexp))
+    eta = key & ctx.eta_mask
+    if eta:
+        ch -= (eta >> k).bit_count()
+        for i, d in enumerate(degrees):
+            if eta >> i & 1:
+                ch += d
     return ch
 
 
-def monomial_weight(ctx: VariableContext, m: SuperMonomial) -> int:
-    """wt(y^v x^u eta_S) = |v| + #{mu in S : mu > k}; the one definition of
-    the weight."""
+def monomial_weight(ctx: VariableContext, key: int) -> int:
+    """wt(y^v x^u eta_S) = |v| + #{mu in S : mu > k}, of a packed key; the
+    one definition of the weight."""
     k = ctx.k
-    return sum(m.qexp[:k]) + sum(mu > k for mu in m.eta)
+    wt = ((key & ctx.eta_mask) >> k).bit_count()
+    v = key >> ctx.q_shifts[0]  # the y fields are the lowest
+    for _ in range(k):
+        wt += v & MAX_EXPONENT
+        v >>= _FIELD_BITS
+    return wt
 
 
 def monomial_sort_key(ctx: VariableContext, m: SuperMonomial):
@@ -157,7 +248,7 @@ def monomial_sort_key(ctx: VariableContext, m: SuperMonomial):
     list.  grevlex replaces the exponent comparison by reverse lexicographic
     on negated exponents (the usual trick).
     """
-    w = monomial_weight(ctx, m)
+    w = monomial_weight(ctx, ctx.pack(m))
     qdeg = sum(m.qexp)
     if ctx.order == "graded-lex":
         vec = m.qexp
@@ -166,30 +257,53 @@ def monomial_sort_key(ctx: VariableContext, m: SuperMonomial):
     return (w, qdeg, vec, m.eta)
 
 
+def _below_parity(eta: int, size: int) -> int:
+    """A mask whose bit a, for a < size, is set when an odd number of the
+    bits of `eta` lie below a: the prefix xor of eta << 1, by doubling."""
+    p = eta << 1
+    shift = 1
+    while shift < size:
+        p ^= p << shift
+        shift <<= 1
+    return p
+
+
 class SuperElement:
     """Finite rational linear combination of SuperMonomials.
 
-    Stored as ``_num`` (SuperMonomial -> nonzero int) over ``_den`` (a
-    positive int), in lowest terms; ``terms`` is the Fraction view.
-    Instances are immutable once constructed and hashable by value; the
-    callers treat them as shared read-only data.
+    Stored as ``_num`` (packed monomial key -> nonzero int) over ``_den``
+    (a positive int), in lowest terms; ``terms`` is the SuperMonomial ->
+    Fraction view.  Instances are immutable once constructed and hashable
+    by value; the callers treat them as shared read-only data.
     """
 
     __slots__ = ("ctx", "_num", "_den", "_hash")
 
     def __init__(self, ctx: VariableContext, terms: dict):
+        """`terms` maps SuperMonomials to scalars (see `as_scalar`)."""
+        pack = ctx.pack
+        self._fill(ctx, {pack(mono): coeff for mono, coeff in terms.items()})
+
+    def _fill(self, ctx: VariableContext, terms: dict) -> None:
         clean = {}
-        for mono, coeff in terms.items():
+        for key, coeff in terms.items():
             if not isinstance(coeff, Fraction):
                 coeff = as_scalar(coeff)
             if coeff:
-                clean[mono] = coeff
+                clean[key] = coeff
         # over the lcm of the reduced denominators the form is in lowest terms
         den = lcm(*(c.denominator for c in clean.values()))
         self.ctx = ctx
         self._num = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
         self._den = den
         self._hash = None
+
+    @classmethod
+    def _from_scalars(cls, ctx: VariableContext, terms: dict) -> "SuperElement":
+        """The constructor for `terms` keyed by packed keys instead."""
+        self = object.__new__(cls)
+        self._fill(ctx, terms)
+        return self
 
     @classmethod
     def _make(cls, ctx: VariableContext, num: dict, den: int) -> "SuperElement":
@@ -217,7 +331,8 @@ class SuperElement:
     def terms(self) -> dict:
         """A fresh dict SuperMonomial -> Fraction; mutating it changes nothing."""
         den = self._den
-        return {m: Fraction(v, den) for m, v in self._num.items()}
+        unpack = self.ctx.unpack
+        return {unpack(m): Fraction(v, den) for m, v in self._num.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -227,7 +342,7 @@ class SuperElement:
 
     @classmethod
     def scalar(cls, ctx: VariableContext, value) -> "SuperElement":
-        return cls(ctx, {SuperMonomial((0,) * ctx.nvars, ()): value})
+        return cls._from_scalars(ctx, {0: value})
 
     @classmethod
     def one(cls, ctx: VariableContext) -> "SuperElement":
@@ -237,15 +352,13 @@ class SuperElement:
     def variable(cls, ctx: VariableContext, mu: int) -> "SuperElement":
         """The even variable q_mu (1-based)."""
         ctx._check_index(mu)
-        qexp = [0] * ctx.nvars
-        qexp[mu - 1] = 1
-        return cls._make(ctx, {SuperMonomial(tuple(qexp), ()): 1}, 1)
+        return cls._make(ctx, {ctx.q_units[mu - 1]: 1}, 1)
 
     @classmethod
     def eta(cls, ctx: VariableContext, mu: int) -> "SuperElement":
         """The odd variable eta_mu (1-based)."""
         ctx._check_index(mu)
-        return cls._make(ctx, {SuperMonomial((0,) * ctx.nvars, (mu,)): 1}, 1)
+        return cls._make(ctx, {1 << (mu - 1): 1}, 1)
 
     # -- basic queries -----------------------------------------------------
 
@@ -253,15 +366,16 @@ class SuperElement:
         return not self._num
 
     def coefficient(self, mono: SuperMonomial) -> Fraction:
-        return Fraction(self._num.get(mono, 0), self._den)
+        return Fraction(self._num.get(self.ctx.pack(mono), 0), self._den)
 
     def homogeneous_degree(self):
         """Cohomological degree if homogeneous, else None (0 for the zero element)."""
-        degs = {m.degree() for m in self._num}
+        mask = self.ctx.eta_mask
+        degs = {(m & mask).bit_count() for m in self._num}
         if not degs:
             return 0
         if len(degs) == 1:
-            return degs.pop()
+            return -degs.pop()
         return None
 
     def homogeneous_charge(self):
@@ -329,24 +443,34 @@ class SuperElement:
         if not isinstance(other, SuperElement):
             return NotImplemented
         self._require_same_ctx(other)
+        ctx = self.ctx
+        mask = ctx.eta_mask
         acc = {}
         get = acc.get
-        add = operator.add
         right = list(other._num.items())
-        for (qa, ea), ca in self._num.items():
-            for (qb, eb), cb in right:
-                if ea and eb:
-                    merged = _merge_eta(ea, eb)
-                    if merged is None:
-                        continue
-                    sign, eta = merged
-                    c = ca * cb if sign > 0 else -ca * cb
+        odd_right = None  # right with eta masks, made for the first odd left term
+        for ka, ca in self._num.items():
+            ea = ka & mask
+            if not ea:
+                for kb, cb in right:
+                    key = ka + kb
+                    acc[key] = get(key, 0) + ca * cb
+                continue
+            if odd_right is None:
+                odd_right = [(kb, kb & mask, _below_parity(kb & mask, ctx.nvars), cb)
+                             for kb, cb in right]
+            for kb, eb, below, cb in odd_right:
+                if ea & eb:
+                    continue  # an odd square
+                key = ka + kb
+                # eta_ea eta_eb is (-1)^i eta_(ea | eb), with i the pairs
+                # (a in ea, b in eb) with b < a
+                if (ea & below).bit_count() & 1:
+                    acc[key] = get(key, 0) - ca * cb
                 else:
-                    eta = ea or eb
-                    c = ca * cb
-                mono = _tuple_new(SuperMonomial, (tuple(map(add, qa, qb)), eta))
-                acc[mono] = get(mono, 0) + c
-        return SuperElement._make(self.ctx, acc, self._den * other._den)
+                    acc[key] = get(key, 0) + ca * cb
+        _check_guard(ctx, acc)
+        return SuperElement._make(ctx, acc, self._den * other._den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -390,45 +514,18 @@ class SuperElement:
 _tuple_new = tuple.__new__
 
 
-def _merge_eta(ea: tuple, eb: tuple):
-    """Merge two increasing eta index tuples with the Koszul sign.
-
-    Both tuples are nonempty.  Returns (sign, merged) or None if an index
-    repeats (odd square = 0).  The sign is (-1)^(number of transpositions
-    moving eb's entries past ea's).
-    """
-    merged = []
-    sign = 1
-    i = j = 0
-    while i < len(ea) and j < len(eb):
-        if ea[i] == eb[j]:
-            return None
-        if ea[i] < eb[j]:
-            merged.append(ea[i])
-            i += 1
-        else:
-            # eb[j] jumps over the remaining len(ea) - i odd factors
-            if (len(ea) - i) % 2:
-                sign = -sign
-            merged.append(eb[j])
-            j += 1
-    merged.extend(ea[i:])
-    merged.extend(eb[j:])
-    return sign, tuple(merged)
-
-
 def partial_q(i: int, a: SuperElement) -> SuperElement:
     """Formal partial derivative with respect to q_i (1-based); eta untouched."""
-    a.ctx._check_index(i)
-    idx = i - 1
+    ctx = a.ctx
+    ctx._check_index(i)
+    unit, shift = ctx.q_units[i - 1], ctx.q_shifts[i - 1]
     acc = {}
     # distinct monomials stay distinct, so nothing accumulates
-    for (qexp, eta), v in a._num.items():
-        e = qexp[idx]
+    for key, v in a._num.items():
+        e = key >> shift & MAX_EXPONENT
         if e:
-            new = qexp[:idx] + (e - 1,) + qexp[i:]
-            acc[_tuple_new(SuperMonomial, (new, eta))] = v * e
-    return SuperElement._make(a.ctx, acc, a._den)
+            acc[key - unit] = v * e
+    return SuperElement._make(ctx, acc, a._den)
 
 
 def partial_eta(i: int, a: SuperElement) -> SuperElement:
@@ -439,12 +536,12 @@ def partial_eta(i: int, a: SuperElement) -> SuperElement:
     eta_i are killed.
     """
     a.ctx._check_index(i)
+    bit = 1 << (i - 1)
+    below = bit - 1
     acc = {}
-    for (qexp, eta), v in a._num.items():
-        if i in eta:
-            p = eta.index(i)
-            new = _tuple_new(SuperMonomial, (qexp, eta[:p] + eta[p + 1:]))
-            acc[new] = -v if p % 2 else v
+    for key, v in a._num.items():
+        if key & bit:
+            acc[key - bit] = -v if (key & below).bit_count() & 1 else v
     return SuperElement._make(a.ctx, acc, a._den)
 
 
@@ -454,11 +551,13 @@ def grade(a: SuperElement):
     Returns a list of (charge, weight, degree, component) sorted by the key
     triple; the components sum back to ``a``.
     """
+    ctx = a.ctx
+    mask = ctx.eta_mask
     buckets = {}
-    for mono, v in a._num.items():
-        key = (monomial_charge(a.ctx, mono), monomial_weight(a.ctx, mono), mono.degree())
-        buckets.setdefault(key, {})[mono] = v
+    for key, v in a._num.items():
+        grading = (monomial_charge(ctx, key), monomial_weight(ctx, key), -(key & mask).bit_count())
+        buckets.setdefault(grading, {})[key] = v
     return [
-        (ch, w, deg, SuperElement._make(a.ctx, num, a._den))
+        (ch, w, deg, SuperElement._make(ctx, num, a._den))
         for (ch, w, deg), num in sorted(buckets.items())
     ]

@@ -70,8 +70,9 @@ def random_charge_element(D: DworkData, rng: random.Random, charge: int,
                           eta_degree: int, max_weight: int = 3) -> SuperElement:
     """Random element inside the (charge, eta_degree) slice, weights <= max_weight.
 
-    Two monomials per weight are drawn from a `PieceView`, so no piece is
-    listed unless it is small enough for `random.sample` to copy it.
+    Two monomials per weight are drawn from a `PieceView`, as packed keys,
+    so no piece is listed unless it is small enough for `random.sample` to
+    copy it.
     """
     ctx = D.ctx
     acc = {}
@@ -79,11 +80,11 @@ def random_charge_element(D: DworkData, rng: random.Random, charge: int,
         piece = PieceView(ctx, charge, w, eta_degree)
         if not piece:
             continue
-        for mono in rng.sample(piece, min(2, len(piece))):
+        for key in rng.sample(piece, min(2, len(piece))):
             coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             if coeff:
-                acc[mono] = acc.get(mono, Fraction(0)) + coeff
-    return SuperElement(ctx, acc)
+                acc[key] = acc.get(key, Fraction(0)) + coeff
+    return SuperElement._from_scalars(ctx, acc)
 
 
 @dataclass
@@ -481,11 +482,11 @@ def reduction_functional(presentation: QuotientPresentation, row) -> LinearFunct
     memo: dict = {}
 
     def evaluate(x: SuperElement) -> Fraction:
-        picked = {m: c for m, c in x.terms.items()
-                  if not m.eta and monomial_charge(ctx, m) == c_G}
+        picked = {m: c for m, c in x._num.items()
+                  if not m & ctx.eta_mask and monomial_charge(ctx, m) == c_G}
         if not picked:
             return Fraction(0)
-        y = SuperElement(ctx, picked)
+        y = SuperElement._make(ctx, picked, x._den)
         result = memo.get(y)
         if result is None:
             result = memo[y] = presentation.reduce(y)

@@ -237,14 +237,16 @@ def brute_force_piece(ctx, charge, weight, eta_degree, exp_bound=12):
 
 def enumerating_charge_element(D, rng, charge, eta_degree, max_weight=3):
     """verify.random_charge_element as it was before it drew from a
-    PieceView: every piece listed by enumerate_piece, then sampled."""
+    PieceView: every piece listed by enumerate_piece, then sampled, with
+    the sampled keys unpacked for the public constructor."""
     ctx = D.ctx
     acc = {}
     for w in range(0, max_weight + 1):
         piece = enumerate_piece(ctx, charge, w, eta_degree)
         if not piece.monomials:
             continue
-        for mono in rng.sample(piece.monomials, min(2, len(piece.monomials))):
+        for key in rng.sample(piece.monomials, min(2, len(piece.monomials))):
+            mono = ctx.unpack(key)
             coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             if coeff:
                 acc[mono] = acc.get(mono, Fraction(0)) + coeff
@@ -572,17 +574,18 @@ class EchelonReduction:
         certificate = SuperElement.zero(ctx)
         rest = f
         while not rest.is_zero():
-            w = max(monomial_weight(ctx, m) for m in rest.terms)
-            part = {m: c for m, c in rest.terms.items() if monomial_weight(ctx, m) == w}
+            w = max(monomial_weight(ctx, ctx.pack(m)) for m in rest.terms)
+            part = {m: c for m, c in rest.terms.items()
+                    if monomial_weight(ctx, ctx.pack(m)) == w}
             solver = self.solver(w)
             residual, combo = as_fractions(*solver.eliminate(
-                {solver.index[m]: c for m, c in part.items()}))
+                {solver.index[ctx.pack(m)]: c for m, c in part.items()}))
             for pos, c in residual.items():
                 idx = pres.basis_index.get(solver.target.monomials[pos])
                 if idx is None:
                     raise SmoothnessError(f"nonzero class of weight {w}")
                 coeffs[idx] = coeffs.get(idx, 0) + c
-            xi = SuperElement(ctx, {solver.generators.monomials[g]: c
+            xi = SuperElement(ctx, {ctx.unpack(solver.generators.monomials[g]): c
                                     for g, c in combo.items()})
             certificate = certificate + xi
             rest = rest - SuperElement(ctx, part) - apply_delta(xi)
@@ -604,29 +607,32 @@ def charge_witness_check(D, f):
     return witness.scale(-1 if f.homogeneous_degree() % 2 else 1)
 
 
-def fermat_reduce(n, d, s, b):
-    """Normal form of y^s x^b for the Fermat hypersurface x_0^d + ... + x_n^d.
+def fermat_reduce(n, d, s, b, c=None):
+    """Normal form of y^s x^b for the diagonal hypersurface c_0 x_0^d + ... +
+    c_n x_n^d, all c_i = 1 (the Fermat hypersurface) when `c` is None.
 
     Dwork's diagonal reduction (Dwork, "p-adic cycles", 1969): from
-    d/dx_i e^{yG} = d y x_i^(d-1) e^{yG}, y x_i^(a+d-1) = -(a/d) x_i^(a-1) in
-    the quotient.  Writing b_i = r_i + q_i d with 0 <= r_i < d, y^s x^b is
+    d/dx_i e^{yG} = d c_i y x_i^(d-1) e^{yG}, y x_i^(a+d-1) = -(a/(d c_i))
+    x_i^(a-1) in the quotient.  Writing b_i = r_i + q_i d with 0 <= r_i < d,
+    y^s x^b is
 
-        prod_i (-1)^q_i ((r_i + 1)/d)_q_i * y^(s - sum q_i) x^r
+        prod_i (-1)^q_i ((r_i + 1)/d)_q_i / c_i^q_i * y^(s - sum q_i) x^r
 
     with (x)_q the rising factorial, and zero when some r_i = d - 1.  The
     basis is the y^s x^r of charge d - n - 1 with every r_i <= d - 2.
     Returns {(s', r): c}, empty for a zero class; any other charge is exact.
     """
     assert len(b) == n + 1
+    c = (1,) * (n + 1) if c is None else c
     if sum(b) - d * s != d - n - 1:
         return {}
     coeff = Fraction(1)
-    for b_i in b:
+    for b_i, c_i in zip(b, c):
         q_i, r_i = divmod(b_i, d)
         if r_i == d - 1:
             return {}
         for t in range(q_i):
-            coeff *= -Fraction(r_i + 1 + t * d, d)
+            coeff *= -Fraction(r_i + 1 + t * d, d) / c_i
     return {(s - sum(b_i // d for b_i in b), tuple(b_i % d for b_i in b)): coeff}
 
 

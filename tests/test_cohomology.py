@@ -47,13 +47,14 @@ from tests.oracles import (
 ])
 def test_enumerate_piece_against_brute_force(cubic_ctx, charge, weight, eta_degree):
     piece = enumerate_piece(cubic_ctx, charge, weight, eta_degree)
+    monos = [cubic_ctx.unpack(key) for key in piece.monomials]
     expected = brute_force_piece(cubic_ctx, charge, weight, eta_degree)
-    assert set(piece.monomials) == expected
-    assert len(piece.monomials) == len(set(piece.monomials))
+    assert set(monos) == expected
+    assert len(monos) == len(set(monos))
 
 
 def test_enumerate_piece_counts(cubic_ctx):
-    assert [m for m in enumerate_piece(cubic_ctx, 0, 0, 0).monomials] == \
+    assert [cubic_ctx.unpack(key) for key in enumerate_piece(cubic_ctx, 0, 0, 0).monomials] == \
         [SuperMonomial((0, 0, 0, 0), ())]
     # y1 * (cubics in three variables): C(5, 2) = 10 by stars and bars
     assert len(enumerate_piece(cubic_ctx, 0, 1, 0).monomials) == 10
@@ -70,7 +71,7 @@ def test_enumerate_piece_sorted_descending(cubic_ctx):
     from dworkbox.superalgebra import monomial_sort_key
 
     piece = enumerate_piece(cubic_ctx, 0, 2, -1)
-    keys = [monomial_sort_key(cubic_ctx, m) for m in piece.monomials]
+    keys = [monomial_sort_key(cubic_ctx, cubic_ctx.unpack(m)) for m in piece.monomials]
     assert keys == sorted(keys, reverse=True)
 
 
@@ -89,7 +90,8 @@ def test_enumerate_piece_order_is_monomial_sort_key(n, k, degrees, order):
     for charge in range(-3, 4):
         for weight in range(4):
             for eta_degree in range(0, -3, -1):
-                monos = enumerate_piece(ctx, charge, weight, eta_degree).monomials
+                monos = [ctx.unpack(key) for key in
+                         enumerate_piece(ctx, charge, weight, eta_degree).monomials]
                 expected = sorted(monos, key=lambda m: monomial_sort_key(ctx, m),
                                   reverse=True)
                 assert list(monos) == expected

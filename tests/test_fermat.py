@@ -28,9 +28,12 @@ ORDERS = ("graded-lex", "grevlex")
 PER_WEIGHT = 5
 
 
-def fermat_dwork(n, d, order="graded-lex"):
+def fermat_dwork(n, d, order="graded-lex", c=None):
+    """The Dwork data of sum_i c_i x_i^d, all c_i = 1 when `c` is None."""
     ctx = VariableContext(n, 1, (d,), order)
-    return dwork_potential(ctx, [parse(" + ".join(f"x{i}^{d}" for i in range(n + 1)), ctx)])
+    c = (1,) * (n + 1) if c is None else c
+    return dwork_potential(ctx, [parse(" + ".join(f"{c_i}*x{i}^{d}" for i, c_i in enumerate(c)),
+                                       ctx)])
 
 
 def monomial(s, b):
@@ -43,13 +46,11 @@ def random_exponents(rng, total, parts):
     return tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, total]))
 
 
-@pytest.mark.parametrize("order", ORDERS)
-@pytest.mark.parametrize("n,d", FERMAT, ids=[f"n{n}_d{d}" for n, d in FERMAT])
-def test_reduce_matches_the_fermat_closed_form(n, d, order):
+def check_reduce_against_the_closed_form(n, d, order, c=None):
     """Seeded charge-c_G monomials of every weight 0..top + 3, so weights
     top + 2 and top + 3 go through the lift: coefficients agree basis
     monomial by basis monomial, and every certificate is sound."""
-    D = fermat_dwork(n, d, order)
+    D = fermat_dwork(n, d, order, c)
     ctx = D.ctx
     pres = build_presentation(D)
     c_G = pres.c_G
@@ -57,7 +58,7 @@ def test_reduce_matches_the_fermat_closed_form(n, d, order):
                     for r in itertools.product(range(d - 1), repeat=n + 1)
                     if sum(r) - d * s == c_G}
     assert set(pres.basis) == fermat_basis
-    rng = random.Random(f"fermat:{n}:{d}:{order}")
+    rng = random.Random(f"fermat:{n}:{d}:{order}" + ("" if c is None else f":{c}"))
     top = n - 1
     checked = 0
     for s in range(top + 4):
@@ -69,11 +70,29 @@ def test_reduce_matches_the_fermat_closed_form(n, d, order):
             f = SuperElement(ctx, {monomial(s, b): 1})
             result = pres.reduce(f)
             got = {pres.basis[i]: c for i, c in result.coefficients.items()}
-            expected = {monomial(*key): c for key, c in fermat_reduce(n, d, s, b).items()}
+            expected = {monomial(*key): c for key, c in fermat_reduce(n, d, s, b, c).items()}
             assert got == expected, (s, b)
             assert apply_k(D, result.certificate) + result.as_element(pres) == f
             checked += 1
     assert checked >= 3 * PER_WEIGHT
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("n,d", FERMAT, ids=[f"n{n}_d{d}" for n, d in FERMAT])
+def test_reduce_matches_the_fermat_closed_form(n, d, order):
+    check_reduce_against_the_closed_form(n, d, order)
+
+
+# sum c_i x_i^d with coefficients other than 1: each reduction step divides
+# by c_i, so the gradient numerators are not all d and the content of the
+# kernel's numerators is divided out
+DIAGONAL = {(2, 3): (2, Fraction(-3, 5), 7), (3, 4): (Fraction(1, 2), 3, Fraction(5, 7), -2)}
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("n,d", list(DIAGONAL), ids=[f"n{n}_d{d}" for n, d in DIAGONAL])
+def test_reduce_matches_the_diagonal_closed_form(n, d, order):
+    check_reduce_against_the_closed_form(n, d, order, DIAGONAL[n, d])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4], ids=["cubic_curve", "quartic_k3", "quintic_threefold"])

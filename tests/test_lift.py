@@ -234,7 +234,7 @@ def test_koszul_pruned_echelon_spans_the_full_image(name):
         pruned = _build_weight_solver(D, ctx.background_charge(), w)
         used = {g for _, _, combo in pruned.rows for g in combo}
         gens = pruned.generators.monomials
-        redundant = {g for g, gen in enumerate(gens) if is_redundant(gen)}
+        redundant = {g for g, gen in enumerate(gens) if is_redundant(ctx.unpack(gen))}
         assert not used & redundant
         skipped_somewhere = skipped_somewhere or bool(redundant)
         for g in redundant:
@@ -280,8 +280,9 @@ def test_q_rows_from_the_gradient_table_match_apply_q(name):
         for g_idx, gen in enumerate(gens.monomials):
             vec, den = solver.q_vector(D, g_idx)
             assert den == D.grad_den
-            assert ({target[pos]: c for pos, c in as_fractions(vec, den)[0].items()}
-                    == apply_q(D, SuperElement(ctx, {gen: 1})).terms)
+            assert ({ctx.unpack(target[pos]): c
+                     for pos, c in as_fractions(vec, den)[0].items()}
+                    == apply_q(D, SuperElement(ctx, {ctx.unpack(gen): 1})).terms)
         if gens.monomials:
             stranger = _WeightSolver(enumerate_piece(ctx, c_G, w + 1, 0), gens)
             with pytest.raises(InternalCheckError, match="monomial escaped its graded piece"):
@@ -328,7 +329,7 @@ def test_guard_falls_back_to_the_exact_echelon_when_p_divides_a_row(monkeypatch)
     assert sorted(pres._solvers) == [0, 1, 2]
     assert pres.basis == fermat.basis
     assert pres.hodge_numbers() == fermat.hodge_numbers() == [1, 1]
-    f = SuperElement(ctx, {enumerate_piece(ctx, pres.c_G, 3, 0).monomials[0]: 1})
+    f = SuperElement(ctx, {ctx.unpack(enumerate_piece(ctx, pres.c_G, 3, 0).monomials[0]): 1})
     result = pres.reduce(f)
     assert apply_k(D, result.certificate) + result.as_element(pres) == f
     assert built == [0, 1, 2]
@@ -354,8 +355,8 @@ def test_basis_builds_no_exact_echelon_above_the_quotient(name, tmp_path, monkey
     assert built == list(range(top + 1))
     above = enumerate_piece(D.ctx, pres.c_G, top + 2, 0).monomials
     at = enumerate_piece(D.ctx, pres.c_G, top + 1, 0).monomials
-    for mono in (above[0], above[-1], at[0]):
-        f = SuperElement(D.ctx, {mono: 1})
+    for key in (above[0], above[-1], at[0]):
+        f = SuperElement(D.ctx, {D.ctx.unpack(key): 1})
         result = pres.reduce(f)
         assert apply_k(D, result.certificate) + result.as_element(pres) == f
         assert built == [*range(top + 1), top + 1]

@@ -17,7 +17,6 @@ from dworkbox import (
     InputError,
     LinearFunctional,
     SuperElement,
-    SuperMonomial,
     VariableContext,
     apply_delta,
     apply_k,
@@ -62,7 +61,8 @@ def test_dwork_potential_single(cubic_ctx):
     D = dwork_potential(cubic_ctx, [parse("x0^3 + x1^3 + x2^3", cubic_ctx)])
     assert D.S == parse("y1*x0^3 + y1*x1^3 + y1*x2^3", cubic_ctx)
     # gradient table rows: dS/dy1 = G, dS/dx_j = 3 y1 x_j^2
-    grad = [SuperElement(cubic_ctx, {SuperMonomial(q): Fraction(v, D.grad_den) for q, v in row})
+    grad = [SuperElement(cubic_ctx, {cubic_ctx.unpack(key): Fraction(v, D.grad_den)
+                                     for key, v in row})
             for row in D.grad_num]
     assert grad[0] == parse("x0^3 + x1^3 + x2^3", cubic_ctx)
     assert grad[1] == parse("3*y1*x0^2", cubic_ctx)
