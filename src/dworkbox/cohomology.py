@@ -506,7 +506,7 @@ def _koszul_rows(D: DworkData, solver: _WeightSolver):
     """
     ctx = D.ctx
     # leads[i] is L_{i+1}, or None where that g is zero; S and g are eta-free
-    leads = [max((q for q, _ in g), key=lambda q: monomial_sort_key(ctx, ctx.unpack(q)))
+    leads = [max((q for q, _ in g), key=lambda q: monomial_sort_key(ctx, q))
              if g else None for g in D.grad_num]
     # later[j - 1] holds the L_i of the nonzero g_i with i > j
     later = [[lead for lead in leads[j:] if lead is not None] for j in range(1, len(leads) + 1)]

@@ -220,14 +220,12 @@ def render(a: SuperElement) -> str:
     if a.is_zero():
         return "0"
     ctx = a.ctx
-    items = sorted(
-        a.terms.items(),
-        key=lambda item: monomial_sort_key(ctx, item[0]),
-        reverse=True,
-    )
+    items = sorted(a._num.items(), key=lambda item: monomial_sort_key(ctx, item[0]),
+                   reverse=True)
     pieces = []
-    for position, (mono, coeff) in enumerate(items):
-        body = _render_monomial(ctx, mono)
+    for position, (key, v) in enumerate(items):
+        body = _render_monomial(ctx, ctx.unpack(key))
+        coeff = Fraction(v, a._den)
         mag = abs(coeff)
         if body and mag == 1:
             text = body

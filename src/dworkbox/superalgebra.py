@@ -142,13 +142,7 @@ class VariableContext:
 
     def unpack(self, key: int) -> SuperMonomial:
         """The SuperMonomial of a packed key."""
-        eta = key & self.eta_mask
-        indices = []
-        while eta:
-            bit = eta & -eta
-            indices.append(bit.bit_length())
-            eta -= bit
-        return _tuple_new(SuperMonomial, (self.exponents(key), tuple(indices)))
+        return _tuple_new(SuperMonomial, (self.exponents(key), _eta_indices(key & self.eta_mask)))
 
     def pack(self, mono) -> int:
         """The packed key of a SuperMonomial (or a (qexp, eta) pair).
@@ -184,6 +178,16 @@ def _check_guard(ctx: VariableContext, keys) -> None:
     MAX_EXPONENT.  Keys are sums of keys without one, so no field spilled."""
     if reduce(operator.or_, keys, 0) & ctx.guard_mask:
         raise InputError(_OVERFLOW)
+
+
+def _eta_indices(eta: int) -> tuple:
+    """The increasing 1-based indices of the bits of an eta mask."""
+    indices = []
+    while eta:
+        bit = eta & -eta
+        indices.append(bit.bit_length())
+        eta -= bit
+    return tuple(indices)
 
 
 class SuperMonomial(NamedTuple):
@@ -240,21 +244,20 @@ def monomial_weight(ctx: VariableContext, key: int) -> int:
     return wt
 
 
-def monomial_sort_key(ctx: VariableContext, m: SuperMonomial):
-    """Total-order key; larger key = larger monomial.
+def monomial_sort_key(ctx: VariableContext, key: int):
+    """Total-order key of a packed key; larger key = larger monomial.
 
     graded-lex: weight, then total q-degree, then the exponent vector read
     with precedence y_1 > ... > y_k > x_0 > ... > x_n, then the eta index
     list.  grevlex replaces the exponent comparison by reverse lexicographic
     on negated exponents (the usual trick).
     """
-    w = monomial_weight(ctx, ctx.pack(m))
-    qdeg = sum(m.qexp)
+    qexp = ctx.exponents(key)
     if ctx.order == "graded-lex":
-        vec = m.qexp
+        vec = qexp
     else:
-        vec = tuple(-e for e in reversed(m.qexp))
-    return (w, qdeg, vec, m.eta)
+        vec = tuple(-e for e in reversed(qexp))
+    return (monomial_weight(ctx, key), sum(qexp), vec, _eta_indices(key & ctx.eta_mask))
 
 
 def _below_parity(eta: int, size: int) -> int:
@@ -266,6 +269,42 @@ def _below_parity(eta: int, size: int) -> int:
         p ^= p << shift
         shift <<= 1
     return p
+
+
+def _products(ctx: VariableContext, pairs) -> dict:
+    """The numerators of sum_j left_j * right_j, for (left, right) pairs of
+    (packed key, int) sequences, in one dict; the one product kernel.
+
+    A term's key is ka + kb, skipped when the eta masks meet;
+    eta_ea eta_eb is (-1)^i eta_(ea | eb), with i the pairs (a in ea,
+    b in eb) with b < a.  Raises InputError past the exponent limit.
+    """
+    mask = ctx.eta_mask
+    size = ctx.nvars
+    acc = {}
+    get = acc.get
+    for left, right in pairs:
+        odd_right = None  # right with eta masks, made for the first odd left term
+        for ka, ca in left:
+            ea = ka & mask
+            if not ea:
+                for kb, cb in right:
+                    key = ka + kb
+                    acc[key] = get(key, 0) + ca * cb
+                continue
+            if odd_right is None:
+                odd_right = [(kb, kb & mask, _below_parity(kb & mask, size), cb)
+                             for kb, cb in right]
+            for kb, eb, below, cb in odd_right:
+                if ea & eb:
+                    continue  # an odd square
+                key = ka + kb
+                if (ea & below).bit_count() & 1:
+                    acc[key] = get(key, 0) - ca * cb
+                else:
+                    acc[key] = get(key, 0) + ca * cb
+    _check_guard(ctx, acc)
+    return acc
 
 
 class SuperElement:
@@ -443,34 +482,8 @@ class SuperElement:
         if not isinstance(other, SuperElement):
             return NotImplemented
         self._require_same_ctx(other)
-        ctx = self.ctx
-        mask = ctx.eta_mask
-        acc = {}
-        get = acc.get
-        right = list(other._num.items())
-        odd_right = None  # right with eta masks, made for the first odd left term
-        for ka, ca in self._num.items():
-            ea = ka & mask
-            if not ea:
-                for kb, cb in right:
-                    key = ka + kb
-                    acc[key] = get(key, 0) + ca * cb
-                continue
-            if odd_right is None:
-                odd_right = [(kb, kb & mask, _below_parity(kb & mask, ctx.nvars), cb)
-                             for kb, cb in right]
-            for kb, eb, below, cb in odd_right:
-                if ea & eb:
-                    continue  # an odd square
-                key = ka + kb
-                # eta_ea eta_eb is (-1)^i eta_(ea | eb), with i the pairs
-                # (a in ea, b in eb) with b < a
-                if (ea & below).bit_count() & 1:
-                    acc[key] = get(key, 0) - ca * cb
-                else:
-                    acc[key] = get(key, 0) + ca * cb
-        _check_guard(ctx, acc)
-        return SuperElement._make(ctx, acc, self._den * other._den)
+        acc = _products(self.ctx, ((self._num.items(), list(other._num.items())),))
+        return SuperElement._make(self.ctx, acc, self._den * other._den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -8,6 +8,10 @@ broken invariant, so a corrupted build cannot slip through quietly.
 The truncated exponential identities that tie K to the bracket tower are
 also checked here (`exp_identity_lhs` / `exp_identity_rhs`).
 
+`operators.ell2` is a closed-form kernel that never applies K, so the
+family "bracket: defining expansion against K", which compares it with
+K(ab) - K(a)b - (-1)^|a| a K(b), is the independent check of the kernel.
+
 A fault-injection hook exists purely so the harness itself can be tested:
 it deliberately corrupts one operator for the duration of a run and the
 suite is expected to catch it.
@@ -16,6 +20,7 @@ suite is expected to catch it.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -30,7 +35,6 @@ from .operators import DworkData, LinearFunctional
 from .polyparse import render
 from .superalgebra import (
     SuperElement,
-    SuperMonomial,
     VariableContext,
     grade,
     monomial_charge,
@@ -42,19 +46,25 @@ from .superalgebra import (
 def random_element(ctx: VariableContext, rng: random.Random, *, max_eta: int = 2,
                    max_weight: int = 2, max_xdeg: int = 4, terms: int = 3,
                    homogeneous_degree: Optional[int] = None) -> SuperElement:
-    """A small random element; degree-homogeneous when requested."""
+    """A small random element; degree-homogeneous when requested.
+
+    Each term is drawn as a packed key: the bits of an eta subset, then an
+    exponent of at most max_weight per y and max_xdeg per x, times the unit
+    of its field.
+    """
+    units = ctx.q_units
     acc = {}
     for _ in range(terms):
         size = homogeneous_degree if homogeneous_degree is not None \
             else rng.randint(0, max_eta)
-        eta = tuple(sorted(rng.sample(range(1, ctx.nvars + 1), size))) if size else ()
-        v = [rng.randint(0, max_weight) for _ in range(ctx.k)]
-        u = [rng.randint(0, max_xdeg) for _ in range(ctx.n + 1)]
-        mono = SuperMonomial(tuple(v + u), eta)
+        key = sum(1 << (mu - 1) for mu in rng.sample(range(1, ctx.nvars + 1), size)) \
+            if size else 0
+        for i in range(ctx.nvars):
+            key += rng.randint(0, max_weight if i < ctx.k else max_xdeg) * units[i]
         coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         if coeff:
-            acc[mono] = acc.get(mono, Fraction(0)) + coeff
-    return SuperElement(ctx, acc)
+            acc[key] = acc.get(key, 0) + coeff
+    return SuperElement._from_scalars(ctx, acc)
 
 
 def random_homogeneous(ctx: VariableContext, rng: random.Random, **kw) -> SuperElement:
@@ -64,6 +74,10 @@ def random_homogeneous(ctx: VariableContext, rng: random.Random, **kw) -> SuperE
     if e.is_zero():
         return SuperElement.one(ctx) if deg == 0 else SuperElement.eta(ctx, 1)
     return e
+
+
+# a view depends only on its gradings, so each is made once, not per draw
+_piece_view = functools.lru_cache(maxsize=256)(PieceView)
 
 
 def random_charge_element(D: DworkData, rng: random.Random, charge: int,
@@ -77,7 +91,7 @@ def random_charge_element(D: DworkData, rng: random.Random, charge: int,
     ctx = D.ctx
     acc = {}
     for w in range(0, max_weight + 1):
-        piece = PieceView(ctx, charge, w, eta_degree)
+        piece = _piece_view(ctx, charge, w, eta_degree)
         if not piece:
             continue
         for key in rng.sample(piece, min(2, len(piece))):

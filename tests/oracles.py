@@ -428,6 +428,16 @@ def frac_apply_k(S, nvars, a):
     return frac_add(frac_apply_q(S, nvars, a), frac_apply_delta(nvars, a))
 
 
+def frac_ell2(S, nvars, a, b):
+    """l2(a, b) = K(ab) - K(a)b - (-1)^|a| a K(b) by its definition, for a
+    homogeneous in cohomological degree: the reference for `operators.ell2`."""
+    (parity,) = {len(m.eta) % 2 for m in a} or {0}
+    sign = -1 if parity else 1
+    out = frac_apply_k(S, nvars, frac_mul(a, b))
+    out = frac_add(out, {m: -c for m, c in frac_mul(frac_apply_k(S, nvars, a), b).items()})
+    return frac_add(out, {m: -sign * c for m, c in frac_mul(a, frac_apply_k(S, nvars, b)).items()})
+
+
 # -- recursive composition enumerator ------------------------------------------
 
 def compositions(total, parts):

@@ -71,7 +71,7 @@ def test_enumerate_piece_sorted_descending(cubic_ctx):
     from dworkbox.superalgebra import monomial_sort_key
 
     piece = enumerate_piece(cubic_ctx, 0, 2, -1)
-    keys = [monomial_sort_key(cubic_ctx, cubic_ctx.unpack(m)) for m in piece.monomials]
+    keys = [monomial_sort_key(cubic_ctx, m) for m in piece.monomials]
     assert keys == sorted(keys, reverse=True)
 
 
@@ -92,7 +92,7 @@ def test_enumerate_piece_order_is_monomial_sort_key(n, k, degrees, order):
             for eta_degree in range(0, -3, -1):
                 monos = [ctx.unpack(key) for key in
                          enumerate_piece(ctx, charge, weight, eta_degree).monomials]
-                expected = sorted(monos, key=lambda m: monomial_sort_key(ctx, m),
+                expected = sorted(monos, key=lambda m: monomial_sort_key(ctx, ctx.pack(m)),
                                   reverse=True)
                 assert list(monos) == expected
                 nonempty += len(monos) > 1

@@ -198,7 +198,7 @@ def test_piece_view_walks_the_brute_force_piece_in_order(n, k, degrees, bound, p
     ctx = VariableContext(n, k, degrees, order)
     for charge, weight, eta_degree in pieces:
         expected = sorted(brute_force_piece(ctx, charge, weight, eta_degree, exp_bound=bound),
-                          key=lambda m: monomial_sort_key(ctx, m), reverse=True)
+                          key=lambda m: monomial_sort_key(ctx, ctx.pack(m)), reverse=True)
         view = PieceView(ctx, charge, weight, eta_degree)
         assert len(expected) > 1
         assert [ctx.unpack(key) for key in view] == expected

@@ -225,7 +225,7 @@ def test_canonical_order_is_total_and_weight_major(ctx):
         e = random_element(ctx, rng, terms=1)
         monos.update(e.terms)
     monos = list(monos)
-    keys = [monomial_sort_key(ctx, m) for m in monos]
+    keys = [monomial_sort_key(ctx, ctx.pack(m)) for m in monos]
     assert len(set(keys)) == len(monos)
     for m, key in zip(monos, keys):
         assert key[0] == monomial_weight(ctx, ctx.pack(m))
@@ -236,13 +236,13 @@ def test_grevlex_order_differs_but_stays_graded():
     ctx_grevlex = VariableContext(2, 1, (3,), "grevlex")
     a = parse("x0^2*x2", ctx_lex)
     b = parse("x0*x1^2", ctx_lex)
-    ka = monomial_sort_key(ctx_lex, next(iter(a.terms)))
-    kb = monomial_sort_key(ctx_lex, next(iter(b.terms)))
+    ka = monomial_sort_key(ctx_lex, ctx_lex.pack(next(iter(a.terms))))
+    kb = monomial_sort_key(ctx_lex, ctx_lex.pack(next(iter(b.terms))))
     assert ka > kb  # lex: higher power of x0 wins
     a2 = parse("x0^2*x2", ctx_grevlex)
     b2 = parse("x0*x1^2", ctx_grevlex)
-    ka2 = monomial_sort_key(ctx_grevlex, next(iter(a2.terms)))
-    kb2 = monomial_sort_key(ctx_grevlex, next(iter(b2.terms)))
+    ka2 = monomial_sort_key(ctx_grevlex, ctx_grevlex.pack(next(iter(a2.terms))))
+    kb2 = monomial_sort_key(ctx_grevlex, ctx_grevlex.pack(next(iter(b2.terms))))
     assert ka2 < kb2  # grevlex: smaller last exponent wins
 
 
