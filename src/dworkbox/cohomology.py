@@ -42,15 +42,15 @@ rows; only a short rank builds the exact echelon there.
 
 A presentation is only ever made by `QuotientPresentation(D)`, which builds
 the weight solvers 0..top up front and the weight top + 1 solver on first
-need; loading an export rebuilds it from the context and G and checks the
-file against the result.  Every solver takes its Q rows straight from the
-integer gradient table (`_WeightSolver.q_vector`).
+need (a lift or a weight top + 1 slice).  An export holds the context, G
+and the basis; loading one rebuilds the presentation from the context and
+G and checks the file's basis against the rebuild.  Every solver takes its
+Q rows straight from the integer gradient table (`_WeightSolver.q_vector`).
 """
 
 from __future__ import annotations
 
 import json
-import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -60,7 +60,7 @@ from math import comb, gcd, lcm
 from operator import index, mul
 
 from .errors import InputError, InternalCheckError, SmoothnessError
-from .operators import DworkData, apply_delta, apply_q, dwork_potential
+from .operators import DworkData, apply_delta, dwork_potential
 from .superalgebra import (
     SuperElement,
     SuperMonomial,
@@ -71,7 +71,7 @@ from .superalgebra import (
     monomial_weight,
 )
 
-PRESENTATION_FORMAT_VERSION = 1
+PRESENTATION_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -391,21 +391,14 @@ class _Echelon:
         self.pivots[pivot] = len(self.rows)
         self.rows.append((pivot, row, combo))
 
-    def rational_rows(self):
-        """The rows as (pivot, row, combo) with Fraction entries, pivot entry 1."""
-        for pivot, row, combo in self.rows:
-            p = row[pivot]
-            yield (pivot, {pos: Fraction(c, p) for pos, c in row.items()},
-                   {k: Fraction(c, p) for k, c in combo.items()})
-
 
 class _WeightSolver(_Echelon):
     """Echelonized Q-image of one (charge, weight) slice, with preimages.
 
     Positions index the descending monomial order of the degree-0 piece, so
     a row's pivot is its largest monomial; combos are keyed by position in
-    the degree -1 generator piece.  `_positions` and `solve` are the only
-    translations between monomials and positions.
+    the degree -1 generator piece.  `solve` is the only translation
+    between monomials and positions that a reader goes through.
     """
 
     def __init__(self, target: GradedPiece, generators: GradedPiece):
@@ -417,14 +410,6 @@ class _WeightSolver(_Echelon):
     def complement_monomials(self):
         return tuple(m for i, m in enumerate(self.target.monomials)
                      if i not in self.pivots)
-
-    def _positions(self, num: dict) -> dict:
-        """`num` (target monomial -> value) keyed by position instead."""
-        index = self.index
-        try:
-            return {index[mono]: v for mono, v in num.items()}
-        except KeyError:
-            raise InternalCheckError("monomial escaped its graded piece") from None
 
     def q_vector(self, D: DworkData, g_idx: int):
         """Q of generator `g_idx` as (position -> int numerator, denominator).
@@ -450,33 +435,15 @@ class _WeightSolver(_Echelon):
         The residual is keyed by complement monomial and the preimage by
         generator monomial, both as packed keys.
         """
-        residual, combo, scale = self.eliminate(self._positions(num))
+        index = self.index
+        try:
+            vec = {index[mono]: v for mono, v in num.items()}
+        except KeyError:
+            raise InternalCheckError("monomial escaped its graded piece") from None
+        residual, combo, scale = self.eliminate(vec)
         target, gens = self.target.monomials, self.generators.monomials
         return ({target[pos]: c for pos, c in residual.items()},
                 {gens[g]: c for g, c in combo.items()}, scale)
-
-    def spans_like(self, D: DworkData, rows) -> bool:
-        """Whether `rows`, (pivot, R, C) with Fraction entries, are another
-        echelon of this Q image: their pivots are these pivots, each the
-        smallest position of its row, and R == sum_g C[g] * Q(gen_g)
-        exactly.  The last puts every R in the image, so each would
-        eliminate to zero against these rows.
-
-        Which generators an echelon inserts, and in what order, changes its
-        rows but not this verdict.
-        """
-        if sorted(pivot for pivot, _, _ in rows) != sorted(self.pivots):
-            return False
-        gens = self.generators.monomials
-        for pivot, row, combo in rows:
-            if min(row) != pivot or not all(0 <= g < len(gens) for g in combo):
-                return False
-            image = apply_q(D, SuperElement._from_scalars(
-                D.ctx, {gens[g]: c for g, c in combo.items()}))
-            if {pos: Fraction(v, image._den)
-                    for pos, v in self._positions(image._num).items()} != row:
-                return False
-        return True
 
 
 def _koszul_rows(D: DworkData, solver: _WeightSolver):
@@ -640,8 +607,7 @@ class QuotientPresentation:
 
     def _solver(self, w: int) -> _WeightSolver:
         """The weight-w echelon, 0 <= w <= n-k+1.  Weight n-k+1's is built
-        on first need (a lift, a slice of that weight, an export or an
-        import's row check) and memoized."""
+        on first need (a lift or a slice of that weight) and memoized."""
         solver = self._solvers.get(w)
         if solver is None:
             solver = self._solvers[w] = _build_weight_solver(self.dwork, self.c_G, w)
@@ -798,7 +764,8 @@ class QuotientPresentation:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
-        """Versioned structured-text export; round-trips bit-exactly."""
+        """Versioned structured-text export of the context, G and the basis;
+        round-trips bit-exactly."""
         from . import polyparse
 
         ctx = self.dwork.ctx
@@ -808,23 +775,8 @@ class QuotientPresentation:
                         "order": ctx.order},
             "G": [polyparse.render(g) for g in self.dwork.G],
             "cG": self.c_G,
-            "slack": self.slack,
             "basis": [_monomial_to_json(m) for m in self.basis],
             "weightCounts": list(self.weight_counts),
-            "solvers": [
-                {
-                    "weight": w,
-                    "rows": [
-                        {
-                            "pivot": pivot,
-                            "row": {str(pos): str(c) for pos, c in sorted(row.items())},
-                            "combo": {str(g): str(c) for g, c in sorted(combo.items())},
-                        }
-                        for pivot, row, combo in self._solver(w).rational_rows()
-                    ],
-                }
-                for w in range(ctx.n - ctx.k + 2)
-            ],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -833,13 +785,10 @@ class QuotientPresentation:
         """Load an export by rebuilding its presentation from the context and
         G, then check the file against it.
 
-        `cG`, `basis` and `weightCounts` must match the rebuilt ones.  The
-        file may store any subset of the weights 0..n-k+1, and the rows of
-        each weight it stores must be an echelon of the rebuilt row space
-        (`_WeightSolver.spans_like`), in any order and scaled by any nonzero
-        pivot entry.  So a file written by an echelon that inserted other
-        generators, such as one before the Koszul criterion, still loads;
-        the presentation returned is always the rebuilt one.
+        `cG`, `basis` and `weightCounts` must match the rebuilt ones, and the
+        presentation returned is the rebuilt one.  Format 1 also stored the
+        echelon rows of weights 0..n-k+1 (`solvers`) and `slack`; a version-1
+        file still loads, and those fields are not read.
         """
         from . import polyparse
 
@@ -851,7 +800,7 @@ class QuotientPresentation:
             raise InputError("presentation file: expected a JSON object, found "
                              f"{type(payload).__name__}")
         version = payload.get("version")
-        if type(version) is not int or version != PRESENTATION_FORMAT_VERSION:
+        if type(version) is not int or version not in (1, PRESENTATION_FORMAT_VERSION):
             raise InputError(f"unsupported presentation version {version!r}")
         try:
             cinfo = payload["context"]
@@ -861,17 +810,12 @@ class QuotientPresentation:
                 raise InputError(f"presentation file: G must be a list, got {payload['G']!r}")
             G = [polyparse.parse(text_g, ctx) for text_g in payload["G"]]
             c_G = payload["cG"]
-            slack = payload.get("slack", 2)
             basis = [_monomial_from_json(ctx, m) for m in payload["basis"]]
             counts = payload["weightCounts"]
-            stored = [(sdata["weight"], list(sdata["rows"]))
-                      for sdata in payload.get("solvers", [])]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"presentation file: missing or malformed field ({exc!r})") from None
         if type(c_G) is not int or ctx.background_charge() != c_G:
             raise InputError(f"inconsistent background charge {c_G!r} in presentation file")
-        if type(slack) is not int or slack < 0:
-            raise InputError(f"presentation file: slack {slack!r} is not an int >= 0")
         if type(counts) is not list or any(type(c) is not int for c in counts):
             raise InputError(f"presentation file: weightCounts {counts!r} are not ints")
         pres = cls(dwork_potential(ctx, G))
@@ -881,40 +825,7 @@ class QuotientPresentation:
         if counts != list(pres.weight_counts):
             raise InputError(f"presentation file: weightCounts {counts!r} "
                              f"do not match the basis, expected {list(pres.weight_counts)}")
-        for w, stored_rows in stored:
-            if type(w) is not int or not 0 <= w <= ctx.n - ctx.k + 1:
-                raise InputError(f"presentation file: weight {w!r} has no echelon")
-            solver = pres._solver(w)
-            where = f"presentation file, weight {w}"
-            rows = [_stored_row(where, rdata) for rdata in stored_rows]
-            if not solver.spans_like(pres.dwork, rows):
-                raise InputError(f"{where}: rows differ from the rebuilt echelon")
         return pres
-
-
-def _stored_row(where: str, rdata):
-    """A stored row as (pivot, row, combo) in Fractions, pivot entry 1."""
-    try:
-        pivot = rdata["pivot"]
-        if type(pivot) is not int:
-            raise InputError(f"{where}: pivot {pivot!r} is not an int")
-        row = {_canonical(int, pos): _canonical(Fraction, c) for pos, c in rdata["row"].items()}
-        combo = {_canonical(int, g): _canonical(Fraction, c) for g, c in rdata["combo"].items()}
-        lead = row[pivot]
-        return (pivot, {pos: c / lead for pos, c in row.items()},
-                {g: c / lead for g, c in combo.items()})
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{where}: malformed row ({exc!r})") from None
-
-
-def _canonical(kind, text):
-    """kind(text) for a string exactly as `to_json` writes it; else ValueError.
-    Only that shape is converted, so Fraction never expands "1e20000000"."""
-    if type(text) is str and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
-        value = kind(text)
-        if str(value) == text:
-            return value
-    raise ValueError(f"non-canonical {kind.__name__} {text!r}")
 
 
 def _monomial_to_json(m: SuperMonomial):

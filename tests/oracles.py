@@ -260,6 +260,15 @@ def as_fractions(*parts):
     return tuple({k: Fraction(v, den) for k, v in d.items()} for d in dicts)
 
 
+def rational_rows(echelon):
+    """The rows of a library echelon as (pivot, row, combo) with Fraction
+    entries, pivot entry 1: the form `FractionEchelon.rows` keeps."""
+    for pivot, row, combo in echelon.rows:
+        p = row[pivot]
+        yield (pivot, {pos: Fraction(c, p) for pos, c in row.items()},
+               {k: Fraction(c, p) for k, c in combo.items()})
+
+
 class FractionEchelon:
     """The sparse echelon on Fraction rows that dworkbox used before its
     elimination went fraction-free; kept as the exact reference.

@@ -12,6 +12,7 @@ import json
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -383,6 +384,36 @@ def test_charge_generator_k_value(cubic_dwork, quadrics_dwork):
 
 # -- export / import ------------------------------------------------------------------
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# the cubic export in format 2, and the same presentation in format 1, which
+# also stores the echelon rows of weights 0..n-k+1 (`solvers`) and `slack`
+CUBIC_V2 = GOLDEN / "presentation-cubic_curve.json"
+CUBIC_V1 = GOLDEN / "presentation-cubic_curve-v1.json"
+V2_KEYS = {"version", "context", "G", "cG", "basis", "weightCounts"}
+BOTH, V1 = (1, 2), (1,)
+# the expected outcome of an edit that touches only fields the loader does not read
+UNREAD = None
+
+
+@pytest.fixture(scope="module")
+def exports():
+    """The cubic export as text, by format version."""
+    return {1: CUBIC_V1.read_text(encoding="utf-8"), 2: CUBIC_V2.read_text(encoding="utf-8")}
+
+
+def check_import(text, message, cubic_presentation):
+    """`from_json(text)` raises InputError matching `message`; with message
+    UNREAD it loads as the rebuild: the cubic basis, and a re-export equal to
+    the format-2 golden."""
+    if message is UNREAD:
+        loaded = QuotientPresentation.from_json(text)
+        assert loaded.basis == cubic_presentation.basis
+        assert loaded.to_json() == CUBIC_V2.read_text(encoding="utf-8")
+    else:
+        with pytest.raises(InputError, match=message):
+            QuotientPresentation.from_json(text)
+
+
 def test_presentation_round_trip(cubic_dwork, cubic_presentation):
     ctx = cubic_dwork.ctx
     # reduce above weight n - k + 1, through the lift, before exporting
@@ -399,17 +430,42 @@ def test_presentation_round_trip(cubic_dwork, cubic_presentation):
     assert again.certificate == first.certificate
 
 
-def test_presentation_import_rejects_bad_version(cubic_presentation):
-    import json as _json
+EXPORT_GEOMETRIES = {
+    "cubic": (2, 1, (3,), ["x0^3 + x1^3 + x2^3"]),
+    "quartic K3": (3, 1, (4,), ["x0^4 + x1^4 + x2^4 + x3^4"]),
+    "(2,3) K3 in P^4": (4, 2, (2, 3), ["x0^2 + x1^2 + x2^2 + x3^2 + x4^2",
+                                       "x0^3 + 2*x1^3 + 3*x2^3 + 4*x3^3 + 5*x4^3"]),
+}
 
-    payload = _json.loads(cubic_presentation.to_json())
-    payload["version"] = 99
-    with pytest.raises(InputError):
-        QuotientPresentation.from_json(_json.dumps(payload))
+
+@pytest.mark.parametrize("name", list(EXPORT_GEOMETRIES))
+def test_export_and_import_build_no_echelon_above_the_quotient(name):
+    """The export holds the six format-2 fields only, and neither `to_json`
+    nor `from_json` builds the weight n - k + 1 echelon."""
+    n, k, degrees, G = EXPORT_GEOMETRIES[name]
+    ctx = VariableContext(n, k, degrees)
+    pres = build_presentation(dwork_potential(ctx, [parse(g, ctx) for g in G]))
+    quotient = list(range(n - k + 1))
+    text = pres.to_json()
+    assert set(json.loads(text)) == V2_KEYS
+    assert sorted(pres._solvers) == quotient
+    loaded = QuotientPresentation.from_json(text)
+    assert sorted(loaded._solvers) == quotient
+    assert loaded.to_json() == text
+    assert sorted(loaded._solvers) == quotient
+
+
+def test_presentation_import_rejects_bad_version(exports):
+    for version in BOTH:
+        for bad in (0, 3, 99):
+            payload = json.loads(exports[version])
+            payload["version"] = bad
+            with pytest.raises(InputError, match=f"unsupported presentation version {bad}"):
+                QuotientPresentation.from_json(json.dumps(payload))
 
 
 def _row_edit(edit):
-    """Apply `edit` to weight-1 row 3 of the cubic presentation: pivot 6,
+    """Apply `edit` to weight-1 row 3 of the format-1 cubic: pivot 6,
     row {6: 1, 9: 1}, combo {0: 1, 3: -1/3}."""
     def apply(payload):
         rows = payload["solvers"][1]["rows"]
@@ -424,61 +480,50 @@ def _row_as(row):
     return _row_edit(lambda rows: rows[3].update({"row": row}))
 
 
+# edits that the format-1 row check rejected; the rows are no longer read
 TAMPERED_ROWS = {
-    "row entry": (_row_edit(lambda rows: rows[3]["row"].update({"9": "2"})),
-                  "rows differ from the rebuilt echelon"),
-    "combo entry": (_row_edit(lambda rows: rows[3]["combo"].update({"3": "-1/2"})),
-                    "rows differ from the rebuilt echelon"),
-    "pivot": (_row_edit(lambda rows: rows[3].update({"pivot": 9})),
-              "rows differ from the rebuilt echelon"),
-    "repeated pivot": (_row_edit(lambda rows: rows.__setitem__(3, dict(rows[0]))),
-                       "rows differ from the rebuilt echelon"),
-    "position range": (_row_edit(lambda rows: rows[3]["row"].update({"1000": "1"})),
-                       "rows differ from the rebuilt echelon"),
-    "generator range": (_row_edit(lambda rows: rows[3]["combo"].update({"1000": "1"})),
-                        "rows differ from the rebuilt echelon"),
-    "malformed entry": (_row_edit(lambda rows: rows[3]["row"].update({"9": "one"})),
-                        "malformed row"),
-    "truncated echelon": (_row_edit(lambda rows: rows.pop(3)),
-                          "rows differ from the rebuilt echelon"),
+    "row entry": _row_edit(lambda rows: rows[3]["row"].update({"9": "2"})),
+    "combo entry": _row_edit(lambda rows: rows[3]["combo"].update({"3": "-1/2"})),
+    "pivot": _row_edit(lambda rows: rows[3].update({"pivot": 9})),
+    "repeated pivot": _row_edit(lambda rows: rows.__setitem__(3, dict(rows[0]))),
+    "position range": _row_edit(lambda rows: rows[3]["row"].update({"1000": "1"})),
+    "generator range": _row_edit(lambda rows: rows[3]["combo"].update({"1000": "1"})),
+    "malformed entry": _row_edit(lambda rows: rows[3]["row"].update({"9": "one"})),
+    "truncated echelon": _row_edit(lambda rows: rows.pop(3)),
     # row 3 plus row 0 {0: 1, 6: 1, 9: 1} with both combos: in the row space
     # and consistent, but its leading position 0 is not its stored pivot 6
-    "pivot not the leading position": (
-        _row_edit(lambda rows: rows[3].update({"row": {"0": "1", "6": "2", "9": "2"},
-                                               "combo": {"0": "2", "3": "-1/3"}})),
-        "rows differ from the rebuilt echelon"),
-    # each of these still reads as {6: 1, 9: 1} when parsed leniently
-    "signed and padded positions": (_row_as({"+6": "1", " 9 ": "1"}), "malformed row"),
-    "underscored position": (_row_as({"0_6": "1", "9": "1"}), "malformed row"),
-    "bool and int entries": (_row_as({"6": True, "9": 1}), "malformed row"),
-    "unreduced fraction entry": (_row_as({"6": "1", "9": "2/2"}), "malformed row"),
-    "decimal entries": (_row_as({"6": "1.0", "9": "1e0"}), "malformed row"),
-    # Fraction would expand these to 20-million-digit numbers before comparing
-    "exponent entry": (_row_as({"6": "1", "9": "1e20000000"}), "malformed row"),
-    "exponent combo entry": (
-        _row_edit(lambda rows: rows[3]["combo"].update({"3": "-1e-20000000"})),
-        "malformed row"),
+    "pivot not the leading position": _row_edit(
+        lambda rows: rows[3].update({"row": {"0": "1", "6": "2", "9": "2"},
+                                     "combo": {"0": "2", "3": "-1/3"}})),
+    "signed and padded positions": _row_as({"+6": "1", " 9 ": "1"}),
+    "underscored position": _row_as({"0_6": "1", "9": "1"}),
+    "bool and int entries": _row_as({"6": True, "9": 1}),
+    "unreduced fraction entry": _row_as({"6": "1", "9": "2/2"}),
+    "decimal entries": _row_as({"6": "1.0", "9": "1e0"}),
+    # Fraction would expand these to 20-million-digit numbers
+    "exponent entry": _row_as({"6": "1", "9": "1e20000000"}),
+    "exponent combo entry": _row_edit(lambda rows: rows[3]["combo"].update({"3": "-1e-20000000"})),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TAMPERED_ROWS))
-def test_presentation_import_rejects_tampered_rows(cubic_presentation, case):
-    import json as _json
-
-    edit, message = TAMPERED_ROWS[case]
-    payload = _json.loads(cubic_presentation.to_json())
-    edit(payload)
-    with pytest.raises(InputError, match=message):
-        QuotientPresentation.from_json(_json.dumps(payload))
+def test_presentation_import_rejects_tampered_rows(cubic_presentation, exports, case):
+    """A format-1 file's stored rows are not read: each row edit that the
+    old row check rejected now loads as the rebuild."""
+    payload = json.loads(exports[1])
+    TAMPERED_ROWS[case](payload)
+    check_import(json.dumps(payload), UNREAD, cubic_presentation)
 
 
 @pytest.mark.parametrize("case", ["exponent entry", "exponent combo entry"])
 def test_presentation_import_refuses_an_exponent_without_expanding_it(
-        cubic_presentation, case):
+        cubic_presentation, exports, case):
+    """A format-1 row entry with an exponent loads within a second: the
+    loader never converts it."""
     import time
 
     start = time.perf_counter()
-    test_presentation_import_rejects_tampered_rows(cubic_presentation, case)
+    test_presentation_import_rejects_tampered_rows(cubic_presentation, exports, case)
     assert time.perf_counter() - start < 1.0
 
 
@@ -491,41 +536,39 @@ def _truncated_with_extended_basis(payload):
     payload["weightCounts"] = [1, 2]
 
 
+# (format versions the edit applies to, edit, message or UNREAD)
 TAMPERED_FIELDS = {
     # the cubic basis is 1 (weight 0) then y1*x0*x1*x2 (weight 1)
-    "reversed basis": (lambda payload: payload["basis"].reverse(),
+    "reversed basis": (BOTH, lambda payload: payload["basis"].reverse(),
                        "basis is not the complement"),
     "reversed basis, no solvers": (
-        lambda payload: (payload["basis"].reverse(), payload.update({"solvers": []})),
+        BOTH, lambda payload: (payload["basis"].reverse(), payload.update({"solvers": []})),
         "basis is not the complement"),
-    "weight counts": (lambda payload: payload.update({"weightCounts": [2, 0]}),
+    "weight counts": (BOTH, lambda payload: payload.update({"weightCounts": [2, 0]}),
                       "weightCounts"),
-    "bool weight counts": (lambda payload: payload.update({"weightCounts": [True, True]}),
+    "bool weight counts": (BOTH, lambda payload: payload.update({"weightCounts": [True, True]}),
                            "weightCounts \\[True, True\\] are not ints"),
-    "float weight counts": (lambda payload: payload.update({"weightCounts": [1.0, 1.0]}),
+    "float weight counts": (BOTH, lambda payload: payload.update({"weightCounts": [1.0, 1.0]}),
                             "weightCounts \\[1.0, 1.0\\] are not ints"),
-    "float cG": (lambda payload: payload.update({"cG": 0.0}), "background charge 0.0"),
-    "bool cG": (lambda payload: payload.update({"cG": False}), "background charge False"),
-    "float row pivot": (lambda payload: payload["solvers"][1]["rows"][3].update({"pivot": 6.0}),
-                        "weight 1: pivot 6.0 is not an int"),
-    "slack": (lambda payload: payload.update({"slack": "two"}), "slack"),
-    "truncated echelon, extended basis": (_truncated_with_extended_basis,
+    "float cG": (BOTH, lambda payload: payload.update({"cG": 0.0}), "background charge 0.0"),
+    "bool cG": (BOTH, lambda payload: payload.update({"cG": False}), "background charge False"),
+    "float row pivot": (
+        V1, lambda payload: payload["solvers"][1]["rows"][3].update({"pivot": 6.0}), UNREAD),
+    "slack": (BOTH, lambda payload: payload.update({"slack": "two"}), UNREAD),
+    "truncated echelon, extended basis": (V1, _truncated_with_extended_basis,
                                           "basis is not the complement"),
     "weight beyond the guard": (
-        lambda payload: payload["solvers"].append({"weight": 3, "rows": []}),
-        "weight 3 has no echelon"),
+        V1, lambda payload: payload["solvers"].append({"weight": 3, "rows": []}), UNREAD),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TAMPERED_FIELDS))
-def test_presentation_import_rejects_tampered_fields(cubic_presentation, case):
-    import json as _json
-
-    edit, message = TAMPERED_FIELDS[case]
-    payload = _json.loads(cubic_presentation.to_json())
-    edit(payload)
-    with pytest.raises(InputError, match=message):
-        QuotientPresentation.from_json(_json.dumps(payload))
+def test_presentation_import_rejects_tampered_fields(cubic_presentation, exports, case):
+    versions, edit, message = TAMPERED_FIELDS[case]
+    for version in versions:
+        payload = json.loads(exports[version])
+        edit(payload)
+        check_import(json.dumps(payload), message, cubic_presentation)
 
 
 def _edited(edit):
@@ -537,99 +580,89 @@ def _edited(edit):
     return apply
 
 
+# (format versions the edit applies to, text edit, message or UNREAD)
 STRUCTURAL_FAULTS = {
-    "no context": (lambda text: '{"version": 1}', "KeyError\\('context'\\)"),
-    "not an object": (lambda text: "[1]", "expected a JSON object, found list"),
-    "basis entry without eta": (_edited(lambda p: p["basis"][0].pop("eta")),
+    "no context": (BOTH, _edited(lambda p: p.pop("context")), "KeyError\\('context'\\)"),
+    "not an object": (BOTH, lambda text: "[1]", "expected a JSON object, found list"),
+    "basis entry without eta": (BOTH, _edited(lambda p: p["basis"][0].pop("eta")),
                                 "KeyError\\('eta'\\)"),
-    "not JSON": (lambda text: text[:40], "not JSON"),
-    "nested too deeply": (lambda text: "[" * 100_000 + "]" * 100_000, "not JSON"),
-    "float degree": (_edited(lambda p: p["context"].update(degrees=[3.7])),
+    "not JSON": (BOTH, lambda text: text[:40], "not JSON"),
+    "nested too deeply": (BOTH, lambda text: "[" * 100_000 + "]" * 100_000, "not JSON"),
+    "float degree": (BOTH, _edited(lambda p: p["context"].update(degrees=[3.7])),
                      "degrees must be integers, got .*degrees=\\[3.7\\]"),
-    "bool n": (_edited(lambda p: p["context"].update(n=True)),
+    "bool n": (BOTH, _edited(lambda p: p["context"].update(n=True)),
                "must be integers, got n=True"),
-    "rows not a list": (_edited(lambda p: p["solvers"][0].update(rows=5)),
-                        "malformed field \\(TypeError"),
-    "rows null": (_edited(lambda p: p["solvers"][0].update(rows=None)),
-                  "malformed field \\(TypeError"),
-    "G a string": (_edited(lambda p: p.update(G=p["G"][0])),
+    "rows not a list": (V1, _edited(lambda p: p["solvers"][0].update(rows=5)), UNREAD),
+    "rows null": (V1, _edited(lambda p: p["solvers"][0].update(rows=None)), UNREAD),
+    "G a string": (BOTH, _edited(lambda p: p.update(G=p["G"][0])),
                    "G must be a list, got 'x0\\^3"),
-    "bool version": (_edited(lambda p: p.update(version=True)),
+    "bool version": (BOTH, _edited(lambda p: p.update(version=True)),
                      "unsupported presentation version True"),
-    "float version": (_edited(lambda p: p.update(version=1.0)),
-                      "unsupported presentation version 1.0"),
-    "float basis exponent": (_edited(lambda p: p["basis"][0].update(q=[0.5, 0, 0, 0])),
+    "float version": (BOTH, _edited(lambda p: p.update(version=float(p["version"]))),
+                      "unsupported presentation version [12]\\.0"),
+    "float basis exponent": (BOTH, _edited(lambda p: p["basis"][0].update(q=[0.5, 0, 0, 0])),
                              "must be ints, got \\(0.5, 0, 0, 0\\)"),
-    "string basis exponent": (_edited(lambda p: p["basis"][0].update(q=["0", 0, 0, 0])),
+    "string basis exponent": (BOTH, _edited(lambda p: p["basis"][0].update(q=["0", 0, 0, 0])),
                               "must be ints, got \\('0', 0, 0, 0\\)"),
-    "float basis eta index": (_edited(lambda p: p["basis"][0].update(eta=[1.0])),
+    "float basis eta index": (BOTH, _edited(lambda p: p["basis"][0].update(eta=[1.0])),
                               "must be ints, got .*\\(1.0,\\)"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(STRUCTURAL_FAULTS))
-def test_presentation_import_rejects_structural_faults(cubic_presentation, case):
-    edit, message = STRUCTURAL_FAULTS[case]
-    with pytest.raises(InputError, match=message):
-        QuotientPresentation.from_json(edit(cubic_presentation.to_json()))
+def test_presentation_import_rejects_structural_faults(cubic_presentation, exports, case):
+    versions, edit, message = STRUCTURAL_FAULTS[case]
+    for version in versions:
+        check_import(edit(exports[version]), message, cubic_presentation)
 
 
-def test_presentation_import_builds_the_echelons_a_file_lacks(cubic_presentation):
-    import json as _json
+def test_presentation_import_builds_the_echelons_a_file_lacks(cubic_presentation, exports):
+    """A file without echelon rows, format 2 or format 1 with none stored,
+    loads with the weight echelons 0..n-k built, and neither the load nor
+    the export builds weight n-k+1's."""
+    v1 = json.loads(exports[1])
+    v1["solvers"] = []
+    for text in (json.dumps(v1), exports[2]):
+        loaded = QuotientPresentation.from_json(text)
+        assert loaded.basis == cubic_presentation.basis
+        assert sorted(loaded._solvers) == [0, 1]
+        assert loaded.to_json() == exports[2]
+        assert sorted(loaded._solvers) == [0, 1]
 
-    payload = _json.loads(cubic_presentation.to_json())
-    payload["solvers"] = []
-    loaded = QuotientPresentation.from_json(_json.dumps(payload))
-    assert loaded.basis == cubic_presentation.basis
-    # weights 0..n-k are built with the presentation, weight n-k+1 on the
-    # export's first need
-    assert sorted(loaded._solvers) == [0, 1]
-    assert loaded.to_json() == cubic_presentation.to_json()
-    assert sorted(loaded._solvers) == [0, 1, 2]
 
-
-def test_presentation_import_loads_a_file_without_the_guard_weight(cubic_presentation):
-    """A file written at slack 0 stores no weight n - k + 1 echelon; loading
-    runs the guard, and the export builds that echelon on first need."""
-    import json as _json
-
-    payload = _json.loads(cubic_presentation.to_json())
+def test_presentation_import_loads_a_file_without_the_guard_weight(cubic_presentation, exports):
+    """A format-1 file written at slack 0 stores no weight n - k + 1
+    echelon; loading runs the guard, and builds no exact echelon there."""
+    payload = json.loads(exports[1])
     payload["slack"] = 0
     payload["solvers"] = [s for s in payload["solvers"] if s["weight"] != 2]
     assert [s["weight"] for s in payload["solvers"]] == [0, 1]
-    loaded = QuotientPresentation.from_json(_json.dumps(payload))
+    loaded = QuotientPresentation.from_json(json.dumps(payload))
     assert sorted(loaded._solvers) == [0, 1]
-    assert loaded.to_json() == cubic_presentation.to_json()
-    assert sorted(loaded._solvers) == [0, 1, 2]
+    assert loaded.to_json() == exports[2]
+    assert sorted(loaded._solvers) == [0, 1]
 
 
-def test_presentation_import_rejects_a_singular_g(cubic_presentation):
-    import json as _json
+def test_presentation_import_rejects_a_singular_g(exports):
+    for version in BOTH:
+        payload = json.loads(exports[version])
+        payload["G"] = ["x0^2*x1"]
+        with pytest.raises(SmoothnessError, match="fails to close at weight 2"):
+            QuotientPresentation.from_json(json.dumps(payload))
 
-    payload = _json.loads(cubic_presentation.to_json())
-    payload["G"] = ["x0^2*x1"]
-    with pytest.raises(SmoothnessError, match="fails to close at weight 2"):
-        QuotientPresentation.from_json(_json.dumps(payload))
 
-
-def test_presentation_import_normalizes_a_scaled_row(cubic_presentation):
-    import json as _json
-
-    text = cubic_presentation.to_json()
-    payload = _json.loads(text)
+def test_presentation_import_normalizes_a_scaled_row(cubic_presentation, exports):
+    """A format-1 row scaled by -2 loads as the rebuild."""
+    payload = json.loads(exports[1])
     _row_edit(lambda rows: rows[3].update(
         {"row": {"6": "-2", "9": "-2"}, "combo": {"0": "-2", "3": "2/3"}}))(payload)
-    assert QuotientPresentation.from_json(_json.dumps(payload)).to_json() == text
+    check_import(json.dumps(payload), UNREAD, cubic_presentation)
 
 
-def test_presentation_import_reads_rows_by_row_space(cubic_presentation):
-    """Stored rows may come in another order, and a row may carry a multiple
-    of a later row (with its combo), as long as they are an echelon of the
-    same Q image."""
-    import json as _json
-
-    text = cubic_presentation.to_json()
-    payload = _json.loads(text)
+def test_presentation_import_reads_rows_by_row_space(cubic_presentation, exports):
+    """Format-1 rows in another order, one carrying a multiple of a later
+    row (with its combo), load as the rebuild."""
+    payload = json.loads(exports[1])
     rows = payload["solvers"][1]["rows"]
     rows.reverse()
     first = {pos: Fraction(c) for pos, c in rows[-1]["row"].items()}
@@ -641,28 +674,7 @@ def test_presentation_import_reads_rows_by_row_space(cubic_presentation):
             part[key] = part.get(key, 0) + 2 * Fraction(c)
     rows[-1]["row"] = {pos: str(c) for pos, c in first.items() if c}
     rows[-1]["combo"] = {g: str(c) for g, c in combo.items() if c}
-    assert QuotientPresentation.from_json(_json.dumps(payload)).to_json() == text
-
-
-def test_stored_rows_are_checked_with_one_q_image_each(cubic_presentation, monkeypatch):
-    """`spans_like` maps each stored row's combination through Q once and
-    never asks for a generator's image on its own."""
-    from dworkbox import cohomology
-
-    images = []
-    real = cohomology.apply_q
-    monkeypatch.setattr(cohomology, "apply_q", lambda D, a: images.append(a) or real(D, a))
-
-    def forbidden(self, D, g_idx):
-        raise AssertionError("q_vector called")
-
-    solvers = [cubic_presentation._solver(w) for w in range(3)]
-    monkeypatch.setattr(cohomology._WeightSolver, "q_vector", forbidden)
-    for solver in solvers:
-        rows = list(solver.rational_rows())
-        images.clear()
-        assert solver.spans_like(cubic_presentation.dwork, rows)
-        assert len(images) == len(rows)
+    check_import(json.dumps(payload), UNREAD, cubic_presentation)
 
 
 def test_conic_has_no_primitive_cohomology():

@@ -16,9 +16,12 @@ presentation JSON shows up here.  To rewrite them after an intended report chang
 
     python -c "from tests.test_golden import write_goldens; write_goldens()"
 
-`presentation-cubic_curve-full-echelon.json` is the cubic export from before
-the build skipped Koszul-redundant generators, when every generator was
-inserted; `write_goldens` leaves it alone, and it must keep loading.
+Two format-1 cubic exports, which also store the echelon rows, must keep
+loading as the format-2 export: `presentation-cubic_curve-v1.json`, written
+before the export dropped the rows, and
+`presentation-cubic_curve-full-echelon.json`, written before the build
+skipped Koszul-redundant generators, when every generator was inserted.
+`write_goldens` leaves both alone.
 """
 
 import json
@@ -163,12 +166,25 @@ def test_presentation_json_is_byte_identical():
 def test_presentation_file_of_the_full_echelon_still_loads():
     """presentation-cubic_curve-full-echelon.json holds the rows of the echelon
     of every generator, as written before the build skipped the Koszul-redundant
-    ones; it loads by row space and gives a fresh build's basis and export."""
+    ones; its rows are not read, and it loads as a fresh build's export."""
     from dworkbox import QuotientPresentation
 
     older = (GOLDEN / "presentation-cubic_curve-full-echelon.json").read_text(encoding="utf-8")
     fresh = render_cubic_presentation()
-    assert json.loads(older)["solvers"] != json.loads(fresh)["solvers"]
+    assert json.loads(older)["version"] == 1 and "solvers" in json.loads(older)
     loaded = QuotientPresentation.from_json(older)
     assert loaded.basis == QuotientPresentation.from_json(fresh).basis
     assert loaded.to_json() == fresh
+
+
+def test_presentation_file_of_format_1_still_loads():
+    """presentation-cubic_curve-v1.json is the cubic export of format 1, with
+    its echelon rows and slack; it loads as the format-2 export."""
+    from dworkbox import QuotientPresentation
+
+    older = (GOLDEN / "presentation-cubic_curve-v1.json").read_text(encoding="utf-8")
+    fresh = render_cubic_presentation()
+    payload = json.loads(older)
+    assert payload["version"] == 1
+    assert set(payload) - set(json.loads(fresh)) == {"slack", "solvers"}
+    assert QuotientPresentation.from_json(older).to_json() == fresh
