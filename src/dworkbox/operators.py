@@ -23,13 +23,15 @@ failure and S drops out: l2 is the BV bracket, the deviation of delta from
 a derivation (Koszul, "Crochet de Schouten-Nijenhuis et cohomologie",
 Asterisque 1985; Getzler, Comm. Math. Phys. 159, 1994).  `ell2` computes
 the closed form, through the product kernel and without a K pass; `verify`
-checks it against the definition.
+checks it against the definition.  It is the only implementation of l2:
+the descendant tower below calls it for every two-argument bracket.
 
 The higher descendant brackets l_n / descendant maps phi_n measure the
 higher failures (of K, respectively of a linear functional) against the
-product.  Because K has order two, l_n vanishes identically for n >= 3; the
-general recursion is implemented anyway and that vanishing is part of the
-test suite.
+product.  The recursion for l_n, n >= 3, bottoms out in `ell2`, so it makes
+no K pass.  Because K has order two, l_n vanishes identically for n >= 3;
+the general recursion is implemented anyway and that vanishing is part of
+the test suite.
 
 Complete and partial Bell polynomials close the module; they assemble the
 exponential of a formal series and drive the deformation expansion of a
@@ -236,36 +238,42 @@ def ell_n(D: DworkData, args: Sequence[SuperElement], _cache: Optional[dict] = N
     """Descendant bracket l_n, n = len(args) >= 1, by the inductive formula
 
         l_1 = K
+        l_2 = ell2
         l_n(x_1..x_n) = l_{n-1}(x_1,..,x_{n-2}, x_{n-1} x_n)
                         - l_{n-1}(x_1,..,x_{n-1}) x_n
                         - (-1)^(|x_{n-1}|(1+|x_1|+..+|x_{n-2}|))
                               x_{n-1} l_{n-1}(x_1,..,x_{n-2}, x_n)
 
-    Results are memoized per call tree on the argument tuple (the recursion
-    revisits sub-brackets exponentially otherwise).
+    for n >= 3.  The recursion bottoms out in `ell2`, the closed-form
+    bracket, and never reaches one argument: with two or more arguments no
+    K pass is made.  Results are memoized per call tree on the argument
+    tuple (the recursion revisits sub-brackets exponentially otherwise).
     """
     args = tuple(args)
     if len(args) < 1:
         raise InputError("ell_n needs at least one argument")
+    if len(args) == 1:
+        return apply_k(D, args[0])
     cache = {} if _cache is None else _cache
     return _ell_rec(D, args, cache)
 
 
 def _ell_rec(D: DworkData, args: tuple, cache: dict) -> SuperElement:
-    if len(args) == 1:
-        return apply_k(D, args[0])
     hit = cache.get(args)
     if hit is not None:
         return hit
     head, a, b = args[:-2], args[-2], args[-1]
-    deg_a = _check_degree(a)
-    deg_head = sum(_check_degree(x) for x in head)
-    sign = -1 if (deg_a * (1 + deg_head)) % 2 else 1
-    value = (
-        _ell_rec(D, head + (a * b,), cache)
-        - _ell_rec(D, head + (a,), cache) * b
-        - sign * (a * _ell_rec(D, head + (b,), cache))
-    )
+    if not head:
+        value = ell2(D, a, b)
+    else:
+        deg_a = _check_degree(a)
+        deg_head = sum(_check_degree(x) for x in head)
+        sign = -1 if (deg_a * (1 + deg_head)) % 2 else 1
+        value = (
+            _ell_rec(D, head + (a * b,), cache)
+            - _ell_rec(D, head + (a,), cache) * b
+            - sign * (a * _ell_rec(D, head + (b,), cache))
+        )
     cache[args] = value
     return value
 

@@ -14,7 +14,9 @@ K(ab) - K(a)b - (-1)^|a| a K(b), is the independent check of the kernel.
 
 A fault-injection hook exists purely so the harness itself can be tested:
 it deliberately corrupts one operator for the duration of a run and the
-suite is expected to catch it.
+suite is expected to catch it.  The hook rebinds the operator in every
+loaded `dworkbox` module that holds it, so a module that imported it by
+name sees the fault too; it is not thread-safe.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import contextlib
 import functools
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -537,11 +540,14 @@ def fault_injection(name: str):
     """Return a context manager corrupting one operator; only for testing the suite.
 
     `name` is a key of `FAULT_HOOKS` (another raises `ValueError` at once).
-    While the block runs, the named global of `dworkbox.operators` is
-    rebound, so every caller that looks the operator up there sees the
-    corrupted one.  `apply_k` does not call `apply_delta`, so
-    `delta-drop-term` leaves K intact; the delta checks of the
-    differentials family catch it.  Not thread-safe.
+    While the block runs, every global of a loaded `dworkbox` module that
+    holds the named operator of `dworkbox.operators` is rebound to the
+    corrupted one, however the module imported it: `bracket-sign` reaches
+    `deformation.k_gamma` and the descendant tower, `delta-drop-term`
+    reaches `cohomology`'s `reduce`.  All are restored when the block
+    exits, also on an exception.  `apply_k` does not call `apply_delta`, so
+    `delta-drop-term` leaves K intact.  The rebinding is process-wide, so
+    the hook is not thread-safe.
     """
     if name not in FAULT_HOOKS:
         raise ValueError(f"unknown fault hook {name!r}; choose from {sorted(FAULT_HOOKS)}")
@@ -551,8 +557,14 @@ def fault_injection(name: str):
 @contextlib.contextmanager
 def _rebound(attr: str, corrupt):
     original = getattr(ops, attr)
-    setattr(ops, attr, corrupt(original))
+    corrupted = corrupt(original)
+    holders = [(module, name) for module_name, module in list(sys.modules.items())
+               if module is not None and module_name.split(".")[0] == "dworkbox"
+               for name, value in vars(module).items() if value is original]
+    for module, name in holders:
+        setattr(module, name, corrupted)
     try:
         yield
     finally:
-        setattr(ops, attr, original)
+        for module, name in holders:
+            setattr(module, name, original)

@@ -440,11 +440,35 @@ def frac_apply_k(S, nvars, a):
 def frac_ell2(S, nvars, a, b):
     """l2(a, b) = K(ab) - K(a)b - (-1)^|a| a K(b) by its definition, for a
     homogeneous in cohomological degree: the reference for `operators.ell2`."""
+    return ell_n_by_definition(S, nvars, (a, b))
+
+
+def _parity(a):
+    """|a| mod 2 of a degree-homogeneous dict (0 for the zero element)."""
     (parity,) = {len(m.eta) % 2 for m in a} or {0}
-    sign = -1 if parity else 1
-    out = frac_apply_k(S, nvars, frac_mul(a, b))
-    out = frac_add(out, {m: -c for m, c in frac_mul(frac_apply_k(S, nvars, a), b).items()})
-    return frac_add(out, {m: -sign * c for m, c in frac_mul(a, frac_apply_k(S, nvars, b)).items()})
+    return parity
+
+
+def ell_n_by_definition(S, nvars, args):
+    """l_n(x_1..x_n) by the K-based recursion, for degree-homogeneous dicts:
+
+        l_1 = K
+        l_n(x_1..x_n) = l_{n-1}(x_1,..,x_{n-2}, x_{n-1} x_n)
+                        - l_{n-1}(x_1,..,x_{n-1}) x_n
+                        - (-1)^(|x_{n-1}|(1+|x_1|+..+|x_{n-2}|))
+                              x_{n-1} l_{n-1}(x_1,..,x_{n-2}, x_n)
+
+    for every n >= 2, so each bracket comes from K passes: the reference
+    for `operators.ell_n`, whose recursion bottoms out in `ell2`."""
+    if len(args) == 1:
+        return frac_apply_k(S, nvars, args[0])
+    head, a, b = args[:-2], args[-2], args[-1]
+    sign = -1 if _parity(a) * (1 + sum(map(_parity, head))) % 2 else 1
+    out = ell_n_by_definition(S, nvars, head + (frac_mul(a, b),))
+    left = frac_mul(ell_n_by_definition(S, nvars, head + (a,)), b)
+    out = frac_add(out, {m: -c for m, c in left.items()})
+    right = frac_mul(a, ell_n_by_definition(S, nvars, head + (b,)))
+    return frac_add(out, {m: -sign * c for m, c in right.items()})
 
 
 # -- recursive composition enumerator ------------------------------------------

@@ -1,6 +1,7 @@
 """The closed-form bracket kernel `operators.ell2` against its definition
 K(ab) - K(a)b - (-1)^|a| a K(b), computed by the Fraction reference in
-`tests/oracles.py`, and the deformed differential it feeds."""
+`tests/oracles.py`, the descendant tower built on it, and the deformed
+differential it feeds."""
 
 import random
 from itertools import product
@@ -15,13 +16,14 @@ from dworkbox import (
     build_deformation,
     dwork_potential,
     ell2,
+    ell_n,
     operators,
     parse,
 )
 from dworkbox.deformation import k_gamma, mc_check
 from dworkbox.errors import ContextMismatchError
-from dworkbox.verify import random_element
-from tests.oracles import frac_ell2
+from dworkbox.verify import random_element, random_homogeneous
+from tests.oracles import ell_n_by_definition, frac_ell2
 
 # (n, k, degrees, G, H): the deform geometries of the benchmark, the
 # genus-4 curve, and a genus-4 curve with non-diagonal equations
@@ -44,9 +46,9 @@ B_KINDS = (0, 1, 2, 3, None, "zero")
 ROUNDS = 9
 
 
-def _geometry(name):
+def _geometry(name, order="graded-lex"):
     n, k, degrees, G, H = GEOMETRIES[name]
-    ctx = VariableContext(n, k, degrees)
+    ctx = VariableContext(n, k, degrees, order)
     return dwork_potential(ctx, [parse(g, ctx) for g in G]), [parse(h, ctx) for h in H]
 
 
@@ -112,6 +114,32 @@ def test_ell2_makes_no_k_pass(cubic_dwork, monkeypatch):
     with pytest.raises(AssertionError, match="differential pass"):
         apply_k(D, pairs[0][0])
     assert [ell2(D, a, b).terms for a, b in pairs] == expected
+
+
+@pytest.mark.parametrize("name, order", [
+    ("cubic_curve", "graded-lex"), ("quartic_k3", "graded-lex"),
+    ("two_quadrics", "graded-lex"), ("genus_four_curve", "grevlex")])
+def test_ell_n_tower_matches_the_k_recursion(name, order, monkeypatch):
+    """On seeded homogeneous arguments, 2 to 4 of them, the tower equals
+    the recursion through K of `tests/oracles.py`, with K and the one
+    differential kernel patched to raise: it bottoms out in `ell2`."""
+    D, _ = _geometry(name, order)
+    ctx, S = D.ctx, D.S.terms
+    rng = random.Random(f"ell_n:{name}")
+    tuples = [tuple(random_homogeneous(ctx, rng, terms=2, max_xdeg=3) for _ in range(n))
+              for n in (2, 3, 4) for _ in range(6)]
+    expected = [ell_n_by_definition(S, ctx.nvars, tuple(a.terms for a in args))
+                for args in tuples]
+    assert any(expected)
+
+    def forbidden(*_args):
+        raise AssertionError("the tower made a K pass")
+
+    monkeypatch.setattr(operators, "apply_k", forbidden)
+    monkeypatch.setattr(operators, "_differential", forbidden)
+    with pytest.raises(AssertionError, match="K pass"):
+        ell_n(D, tuples[0][:1])
+    assert [ell_n(D, args).terms for args in tuples] == expected
 
 
 @pytest.mark.parametrize("name", list(GEOMETRIES))

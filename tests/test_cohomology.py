@@ -480,7 +480,24 @@ def _row_as(row):
     return _row_edit(lambda rows: rows[3].update({"row": row}))
 
 
-# edits that the format-1 row check rejected; the rows are no longer read
+def _rows_by_row_space(payload):
+    """Reverse the weight-1 rows, the last one carrying twice the row (and
+    combo) of a later one: the same row space in another basis."""
+    rows = payload["solvers"][1]["rows"]
+    rows.reverse()
+    first = {pos: Fraction(c) for pos, c in rows[-1]["row"].items()}
+    combo = {g: Fraction(c) for g, c in rows[-1]["combo"].items()}
+    later = rows[0]
+    assert int(later["pivot"]) > int(rows[-1]["pivot"])
+    for part, extra in ((first, later["row"]), (combo, later["combo"])):
+        for key, c in extra.items():
+            part[key] = part.get(key, 0) + 2 * Fraction(c)
+    rows[-1]["row"] = {pos: str(c) for pos, c in first.items() if c}
+    rows[-1]["combo"] = {g: str(c) for g, c in combo.items() if c}
+
+
+# edits that the format-1 row check rejected, or accepted as the same row
+# space ("scaled row", "rows by row space"); the rows are no longer read
 TAMPERED_ROWS = {
     "row entry": _row_edit(lambda rows: rows[3]["row"].update({"9": "2"})),
     "combo entry": _row_edit(lambda rows: rows[3]["combo"].update({"3": "-1/2"})),
@@ -503,13 +520,16 @@ TAMPERED_ROWS = {
     # Fraction would expand these to 20-million-digit numbers
     "exponent entry": _row_as({"6": "1", "9": "1e20000000"}),
     "exponent combo entry": _row_edit(lambda rows: rows[3]["combo"].update({"3": "-1e-20000000"})),
+    "scaled row": _row_edit(lambda rows: rows[3].update(
+        {"row": {"6": "-2", "9": "-2"}, "combo": {"0": "-2", "3": "2/3"}})),
+    "rows by row space": _rows_by_row_space,
 }
 
 
 @pytest.mark.parametrize("case", sorted(TAMPERED_ROWS))
 def test_presentation_import_rejects_tampered_rows(cubic_presentation, exports, case):
-    """A format-1 file's stored rows are not read: each row edit that the
-    old row check rejected now loads as the rebuild."""
+    """A format-1 file's stored rows are not read: each row edit, whether
+    the old row check rejected it or not, loads as the rebuild."""
     payload = json.loads(exports[1])
     TAMPERED_ROWS[case](payload)
     check_import(json.dumps(payload), UNREAD, cubic_presentation)
@@ -649,32 +669,6 @@ def test_presentation_import_rejects_a_singular_g(exports):
         payload["G"] = ["x0^2*x1"]
         with pytest.raises(SmoothnessError, match="fails to close at weight 2"):
             QuotientPresentation.from_json(json.dumps(payload))
-
-
-def test_presentation_import_normalizes_a_scaled_row(cubic_presentation, exports):
-    """A format-1 row scaled by -2 loads as the rebuild."""
-    payload = json.loads(exports[1])
-    _row_edit(lambda rows: rows[3].update(
-        {"row": {"6": "-2", "9": "-2"}, "combo": {"0": "-2", "3": "2/3"}}))(payload)
-    check_import(json.dumps(payload), UNREAD, cubic_presentation)
-
-
-def test_presentation_import_reads_rows_by_row_space(cubic_presentation, exports):
-    """Format-1 rows in another order, one carrying a multiple of a later
-    row (with its combo), load as the rebuild."""
-    payload = json.loads(exports[1])
-    rows = payload["solvers"][1]["rows"]
-    rows.reverse()
-    first = {pos: Fraction(c) for pos, c in rows[-1]["row"].items()}
-    combo = {g: Fraction(c) for g, c in rows[-1]["combo"].items()}
-    later = rows[0]
-    assert int(later["pivot"]) > int(rows[-1]["pivot"])
-    for part, extra in ((first, later["row"]), (combo, later["combo"])):
-        for key, c in extra.items():
-            part[key] = part.get(key, 0) + 2 * Fraction(c)
-    rows[-1]["row"] = {pos: str(c) for pos, c in first.items() if c}
-    rows[-1]["combo"] = {g: str(c) for g, c in combo.items() if c}
-    check_import(json.dumps(payload), UNREAD, cubic_presentation)
 
 
 def test_conic_has_no_primitive_cohomology():

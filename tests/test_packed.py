@@ -214,23 +214,27 @@ PINNED = {
                                     "x0^2 + 2*x1^2 + 3*x2^2 + 4*x3^2"]),
 }
 # sha256 of the report lines of run_suite(seed=0, iterations=12), with each
-# fault hook, as the tuple-keyed kernel wrote them
+# fault hook.  The fault-free reports are as the tuple-keyed kernel wrote
+# them.  The fault reports are as written once a hook rebinds the operator
+# in every module that holds it and the descendant tower calls ell2: the
+# reduce families fail under delta-drop-term, the exponential identities
+# under bracket-sign, beside the one family each that failed before.
 PINNED_REPORTS = {
     ("cubic_curve", None): "04a6e03741abbc1aa1a6d6a2882528bdb5b6ce2223c7894ea1e6071456edc281",
     ("cubic_curve", "delta-drop-term"):
-        "7ca0a6d9b4fcc78f193d8880b9552ba59bc348f0771ec025f25e51a01460f17b",
+        "b2ef53f75131f08c124c1d725de12197328772d1e8dd5059622f00eca79e40a5",
     ("cubic_curve", "bracket-sign"):
-        "e87f93f8687341d9c65978c493cd4486b0c8b9428bc0f18e055838dd610dabf2",
+        "13dd86f8e40670bec39596bb2016d49da138690192192c8994b995a6c9ece6e6",
     ("quartic_k3", None): "04a6e03741abbc1aa1a6d6a2882528bdb5b6ce2223c7894ea1e6071456edc281",
     ("quartic_k3", "delta-drop-term"):
-        "9f2fab2413b91f51dafef4137a2d79256e5a0b22f81a7fb8872cc268c68b78bd",
+        "ca3f9d7f397d549b102484419787dca049077ff12e84ffd390e89fc0b597c7fc",
     ("quartic_k3", "bracket-sign"):
-        "3778ef5a746aa0135ce254d295d7c70e859d2fc3203fcb32bc96ff9a44bfc4ce",
+        "fbe18c9dfa4c6c03717b99499cf6eab26d12d097c86f3e82b38792fcc57bc3da",
     ("two_quadrics", None): "04a6e03741abbc1aa1a6d6a2882528bdb5b6ce2223c7894ea1e6071456edc281",
     ("two_quadrics", "delta-drop-term"):
-        "11e5fc03aa6757edaf84d4ee2907444b1c14d5e95828314ca4999ceb9afb455b",
+        "0dda0db5b0c0dc2400330d1c18c417aec9c6f3b51e8ffd81579a3eb97b029fa9",
     ("two_quadrics", "bracket-sign"):
-        "ba9ac099f3a9dc7e19d2bdb9379eb9220b9a4c678ef434c23486ee1ab4800df0",
+        "000c2aecefb7c978d52af5cb2cfba6c7560848025f0328ca2d9b1085e74f2315",
 }
 PINNED_FAILURE = {
     "cubic_curve": "FAIL  differentials: squares and anticommutator vanish  [delta Q + Q delta: "
@@ -246,9 +250,10 @@ def _pinned_dwork(name):
 
 @pytest.mark.parametrize("name", list(PINNED))
 def test_seeded_verify_reports_are_unchanged(name):
-    """The seeded draws and, under `delta-drop-term`, the dropped term make
-    the same report lines, counterexamples included, as before the keys
-    were packed."""
+    """The seeded draws make the same report lines, counterexamples
+    included, as before the keys were packed, and each fault hook makes its
+    pinned report; under `delta-drop-term` the cubic's differentials line
+    names the same counterexample."""
     D = _pinned_dwork(name)
     pres = build_presentation(D)
     for fault in (None, "delta-drop-term", "bracket-sign"):

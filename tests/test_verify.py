@@ -11,8 +11,11 @@ from dworkbox import (
     SuperElement,
     VariableContext,
     apply_k,
+    cohomology,
+    deformation,
     dwork_potential,
     grade,
+    operators,
     parse,
     reduction_functional,
 )
@@ -55,13 +58,68 @@ def test_fault_injection_caught(cubic_dwork, cubic_presentation, hook):
 
 
 def test_delta_fault_is_caught_by_the_delta_checks(cubic_dwork, cubic_presentation):
-    """apply_k does not call apply_delta, so the dropped delta term shows in
-    the delta checks (delta^2 = 0, delta Q + Q delta = 0), not through K."""
+    """apply_k does not call apply_delta, so the dropped delta term never
+    shows through K; it shows in the delta checks (delta^2 = 0, delta Q +
+    Q delta = 0), and in the reduce families, whose `reduce` subtracts
+    delta(xi) per weight slice."""
     with fault_injection("delta-drop-term"):
         report = run_suite(cubic_dwork, cubic_presentation, seed=3, iterations=25)
     failing = {c.name: c.detail for c in report.checks if not c.passed}
     assert failing["differentials: squares and anticommutator vanish"].startswith(
         ("delta^2: ", "delta Q + Q delta: "))
+
+
+# (n, k, degrees, G, H) of the geometries a fault hook is run on
+FAULT_GEOMETRIES = {
+    "cubic_curve": (2, 1, (3,), ["x0^3 + x1^3 + x2^3"], ["x0*x1*x2"]),
+    "quartic_k3": (3, 1, (4,), ["x0^4 + x1^4 + x2^4 + x3^4"], ["x0*x1*x2*x3"]),
+    "two_quadrics": (3, 2, (2, 2), ["x0^2 + x1^2 + x2^2 + x3^2",
+                                    "x0^2 + 2*x1^2 + 3*x2^2 + 4*x3^2"], ["x0*x1", "0"]),
+}
+# hook -> the module globals that hold its operator
+FAULT_HOLDERS = {
+    "delta-drop-term": [(operators, "apply_delta"), (cohomology, "apply_delta")],
+    "bracket-sign": [(operators, "ell2"), (deformation, "ell2")],
+}
+DELTA_FAMILIES = {"differentials: squares and anticommutator vanish",
+                  "reduce: certificate soundness", "reduce: vanishes on the image of K",
+                  "reduce: linearity"}
+BRACKET_FAMILIES = {"bracket: defining expansion against K",
+                    "deformation: K_Gamma equals the deformed K"}
+EXP_FAMILY = "exponential identities at truncation orders <= 3"
+
+
+@pytest.mark.parametrize("name", list(FAULT_GEOMETRIES))
+@pytest.mark.parametrize("hook", FAULT_HOOKS)
+def test_fault_reaches_every_holder(name, hook):
+    """Inside the block every module global holding the hooked operator is
+    the corrupted object, however the module imported it; after the block,
+    also one left by an exception, every holder is the original again.
+    The failing families are those of the corrupted operator's callers."""
+    n, k, degrees, G, H = FAULT_GEOMETRIES[name]
+    ctx = VariableContext(n, k, degrees)
+    D = dwork_potential(ctx, [parse(g, ctx) for g in G])
+    pres = QuotientPresentation(D)
+    holders = FAULT_HOLDERS[hook]
+    originals = [getattr(module, attr) for module, attr in holders]
+    assert len(set(originals)) == 1
+    with fault_injection(hook):
+        corrupted = {getattr(module, attr) for module, attr in holders}
+        report = run_suite(D, pres, seed=3, iterations=40,
+                           deformation_H=[parse(h, ctx) for h in H])
+    assert len(corrupted) == 1 and corrupted != set(originals)
+    assert [getattr(module, attr) for module, attr in holders] == originals
+    with pytest.raises(RuntimeError, match="inside the block"):
+        with fault_injection(hook):
+            raise RuntimeError("inside the block")
+    assert [getattr(module, attr) for module, attr in holders] == originals
+    failing = {c.name for c in report.checks if not c.passed}
+    if hook == "delta-drop-term":
+        assert failing == DELTA_FAMILIES
+    else:
+        # on the cubic both seeded arguments of the exponential identities are
+        # eta-free, as Gamma is, so every bracket in them is zero
+        assert failing == BRACKET_FAMILIES | ({EXP_FAMILY} if name != "cubic_curve" else set())
 
 
 def test_gradings_family_catches_a_non_additive_grading(cubic_dwork, cubic_presentation,
