@@ -218,14 +218,14 @@ def cmd_deform(args) -> int:
     series_rows = series.series_rows()
     payload = {
         "uBasis": [render(u) for u in basis_u.elements],
-        "primeIndices": list(basis_u.prime_indices),
+        "primeIndices": list(series.prime_indices),
         "order": order,
         "series": series_rows,
         "dLadder": {str(m): _matrix_json(mat) for m, mat in ladder.items()},
     }
     _emit(args, payload, lambda: [
         "u basis: " + ", ".join(payload["uBasis"]),
-        f"deformed indices I': {list(basis_u.prime_indices)}",
+        f"deformed indices I': {payload['primeIndices']}",
         f"series to total order {order} (T^rho, exponent, value):",
         *(f"  T^{row['rho']} t^{tuple(row['exponent'])} = {row['value']}"
           for row in series_rows),

@@ -12,8 +12,8 @@ From a deformation the module builds:
     from the nonzero H_i (the exact shape depends on the sign of the
     background charge), extended greedily by undeformed basis monomials;
   * the power series T^rho(t) determined by reducing the deformation
-    exponential coefficient-by-coefficient, with K-exactness certificates
-    retained at every multi-exponent;
+    exponential coefficient-by-coefficient, keeping at every multi-exponent
+    the right-side coefficient whose reduction certifies it;
   * the ladder of derivative matrices D (partial sums per total order) whose
     limit transports period matrices via  Omega_U = D * Omega_G * B, built
     directly by d_ladder without expanding the series.
@@ -121,17 +121,15 @@ def build_deformation(base: DworkData, H: Sequence[SuperElement]) -> Deformation
 class UBasis:
     """Ordered basis u_1..u_delta of the deformed quotient.
 
-    The first ``len(prime_indices)`` entries are the classes built from the
-    nonzero H_i; ``prime_indices`` records their (1-based) positions in the
-    basis order, i.e. I' viewed inside I, and is always (1, ..., |I'|):
-    `t_series` relies on the I' classes coming first.  Each leading class
-    is y_i H_i times ``prefactor`` = h y_j^m, which is 1 at background
-    charge 0, h at positive charge and h y_j^m at negative charge; it is the
-    one record of both h and (j, m).
+    The first |I'| entries are the classes built from the nonzero H_i, in
+    the order of ``DeformationData.nonzero_indices``, so I' viewed inside I
+    is always (1, ..., |I'|): `t_series` relies on the I' classes coming
+    first.  Each leading class is y_i H_i times ``prefactor`` =
+    h y_j^m, which is 1 at background charge 0, h at positive charge and
+    h y_j^m at negative charge; it is the one record of both h and (j, m).
     """
 
     elements: tuple
-    prime_indices: tuple
     prefactor: SuperElement
 
 
@@ -242,7 +240,7 @@ def u_basis(def_data: DeformationData, pres_G: QuotientPresentation,
             elements.append(candidate)
     if len(elements) != dim:
         raise InternalCheckError("failed to complete the deformed basis")
-    return UBasis(tuple(elements), tuple(range(1, ell + 1)), prefactor)
+    return UBasis(tuple(elements), prefactor)
 
 
 # -- the T series -------------------------------------------------------------
@@ -254,17 +252,20 @@ class DeformationSeries:
 
     coefficients maps (rho, exponent) -> scalar where rho is a 0-based basis
     position and exponent a tuple over the u-basis variables t^1..t^delta;
-    T^rho(t) = sum over exponents.  certificates[exponent] is the exact
-    degree -1 element picked up while reducing that t-coefficient, so that
+    T^rho(t) = sum over exponents.  rhs[exponent] is the t-coefficient of
+    the right side, in expansion order; Lambda's t-coefficient there is
+    `pres_G.reduce(rhs[exponent]).certificate`, so that
 
-        rhs-coefficient(exponent) = sum_rho coeff * e_rho + K(certificate).
+        rhs[exponent] = sum_rho coeff * e_rho + K(certificate).
+
+    prime_indices is I' inside I, always (1, ..., |I'|).
     """
 
     order: int
     dimension: int
     prime_indices: tuple
     coefficients: dict
-    certificates: dict
+    rhs: dict
 
     def coefficient(self, rho: int, exponent) -> Fraction:
         return self.coefficients.get((rho, tuple(exponent)), Fraction(0))
@@ -292,8 +293,9 @@ def t_series(def_data: DeformationData, pres_G: QuotientPresentation,
     charge.
 
     Every t-coefficient of the right side is reduced through the undeformed
-    presentation; coefficients land in T, certificates in Lambda.  By
-    linearity, each distinct monomial is reduced once per call (`_record`).
+    presentation; coefficients land in T, and the t-coefficient itself in
+    `rhs`, whose reduction's certificate is Lambda's.  By linearity, each
+    distinct monomial is reduced once per call (`_record`).
     """
     if order < 1:
         raise InputError("truncation order must be >= 1")
@@ -301,25 +303,21 @@ def t_series(def_data: DeformationData, pres_G: QuotientPresentation,
     c_G = ctx.background_charge()
     dim = pres_G.dimension
     elements = basis_u.elements
-    prime = basis_u.prime_indices
-    coefficients, certificates, memo = {}, {}, {}
+    ell = len(def_data.nonzero_indices)
+    coefficients, rhs, memo = {}, {}, {}
 
     if c_G == 0:
         # coefficient of t^m is prod u_a^{m_a} / prod m_a!
         for total, level in _scaled_products(ctx, elements, order):
             if total:
                 for expo, value in level.items():
-                    _record(pres_G, memo, coefficients, certificates, expo, value)
+                    _record(pres_G, memo, coefficients, rhs, expo, value)
     else:
         # exponential part: only the I' variables appear in the exponent, and
         # (p + sum_{b outside I'} t^b u_b) supplies the charge,
         # so an admissible exponent is an I' exponent, alone or plus one e_b.
         # The I' classes come first in the u basis (see UBasis), so each
         # exponent is the I' part followed by the part outside I'.
-        ell = len(def_data.nonzero_indices)
-        if prime != tuple(range(1, ell + 1)):
-            raise InputError(f"u basis must list the {ell} deformation classes "
-                             f"first, got prime indices {prime}")
         gamma_parts = [SuperElement.variable(ctx, i) * def_data.H[i - 1]
                        for i in def_data.nonzero_indices]
         zeros = (0,) * (dim - ell)
@@ -327,15 +325,15 @@ def t_series(def_data: DeformationData, pres_G: QuotientPresentation,
         previous = {}
         for _, level in _scaled_products(ctx, gamma_parts, order):
             for inner, value in level.items():
-                _record(pres_G, memo, coefficients, certificates, inner + zeros,
+                _record(pres_G, memo, coefficients, rhs, inner + zeros,
                         basis_u.prefactor * value)
             for inner, value in previous.items():
                 for b, unit in enumerate(units, start=ell):
-                    _record(pres_G, memo, coefficients, certificates, inner + unit,
+                    _record(pres_G, memo, coefficients, rhs, inner + unit,
                             elements[b] * value)
             previous = level
 
-    return DeformationSeries(order, dim, prime, coefficients, certificates)
+    return DeformationSeries(order, dim, tuple(range(1, ell + 1)), coefficients, rhs)
 
 
 def _scaled_products(ctx: VariableContext, factors, order: int):
@@ -359,26 +357,23 @@ def _scaled_products(ctx: VariableContext, factors, order: int):
         yield total, level
 
 
-def _record(pres: QuotientPresentation, memo: dict, coefficients, certificates,
-            expo, value):
-    """Reduce `value`, the t^expo coefficient, into the series.  `reduce`
-    and its certificate are linear, so value = sum c m reduces to sum c
-    reduce(m): `memo` holds the `ReductionResult` of every monomial m
+def _record(pres: QuotientPresentation, memo: dict, coefficients, rhs, expo, value):
+    """Reduce `value`, the t^expo coefficient, into the series and keep it
+    as rhs[expo].  `reduce` is linear, so value = sum c m reduces to sum c
+    reduce(m): `memo` holds the coefficient dict of every monomial m
     reduced so far in one `t_series` call."""
     ctx = pres.dwork.ctx
     sums = {}
-    certificate = SuperElement.zero(ctx)
     for mono, num in value._num.items():
-        result = memo.get(mono)
-        if result is None:
-            result = memo[mono] = pres.reduce(SuperElement._make(ctx, {mono: 1}, 1))
+        reduced = memo.get(mono)
+        if reduced is None:
+            reduced = memo[mono] = pres.reduce(
+                SuperElement._make(ctx, {mono: 1}, 1)).coefficients
         scale = Fraction(num, value._den)
-        for rho, c in result.coefficients.items():
+        for rho, c in reduced.items():
             sums[rho] = sums.get(rho, 0) + scale * c
-        certificate = certificate + result.certificate.scale(scale)
     coefficients.update(((rho, expo), c) for rho, c in sorted(sums.items()) if c)
-    if certificate:
-        certificates[expo] = certificate
+    rhs[expo] = value
 
 
 # -- the D matrix ladder ------------------------------------------------------

@@ -359,7 +359,11 @@ def run_suite(D: DworkData, presentation: QuotientPresentation,
 
     def exp_identities(_):
         gamma = random_element(ctx, rng, homogeneous_degree=0, terms=2, max_xdeg=2)
-        lam = random_homogeneous(ctx, rng, terms=2, max_xdeg=2)
+        # Gamma is eta-free, so lam carries an eta for the brackets to be tested
+        lam = random_element(ctx, rng, homogeneous_degree=rng.randint(1, 2),
+                             terms=2, max_xdeg=2)
+        if lam.is_zero():
+            lam = SuperElement.eta(ctx, 1)
         for order in (1, 2, 3):
             if exp_identity_lhs(D, gamma, None, order) != \
                     exp_identity_rhs(D, gamma, None, order):

@@ -530,16 +530,24 @@ def t_series_values(def_data, basis_u, dimension, order):
 def plain_t_series(def_data, pres_G, basis_u, order):
     """`deformation.t_series` without its monomial memo, the cross-check for
     it: each t-coefficient is reduced whole, in t_series' exponent order, so
-    the coefficient and certificate dicts must match it entry for entry."""
+    the coefficient and right-side dicts must match it entry for entry."""
     dim = pres_G.dimension
-    coefficients, certificates = {}, {}
+    coefficients, rhs = {}, {}
     for expo, value in t_series_values(def_data, basis_u, dim, order):
-        result = pres_G.reduce(value)
-        for rho, c in sorted(result.coefficients.items()):
+        for rho, c in sorted(pres_G.reduce(value).coefficients.items()):
             coefficients[(rho, expo)] = c
-        if not result.certificate.is_zero():
-            certificates[expo] = result.certificate
-    return DeformationSeries(order, dim, basis_u.prime_indices, coefficients, certificates)
+        rhs[expo] = value
+    prime = tuple(range(1, len(def_data.nonzero_indices) + 1))
+    return DeformationSeries(order, dim, prime, coefficients, rhs)
+
+
+def series_certificate(pres_G, series, expo):
+    """Lambda's t^expo coefficient: the certificate of reducing
+    series.rhs[expo], whose coefficients must be the series' own at expo."""
+    result = pres_G.reduce(series.rhs[expo])
+    assert result.coefficients == {rho: c for rho in range(series.dimension)
+                                   if (c := series.coefficient(rho, expo))}
+    return result.certificate
 
 
 # -- series route to the D ladder ---------------------------------------------

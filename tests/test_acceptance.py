@@ -42,7 +42,12 @@ from dworkbox.verify import (
     random_homogeneous,
     reduction_functional,
 )
-from tests.oracles import d_matrix, griffiths_hodge_numbers, two_quadrics_weight_coranks
+from tests.oracles import (
+    d_matrix,
+    griffiths_hodge_numbers,
+    series_certificate,
+    two_quadrics_weight_coranks,
+)
 
 
 @contextmanager
@@ -155,20 +160,23 @@ def test_hesse_pencil_series(cubic_dwork, cubic_presentation):
         assert series.coefficient(1, (2, 0)) == 0
         assert series.coefficient(0, (3, 0)) == Fraction(-1, 162)
         assert series.coefficient(1, (4, 0)) == Fraction(-1, 81)
-        # every recorded residual is exactly K-exact
+        # every recorded right side is the t-coefficient, and its residual
+        # is exactly K-exact
         ctx = cubic_dwork.ctx
         u1, u2 = basis_u.elements
         basis_elements = cubic_presentation.basis_elements()
-        for expo in {e for (_, e) in series.coefficients} | set(series.certificates):
+        assert {e for (_, e) in series.coefficients} <= set(series.rhs)
+        for expo in series.rhs:
             m1, m2 = expo
             rhs = (u1 ** m1 * u2 ** m2).scale(
                 Fraction(1, math.factorial(m1) * math.factorial(m2)))
+            assert series.rhs[expo] == rhs
             normal = SuperElement.zero(ctx)
             for rho, e in enumerate(basis_elements):
                 c = series.coefficient(rho, expo)
                 if c:
                     normal = normal + e.scale(c)
-            cert = series.certificates.get(expo, SuperElement.zero(ctx))
+            cert = series_certificate(cubic_presentation, series, expo)
             assert rhs - normal == apply_k(cubic_dwork, cert)
 
 

@@ -1,10 +1,11 @@
 """Deformation layer: Maurer-Cartan, u bases, T series, D ladder, transport.
 
 The Hesse-pencil values asserted here were derived by explicit certificate
-chains (each chain is re-verified in-place by applying K to the recorded
-certificate).
+chains (each chain is re-verified in-place by applying K to the certificate
+of reducing the recorded right side).
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -37,7 +38,13 @@ from dworkbox.deformation import (
     u_basis,
 )
 from dworkbox.verify import random_element, reduction_functional
-from tests.oracles import d_matrix, plain_t_series, plain_transport, t_series_values
+from tests.oracles import (
+    d_matrix,
+    plain_t_series,
+    plain_transport,
+    series_certificate,
+    t_series_values,
+)
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +138,7 @@ def test_two_quadrics_deformation(quadrics_dwork):
 def test_u_basis_hesse(hesse_setup):
     hesse, pres_G, pres_U, basis_u = hesse_setup
     ctx = pres_G.dwork.ctx
-    assert basis_u.prime_indices == (1,)
+    assert t_series(hesse, pres_G, basis_u, 1).prime_indices == (1,)
     assert basis_u.elements[0] == parse("y1*x0*x1*x2", ctx)
     assert basis_u.elements[1] == SuperElement.one(ctx)
 
@@ -139,7 +146,7 @@ def test_u_basis_hesse(hesse_setup):
 def test_u_basis_trivial_deformation(cubic_dwork, cubic_presentation):
     dd = build_deformation(cubic_dwork, [SuperElement.zero(cubic_dwork.ctx)])
     basis_u = u_basis(dd, cubic_presentation, cubic_presentation)
-    assert basis_u.prime_indices == ()
+    assert t_series(dd, cubic_presentation, basis_u, 1).prime_indices == ()
     assert [u for u in basis_u.elements] == cubic_presentation.basis_elements()
 
 
@@ -163,22 +170,6 @@ def test_u_basis_positive_charge_quintic():
     vectors = [{(0, (i,)): c for i, c in r.items()} for r in rows]
     columns = [(0, (i,)) for i in range(12)]
     assert dense_rank(vectors, columns) == 12
-
-
-def test_t_series_needs_the_deformation_classes_first():
-    """A hand-built u basis whose I' classes are not in front is refused
-    when the charge is nonzero, instead of placing exponents wrongly."""
-    import dataclasses
-
-    ctx = VariableContext(2, 1, (5,))
-    D = dwork_potential(ctx, [parse("x0^5 + x1^5 + x2^5", ctx)])
-    P = build_presentation(D)
-    dd = build_deformation(D, [parse("x0^5", ctx)])
-    basis_u = u_basis(dd, P, build_presentation(dd.deformed))
-    assert basis_u.prime_indices == (1,)
-    moved = dataclasses.replace(basis_u, prime_indices=(2,))
-    with pytest.raises(InputError, match="deformation classes first"):
-        t_series(dd, P, moved, 1)
 
 
 def test_u_basis_negative_charge_cubic_surface():
@@ -326,16 +317,18 @@ def test_series_residual_exactness(hesse_setup):
     series = t_series(hesse, pres_G, basis_u, 5)
     basis_elements = pres_G.basis_elements()
     u1, u2 = basis_u.elements
-    for expo in {e for (_, e) in series.coefficients} | set(series.certificates):
+    assert {e for (_, e) in series.coefficients} <= set(series.rhs)
+    for expo in series.rhs:
         m1, m2 = expo
         rhs = (u1 ** m1 * u2 ** m2).scale(
             Fraction(1, math.factorial(m1) * math.factorial(m2)))
+        assert series.rhs[expo] == rhs
         normal = SuperElement.zero(ctx)
         for rho, e in enumerate(basis_elements):
             c = series.coefficient(rho, expo)
             if c:
                 normal = normal + e.scale(c)
-        cert = series.certificates.get(expo, SuperElement.zero(ctx))
+        cert = series_certificate(pres_G, series, expo)
         assert rhs - normal == apply_k(pres_G.dwork, cert)
 
 
@@ -645,16 +638,17 @@ def test_base_change_unimodularity():
 # -- nonzero background charge series ------------------------------------------------
 
 def _nonzero_charge_series_case(ctx, D, P, dd, basis_u, series, prefactor):
-    """Check the defining identity of the series at every recorded exponent."""
-    prime = set(p - 1 for p in basis_u.prime_indices)
-    gamma_parts = {p - 1: SuperElement(ctx, {}) for p in basis_u.prime_indices}
-    for pos, i in zip(basis_u.prime_indices, dd.nonzero_indices):
+    """Check the recorded right side and the defining identity of the
+    series at every recorded exponent."""
+    prime = set(p - 1 for p in series.prime_indices)
+    gamma_parts = {p - 1: SuperElement(ctx, {}) for p in series.prime_indices}
+    for pos, i in zip(series.prime_indices, dd.nonzero_indices):
         gamma_parts[pos - 1] = \
             SuperElement.variable(ctx, i) * dd.H[i - 1]
     basis_elements = P.basis_elements()
-    seen = {e for (_, e) in series.coefficients} | set(series.certificates)
-    assert seen
-    for expo in seen:
+    assert series.rhs
+    assert {e for (_, e) in series.coefficients} <= set(series.rhs)
+    for expo in series.rhs:
         outside = [a for a, e in enumerate(expo) if e and a not in prime]
         if len(outside) > 1 or (outside and expo[outside[0]] > 1):
             rhs = SuperElement.zero(ctx)
@@ -665,12 +659,13 @@ def _nonzero_charge_series_case(ctx, D, P, dd, basis_u, series, prefactor):
                 if e:
                     rhs = rhs * gamma_parts[a] ** e
                     rhs = rhs.scale(Fraction(1, math.factorial(e)))
+        assert series.rhs[expo] == rhs
         normal = SuperElement.zero(ctx)
         for rho, elem in enumerate(basis_elements):
             c = series.coefficient(rho, expo)
             if c:
                 normal = normal + elem.scale(c)
-        cert = series.certificates.get(expo, SuperElement.zero(ctx))
+        cert = series_certificate(P, series, expo)
         assert rhs - normal == apply_k(P.dwork, cert)
 
 
@@ -721,7 +716,8 @@ def test_concurrent_reduce_is_pure(cubic_dwork, cubic_presentation):
 
 def test_two_quadrics_deformation_series(quadrics_dwork, quadrics_presentation,
                                           quadrics_deformation):
-    """k = 2 deformation: values certified by the recorded K-certificates.
+    """k = 2 deformation: values certified by the K-certificates of the
+    recorded right sides.
 
     The deformation class y1*x0*x1 is exact modulo the undeformed kernel, so
     the series starts at quadratic order in its direction.
@@ -741,16 +737,18 @@ def test_two_quadrics_deformation_series(quadrics_dwork, quadrics_presentation,
     # exactness of every recorded residual
     basis_elements = quadrics_presentation.basis_elements()
     u1, u2 = basis_u.elements
-    for expo in {e for (_, e) in series.coefficients} | set(series.certificates):
+    assert {e for (_, e) in series.coefficients} <= set(series.rhs)
+    for expo in series.rhs:
         m1, m2 = expo
         rhs = (u1 ** m1 * u2 ** m2).scale(
             Fraction(1, math.factorial(m1) * math.factorial(m2)))
+        assert series.rhs[expo] == rhs
         normal = SuperElement.zero(ctx)
         for rho, e in enumerate(basis_elements):
             c = series.coefficient(rho, expo)
             if c:
                 normal = normal + e.scale(c)
-        cert = series.certificates.get(expo, SuperElement.zero(ctx))
+        cert = series_certificate(quadrics_presentation, series, expo)
         assert rhs - normal == apply_k(quadrics_dwork, cert)
     ladder = d_matrix(series)
     assert ladder[1][0] == [Fraction(0), Fraction(0)]
@@ -859,24 +857,56 @@ def series_case():
 @pytest.mark.parametrize("name", list(SERIES_CASES))
 def test_t_series_equals_the_unmemoised_route(series_case, name):
     """Reducing each distinct monomial once and summing the scaled results
-    gives the coefficients (in the same dict order) and the certificates of
-    reducing each t-coefficient whole, and every exponent's certificate
-    settles its value: K(certificate) + sum c_rho e_rho == value."""
+    gives the coefficients (in the same dict order) of reducing each
+    t-coefficient whole; the recorded right sides are the t-coefficients,
+    in order, and the certificate of reducing each settles its value:
+    K(certificate) + sum c_rho e_rho == value."""
     P, dd, basis_u, order = series_case(name)
     series = t_series(dd, P, basis_u, order)
     plain = plain_t_series(dd, P, basis_u, order)
     assert list(series.coefficients.items()) == list(plain.coefficients.items())
-    assert list(series.certificates.items()) == list(plain.certificates.items())
+    values = list(t_series_values(dd, basis_u, P.dimension, order))
+    assert list(series.rhs.items()) == values
     basis = P.basis_elements()
     zero = SuperElement.zero(P.dwork.ctx)
     several = False
-    for expo, value in t_series_values(dd, basis_u, P.dimension, order):
+    for expo, value in values:
         several |= len(value.terms) > 1
         normal = zero
         for rho, e in enumerate(basis):
             normal = normal + e.scale(series.coefficient(rho, expo))
-        assert apply_k(P.dwork, series.certificates.get(expo, zero)) + normal == value
+        assert apply_k(P.dwork, series_certificate(P, series, expo)) + normal == value
     assert several == name.endswith("several_terms")
+
+
+class _PoisonedCertificate:
+    """A certificate that raises on any use."""
+
+    def _used(self, *args):
+        raise AssertionError("t_series used a reduction certificate")
+
+    __getattr__ = __bool__ = __eq__ = __hash__ = _used
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __neg__ = _used
+
+
+@pytest.mark.parametrize("name", ["cubic_curve", "sextic_curve", "two_quadrics", "quartic_k3"])
+def test_t_series_never_reads_a_certificate(series_case, monkeypatch, name):
+    """`reduce` is the one producer of certificates and t_series reads none:
+    with every certificate poisoned, it still gives the coefficients and
+    right sides of the unmemoised route, in order."""
+    P, dd, basis_u, order = series_case(name)
+    plain = plain_t_series(dd, P, basis_u, order)
+    original = QuotientPresentation.reduce
+
+    def poisoned(pres, f):
+        return dataclasses.replace(original(pres, f), certificate=_PoisonedCertificate())
+
+    monkeypatch.setattr(QuotientPresentation, "reduce", poisoned)
+    with pytest.raises(AssertionError, match="used a reduction certificate"):
+        P.reduce(SuperElement.one(P.dwork.ctx)).certificate.is_zero()
+    series = t_series(dd, P, basis_u, order)
+    assert list(series.coefficients.items()) == list(plain.coefficients.items())
+    assert list(series.rhs.items()) == list(plain.rhs.items())
 
 
 def test_t_series_memo_lives_for_one_call(series_case, monkeypatch):

@@ -218,23 +218,26 @@ PINNED = {
 # them.  The fault reports are as written once a hook rebinds the operator
 # in every module that holds it and the descendant tower calls ell2: the
 # reduce families fail under delta-drop-term, the exponential identities
-# under bracket-sign, beside the one family each that failed before.
+# under bracket-sign, beside the one family each that failed before.  The
+# exponential identities draw their argument with an eta, which moves the
+# counterexamples of the cubic's two fault reports and of the K3's and two
+# quadrics' bracket-sign reports.
 PINNED_REPORTS = {
     ("cubic_curve", None): "04a6e03741abbc1aa1a6d6a2882528bdb5b6ce2223c7894ea1e6071456edc281",
     ("cubic_curve", "delta-drop-term"):
-        "b2ef53f75131f08c124c1d725de12197328772d1e8dd5059622f00eca79e40a5",
+        "58e45357e78a480d0b463bdcee871192c7900855adde1383957b38aa27ae1d23",
     ("cubic_curve", "bracket-sign"):
-        "13dd86f8e40670bec39596bb2016d49da138690192192c8994b995a6c9ece6e6",
+        "833a9be201b6a3cf29885a25d1a9d00c0382e57f9eae697e2b47ad4440732362",
     ("quartic_k3", None): "04a6e03741abbc1aa1a6d6a2882528bdb5b6ce2223c7894ea1e6071456edc281",
     ("quartic_k3", "delta-drop-term"):
         "ca3f9d7f397d549b102484419787dca049077ff12e84ffd390e89fc0b597c7fc",
     ("quartic_k3", "bracket-sign"):
-        "fbe18c9dfa4c6c03717b99499cf6eab26d12d097c86f3e82b38792fcc57bc3da",
+        "1a03dbcee12d4d4067d4d6b67e687fd6423f76634224010db637baad93072c27",
     ("two_quadrics", None): "04a6e03741abbc1aa1a6d6a2882528bdb5b6ce2223c7894ea1e6071456edc281",
     ("two_quadrics", "delta-drop-term"):
         "0dda0db5b0c0dc2400330d1c18c417aec9c6f3b51e8ffd81579a3eb97b029fa9",
     ("two_quadrics", "bracket-sign"):
-        "000c2aecefb7c978d52af5cb2cfba6c7560848025f0328ca2d9b1085e74f2315",
+        "e50942664d678d4f62c30f86b97de4477f5be847a440d207d6df72ae2a0658a7",
 }
 PINNED_FAILURE = {
     "cubic_curve": "FAIL  differentials: squares and anticommutator vanish  [delta Q + Q delta: "

@@ -117,9 +117,7 @@ def test_fault_reaches_every_holder(name, hook):
     if hook == "delta-drop-term":
         assert failing == DELTA_FAMILIES
     else:
-        # on the cubic both seeded arguments of the exponential identities are
-        # eta-free, as Gamma is, so every bracket in them is zero
-        assert failing == BRACKET_FAMILIES | ({EXP_FAMILY} if name != "cubic_curve" else set())
+        assert failing == BRACKET_FAMILIES | {EXP_FAMILY}
 
 
 def test_gradings_family_catches_a_non_additive_grading(cubic_dwork, cubic_presentation,
