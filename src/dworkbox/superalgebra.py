@@ -15,7 +15,11 @@ numerator, gcd of the denominator and all numerators 1, denominator 1 for
 zero).  That form is unique, so equality of elements is equality of
 (denominator, dict).  The product and derivative kernels run on these ints;
 coefficients surface as exact Fractions, and monomials as SuperMonomials,
-only through ``terms`` and ``coefficient``.
+only through ``terms`` and ``coefficient``.  Scalars are coerced (see
+`as_scalar`) only by the public constructor, ``scalar`` and ``scale``; every
+other producer, the kernels and the random draws of `verify` alike, hands int
+numerators over one denominator to ``SuperElement._make``, the one trusted
+constructor.
 
 A packed key is one int (Monagan and Pearce, CASC 2007): bit mu - 1 is set
 when eta_mu is present, and above those N bits sit N exponent fields of 32
@@ -314,6 +318,9 @@ class SuperElement:
     (a positive int), in lowest terms; ``terms`` is the SuperMonomial ->
     Fraction view.  Instances are immutable once constructed and hashable
     by value; the callers treat them as shared read-only data.
+
+    The public constructor takes SuperMonomials and scalars; ``_make`` is
+    the only private constructor, and takes packed keys and int numerators.
     """
 
     __slots__ = ("ctx", "_num", "_den", "_hash")
@@ -321,13 +328,10 @@ class SuperElement:
     def __init__(self, ctx: VariableContext, terms: dict):
         """`terms` maps SuperMonomials to scalars (see `as_scalar`)."""
         pack = ctx.pack
-        self._fill(ctx, {pack(mono): coeff for mono, coeff in terms.items()})
-
-    def _fill(self, ctx: VariableContext, terms: dict) -> None:
         clean = {}
-        for key, coeff in terms.items():
-            if not isinstance(coeff, Fraction):
-                coeff = as_scalar(coeff)
+        for mono, coeff in terms.items():
+            key = pack(mono)  # every monomial is checked, zero terms too
+            coeff = as_scalar(coeff)
             if coeff:
                 clean[key] = coeff
         # over the lcm of the reduced denominators the form is in lowest terms
@@ -338,17 +342,12 @@ class SuperElement:
         self._hash = None
 
     @classmethod
-    def _from_scalars(cls, ctx: VariableContext, terms: dict) -> "SuperElement":
-        """The constructor for `terms` keyed by packed keys instead."""
-        self = object.__new__(cls)
-        self._fill(ctx, terms)
-        return self
-
-    @classmethod
     def _make(cls, ctx: VariableContext, num: dict, den: int) -> "SuperElement":
-        """Trusted constructor: int numerators over den > 0; owns ``num``.
+        """The one trusted constructor: int numerators over den > 0, keyed
+        by packed keys; owns ``num``.
 
-        Drops zero numerators and divides out the content.
+        Drops zero numerators, keeping the order of the others, and divides
+        out the content, so any int form of a value gives its lowest terms.
         """
         if 0 in num.values():
             num = {m: v for m, v in num.items() if v}
@@ -381,7 +380,8 @@ class SuperElement:
 
     @classmethod
     def scalar(cls, ctx: VariableContext, value) -> "SuperElement":
-        return cls._from_scalars(ctx, {0: value})
+        value = as_scalar(value)
+        return cls._make(ctx, {0: value.numerator}, value.denominator)
 
     @classmethod
     def one(cls, ctx: VariableContext) -> "SuperElement":

@@ -53,7 +53,8 @@ def random_element(ctx: VariableContext, rng: random.Random, *, max_eta: int = 2
 
     Each term is drawn as a packed key: the bits of an eta subset, then an
     exponent of at most max_weight per y and max_xdeg per x, times the unit
-    of its field.
+    of its field.  Its coefficient p/q, p in -6..6 and q in 1..4, is kept
+    as the int numerator p * (12 // q) over 12, the lcm of every q.
     """
     units = ctx.q_units
     acc = {}
@@ -64,10 +65,10 @@ def random_element(ctx: VariableContext, rng: random.Random, *, max_eta: int = 2
             if size else 0
         for i in range(ctx.nvars):
             key += rng.randint(0, max_weight if i < ctx.k else max_xdeg) * units[i]
-        coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        if coeff:
-            acc[key] = acc.get(key, 0) + coeff
-    return SuperElement._from_scalars(ctx, acc)
+        p, q = rng.randint(-6, 6), rng.randint(1, 4)  # p drawn before q
+        if p:
+            acc[key] = acc.get(key, 0) + p * (12 // q)
+    return SuperElement._make(ctx, acc, 12)
 
 
 def random_homogeneous(ctx: VariableContext, rng: random.Random, **kw) -> SuperElement:
@@ -89,7 +90,8 @@ def random_charge_element(D: DworkData, rng: random.Random, charge: int,
 
     Two monomials per weight are drawn from a `PieceView`, as packed keys,
     so no piece is listed unless it is small enough for `random.sample` to
-    copy it.
+    copy it.  Each coefficient p/q, p in -4..4 and q in 1..3, is kept as the
+    int numerator p * (6 // q) over 6, the lcm of every q.
     """
     ctx = D.ctx
     acc = {}
@@ -98,10 +100,10 @@ def random_charge_element(D: DworkData, rng: random.Random, charge: int,
         if not piece:
             continue
         for key in rng.sample(piece, min(2, len(piece))):
-            coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            if coeff:
-                acc[key] = acc.get(key, Fraction(0)) + coeff
-    return SuperElement._from_scalars(ctx, acc)
+            p, q = rng.randint(-4, 4), rng.randint(1, 3)  # p drawn before q
+            if p:
+                acc[key] = acc.get(key, 0) + p * (6 // q)
+    return SuperElement._make(ctx, acc, 6)
 
 
 @dataclass

@@ -235,6 +235,26 @@ def brute_force_piece(ctx, charge, weight, eta_degree, exp_bound=12):
     return found
 
 
+def fraction_random_element(ctx, rng, *, max_eta=2, max_weight=2, max_xdeg=4, terms=3,
+                            homogeneous_degree=None):
+    """verify.random_element as it was before its coefficients were int
+    numerators: each coefficient a Fraction, summed per key, with the keys
+    unpacked for the public constructor."""
+    units = ctx.q_units
+    acc = {}
+    for _ in range(terms):
+        size = homogeneous_degree if homogeneous_degree is not None \
+            else rng.randint(0, max_eta)
+        key = sum(1 << (mu - 1) for mu in rng.sample(range(1, ctx.nvars + 1), size)) \
+            if size else 0
+        for i in range(ctx.nvars):
+            key += rng.randint(0, max_weight if i < ctx.k else max_xdeg) * units[i]
+        coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        if coeff:
+            acc[key] = acc.get(key, 0) + coeff
+    return SuperElement(ctx, {ctx.unpack(key): c for key, c in acc.items()})
+
+
 def enumerating_charge_element(D, rng, charge, eta_degree, max_weight=3):
     """verify.random_charge_element as it was before it drew from a
     PieceView: every piece listed by enumerate_piece, then sampled, with

@@ -29,7 +29,13 @@ from dworkbox.cohomology import (
 from dworkbox.deformation import build_deformation, d_ladder, u_basis
 from dworkbox.errors import InternalCheckError, SmoothnessError
 from dworkbox.verify import random_charge_element
-from tests.oracles import EchelonReduction, FractionEchelon, as_fractions, koszul_redundant
+from tests.oracles import (
+    EchelonReduction,
+    FractionEchelon,
+    as_fractions,
+    hirzebruch_hodge_numbers,
+    koszul_redundant,
+)
 
 # (n, k, degrees, G, H): H gives Gamma = sum y_i H_i for the known chains
 GEOMETRIES = {
@@ -360,3 +366,49 @@ def test_basis_builds_no_exact_echelon_above_the_quotient(name, tmp_path, monkey
         result = pres.reduce(f)
         assert apply_k(D, result.certificate) + result.as_element(pres) == f
         assert built == [*range(top + 1), top + 1]
+
+
+def _sum_of_powers(n, d, weight=lambda i: 1):
+    return " + ".join(f"{weight(i)}*x{i}^{d}" for i in range(n + 1))
+
+
+# (n, degrees, G, check the lift against EchelonReduction): complete
+# intersections with k = 1..3 and non-diagonal terms, so a preimage of the
+# lift is no longer one monomial
+NON_DIAGONAL = {
+    "cubic curve": (2, (3,), ["x0^3 + x1^3 + x2^3 + x0*x1*x2"], True),
+    "quartic K3": (3, (4,), [_sum_of_powers(3, 4) + " + x0*x1*x2*x3 + x0^2*x1*x2"], False),
+    "(2,2) in P^3": (3, (2, 2), [_sum_of_powers(3, 2) + " + x0*x1",
+                                 _sum_of_powers(3, 2, lambda i: i + 1) + " + x2*x3"], True),
+    "(2,3) in P^3": (3, (2, 3), [_sum_of_powers(3, 2) + " + x0*x1",
+                                 _sum_of_powers(3, 3) + " + x1*x2*x3"], False),
+    "(2,2) in P^4": (4, (2, 2), [_sum_of_powers(4, 2) + " + x0*x1",
+                                 _sum_of_powers(4, 2, lambda i: i + 1) + " + x3*x4"], True),
+    "(2,2,2) in P^4": (4, (2, 2, 2), [_sum_of_powers(4, 2) + " + x0*x1",
+                                      _sum_of_powers(4, 2, lambda i: i + 1),
+                                      _sum_of_powers(4, 2, lambda i: (i + 1) ** 2) + " + x2*x4"],
+                       False),
+}
+
+
+@pytest.mark.parametrize("order", ["graded-lex", "grevlex"])
+@pytest.mark.parametrize("name", list(NON_DIAGONAL))
+def test_non_diagonal_complete_intersections(name, order):
+    """Hodge numbers against Hirzebruch, certificate soundness through the
+    lift, and on three inputs the lift's coefficients against the
+    weight-echelon route."""
+    n, degrees, G, against_echelon = NON_DIAGONAL[name]
+    ctx = VariableContext(n, len(degrees), degrees, order)
+    D = dwork_potential(ctx, [parse(g, ctx) for g in G])
+    pres = build_presentation(D)
+    assert pres.hodge_numbers() == hirzebruch_hodge_numbers(n, degrees)
+    top = n - len(degrees)
+    rng = random.Random(f"non-diagonal:{name}:{order}")
+    inputs = [random_charge_element(D, rng, pres.c_G, 0, max_weight=top + 2) for _ in range(3)]
+    assert max(top_weight(f) for f in inputs) == top + 2
+    oracle = EchelonReduction(pres)
+    for f in inputs:
+        result = pres.reduce(f)
+        assert apply_k(D, result.certificate) + result.as_element(pres) == f
+        if against_echelon:
+            assert result.coefficients == oracle.reduce(f).coefficients

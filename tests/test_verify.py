@@ -19,6 +19,7 @@ from dworkbox import (
     parse,
     reduction_functional,
 )
+from dworkbox import verify
 from dworkbox.verify import (
     FAULT_HOOKS,
     fault_injection,
@@ -27,7 +28,7 @@ from dworkbox.verify import (
     random_homogeneous,
     run_suite,
 )
-from tests.oracles import enumerating_charge_element
+from tests.oracles import enumerating_charge_element, fraction_random_element
 
 
 def test_suite_passes_on_good_build(cubic_dwork, cubic_presentation):
@@ -159,16 +160,21 @@ def test_random_element_homogeneity(cubic_ctx):
         assert h.homogeneous_degree() is not None
 
 
-@pytest.mark.parametrize("geometry", ["cubic_dwork", "quartic_dwork", "quadrics_dwork",
-                                      "grevlex sextic"])
+DRAW_GEOMETRIES = ["cubic_dwork", "quartic_dwork", "quadrics_dwork", "grevlex sextic"]
+
+
+def _draw_geometry(geometry, request):
+    if geometry == "grevlex sextic":
+        ctx = VariableContext(2, 1, (6,), "grevlex")
+        return dwork_potential(ctx, [parse("x0^6 + x1^6 + x2^6", ctx)])
+    return request.getfixturevalue(geometry)
+
+
+@pytest.mark.parametrize("geometry", DRAW_GEOMETRIES)
 def test_random_charge_element_draws_as_the_enumerating_sampler(geometry, request):
     """Drawing from a PieceView makes the same elements, and leaves the
     generator in the same state, as sampling the listed pieces."""
-    if geometry == "grevlex sextic":
-        ctx = VariableContext(2, 1, (6,), "grevlex")
-        D = dwork_potential(ctx, [parse("x0^6 + x1^6 + x2^6", ctx)])
-    else:
-        D = request.getfixturevalue(geometry)
+    D = _draw_geometry(geometry, request)
     top = D.ctx.n - D.ctx.k
     c_G = D.ctx.background_charge()
     for seed in range(4):
@@ -177,9 +183,62 @@ def test_random_charge_element_draws_as_the_enumerating_sampler(geometry, reques
                 for max_weight in range(top + 3):
                     rng, ref = random.Random(seed), random.Random(seed)
                     for _ in range(3):
-                        assert random_charge_element(D, rng, charge, eta_degree, max_weight) == \
-                            enumerating_charge_element(D, ref, charge, eta_degree, max_weight)
+                        drawn = random_charge_element(D, rng, charge, eta_degree, max_weight)
+                        expected = enumerating_charge_element(D, ref, charge, eta_degree,
+                                                              max_weight)
+                        assert drawn == expected
+                        # the key order decides which term delta-drop-term drops
+                        assert list(drawn._num) == list(expected._num)
                     assert rng.getstate() == ref.getstate()
+
+
+# every keyword shape `run_suite` draws `random_element` with, and one more
+RUN_SUITE_DRAWS = [{}, {"terms": 4}, {"homogeneous_degree": 0, "terms": 2, "max_xdeg": 2},
+                   {"homogeneous_degree": 1, "terms": 2, "max_xdeg": 2},
+                   {"homogeneous_degree": 2, "terms": 2, "max_xdeg": 2},
+                   # few keys, so terms collide; on each geometry below, seeds 0-2
+                   # make a sum cancel
+                   {"max_eta": 0, "max_weight": 0, "max_xdeg": 1, "terms": 16}]
+
+
+@pytest.mark.parametrize("geometry", DRAW_GEOMETRIES)
+def test_draws_make_int_numerators_as_the_fraction_reference(geometry, request, monkeypatch):
+    """The draws build no Fraction, and make the same value, key order and
+    generator state as the Fraction route of `oracles.fraction_random_element`
+    and `oracles.enumerating_charge_element`."""
+    D = _draw_geometry(geometry, request)
+    ctx = D.ctx
+    c_G = ctx.background_charge()
+
+    def forbidden(*args):
+        raise AssertionError("a verify draw built a Fraction")
+
+    monkeypatch.setattr(verify, "Fraction", forbidden)
+
+    def same(drawn, expected):
+        assert drawn == expected
+        assert list(drawn._num) == list(expected._num)
+
+    def homogeneous_reference(rng, **kw):
+        deg = rng.randint(0, min(2, ctx.nvars))
+        e = fraction_random_element(ctx, rng, homogeneous_degree=deg, **kw)
+        if e.is_zero():
+            return SuperElement.one(ctx) if deg == 0 else SuperElement.eta(ctx, 1)
+        return e
+
+    for seed in range(3):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for kw in RUN_SUITE_DRAWS:
+            for _ in range(4):
+                same(random_element(ctx, rng, **kw), fraction_random_element(ctx, ref, **kw))
+            same(random_homogeneous(ctx, rng), homogeneous_reference(ref))
+            same(random_homogeneous(ctx, rng, terms=2, max_xdeg=2),
+                 homogeneous_reference(ref, terms=2, max_xdeg=2))
+        for charge in range(c_G - 2, c_G + 4):
+            for eta_degree in (0, -1):
+                same(random_charge_element(D, rng, charge, eta_degree),
+                     enumerating_charge_element(D, ref, charge, eta_degree))
+        assert rng.getstate() == ref.getstate()
 
 
 def test_random_charge_element_slices(cubic_dwork):
