@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import re
 import sys
@@ -355,9 +356,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: building one (gettext, formatters) costs about a
+# millisecond, and parse_args keeps no state between calls
+_arg_parser = functools.cache(build_arg_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     try:
         return args.func(args)
     except AssumptionError as exc:

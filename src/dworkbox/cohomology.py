@@ -37,8 +37,9 @@ d_i >= 1 gives c_G + d.v0 >= (k - n - 1) + (n - k + 1) = 0, and u has room
 for it, since |u| = c_G + d.v >= c_G + d.v0 because v >= v0.  With
 Q(pre(m0)) = m0 read off the weight top + 1 echelon, Q(pre(m0) * m1) = M.
 So closure at weight top + 1 gives closure at every weight above it, and the
-smoothness guard checks that one weight, by the rank mod a prime of its Q
-rows; only a short rank builds the exact echelon there.
+smoothness guard checks that one weight: first whether the gradient leads
+cover its monomials, then by the rank mod a prime of its Q rows; only a
+short rank builds the exact echelon there.
 
 A presentation is only ever made by `QuotientPresentation(D)`, which builds
 the weight solvers 0..top up front and the weight top + 1 solver on first
@@ -446,6 +447,15 @@ class _WeightSolver(_Echelon):
                 {gens[g]: c for g, c in combo.items()}, scale)
 
 
+def _gradient_leads(D: DworkData) -> list:
+    """The leading term (L_i, c_i) of each g_i = dS/dq_i, as (packed key,
+    numerator in D.grad_num) with L_i largest under `monomial_sort_key`,
+    or None where g_i is zero; the one place the leads are found."""
+    ctx = D.ctx
+    return [max(g, key=lambda term: monomial_sort_key(ctx, term[0])) if g else None
+            for g in D.grad_num]
+
+
 def _koszul_rows(D: DworkData, solver: _WeightSolver):
     """(g_idx, vec, den) with vec = den * Q(gen) nonzero, by position, for
     each generator of `solver` that the Koszul criterion of Faugère's F5
@@ -472,9 +482,7 @@ def _koszul_rows(D: DworkData, solver: _WeightSolver):
     the rows and their combos, and with them the certificates, do.
     """
     ctx = D.ctx
-    # leads[i] is L_{i+1}, or None where that g is zero; S and g are eta-free
-    leads = [max((q for q, _ in g), key=lambda q: monomial_sort_key(ctx, q))
-             if g else None for g in D.grad_num]
+    leads = [term[0] if term else None for term in _gradient_leads(D)]
     # later[j - 1] holds the L_i of the nonzero g_i with i > j
     later = [[lead for lead in leads[j:] if lead is not None] for j in range(1, len(leads) + 1)]
     # L divides m when (m with every guard bit set) - L borrows from no
@@ -516,16 +524,34 @@ _GUARD_PRIME = (1 << 61) - 1
 
 
 def _closes_mod_p(D: DworkData, charge: int, weight: int) -> bool:
-    """Whether the Koszul-kept Q rows of the (charge, weight) slice reach
-    full rank mod _GUARD_PRIME, eliminated without combos.
+    """Whether the Q rows of the (charge, weight) slice reach full rank mod
+    _GUARD_PRIME, decided in two steps.
 
-    The rows den * Q(gen) are integer vectors, so full rank mod p means a
-    maximal minor that is nonzero mod p, hence a nonzero integer: the rows
-    have full rank over Q too, and True is exact.  False proves nothing,
-    since p may divide every maximal minor; the caller then asks the exact
-    echelon.
+    First the lead cover.  If every target monomial M is divisible by the
+    leading monomial L_i of some g_i = dS/dq_i whose leading coefficient is
+    nonzero mod p, the row of the generator (M / L_i) * eta_i, which lies
+    in the slice because g_i is homogeneous in charge and weight, is g_i *
+    (M / L_i), whose leading monomial is M because the order is
+    multiplicative.  One such row per M has pivots all distinct and nonzero
+    mod p: a triangular full-rank set, found without listing the generator
+    piece or building a row.
+
+    Otherwise the Koszul-kept rows (`_koszul_rows`) are eliminated mod p
+    without combos.  The rows den * Q(gen) are integer vectors, so full
+    rank mod p means a maximal minor that is nonzero mod p, hence a nonzero
+    integer: the rows have full rank over Q too, and True is exact.  False
+    proves nothing, since p may divide every maximal minor; the caller then
+    asks the exact echelon.
     """
     p = _GUARD_PRIME
+    ctx = D.ctx
+    guard = ctx.guard_mask
+    # a lead divides M when (M with every guard bit set) - L borrows from no
+    # field's guard bit, as in `_koszul_rows`; targets are eta-free
+    leads = [lead for lead, c in filter(None, _gradient_leads(D)) if c % p]
+    if all(any(((m | guard) - lead) & guard == guard for lead in leads)
+           for m in PieceView(ctx, charge, weight, 0)):
+        return True
     solver = _empty_solver(D, charge, weight)
     full_rank = len(solver.target.monomials)
     pivots: dict = {}  # pivot position -> row mod p with pivot entry 1
@@ -574,8 +600,10 @@ class QuotientPresentation:
         """Echelonize weights 0..n-k, take their complement monomials as the
         basis, and check closure at weight n-k+1.
 
-        Closure is decided by the rank mod p of the weight n-k+1 Q rows
-        (`_closes_mod_p`), which is exact when full.  Only a short rank
+        Closure is decided in three steps.  `_closes_mod_p` first asks
+        whether the gradient leads cover every weight n-k+1 monomial, which
+        gives full rank without a row, and otherwise takes the rank mod p
+        of the Koszul rows, which is exact when full.  Only a short rank
         builds the exact weight n-k+1 echelon, and a nonzero complement
         there trips the smoothness guard; when the exact echelon closes
         after all, it is kept for the lift.  That one weight certifies

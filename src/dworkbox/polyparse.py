@@ -30,6 +30,8 @@ from typing import NamedTuple
 
 from .errors import InputError, ParseError
 from .superalgebra import (
+    _OVERFLOW,
+    MAX_EXPONENT,
     SuperElement,
     SuperMonomial,
     VariableContext,
@@ -155,16 +157,20 @@ class _Parser:
             self.fail("unexpected '-'")
         if tok.kind == "var":
             self.advance()
-            base = self.variable(tok)
+            key = self.variable(tok)
+            exponent = 1
             if self.peek().kind == "^":
                 self.advance()
                 etok = self.expect("nat")
                 exponent = etok.value
-                letter, _ = tok.value
-                if letter == "e" and exponent > 1:
-                    raise ParseError("eta exponent must be 0 or 1", etok.line, etok.column)
-                return base ** exponent
-            return base
+                if tok.value[0] == "e":
+                    if exponent > 1:
+                        raise ParseError("eta exponent must be 0 or 1", etok.line, etok.column)
+                elif exponent > MAX_EXPONENT:
+                    raise InputError(_OVERFLOW)
+            # a power of one variable is one term, its key the exponent
+            # times the variable's key (0, the key of 1, at exponent 0)
+            return SuperElement._make(self.ctx, {exponent * key: 1}, 1)
         self.fail(f"expected a factor, found {tok.value!r}")
 
     def rational(self) -> Fraction:
@@ -177,20 +183,21 @@ class _Parser:
             return Fraction(num, dtok.value)
         return Fraction(num)
 
-    def variable(self, tok: _Token) -> SuperElement:
+    def variable(self, tok: _Token) -> int:
+        """The packed key of the variable `tok` names."""
         letter, index = tok.value
         ctx = self.ctx
         if letter == "x":
             if index > ctx.n:
                 raise ParseError(f"x{index} out of range (max x{ctx.n})", tok.line, tok.column)
-            return SuperElement.variable(ctx, ctx.k + 1 + index)
+            return ctx.q_units[ctx.k + index]
         if letter == "y":
             if not 1 <= index <= ctx.k:
                 raise ParseError(f"y{index} out of range (1..{ctx.k})", tok.line, tok.column)
-            return SuperElement.variable(ctx, index)
+            return ctx.q_units[index - 1]
         if not 1 <= index <= ctx.nvars:
             raise ParseError(f"e{index} out of range (1..{ctx.nvars})", tok.line, tok.column)
-        return SuperElement.eta(ctx, index)
+        return 1 << (index - 1)
 
 
 def parse(text: str, ctx: VariableContext) -> SuperElement:

@@ -56,18 +56,37 @@ def test_basis_fermat(capsys, fermat_config):
     assert payload["basis"] == ["1", "y1*x0*x1*x2"]
 
 
-def test_python_dash_m_runs_the_cli(fermat_config):
-    """`python -m dworkbox` works from an uninstalled checkout on PYTHONPATH."""
+def run_fresh_process(*argv):
+    """`python -m dworkbox *argv` in a new interpreter, from this checkout."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-m", "dworkbox", "--format", "json", "basis", fermat_config],
-        capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "dworkbox", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli(fermat_config):
+    """`python -m dworkbox` works from an uninstalled checkout on PYTHONPATH."""
+    done = run_fresh_process("--format", "json", "basis", fermat_config)
     assert done.returncode == EXIT_OK, done.stderr
     payload = json.loads(done.stdout)
     assert payload["hodge"] == [1, 1]
     assert payload["basis"] == ["1", "y1*x0*x1*x2"]
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, fermat_config):
+    """`main` builds its parser once per process.  After a bad argv exits 2
+    through it, a good call gives the report a fresh process gives."""
+    assert cli._arg_parser() is cli._arg_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["deform", fermat_config, "--order", "three"])
+    assert exc.value.code == EXIT_INPUT
+    assert "invalid int value: 'three'" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "--format", "json", "deform", fermat_config)
+    assert code == EXIT_OK
+    done = run_fresh_process("--format", "json", "deform", fermat_config)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert out == done.stdout
 
 
 def test_basis_quartic(capsys, quartic_config):

@@ -5,7 +5,8 @@ import string
 
 import pytest
 
-from dworkbox import ParseError, SuperElement, VariableContext, parse, render
+from dworkbox import InputError, ParseError, SuperElement, VariableContext, parse, render
+from dworkbox.superalgebra import MAX_EXPONENT
 from dworkbox.verify import random_element
 
 
@@ -61,6 +62,33 @@ def test_eta_power_rejected(ctx):
     with pytest.raises(ParseError):
         parse("e1^2", ctx)
     assert parse("e1^1", ctx) == SuperElement.eta(ctx, 1)
+
+
+@pytest.mark.parametrize("name", ["y1", "x0", "x2", "e1"])
+def test_variable_power_equals_its_product_form(ctx, name):
+    """`var ^ nat` makes the one term of the power directly.  It equals the
+    product written out up to 12 factors, and beyond that the power by
+    repeated squaring, at every 2^b - 1 and 2^b up to the exponent limit;
+    just past the limit it raises the error that power raises.  An eta
+    power above 1 stays a ParseError."""
+    var = parse(name, ctx)
+    top = 1 if name[0] == "e" else 12
+    for e in range(top + 1):
+        assert parse(f"{name}^{e}", ctx) == parse("*".join([name] * e) or "1", ctx)
+    if name[0] == "e":
+        with pytest.raises(ParseError, match="eta exponent must be 0 or 1"):
+            parse(f"{name}^2", ctx)
+        return
+    for b in range(4, 32):
+        for e in (2**b - 1, 2**b):
+            if e <= MAX_EXPONENT:
+                assert parse(f"{name}^{e}", ctx) == var ** e
+    with pytest.raises(InputError) as past:
+        var ** (MAX_EXPONENT + 1)
+    for text in (f"{name}^{MAX_EXPONENT + 1}", f"3*{name}^{MAX_EXPONENT}*{name}"):
+        with pytest.raises(InputError) as parsed:
+            parse(text, ctx)
+        assert str(parsed.value) == str(past.value)
 
 
 def test_implicit_multiplication_rejected(ctx):
