@@ -21,6 +21,10 @@ an exact degree -1 certificate xi with
 
 which is re-checkable by applying K.  The coefficients are independent of the
 solver's internal choices; the certificate is one valid witness among many.
+The slices are int numerators by packed key over one denominator each, and
+delta of each preimage is subtracted into the slice below in one pass; the
+preimages, one per weight, are merged into the certificate once, at the end,
+and no delta is formed at weight 0, where nothing lies below.
 
 Above weight top + 1 (top = n - k) no weight echelon is built.  There the
 quotient is zero and a preimage comes from weight top + 1 by the
@@ -280,9 +284,13 @@ class ReductionResult:
     certificate: SuperElement
 
     def as_element(self, presentation: "QuotientPresentation") -> SuperElement:
-        """sum_rho c_rho e_rho as an element (the normal form)."""
-        return SuperElement(presentation.dwork.ctx,
-                            {presentation.basis[rho]: c for rho, c in self.coefficients.items()})
+        """sum_rho c_rho e_rho as an element (the normal form), made on the
+        packed basis keys over the lcm of the coefficient denominators."""
+        keys = tuple(presentation.basis_index)
+        den = lcm(*(c.denominator for c in self.coefficients.values()))
+        return SuperElement._make(presentation.dwork.ctx,
+                                  {keys[rho]: c.numerator * (den // c.denominator)
+                                   for rho, c in self.coefficients.items()}, den)
 
 
 # eliminate divides out the content of its running vector once the common
@@ -681,15 +689,16 @@ class QuotientPresentation:
         if len(charges) > 1:
             raise InputError(f"reduce expects charge-pure input, found charges {charges}")
         if charges == [self.c_G]:
-            return self._reduce_background({w: part for _, w, _, part in components})
+            return self._reduce_background({w: (part._num, part._den)
+                                            for _, w, _, part in components})
         if not charges:
             return ReductionResult({}, SuperElement.zero(f.ctx))
         witness = charge_witness(self.dwork, f)
         return ReductionResult({}, witness.scale(Fraction(1, charges[0] - self.c_G)))
 
     def _reduce_background(self, slices: dict) -> ReductionResult:
-        """Reduce the weight slices `slices` (weight -> nonzero element),
-        from the top weight down to 0.
+        """Reduce the weight slices `slices` (weight -> (int numerators by
+        packed key, denominator), nonzero), from the top weight down to 0.
 
         A slice of weight w <= top + 1 (top = n - k) is eliminated against
         the weight-w echelon: its residual gives basis coefficients and its
@@ -701,32 +710,59 @@ class QuotientPresentation:
         no echelon is built above weight top + 1.  Either way K(xi) =
         Q(xi) + delta(xi) settles slice w, and delta(xi) has weight exactly
         w - 1: each delta term strips one eta_i with one q_i.  So it is
-        subtracted from slice w - 1 alone.
+        subtracted from slice w - 1 alone, in one pass over the two
+        denominators' lcm; nothing lies below weight 0, so no delta is
+        formed there.
+
+        The slices stay int numerators over one denominator each, never
+        reduced to lowest terms: the echelon's rational steps do not depend
+        on the representation.  Every xi has its own weight, so the xi's
+        share no key, and the certificate is their concatenation, top
+        weight first, made once over the lcm of their denominators.
         """
         ctx = self.dwork.ctx
         top = ctx.n - ctx.k
         coeffs: dict = {}
-        certificate = SuperElement.zero(ctx)
+        xis = []
         for w in range(max(slices), -1, -1):
-            part = slices.get(w)
-            if not part:
+            num, den = slices.get(w, ((), 1))
+            if not num:
                 continue
             if w >= top + 2:
-                xi = self._lift(part)
+                xi = self._lift(num, den)
             else:
-                xi = self._eliminate_slice(w, part, coeffs)
-            certificate = certificate + xi
-            slices[w - 1] = slices.get(w - 1, SuperElement.zero(ctx)) - apply_delta(xi)
-        return ReductionResult(coeffs, certificate)
+                xi = self._eliminate_slice(w, num, den, coeffs)
+            xis.append(xi)
+            if not w:
+                break  # delta(xi) would have weight -1
+            delta = apply_delta(xi)
+            below, below_den = slices.get(w - 1, ({}, 1))
+            g = gcd(below_den, delta._den)
+            fa, fb = delta._den // g, below_den // g
+            acc = {m: v * fa for m, v in below.items()}
+            get = acc.get
+            for m, v in delta._num.items():
+                new = get(m, 0) - v * fb
+                if new:
+                    acc[m] = new
+                else:
+                    del acc[m]
+            slices[w - 1] = (acc, below_den * fa)
+        den = lcm(*(xi._den for xi in xis))
+        certificate: dict = {}
+        for xi in xis:
+            scale = den // xi._den
+            certificate.update((m, v * scale) for m, v in xi._num.items())
+        return ReductionResult(coeffs, SuperElement._make(ctx, certificate, den))
 
-    def _eliminate_slice(self, w: int, part: SuperElement, coeffs: dict) -> SuperElement:
-        """Eliminate the weight-w slice `part` against its echelon.
+    def _eliminate_slice(self, w: int, num: dict, den: int, coeffs: dict) -> SuperElement:
+        """Eliminate the weight-w slice num / den against its echelon.
 
         Stores the residual in `coeffs` (basis position -> nonzero Fraction)
-        and returns xi with Q(xi) = part - residual.
+        and returns xi with Q(xi) = num / den - residual.
         """
-        residual, preimage, scale = self._solver(w).solve(part._num)
-        den = part._den * scale
+        residual, preimage, scale = self._solver(w).solve(num)
+        den *= scale
         # the residual lives on complement monomials, which are the basis at
         # w <= n - k; at n - k + 1 the guard in __init__ left none.  Each
         # basis monomial has one weight, so exactly one slice sets it, and
@@ -735,9 +771,9 @@ class QuotientPresentation:
             coeffs[self.basis_index[mono]] = Fraction(c, den)
         return SuperElement._make(self.dwork.ctx, preimage, den)
 
-    def _lift(self, part: SuperElement) -> SuperElement:
-        """xi = sum_M c_M pre(m0) * m1 with Q(xi) = part, for a slice of
-        weight >= top + 2 split monomial by monomial as M = m0 * m1.
+    def _lift(self, num: dict, den: int) -> SuperElement:
+        """xi = sum_M c_M pre(m0) * m1 with Q(xi) = num / den, for a slice
+        of weight >= top + 2 split monomial by monomial as M = m0 * m1.
 
         On packed keys m1 = M - m0, and pre(m0) * m1 adds m1 to each
         generator key.  No exponent grows past M's: a generator m * eta_j
@@ -749,7 +785,7 @@ class QuotientPresentation:
         units = ctx.q_units
         by_degree = sorted(range(k), key=lambda i: -ctx.degrees[i])
         splits = []
-        for mono, c in part._num.items():
+        for mono, c in num.items():
             qexp = ctx.exponents(mono)
             v, u = qexp[:k], qexp[k:]
             # m0 takes top + 1 y's, largest degree first ...
@@ -776,7 +812,7 @@ class QuotientPresentation:
             for gen, g in pre.items():
                 key = gen + m1
                 acc[key] = acc.get(key, 0) + c * g
-        return SuperElement._make(ctx, acc, part._den * common)
+        return SuperElement._make(ctx, acc, den * common)
 
     def _preimage(self, m0: int) -> tuple:
         """pre(m0) with Q(pre(m0)) = m0, for the key m0 of weight top + 1,

@@ -37,6 +37,7 @@ from dworkbox.deformation import (
     t_series,
     u_basis,
 )
+from dworkbox.operators import LinearFunctional
 from dworkbox.verify import random_element, reduction_functional
 from tests.oracles import (
     d_matrix,
@@ -819,6 +820,55 @@ def test_d_ladder_equals_series_route(name):
         identity = [[Fraction(int(i == j)) for j in range(P.dimension)]
                     for i in range(P.dimension)]
         assert all(matrix == identity for matrix in ladder.values())
+
+
+# -- the paper's Bell formula as the oracle of the D ladder -----------------------
+
+# LADDER_CASES and the genus-4 curve (c_G = 1, so u_basis takes an h
+# factor) deformed in both equations, so that G + H is not diagonal
+BELL_CASES = {
+    **LADDER_CASES,
+    "genus_four_curve": (3, (2, 3), ["x0^2 + x1^2 + x2^2 + x3^2",
+                                     "x0^3 + x1^3 + x2^3 + x3^3"],
+                         ["x0*x1", "x1*x2*x3"], None, 4),
+}
+
+
+def _position_functionals(P):
+    """f_rho = e_rho* . reduce for each basis position rho, as cochain
+    functionals sharing one memo of reductions."""
+    memo = {}
+
+    def coefficients(x):
+        found = memo.get(x)
+        if found is None:
+            found = memo[x] = P.reduce(x).coefficients
+        return found
+
+    return [LinearFunctional(lambda x, rho=rho: coefficients(x).get(rho, Fraction(0)),
+                             cochain=True, name=f"e_{rho}* . reduce")
+            for rho in range(P.dimension)]
+
+
+@pytest.mark.parametrize("name", list(BELL_CASES))
+def test_bell_expansion_is_the_d_ladder(name):
+    """The paper's formula: D[beta][rho] at order M is the Bell expansion
+    of f_rho = e_rho* . reduce at u_beta to order M - 1, at every order, and
+    both ladders transport one seeded exact Omega and unimodular B alike."""
+    *texts, order = BELL_CASES[name]
+    P, dd, basis_u = _deformation_case(*texts)
+    ladder = d_ladder(dd, P, basis_u, order)
+    functionals = _position_functionals(P)
+    rows = []
+    for u in basis_u.elements:
+        sums = [bell_expansion(f, dd.gamma, u, order - 1) for f in functionals]
+        rows.append(list(zip(*sums)))
+    bell_ladder = {m: [list(row[m - 1]) for row in rows] for m in range(1, order + 1)}
+    assert bell_ladder == ladder
+    rng = random.Random(f"bell:{name}")
+    omega = PeriodMatrix(tuple(map(tuple, _random_exact(rng, P.dimension, 40))))
+    base = _random_unimodular(rng, P.dimension)
+    assert period_transport(bell_ladder, omega, base) == period_transport(ladder, omega, base)
 
 
 # -- the memoised T series against the unmemoised route --------------------------

@@ -1,8 +1,10 @@
 """Reduction above weight n - k + 1 by the lift, against the weight-echelon
 route kept in `tests.oracles.EchelonReduction`."""
 
+import functools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -21,6 +23,7 @@ from dworkbox import cohomology
 from dworkbox.cli import EXIT_OK, main
 from dworkbox.cohomology import (
     _GUARD_PRIME,
+    QuotientPresentation,
     _build_weight_solver,
     _closes_mod_p,
     _WeightSolver,
@@ -28,6 +31,7 @@ from dworkbox.cohomology import (
 )
 from dworkbox.deformation import build_deformation, d_ladder, u_basis
 from dworkbox.errors import InternalCheckError, SmoothnessError
+from dworkbox.superalgebra import monomial_weight
 from dworkbox.verify import random_charge_element
 from tests.oracles import (
     EchelonReduction,
@@ -143,6 +147,122 @@ def test_reduce_grades_its_input_once(name, monkeypatch):
     monkeypatch.undo()
     assert graded == [f]
     assert apply_k(D, result.certificate) + result.as_element(pres) == f
+
+
+# (n, k, degrees, G, order, oracle weights above n - k): the cascade's
+# differential cases; the genus-4 curve has non-diagonal equations, and the
+# sextic runs in grevlex.  The genus-4 curve's exact echelons of weights 3
+# and 4 take about 3 s and 15 s on 2 cores, so there the echelon route sees
+# inputs up to weight n - k + 1 only; above it the certificate settles the
+# coefficients, since the basis is a basis of the quotient.
+CASCADE_CASES = {
+    **{name: (*GEOMETRIES[name][:4], "graded-lex", 3)
+       for name in ("cubic_curve", "quartic_k3", "two_quadrics")},
+    "genus_four_non_diagonal": (3, 2, (2, 3), ["x0^2 + x1^2 + x2^2 + x3^2 + x0*x1",
+                                               "x0^3 + x1^3 + x2^3 + x3^3 + x1*x2*x3"],
+                                "graded-lex", 1),
+    "sextic_curve_grevlex": (*GEOMETRIES["sextic_curve"][:4], "grevlex", 3),
+}
+
+
+@functools.cache
+def _cascade_presentation(name):
+    n, k, degrees, G, order, _ = CASCADE_CASES[name]
+    ctx = VariableContext(n, k, degrees, order)
+    return build_presentation(dwork_potential(ctx, [parse(g, ctx) for g in G]))
+
+
+def _cascade_inputs(name, purpose, above):
+    """Three seeded charge-c_G inputs up to weight n - k + above, reaching it."""
+    pres = _cascade_presentation(name)
+    top = pres.dwork.ctx.n - pres.dwork.ctx.k
+    rng = random.Random(f"{purpose}:{name}")
+    inputs = [random_charge_element(pres.dwork, rng, pres.c_G, 0, max_weight=top + above)
+              for _ in range(3)]
+    assert max(top_weight(f) for f in inputs) == top + above
+    return inputs
+
+
+@pytest.mark.parametrize("name", list(CASCADE_CASES))
+def test_cascade_matches_the_echelon_route(name):
+    """The numerator cascade gives the coefficients of the weight-echelon
+    route, and a sound certificate, on inputs up to weight n - k + 3."""
+    pres = _cascade_presentation(name)
+    oracle = EchelonReduction(pres)
+    above = CASCADE_CASES[name][-1]
+    for f in _cascade_inputs(name, "cascade", above):
+        result = pres.reduce(f)
+        assert result.coefficients == oracle.reduce(f).coefficients
+        assert apply_k(pres.dwork, result.certificate) + result.as_element(pres) == f
+    for f in _cascade_inputs(name, "cascade:sound", 3) if above < 3 else ():
+        result = pres.reduce(f)
+        assert apply_k(pres.dwork, result.certificate) + result.as_element(pres) == f
+
+
+@pytest.mark.parametrize("name", ["cubic_curve", "two_quadrics", "genus_four_non_diagonal"])
+def test_cascade_forms_delta_once_per_slice_above_weight_zero(name, monkeypatch):
+    """`reduce` calls `cohomology.apply_delta` once on the xi of each
+    nonzero slice of weight >= 1, right after that slice, and never on the
+    xi of weight 0, whose delta nothing would read."""
+    pres = _cascade_presentation(name)
+    ctx = pres.dwork.ctx
+    inputs = _cascade_inputs(name, "delta", 3)
+    events = []
+    eliminate, lift = QuotientPresentation._eliminate_slice, QuotientPresentation._lift
+    real_delta = cohomology.apply_delta
+
+    def slice_spy(w, real):
+        def spy(*args):
+            xi = real(*args)
+            events.append(("slice", w(args), xi))
+            return xi
+        return spy
+
+    monkeypatch.setattr(QuotientPresentation, "_eliminate_slice",
+                        slice_spy(lambda args: args[1], eliminate))
+    monkeypatch.setattr(QuotientPresentation, "_lift", slice_spy(
+        lambda args: monomial_weight(ctx, next(iter(args[1]))), lift))
+    monkeypatch.setattr(cohomology, "apply_delta",
+                        lambda xi: events.append(("delta", xi)) or real_delta(xi))
+    at_zero = 0
+    for f in inputs:
+        events.clear()
+        result = pres.reduce(f)
+        slices = [event for event in events if event[0] == "slice"]
+        weights = [w for _, w, _ in slices]
+        assert weights == sorted(set(weights), reverse=True)
+        expected = []
+        for event in slices:
+            expected.append(event)
+            if event[1]:
+                expected.append(("delta", event[2]))
+        assert events == expected
+        at_zero += weights[-1] == 0
+        assert apply_k(pres.dwork, result.certificate) + result.as_element(pres) == f
+    assert at_zero
+
+
+@pytest.mark.parametrize("name", list(CASCADE_CASES))
+def test_as_element_equals_the_public_constructor_form(name):
+    """`ReductionResult.as_element` on packed keys gives the element, the
+    key order and the denominator of the public constructor on the basis
+    monomials."""
+    pres = _cascade_presentation(name)
+    ctx = pres.dwork.ctx
+    inputs = _cascade_inputs(name, "as-element", 3)
+    # coefficients 1/2, 1/3, ...: more than one denominator
+    inputs.append(sum((e.scale(Fraction(1, rho + 2))
+                       for rho, e in enumerate(pres.basis_elements())), SuperElement.zero(ctx)))
+    inputs.append(SuperElement.zero(ctx))
+    several = False
+    for f in inputs:
+        result = pres.reduce(f)
+        normal = result.as_element(pres)
+        public = SuperElement(ctx, {pres.basis[rho]: c for rho, c in result.coefficients.items()})
+        assert normal == public
+        assert list(normal._num) == list(public._num)
+        several |= len({c.denominator for c in result.coefficients.values()}) > 1
+    assert several
 
 
 def test_k3_ladder_builds_no_solver_above_weight_three(quartic_dwork):
