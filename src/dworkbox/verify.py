@@ -2,6 +2,11 @@
 
 Each check family draws random elements from a fixed-seed generator and
 confirms an exact identity; any counterexample is rendered in the report.
+Every draw takes the generator's `getrandbits` words through `_below` and
+`_sample`, which make the same stream as `randint`, `choice` and `sample`
+do on CPython 3.10+, without their Python frames: each element, its key
+order and the generator state after it are theirs.  `tests/oracles.py`
+keeps the `randint` route as the reference the draws are tested against.
 The CLI `verify` command runs every family and fails loudly on the first
 broken invariant, so a corrupted build cannot slip through quietly.
 
@@ -46,6 +51,52 @@ from .superalgebra import (
 )
 
 
+def _below(getrandbits, n: int) -> int:
+    """A draw from range(n), n > 0, as `random.Random` makes it.
+
+    This is CPython's `Random._randbelow_with_getrandbits`: n.bit_length()
+    bits at a time (not (n - 1).bit_length()), drawn again while not below
+    n.  `randint(a, b)` is a + _below(g, b - a + 1) and `choice(seq)` is
+    seq[_below(g, len(seq))], call for call on the generator.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _sample(getrandbits, n: int, k: int) -> list:
+    """The positions `random.Random.sample(range(n), k)` draws, in its order.
+
+    Both of CPython's walks are reproduced: while an n-list is smaller than
+    a k-set (n <= 21 for k <= 5) the pool walk, which moves the last
+    unchosen position into each vacancy; otherwise the rejection walk,
+    which draws below n again while the position is taken.  A draw of one
+    from one position still takes a `_below(g, 1)`.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("sample larger than population or is negative")
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    out = []
+    if n <= setsize:
+        moved = {}  # the pool's entries that differ from their position
+        for i in range(k):
+            last = n - i - 1
+            j = _below(getrandbits, last + 1)
+            out.append(moved.get(j, j))
+            moved[j] = moved.get(last, last)
+        return out
+    for _ in range(k):
+        j = _below(getrandbits, n)
+        while j in out:
+            j = _below(getrandbits, n)
+        out.append(j)
+    return out
+
+
 def random_element(ctx: VariableContext, rng: random.Random, *, max_eta: int = 2,
                    max_weight: int = 2, max_xdeg: int = 4, terms: int = 3,
                    homogeneous_degree: Optional[int] = None) -> SuperElement:
@@ -55,17 +106,35 @@ def random_element(ctx: VariableContext, rng: random.Random, *, max_eta: int = 2
     exponent of at most max_weight per y and max_xdeg per x, times the unit
     of its field.  Its coefficient p/q, p in -6..6 and q in 1..4, is kept
     as the int numerator p * (12 // q) over 12, the lcm of every q.
+
+    Every draw takes `rng.getrandbits` words through `_below` and `_sample`
+    (the exponents through the same loop, written out), the same stream as
+    `randint` and `sample` make on CPython 3.10+: each element, its key
+    order and the generator state after it are theirs.
+    `tests/oracles.fraction_random_element` keeps the `randint` route as
+    the reference.
     """
-    units = ctx.q_units
+    if terms > 0 and min(max_weight, max_xdeg,
+                         max_eta if homogeneous_degree is None else 0) < 0:
+        raise ValueError("the bounds of a random element must be nonnegative")
+    getrandbits = rng.getrandbits
+    nvars = ctx.nvars
+    bounds = [max_weight + 1] * ctx.k + [max_xdeg + 1] * (nvars - ctx.k)
+    fields = [(bound, bound.bit_length(), unit) for bound, unit in zip(bounds, ctx.q_units)]
     acc = {}
     for _ in range(terms):
         size = homogeneous_degree if homogeneous_degree is not None \
-            else rng.randint(0, max_eta)
-        key = sum(1 << (mu - 1) for mu in rng.sample(range(1, ctx.nvars + 1), size)) \
-            if size else 0
-        for i in range(ctx.nvars):
-            key += rng.randint(0, max_weight if i < ctx.k else max_xdeg) * units[i]
-        p, q = rng.randint(-6, 6), rng.randint(1, 4)  # p drawn before q
+            else _below(getrandbits, max_eta + 1)
+        key = 0
+        if size:
+            for j in _sample(getrandbits, nvars, size):
+                key += 1 << j
+        for bound, bits, unit in fields:
+            r = getrandbits(bits)
+            while r >= bound:
+                r = getrandbits(bits)
+            key += r * unit
+        p, q = _below(getrandbits, 13) - 6, _below(getrandbits, 4) + 1  # p drawn before q
         if p:
             acc[key] = acc.get(key, 0) + p * (12 // q)
     return SuperElement._make(ctx, acc, 12)
@@ -73,7 +142,7 @@ def random_element(ctx: VariableContext, rng: random.Random, *, max_eta: int = 2
 
 def random_homogeneous(ctx: VariableContext, rng: random.Random, **kw) -> SuperElement:
     """Random element homogeneous in cohomological degree (possibly zero)."""
-    deg = rng.randint(0, min(2, ctx.nvars))
+    deg = _below(rng.getrandbits, min(2, ctx.nvars) + 1)
     e = random_element(ctx, rng, homogeneous_degree=deg, **kw)
     if e.is_zero():
         return SuperElement.one(ctx) if deg == 0 else SuperElement.eta(ctx, 1)
@@ -88,19 +157,26 @@ def random_charge_element(D: DworkData, rng: random.Random, charge: int,
                           eta_degree: int, max_weight: int = 3) -> SuperElement:
     """Random element inside the (charge, eta_degree) slice, weights <= max_weight.
 
-    Two monomials per weight are drawn from a `PieceView`, as packed keys,
-    so no piece is listed unless it is small enough for `random.sample` to
-    copy it.  Each coefficient p/q, p in -4..4 and q in 1..3, is kept as the
-    int numerator p * (6 // q) over 6, the lcm of every q.
+    Two monomials per weight are drawn from a `PieceView`, as packed keys:
+    `_sample` draws their positions and the view unranks them, so no piece
+    is listed.  Each coefficient p/q, p in -4..4 and q in 1..3, is kept as
+    the int numerator p * (6 // q) over 6, the lcm of every q.
+
+    The draws take `rng.getrandbits` words through `_below` and `_sample`,
+    the same stream as `random.sample` of the listed piece and `randint`
+    make on CPython 3.10+; `tests/oracles.enumerating_charge_element` keeps
+    that route as the reference.
     """
     ctx = D.ctx
+    getrandbits = rng.getrandbits
     acc = {}
     for w in range(0, max_weight + 1):
         piece = _piece_view(ctx, charge, w, eta_degree)
         if not piece:
             continue
-        for key in rng.sample(piece, min(2, len(piece))):
-            p, q = rng.randint(-4, 4), rng.randint(1, 3)  # p drawn before q
+        for j in _sample(getrandbits, len(piece), min(2, len(piece))):
+            key = piece[j]
+            p, q = _below(getrandbits, 9) - 4, _below(getrandbits, 3) + 1  # p drawn before q
             if p:
                 acc[key] = acc.get(key, 0) + p * (6 // q)
     return SuperElement._make(ctx, acc, 6)
@@ -232,6 +308,7 @@ def run_suite(D: DworkData, presentation: QuotientPresentation,
     """All invariant families on one geometry; deterministic under the seed."""
     ctx = D.ctx
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     report = VerifyReport(seed, iterations)
 
     def rand():
@@ -239,6 +316,13 @@ def run_suite(D: DworkData, presentation: QuotientPresentation,
 
     def rand_h():
         return random_homogeneous(ctx, rng)
+
+    def index():
+        return _below(getrandbits, ctx.nvars) + 1
+
+    def scalar(top):
+        # p/q with p in -top..top and q in 1..3, p drawn before q
+        return Fraction(_below(getrandbits, 2 * top + 1) - top, _below(getrandbits, 3) + 1)
 
     # --- super-algebra laws -------------------------------------------------
     def super_comm(_):
@@ -265,8 +349,7 @@ def run_suite(D: DworkData, presentation: QuotientPresentation,
 
     def eta_sq(_):
         a = rand()
-        i = rng.randint(1, ctx.nvars)
-        j = rng.randint(1, ctx.nvars)
+        i, j = index(), index()
         if not partial_eta(i, partial_eta(i, a)).is_zero():
             return _counterexample(a)
         lhs = partial_eta(i, partial_eta(j, a))
@@ -277,8 +360,7 @@ def run_suite(D: DworkData, presentation: QuotientPresentation,
 
     def q_comm(_):
         a = rand()
-        i = rng.randint(1, ctx.nvars)
-        j = rng.randint(1, ctx.nvars)
+        i, j = index(), index()
         if partial_q(i, partial_q(j, a)) != partial_q(j, partial_q(i, a)):
             return _counterexample(a)
         if partial_q(i, partial_eta(j, a)) != partial_eta(j, partial_q(i, a)):
@@ -362,7 +444,7 @@ def run_suite(D: DworkData, presentation: QuotientPresentation,
     def exp_identities(_):
         gamma = random_element(ctx, rng, homogeneous_degree=0, terms=2, max_xdeg=2)
         # Gamma is eta-free, so lam carries an eta for the brackets to be tested
-        lam = random_element(ctx, rng, homogeneous_degree=rng.randint(1, 2),
+        lam = random_element(ctx, rng, homogeneous_degree=_below(getrandbits, 2) + 1,
                              terms=2, max_xdeg=2)
         if lam.is_zero():
             lam = SuperElement.eta(ctx, 1)
@@ -377,7 +459,7 @@ def run_suite(D: DworkData, presentation: QuotientPresentation,
                 max(iterations // 20, 1), exp_identities)
 
     def bell_consistency(_):
-        xs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(6)]
+        xs = [scalar(5) for _ in range(6)]
         for n in range(1, 7):
             total = sum(ops.bell_partial(n, j, xs[:n - j + 1]) for j in range(1, n + 1))
             if total != ops.bell_complete(n, xs[:n]):
@@ -419,8 +501,7 @@ def run_suite(D: DworkData, presentation: QuotientPresentation,
 
     def reduce_linear(_):
         f, g = (random_charge_element(D, rng, c_G, 0) for _ in range(2))
-        a = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-        b = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        a, b = scalar(5), scalar(5)
         lhs, rf, rg = (presentation.reduce(x).as_element(presentation)
                        for x in (f.scale(a) + g.scale(b), f, g))
         if lhs != rf.scale(a) + rg.scale(b):
@@ -428,7 +509,7 @@ def run_suite(D: DworkData, presentation: QuotientPresentation,
     _check_loop(report, "reduce: linearity", max(iterations // 2, 1), reduce_linear)
 
     def concentration(_):
-        lam = c_G + rng.choice([-2, -1, 1, 2, 3])
+        lam = c_G + (-2, -1, 1, 2, 3)[_below(getrandbits, 5)]
         xi = random_charge_element(D, rng, lam, -1)
         f = ops.apply_k(D, xi)  # K-closed by construction
         if f.is_zero():
@@ -440,8 +521,7 @@ def run_suite(D: DworkData, presentation: QuotientPresentation,
                 max(iterations // 4, 1), concentration)
 
     def cochain_functional(_):
-        row = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                    for _ in range(presentation.dimension))
+        row = tuple(scalar(5) for _ in range(presentation.dimension))
         f = reduction_functional(presentation, row)
         xi = random_element(ctx, rng)
         if f(ops.apply_k(D, xi)) != 0:
@@ -452,8 +532,7 @@ def run_suite(D: DworkData, presentation: QuotientPresentation,
     def descendant_moments(_):
         # moment/cumulant shape of the descendant maps: f(Gamma^m) equals the
         # complete Bell polynomial of the phi values
-        row = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                    for _ in range(presentation.dimension))
+        row = tuple(scalar(4) for _ in range(presentation.dimension))
         f = reduction_functional(presentation, row)
         gamma = random_element(ctx, rng, homogeneous_degree=0, terms=2, max_xdeg=2)
         cache: dict = {}

@@ -2,6 +2,7 @@
 in `tests/oracles.py`, the exponent limit, the order of a piece, and seeded
 outputs pinned to the values the tuple-keyed kernel gave."""
 
+import contextlib
 import hashlib
 import json
 import pickle
@@ -13,6 +14,7 @@ import pytest
 
 from dworkbox import (
     InputError,
+    QuotientPresentation,
     SuperElement,
     SuperMonomial,
     VariableContext,
@@ -26,10 +28,12 @@ from dworkbox import (
     partial_q,
     render,
 )
+from dworkbox import verify
 from dworkbox.cli import EXIT_INPUT, EXIT_OK, main
 from dworkbox.cohomology import PieceView
 from dworkbox.superalgebra import MAX_EXPONENT, make_monomial, monomial_sort_key
 from dworkbox.verify import (
+    FAULT_HOOKS,
     _drop_first_term,
     fault_injection,
     random_charge_element,
@@ -271,6 +275,71 @@ def test_seeded_verify_reports_are_unchanged(name):
             PINNED_REPORTS[name, fault]
         if fault == "delta-drop-term" and name in PINNED_FAILURE:
             assert PINNED_FAILURE[name] in lines
+
+
+def test_seeded_verify_draws_call_no_random_method(monkeypatch):
+    """Every draw of `run_suite` takes `getrandbits` words: with `randint`,
+    `randrange`, `sample` and `choice` of `random.Random` made to raise,
+    the cubic's report, fault-free and under each fault hook, keeps its
+    pinned hash."""
+    D = _pinned_dwork("cubic_curve")
+    pres = build_presentation(D)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a verify draw went through a random.Random method")
+
+    for method in ("randint", "randrange", "sample", "choice"):
+        monkeypatch.setattr(random.Random, method, forbidden)
+    for fault in (None, *FAULT_HOOKS):
+        with fault_injection(fault) if fault else contextlib.nullcontext():
+            report = run_suite(D, pres, seed=0, iterations=12)
+        assert hashlib.sha256("\n".join(report.lines()).encode()).hexdigest() == \
+            PINNED_REPORTS["cubic_curve", fault]
+
+
+# sha256 of the draws of run_suite(seed=0, iterations=12) on the cubic, as
+# `randint`, `sample` and `choice` made them: each drawn element with its
+# arguments, the derivative indices, the inputs of reduce, the rows of the
+# reduction functionals and the arguments of the Bell polynomials.  A
+# passing family's draws show in no report line.
+PINNED_DRAWS = "b84f01f3dcf17ea05218d5912af3d092a350f9ce81349ad2b649d7864e9f4ef3"
+
+
+def _shown(value):
+    if isinstance(value, SuperElement):
+        return render(value)
+    if isinstance(value, (tuple, list)):
+        return "(" + ", ".join(map(_shown, value)) + ")"
+    if isinstance(value, (int, Fraction)):
+        return str(value)
+    return type(value).__name__
+
+
+def test_seeded_verify_draws_are_unchanged(monkeypatch):
+    """`run_suite` draws every value it checks as the `random.Random`
+    methods drew it, also where a family passes and its report line shows
+    no draw."""
+    D = _pinned_dwork("cubic_curve")
+    pres = build_presentation(D)
+    log = []
+
+    def spy(holder, name):
+        function = getattr(holder, name)
+
+        def recorded(*args, **kwargs):
+            out = function(*args, **kwargs)
+            log.append(f"{name}{_shown(args)} {sorted(kwargs.items())} -> {_shown(out)}")
+            return out
+        monkeypatch.setattr(holder, name, recorded)
+
+    for name in ("random_element", "random_homogeneous", "random_charge_element",
+                 "partial_eta", "partial_q", "reduction_functional"):
+        spy(verify, name)
+    for name in ("bell_partial", "bell_complete"):
+        spy(verify.ops, name)
+    spy(QuotientPresentation, "reduce")
+    assert run_suite(D, pres, seed=0, iterations=12).ok
+    assert hashlib.sha256("\n".join(log).encode()).hexdigest() == PINNED_DRAWS
 
 
 def test_reduce_stream_draws_are_unchanged():

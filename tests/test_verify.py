@@ -160,6 +160,17 @@ def test_random_element_homogeneity(cubic_ctx):
         assert h.homogeneous_degree() is not None
 
 
+@pytest.mark.parametrize("kw", [{"max_eta": -1}, {"max_weight": -1}, {"max_xdeg": -1},
+                                {"homogeneous_degree": 5}, {"homogeneous_degree": -1}])
+def test_random_element_rejects_an_empty_range(cubic_ctx, kw):
+    """A bound that leaves no value to draw raises, as `randint` and
+    `sample` raise on it, instead of drawing forever; with no term to draw
+    nothing is checked."""
+    with pytest.raises(ValueError):
+        random_element(cubic_ctx, random.Random(0), **kw)
+    assert random_element(cubic_ctx, random.Random(0), terms=0, **kw).is_zero()
+
+
 DRAW_GEOMETRIES = ["cubic_dwork", "quartic_dwork", "quadrics_dwork", "grevlex sextic"]
 
 
@@ -171,14 +182,26 @@ def _draw_geometry(geometry, request):
 
 
 @pytest.mark.parametrize("geometry", DRAW_GEOMETRIES)
-def test_random_charge_element_draws_as_the_enumerating_sampler(geometry, request):
+def test_random_charge_element_draws_as_the_enumerating_sampler(geometry, request,
+                                                                monkeypatch):
     """Drawing from a PieceView makes the same elements, and leaves the
-    generator in the same state, as sampling the listed pieces."""
+    generator in the same state, as sampling the listed pieces.  The grid
+    takes every walk of `random.sample`: one position of one, the pool walk
+    (2 to 21 positions) and the rejection walk (more than 21)."""
     D = _draw_geometry(geometry, request)
     top = D.ctx.n - D.ctx.k
     c_G = D.ctx.background_charge()
+    walks = set()
+
+    def counting_sample(getrandbits, n, k):
+        walks.add("one" if n == 1 else "pool" if n <= 21 else "rejection")
+        return sample(getrandbits, n, k)
+
+    sample = verify._sample
+    monkeypatch.setattr(verify, "_sample", counting_sample)
     for seed in range(4):
-        for charge in (c_G - 1, c_G, c_G + 2):
+        # charge 0 at weight 0 is the piece {1}, also where c_G is not 0
+        for charge in dict.fromkeys((c_G - 1, c_G, c_G + 2, 0)):
             for eta_degree in (0, -1):
                 for max_weight in range(top + 3):
                     rng, ref = random.Random(seed), random.Random(seed)
@@ -190,6 +213,40 @@ def test_random_charge_element_draws_as_the_enumerating_sampler(geometry, reques
                         # the key order decides which term delta-drop-term drops
                         assert list(drawn._num) == list(expected._num)
                     assert rng.getstate() == ref.getstate()
+    assert walks == {"one", "pool", "rejection"}
+
+
+# bounds of one to nine bits, and past the 32-bit words of MT19937
+BELOW_BOUNDS = [*range(1, 301), 2 ** 31, 2 ** 61 - 1, 2 ** 64 + 1]
+
+
+def test_below_is_the_randrange_stream():
+    """`_below(rng.getrandbits, n)` draws what `randrange(n)` draws, and
+    leaves the generator in the same state, on every bound."""
+    rng, ref = random.Random(11), random.Random(11)
+    for n in BELOW_BOUNDS:
+        for _ in range(4):
+            assert verify._below(rng.getrandbits, n) == ref.randrange(n)
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 21, 22, 84, 85, 86, 500])
+@pytest.mark.parametrize("k", [1, 2, 5, 6])
+def test_sample_walks_are_the_random_sample_stream(n, k):
+    """`_sample(rng.getrandbits, n, k)` draws the positions, in order, that
+    `random.sample(range(n), k)` draws, through the pool walk and the
+    rejection walk, whose boundary is n = 21 up to k = 5 and n = 85 for
+    k = 6; a k above n raises in both."""
+    rng, ref = random.Random(n * 10 + k), random.Random(n * 10 + k)
+    for _ in range(5):
+        if k > n:
+            with pytest.raises(ValueError):
+                verify._sample(rng.getrandbits, n, k)
+            with pytest.raises(ValueError):
+                ref.sample(range(n), k)
+        else:
+            assert verify._sample(rng.getrandbits, n, k) == ref.sample(range(n), k)
+        assert rng.getstate() == ref.getstate()
 
 
 # every keyword shape `run_suite` draws `random_element` with, and one more
