@@ -2,13 +2,14 @@
 
 Each check family draws random elements from a fixed-seed generator and
 confirms an exact identity; any counterexample is rendered in the report.
+The CLI `verify` command runs every family and fails loudly on the first
+broken invariant, so a corrupted build cannot slip through quietly.
+
 Every draw takes the generator's `getrandbits` words through `_below` and
 `_sample`, which make the same stream as `randint`, `choice` and `sample`
 do on CPython 3.10+, without their Python frames: each element, its key
 order and the generator state after it are theirs.  `tests/oracles.py`
 keeps the `randint` route as the reference the draws are tested against.
-The CLI `verify` command runs every family and fails loudly on the first
-broken invariant, so a corrupted build cannot slip through quietly.
 
 The truncated exponential identities that tie K to the bracket tower are
 also checked here (`exp_identity_lhs` / `exp_identity_rhs`).
