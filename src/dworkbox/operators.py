@@ -30,8 +30,9 @@ The higher descendant brackets l_n / descendant maps phi_n measure the
 higher failures (of K, respectively of a linear functional) against the
 product.  The recursion for l_n, n >= 3, bottoms out in `ell2`, so it makes
 no K pass.  Because K has order two, l_n vanishes identically for n >= 3;
-the general recursion is implemented anyway and that vanishing is part of
-the test suite.
+the general recursion is implemented anyway, and that vanishing is a
+Tier-1 test (`test_ell_3_and_above_vanish`), not a `verify` family: at
+n = 3 it is the identity of the Poisson rule, which `verify` checks.
 
 Complete and partial Bell polynomials close the module; they assemble the
 exponential of a formal series and drive the deformation expansion of a

@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial
 
-from dworkbox import SuperElement, SuperMonomial, apply_delta, apply_k
+from dworkbox import SuperElement, SuperMonomial, apply_delta, apply_k, ell_n
 from dworkbox.cohomology import (
     ReductionResult,
     _build_weight_solver,
@@ -489,6 +489,34 @@ def ell_n_by_definition(S, nvars, args):
     out = frac_add(out, {m: -c for m, c in left.items()})
     right = frac_mul(a, ell_n_by_definition(S, nvars, head + (b,)))
     return frac_add(out, {m: -sign * c for m, c in right.items()})
+
+
+def tower_exp_identity_rhs(D, gamma, lam, order):
+    """The right side of verify.exp_identity_rhs in its descendant-tower form:
+
+        L_Gamma(lam) e^Gamma + (-1)^|lam| lam K(e^Gamma - 1),
+        L_Gamma(lam) = K(lam) + sum_{r>=1} l_{r+1}(Gamma,..,Gamma, lam) / r!,
+
+    truncated at Gamma-order `order`, with every l_{r+1} from
+    `operators.ell_n` and K(e^Gamma - 1) = sum_{m=1..order} K(Gamma^m)/m!:
+    the reference for the closed form K_Gamma(lam) e^Gamma.  lam must be
+    degree-homogeneous."""
+    powers = [SuperElement.one(gamma.ctx)]
+    for _ in range(order):
+        powers.append(powers[-1] * gamma)
+    cache = {}
+    lg_parts = [apply_k(D, lam)] + [
+        ell_n(D, (gamma,) * r + (lam,), _cache=cache).scale(Fraction(1, factorial(r)))
+        for r in range(1, order + 1)]
+    out = SuperElement.zero(D.ctx)
+    for m in range(order + 1):
+        for r in range(m + 1):
+            out = out + (lg_parts[r] * powers[m - r]).scale(Fraction(1, factorial(m - r)))
+    tail = SuperElement.zero(D.ctx)
+    for m in range(1, order + 1):
+        tail = tail + apply_k(D, powers[m]).scale(Fraction(1, factorial(m)))
+    sign = -1 if lam.homogeneous_degree() % 2 else 1
+    return out + (lam * tail).scale(sign)
 
 
 # -- recursive composition enumerator ------------------------------------------

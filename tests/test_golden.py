@@ -10,7 +10,10 @@ weight gradings moved into `monomial_charge` and `monomial_weight`; the
 cubic transport of a float period matrix and the quartic K3 `reduce` were
 written before `reduce` graded its input once and walked the weight
 slices; the quintic-curve `reduce` of an off-charge input was written
-before `reduce` returned its coefficients as a sparse dict.  So any change in a basis, a series coefficient, a D ladder, a
+before `reduce` returned its coefficients as a sparse dict.  The cubic
+`verify` was rewritten once since, without the rows of the two families
+the suite dropped (the descendants' vanishing and the Bell sums); every
+other row kept its name, order and verdict.  So any change in a basis, a series coefficient, a D ladder, a
 reduction certificate, a verify verdict, a transported matrix or the
 presentation JSON shows up here.  To rewrite them after an intended report change:
 

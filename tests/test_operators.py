@@ -29,13 +29,19 @@ from dworkbox import (
     exp_identity_lhs,
     exp_identity_rhs,
     grade,
+    k_gamma,
     parse,
     phi_n,
 )
 from dworkbox.errors import ContextMismatchError
 from dworkbox.superalgebra import partial_eta, partial_q
 from dworkbox.verify import random_charge_element, random_element, random_homogeneous
-from tests.oracles import frac_apply_delta, frac_apply_k, frac_apply_q
+from tests.oracles import (
+    frac_apply_delta,
+    frac_apply_k,
+    frac_apply_q,
+    tower_exp_identity_rhs,
+)
 
 
 def oracle_delta(a):
@@ -373,19 +379,29 @@ def test_partial_bell_matches_bivariate_expansion():
 # -- exponential identities -------------------------------------------------------
 
 def test_exp_identity_eta_free_gamma(cubic_dwork):
+    """With an eta-free Gamma and an lam whose bracket with it is nonzero,
+    both sides agree and neither is zero."""
     ctx = cubic_dwork.ctx
     gamma = parse("y1*x0*x1*x2", ctx)
+    lam = parse("y1*x0^2*e2 - 2*x1*e1*e3", ctx)
+    assert not ell2(cubic_dwork, gamma, lam).is_zero()
     for order in range(1, 6):
-        lhs = exp_identity_lhs(cubic_dwork, gamma, None, order)
-        rhs = exp_identity_rhs(cubic_dwork, gamma, None, order)
-        assert lhs.is_zero() and rhs.is_zero()
+        lhs = exp_identity_lhs(cubic_dwork, gamma, lam, order)
+        assert not lhs.is_zero()
+        assert lhs == exp_identity_rhs(cubic_dwork, gamma, lam, order)
 
 
 def test_exp_identity_order_one_is_k(cubic_dwork):
+    """At order 1 the left side is K(lam) + K(lam Gamma) and the right side
+    is K_Gamma(lam) + K(lam) Gamma."""
     rng = random.Random(61)
     ctx = cubic_dwork.ctx
     gamma = random_element(ctx, rng, homogeneous_degree=0)
-    assert exp_identity_lhs(cubic_dwork, gamma, None, 1) == apply_k(cubic_dwork, gamma)
+    lam = random_element(ctx, rng, homogeneous_degree=1)
+    assert exp_identity_lhs(cubic_dwork, gamma, lam, 1) == \
+        apply_k(cubic_dwork, lam) + apply_k(cubic_dwork, lam * gamma)
+    assert exp_identity_rhs(cubic_dwork, gamma, lam, 1) == \
+        k_gamma(cubic_dwork, gamma, lam) + apply_k(cubic_dwork, lam) * gamma
 
 
 def test_exp_identities_random_gamma(cubic_dwork):
@@ -393,19 +409,41 @@ def test_exp_identities_random_gamma(cubic_dwork):
     ctx = cubic_dwork.ctx
     for _ in range(8):
         gamma = random_element(ctx, rng, homogeneous_degree=0, terms=2, max_xdeg=2)
-        for order in range(1, 6):
-            assert exp_identity_lhs(cubic_dwork, gamma, None, order) == \
-                exp_identity_rhs(cubic_dwork, gamma, None, order)
         lam = random_homogeneous(ctx, rng, terms=2, max_xdeg=2)
         for order in range(1, 6):
             assert exp_identity_lhs(cubic_dwork, gamma, lam, order) == \
                 exp_identity_rhs(cubic_dwork, gamma, lam, order)
 
 
+@pytest.mark.parametrize("name", ["cubic_dwork", "quartic_dwork", "quadrics_dwork"])
+def test_exp_identity_rhs_matches_the_tower_form(name, request):
+    """The closed form K_Gamma(lam) e^Gamma of the right side equals its
+    descendant-tower form, `tests/oracles.tower_exp_identity_rhs`, on seeded
+    draws: orders 1..5, lam of eta degree 1 and 2, 180 comparisons per
+    geometry, most of them nonzero."""
+    D = request.getfixturevalue(name)
+    ctx = D.ctx
+    rng = random.Random(f"exp-rhs:{name}")
+    nonzero = 0
+    for eta_degree in (1, 2):
+        for _ in range(18):
+            gamma = random_element(ctx, rng, homogeneous_degree=0, terms=2, max_xdeg=2)
+            lam = random_element(ctx, rng, homogeneous_degree=eta_degree, terms=2,
+                                 max_xdeg=2)
+            for order in range(1, 6):
+                rhs = exp_identity_rhs(D, gamma, lam, order)
+                assert rhs == tower_exp_identity_rhs(D, gamma, lam, order)
+                nonzero += not rhs.is_zero()
+    assert nonzero > 150
+
+
 def test_exp_identity_rejects_bad_order(cubic_dwork):
     gamma = parse("y1*x0*x1*x2", cubic_dwork.ctx)
+    lam = SuperElement.eta(cubic_dwork.ctx, 1)
     with pytest.raises(InputError):
-        exp_identity_lhs(cubic_dwork, gamma, None, 0)
+        exp_identity_lhs(cubic_dwork, gamma, lam, 0)
+    with pytest.raises(InputError):
+        exp_identity_rhs(cubic_dwork, gamma, lam, 0)
 
 
 def test_functional_exponential_identities(cubic_dwork, cubic_presentation):

@@ -120,17 +120,24 @@ STALE_TRACER_HOOKS = {
 }
 
 
+def _perfbench(stem):
+    """Load `perfbench/<stem>.py` as a module of its own, read-only."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{stem}", ROOT / "perfbench" / f"{stem}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracer_hooks_resolve():
     """Every name `perfbench/tracer.py` hooks resolves as `install` resolves
     it, except the known stale ones: a refactor that renames a hooked
     function fails here instead of silently zeroing a per-layer metric."""
     import importlib
-    import importlib.util
 
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _perfbench("tracer")
     unresolved = set()
     for module_name, path, _make in tracer.HOOKS:
         importlib.import_module("dworkbox." + module_name)
@@ -141,18 +148,36 @@ def test_tracer_hooks_resolve():
     assert unresolved == STALE_TRACER_HOOKS
 
 
+def test_tracer_knows_every_verify_family(cubic_dwork, cubic_presentation, monkeypatch):
+    """Every family name `run_suite` passes to `_check_loop`, the span the
+    tracer times, is a key of `perfbench/tracer.py`'s FAMILIES: a renamed
+    or added family fails here instead of landing silently in
+    `verify.family.other_s`."""
+    from dworkbox import parse, verify
+
+    tracer = _perfbench("tracer")
+    names = []
+    check_loop = verify._check_loop
+
+    def recorded(report, name, iterations, body):
+        names.append(name)
+        return check_loop(report, name, iterations, body)
+
+    monkeypatch.setattr(verify, "_check_loop", recorded)
+    ctx = cubic_dwork.ctx
+    assert verify.run_suite(cubic_dwork, cubic_presentation, seed=0, iterations=1,
+                            deformation_H=[parse("x0*x1*x2", ctx)]).ok
+    assert "deformation: K_Gamma equals the deformed K" in names
+    assert set(names) <= set(tracer.FAMILIES)
+
+
 def test_tracer_reads_every_span_it_records():
     """A traced cubic run through module attributes, as perfbench drives it:
     every hooked layer it passes through records calls and no span's
     attributes go unread."""
-    import importlib.util
-
     from dworkbox import VariableContext, cohomology, deformation, dwork_potential, parse
 
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer_module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_module)
+    tracer_module = _perfbench("tracer")
     tracer = tracer_module.Tracer()
     hooks = tracer_module.install(tracer)
     try:
@@ -183,13 +208,9 @@ def test_benchmark_workloads_run_against_the_library(workload, tmp_path):
     `JobConfig.dwork` and `.H`) fails here.  `verify` is left out: one pass
     takes seconds."""
     import importlib
-    import importlib.util
     import types
 
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _perfbench("workloads")
     prog = types.SimpleNamespace(**{
         name: importlib.import_module("dworkbox." + name)
         for name in ("cli", "cohomology", "deformation", "operators", "polyparse",

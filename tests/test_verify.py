@@ -88,6 +88,19 @@ DELTA_FAMILIES = {"differentials: squares and anticommutator vanish",
 BRACKET_FAMILIES = {"bracket: defining expansion against K",
                     "deformation: K_Gamma equals the deformed K"}
 EXP_FAMILY = "exponential identities at truncation orders <= 3"
+# (geometry, hook) -> the families that fail at seed 3, 40 iterations; each
+# holds the families that reach the hooked operator, DELTA_FAMILIES or
+# BRACKET_FAMILIES | {EXP_FAMILY}, and on the K3 a delta fault also shows
+# in a reduction functional that no longer kills K(xi)
+FAULT_FAILURES = {
+    ("cubic_curve", "delta-drop-term"): DELTA_FAMILIES,
+    ("cubic_curve", "bracket-sign"): BRACKET_FAMILIES | {EXP_FAMILY},
+    ("quartic_k3", "delta-drop-term"):
+        DELTA_FAMILIES | {"reduction functionals kill the image of K"},
+    ("quartic_k3", "bracket-sign"): BRACKET_FAMILIES | {EXP_FAMILY},
+    ("two_quadrics", "delta-drop-term"): DELTA_FAMILIES,
+    ("two_quadrics", "bracket-sign"): BRACKET_FAMILIES | {EXP_FAMILY},
+}
 
 
 @pytest.mark.parametrize("name", list(FAULT_GEOMETRIES))
@@ -96,7 +109,8 @@ def test_fault_reaches_every_holder(name, hook):
     """Inside the block every module global holding the hooked operator is
     the corrupted object, however the module imported it; after the block,
     also one left by an exception, every holder is the original again.
-    The failing families are those of the corrupted operator's callers."""
+    The failing families are the pinned ones, and they include those of
+    the corrupted operator's callers."""
     n, k, degrees, G, H = FAULT_GEOMETRIES[name]
     ctx = VariableContext(n, k, degrees)
     D = dwork_potential(ctx, [parse(g, ctx) for g in G])
@@ -115,10 +129,9 @@ def test_fault_reaches_every_holder(name, hook):
             raise RuntimeError("inside the block")
     assert [getattr(module, attr) for module, attr in holders] == originals
     failing = {c.name for c in report.checks if not c.passed}
-    if hook == "delta-drop-term":
-        assert failing == DELTA_FAMILIES
-    else:
-        assert failing == BRACKET_FAMILIES | {EXP_FAMILY}
+    assert failing == FAULT_FAILURES[name, hook]
+    assert failing >= (DELTA_FAMILIES if hook == "delta-drop-term"
+                       else BRACKET_FAMILIES | {EXP_FAMILY})
 
 
 def test_gradings_family_catches_a_non_additive_grading(cubic_dwork, cubic_presentation,
