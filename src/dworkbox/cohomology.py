@@ -12,10 +12,11 @@ inside the degree-0 piece of the same weight yields
     weights <= n - k and must be absent at weight n - k + 1 (else the input
     was singular).
 
-Reduction then grades an element once and walks its weight slices from the
-top down: solve each slice for its image part, and carry delta of the solving
-preimage into the slice one weight lower, collecting basis coefficients and
-an exact degree -1 certificate xi with
+Reduction reads an element once, cutting it into weight slices in one pass
+over its packed keys, and walks the slices from the top down: solve each
+slice for its image part, and carry delta of the solving preimage into the
+slice one weight lower, collecting basis coefficients and an exact degree -1
+certificate xi with
 
     input = sum_rho c_rho e_rho + K(xi)
 
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,9 +70,9 @@ from .errors import InputError, InternalCheckError, SmoothnessError
 from .operators import DworkData, apply_delta, dwork_potential
 from .superalgebra import (
     SuperElement,
-    SuperMonomial,
     VariableContext,
-    grade,
+    even_gradings,
+    make_monomial,
     monomial_charge,
     monomial_sort_key,
     monomial_weight,
@@ -675,30 +677,46 @@ class QuotientPresentation:
     def reduce(self, f: SuperElement) -> ReductionResult:
         """Normal form plus certificate: f = sum c_rho e_rho + K(certificate).
 
-        Accepts charge-pure input only.  Charge c_G goes through the weight
-        recursion; any other pure charge is exact by the charge-concentration
-        witness, so the coefficients are zero and the certificate is
-        (charge - c_G)^{-1} f R.
+        Accepts eta-free, charge-pure input only, read once into weight
+        slices by `_weight_slices`.  Charge c_G goes through the weight
+        recursion, and so does zero, which has no slice; any other pure
+        charge is exact by the charge-concentration witness, so the
+        coefficients are zero and the certificate is (charge - c_G)^{-1} f R.
         """
-        if f.ctx != self.dwork.ctx:
-            raise InputError("element over a different context")
-        components = grade(f)
-        if any(deg for _, _, deg, _ in components):
-            raise InputError("reduce expects eta-free (degree 0) input")
-        charges = sorted({ch for ch, _, _, _ in components})
-        if len(charges) > 1:
-            raise InputError(f"reduce expects charge-pure input, found charges {charges}")
-        if charges == [self.c_G]:
-            return self._reduce_background({w: (part._num, part._den)
-                                            for _, w, _, part in components})
-        if not charges:
-            return ReductionResult({}, SuperElement.zero(f.ctx))
+        slices, charge = self._weight_slices(f)
+        if charge == self.c_G or not slices:
+            return self._reduce_background(slices)
         witness = charge_witness(self.dwork, f)
-        return ReductionResult({}, witness.scale(Fraction(1, charges[0] - self.c_G)))
+        return ReductionResult({}, witness.scale(Fraction(1, charge - self.c_G)))
+
+    def _weight_slices(self, f: SuperElement) -> tuple:
+        """({weight: (int numerators by packed key, f's denominator)}, charge)
+        of an eta-free, charge-pure f, from one pass over its keys; the zero
+        element gives ({}, 0).
+
+        Each key is graded once, by `even_gradings`.  The slices keep f's key
+        order and share its denominator, so they need not be in lowest terms.
+        """
+        ctx = f.ctx
+        if ctx is not self.dwork.ctx and ctx != self.dwork.ctx:
+            raise InputError("element over a different context")
+        mask = ctx.eta_mask
+        charges = set()
+        slices = defaultdict(dict)
+        for key, v in f._num.items():
+            if key & mask:
+                raise InputError("reduce expects eta-free (degree 0) input")
+            charge, w = even_gradings(ctx, key)
+            charges.add(charge)
+            slices[w][key] = v
+        if len(charges) > 1:
+            raise InputError(f"reduce expects charge-pure input, found charges {sorted(charges)}")
+        return {w: (num, f._den) for w, num in slices.items()}, charges.pop() if charges else 0
 
     def _reduce_background(self, slices: dict) -> ReductionResult:
         """Reduce the weight slices `slices` (weight -> (int numerators by
-        packed key, denominator), nonzero), from the top weight down to 0.
+        packed key, denominator), nonzero; {} gives zero), from the top
+        weight down to 0.
 
         A slice of weight w <= top + 1 (top = n - k) is eliminated against
         the weight-w echelon: its residual gives basis coefficients and its
@@ -724,7 +742,7 @@ class QuotientPresentation:
         top = ctx.n - ctx.k
         coeffs: dict = {}
         xis = []
-        for w in range(max(slices), -1, -1):
+        for w in range(max(slices, default=-1), -1, -1):
             num, den = slices.get(w, ((), 1))
             if not num:
                 continue
@@ -839,7 +857,7 @@ class QuotientPresentation:
                         "order": ctx.order},
             "G": [polyparse.render(g) for g in self.dwork.G],
             "cG": self.c_G,
-            "basis": [_monomial_to_json(m) for m in self.basis],
+            "basis": [{"q": list(m.qexp), "eta": list(m.eta)} for m in self.basis],
             "weightCounts": list(self.weight_counts),
         }
         return json.dumps(payload, indent=2, sort_keys=True)
@@ -874,7 +892,7 @@ class QuotientPresentation:
                 raise InputError(f"presentation file: G must be a list, got {payload['G']!r}")
             G = [polyparse.parse(text_g, ctx) for text_g in payload["G"]]
             c_G = payload["cG"]
-            basis = [_monomial_from_json(ctx, m) for m in payload["basis"]]
+            basis = [make_monomial(ctx, m["q"], m["eta"]) for m in payload["basis"]]
             counts = payload["weightCounts"]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"presentation file: missing or malformed field ({exc!r})") from None
@@ -890,16 +908,6 @@ class QuotientPresentation:
             raise InputError(f"presentation file: weightCounts {counts!r} "
                              f"do not match the basis, expected {list(pres.weight_counts)}")
         return pres
-
-
-def _monomial_to_json(m: SuperMonomial):
-    return {"q": list(m.qexp), "eta": list(m.eta)}
-
-
-def _monomial_from_json(ctx: VariableContext, data) -> SuperMonomial:
-    from .superalgebra import make_monomial
-
-    return make_monomial(ctx, data["q"], data["eta"])
 
 
 def build_presentation(D: DworkData) -> QuotientPresentation:

@@ -37,7 +37,9 @@ Three gradings, additive over the factors of a monomial:
   degree:  cohomological; each eta contributes -1, so deg = -s in [-N, 0]
 
 `monomial_charge` and `monomial_weight`, on packed keys, are the only
-definitions of the first two; everything else grades through them.
+definitions of the first two, with `even_gradings` their pair on an
+eta-free key from one unpack (the charge takes its even part from it);
+everything else grades through them.
 """
 
 from __future__ import annotations
@@ -217,16 +219,25 @@ def make_monomial(ctx: VariableContext, qexp: Iterable[int], eta: Iterable[int] 
     return mono
 
 
+def even_gradings(ctx: VariableContext, key: int) -> tuple:
+    """(charge, weight) = (|u| - sum_i d_i v_i, |v|) of the even factor
+    y^v x^u of a packed key, from one unpack of its exponents; its eta bits
+    are not read.  On an eta-free key these are `monomial_charge` and
+    `monomial_weight`, which add the eta factors to them."""
+    # ctx.exponents(key) written out: reduce grades every input key here
+    fields, shift, length = ctx._fields
+    qexp = struct.unpack(fields, (key >> shift).to_bytes(length, "little"))
+    k = ctx.k
+    # map stops after the k degrees, so it pairs d_i with v_i only
+    return sum(qexp[k:]) - sum(map(operator.mul, ctx.degrees, qexp)), sum(qexp[:k])
+
+
 def monomial_charge(ctx: VariableContext, key: int) -> int:
     """ch(y^v x^u eta_S) = |u| - sum_i d_i v_i + sum_{mu in S, mu <= k} d_mu
     - #{mu in S : mu > k}, of a packed key; the one definition of the
     charge."""
     k, degrees = ctx.k, ctx.degrees
-    ch = 0
-    if key >> ctx.q_shifts[0]:
-        qexp = ctx.exponents(key)
-        # map stops after the k degrees, so it pairs d_i with v_i only
-        ch = sum(qexp[k:]) - sum(map(operator.mul, degrees, qexp))
+    ch = even_gradings(ctx, key)[0] if key >> ctx.q_shifts[0] else 0
     eta = key & ctx.eta_mask
     if eta:
         ch -= (eta >> k).bit_count()
@@ -410,18 +421,12 @@ class SuperElement:
     def homogeneous_degree(self):
         """Cohomological degree if homogeneous, else None (0 for the zero element)."""
         mask = self.ctx.eta_mask
-        degs = {(m & mask).bit_count() for m in self._num}
-        if not degs:
-            return 0
-        if len(degs) == 1:
-            return -degs.pop()
-        return None
+        degs = {(m & mask).bit_count() for m in self._num} or {0}
+        return -degs.pop() if len(degs) == 1 else None
 
     def homogeneous_charge(self):
         chs = {monomial_charge(self.ctx, m) for m in self._num}
-        if len(chs) == 1:
-            return chs.pop()
-        return None
+        return chs.pop() if len(chs) == 1 else None
 
     # -- arithmetic --------------------------------------------------------
 

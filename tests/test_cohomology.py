@@ -536,7 +536,7 @@ def test_presentation_import_rejects_tampered_rows(cubic_presentation, exports, 
 
 
 @pytest.mark.parametrize("case", ["exponent entry", "exponent combo entry"])
-def test_presentation_import_refuses_an_exponent_without_expanding_it(
+def test_presentation_import_loads_exponent_rows_unexpanded(
         cubic_presentation, exports, case):
     """A format-1 row entry with an exponent loads within a second: the
     loader never converts it."""

@@ -11,9 +11,10 @@ cubic transport of a float period matrix and the quartic K3 `reduce` were
 written before `reduce` graded its input once and walked the weight
 slices; the quintic-curve `reduce` of an off-charge input was written
 before `reduce` returned its coefficients as a sparse dict.  The cubic
-`verify` was rewritten once since, without the rows of the two families
-the suite dropped (the descendants' vanishing and the Bell sums); every
-other row kept its name, order and verdict.  So any change in a basis, a series coefficient, a D ladder, a
+`verify` was rewritten twice since: without the rows of the two families
+the suite dropped (the descendants' vanishing and the Bell sums), and
+without the Maurer-Cartan row, which could not fail; every other row kept
+its name, order and verdict.  So any change in a basis, a series coefficient, a D ladder, a
 reduction certificate, a verify verdict, a transported matrix or the
 presentation JSON shows up here.  To rewrite them after an intended report change:
 

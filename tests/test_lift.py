@@ -19,7 +19,7 @@ from dworkbox import (
     grade,
     parse,
 )
-from dworkbox import cohomology
+from dworkbox import cohomology, superalgebra
 from dworkbox.cli import EXIT_OK, main
 from dworkbox.cohomology import (
     _GUARD_PRIME,
@@ -27,11 +27,12 @@ from dworkbox.cohomology import (
     _build_weight_solver,
     _closes_mod_p,
     _WeightSolver,
+    charge_witness,
     enumerate_piece,
 )
 from dworkbox.deformation import build_deformation, d_ladder, u_basis
-from dworkbox.errors import InternalCheckError, SmoothnessError
-from dworkbox.superalgebra import monomial_weight
+from dworkbox.errors import InputError, InternalCheckError, SmoothnessError
+from dworkbox.superalgebra import even_gradings, monomial_charge, monomial_weight
 from dworkbox.verify import random_charge_element
 from tests.oracles import (
     EchelonReduction,
@@ -123,30 +124,114 @@ def test_build_and_reduce_skip_the_fraction_view(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["cubic_curve", "quartic_k3"])
 def test_reduce_grades_its_input_once(name, monkeypatch):
-    """`reduce` takes its weight slices from one `grade` of the input and
-    carries each delta(xi) into the slice below; it never regrades a
-    remainder."""
-    from dworkbox import cohomology
-
+    """`reduce` reads each input key once, in order, through
+    `even_gradings`, and carries each delta(xi) into the slice below; it
+    never calls `grade`, `homogeneous_charge` or `homogeneous_degree`, so
+    it builds no graded component and never regrades a remainder."""
     D, _ = _geometry(name)
     top = D.ctx.n - D.ctx.k
     pres = build_presentation(D)
     f = random_charge_element(D, random.Random(f"grade:{name}"), pres.c_G, 0,
                               max_weight=top + 3)
     assert top_weight(f) == top + 3
-    graded = []
-    real = cohomology.grade
-    monkeypatch.setattr(cohomology, "grade", lambda a: graded.append(a) or real(a))
+    read = []
+    real = cohomology.even_gradings
+    monkeypatch.setattr(cohomology, "even_gradings",
+                        lambda ctx, key: read.append(key) or real(ctx, key))
 
-    def forbidden(self):
+    def forbidden(*args):
         raise AssertionError("reduce regraded an element")
 
+    monkeypatch.setattr(superalgebra, "grade", forbidden)
+    monkeypatch.setattr(cohomology, "grade", forbidden, raising=False)
     for attr in ("homogeneous_charge", "homogeneous_degree"):
         monkeypatch.setattr(SuperElement, attr, forbidden)
     result = pres.reduce(f)
     monkeypatch.undo()
-    assert graded == [f]
+    assert read == list(f._num)
     assert apply_k(D, result.certificate) + result.as_element(pres) == f
+
+
+# the five `build` geometries, the grevlex sextic and the non-diagonal
+# genus-4 curve (2,3) of CASCADE_CASES
+SLICE_CASES = [*GEOMETRIES, "sextic_curve_grevlex", "genus_four_non_diagonal"]
+
+
+def _graded_slices(f):
+    """{weight: [(key, value)]} and the charges of f, from `grade`."""
+    components = grade(f)
+    slices = {w: [(m, Fraction(v, part._den)) for m, v in part._num.items()]
+              for _, w, _, part in components}
+    return slices, {ch for ch, _, _, _ in components}
+
+
+def _reduce_error(pres, f):
+    with pytest.raises(InputError) as info:
+        pres._weight_slices(f)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("name", SLICE_CASES)
+def test_weight_slices_match_grade(name):
+    """`_weight_slices` cuts seeded inputs into the weight slices and the
+    charge that `grade` gives, in f's key order, over f's denominator; it
+    raises what `reduce` raised from `grade` on an eta term, mixed charges
+    and a foreign context, gives ({}, 0) on zero, and leaves off-charge
+    input to the charge witness.  `even_gradings` is pinned to
+    `monomial_charge` and `monomial_weight` on every key drawn."""
+    pres = (build_presentation(_geometry(name)[0]) if name in GEOMETRIES
+            else _cascade_presentation(name))
+    D = pres.dwork
+    ctx = D.ctx
+    top = ctx.n - ctx.k
+    c_G = pres.c_G
+    rng = random.Random(f"slices:{name}")
+    draws = {}
+    for charge in range(c_G - 2, c_G + 3):
+        for eta_degree in (0, -1, -2):
+            draws[charge, eta_degree] = [
+                random_charge_element(D, rng, charge, eta_degree, max_weight=top + 2)
+                for _ in range(3)]
+    mask = ctx.eta_mask
+    for f in (f for group in draws.values() for f in group):
+        for key in f._num:
+            even = key & ~mask
+            gradings = (monomial_charge(ctx, even), monomial_weight(ctx, even))
+            assert even_gradings(ctx, key) == even_gradings(ctx, even) == gradings
+    pure = [f for (_, eta_degree), group in draws.items() if eta_degree == 0
+            for f in group if f]
+    assert {f.homogeneous_charge() for f in pure} == set(range(c_G - 2, c_G + 3))
+    for f in pure:
+        slices, charge = pres._weight_slices(f)
+        expected, charges = _graded_slices(f)
+        assert {charge} == charges
+        assert {w: [(m, Fraction(v, den)) for m, v in num.items()]
+                for w, (num, den) in slices.items()} == expected
+        assert {den for _, den in slices.values()} == {f._den}
+        if charge != c_G:
+            result = pres.reduce(f)
+            witness = charge_witness(D, f).scale(Fraction(1, charge - c_G))
+            assert result.coefficients == {}
+            assert result.certificate == witness
+            assert list(result.certificate._num.items()) == list(witness._num.items())
+    assert pres._weight_slices(SuperElement.zero(ctx)) == ({}, 0)
+
+    background, above, below = (next(f for f in draws[charge, 0] if f)
+                                for charge in (c_G, c_G + 1, c_G - 1))
+    odd = next(f for f in draws[c_G, -1] if f)
+    mixed = above + background + below
+    assert _reduce_error(pres, mixed) == (
+        "reduce expects charge-pure input, found charges "
+        f"{sorted(_graded_slices(mixed)[1])}")
+    eta_message = "reduce expects eta-free (degree 0) input"
+    for f in (background + odd, odd, mixed + odd):
+        assert _reduce_error(pres, f) == eta_message
+    foreign = VariableContext(ctx.n + 1, ctx.k, ctx.degrees, ctx.order)
+    assert _reduce_error(pres, SuperElement.one(foreign)) == "element over a different context"
+    for f in (mixed, background + odd, SuperElement.one(foreign)):
+        with pytest.raises(InputError) as info:
+            pres.reduce(f)
+        assert str(info.value) == _reduce_error(pres, f)
 
 
 # (n, k, degrees, G, order, oracle weights above n - k): the cascade's
