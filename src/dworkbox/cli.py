@@ -37,7 +37,7 @@ from .errors import (
     InternalCheckError,
 )
 from .operators import dwork_potential
-from .polyparse import parse, render
+from .polyparse import json_text, parse, render
 from .superalgebra import VariableContext
 from .verify import FAULT_HOOKS, fault_injection, run_suite
 
@@ -128,7 +128,7 @@ def _emit(args, payload: dict, text_lines) -> None:
     """Write `payload` as JSON, or the lines `text_lines()`, which is only
     called for --format text."""
     if args.format == "json":
-        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        body = json_text(payload) + "\n"
     else:
         body = "\n".join(text_lines()) + "\n"
     if args.out:

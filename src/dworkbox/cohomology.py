@@ -860,7 +860,7 @@ class QuotientPresentation:
             "basis": [{"q": list(m.qexp), "eta": list(m.eta)} for m in self.basis],
             "weightCounts": list(self.weight_counts),
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return polyparse.json_text(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "QuotientPresentation":

@@ -48,7 +48,7 @@ from .operators import (
     ell2,
     phi_n,
 )
-from .superalgebra import SuperElement, VariableContext
+from .superalgebra import SuperElement, VariableContext, _products
 
 
 @dataclass(frozen=True)
@@ -258,7 +258,10 @@ class DeformationSeries:
 
         rhs[exponent] = sum_rho coeff * e_rho + K(certificate).
 
-    prime_indices is I' inside I, always (1, ..., |I'|).
+    `t_series` expands and sums on int numerators by packed key; the
+    elements of `rhs` (one each, in lowest terms) and the Fractions of
+    `coefficients` (nonzero ones only) are the only objects it makes per
+    exponent.  prime_indices is I' inside I, always (1, ..., |I'|).
     """
 
     order: int
@@ -310,8 +313,8 @@ def t_series(def_data: DeformationData, pres_G: QuotientPresentation,
         # coefficient of t^m is prod u_a^{m_a} / prod m_a!
         for total, level in _scaled_products(ctx, elements, order):
             if total:
-                for expo, value in level.items():
-                    _record(pres_G, memo, coefficients, rhs, expo, value)
+                for expo, (num, den) in level.items():
+                    _record(pres_G, memo, coefficients, rhs, expo, num, den)
     else:
         # exponential part: only the I' variables appear in the exponent, and
         # (p + sum_{b outside I'} t^b u_b) supplies the charge,
@@ -324,56 +327,83 @@ def t_series(def_data: DeformationData, pres_G: QuotientPresentation,
         units = [zeros[:j] + (1,) + zeros[j + 1:] for j in range(dim - ell)]
         previous = {}
         for _, level in _scaled_products(ctx, gamma_parts, order):
-            for inner, value in level.items():
+            # the factor is the left operand: that fixes the key order of rhs
+            for inner, (num, den) in level.items():
                 _record(pres_G, memo, coefficients, rhs, inner + zeros,
-                        basis_u.prefactor * value)
-            for inner, value in previous.items():
+                        *_times(basis_u.prefactor, num, den))
+            for inner, (num, den) in previous.items():
                 for b, unit in enumerate(units, start=ell):
                     _record(pres_G, memo, coefficients, rhs, inner + unit,
-                            elements[b] * value)
+                            *_times(elements[b], num, den))
             previous = level
 
     return DeformationSeries(order, dim, tuple(range(1, ell + 1)), coefficients, rhs)
 
 
+def _times(factor: SuperElement, num: dict, den: int) -> tuple:
+    """(numerators, denominator) of factor * (num / den), by the one
+    product kernel; not in lowest terms."""
+    return _products(factor.ctx, ((factor._num.items(), list(num.items())),)), factor._den * den
+
+
 def _scaled_products(ctx: VariableContext, factors, order: int):
-    """Yield (total, {m: prod factors[a]^{m_a} / m_a!}) for total = 0..order.
+    """Yield (total, {m: prod factors[a]^{m_a} / m_a!}) for total = 0..order,
+    each value as (int numerators by packed key, denominator).
 
     Each level lists the exponents in the order of _compositions and builds
-    every product from the previous level by one multiplication, by the
-    factor at the first nonzero index: the first element of the exponent's
-    multiset, which `combinations_with_replacement` lists in the same order."""
+    every value by one `_products` call, its parent on the previous level
+    times the factor at the first nonzero index: the first element of the
+    exponent's multiset, which `combinations_with_replacement` lists in the
+    same order.  The factor's denominator and m_a fold into the parent's
+    and no content is divided out, so values are not in lowest terms; zero
+    numerators are dropped, which keeps the key order of the product."""
     parts = len(factors)
-    level = {(0,) * parts: SuperElement.one(ctx)}
+    rights = [list(f._num.items()) for f in factors]
+    level = {(0,) * parts: ({0: 1}, 1)}
     yield 0, level
     for total in range(1, order + 1):
         parent_level, level = level, {}
         for multiset, expo in zip(combinations_with_replacement(range(parts), total),
                                   _compositions(total, parts)):
             a = multiset[0]
-            parent = expo[:a] + (expo[a] - 1,) + expo[a + 1:]
-            level[expo] = (parent_level[parent] * factors[a]).scale(
-                Fraction(1, expo[a]))
+            num, den = parent_level[expo[:a] + (expo[a] - 1,) + expo[a + 1:]]
+            num = _products(ctx, ((num.items(), rights[a]),))
+            if 0 in num.values():
+                num = {m: v for m, v in num.items() if v}
+            level[expo] = (num, den * factors[a]._den * expo[a])
         yield total, level
 
 
-def _record(pres: QuotientPresentation, memo: dict, coefficients, rhs, expo, value):
-    """Reduce `value`, the t^expo coefficient, into the series and keep it
-    as rhs[expo].  `reduce` is linear, so value = sum c m reduces to sum c
-    reduce(m): `memo` holds the coefficient dict of every monomial m
-    reduced so far in one `t_series` call."""
+def _record(pres: QuotientPresentation, memo: dict, coefficients, rhs, expo,
+            num: dict, den: int):
+    """Reduce the t^expo coefficient num / den into the series and keep it,
+    in lowest terms, as rhs[expo].
+
+    `reduce` is linear, so value = sum c m reduces to sum c reduce(m):
+    `memo` holds, for every monomial m reduced so far in one `t_series`
+    call, its coefficients as int numerators by rho over one denominator.
+    The sums run in ints over the lcm of the denominators met, and only the
+    nonzero sums become Fractions, in rho order."""
     ctx = pres.dwork.ctx
-    sums = {}
-    for mono, num in value._num.items():
+    value = rhs[expo] = SuperElement._make(ctx, num, den)
+    sums, common = {}, 1
+    for mono, v in value._num.items():
         reduced = memo.get(mono)
         if reduced is None:
-            reduced = memo[mono] = pres.reduce(
-                SuperElement._make(ctx, {mono: 1}, 1)).coefficients
-        scale = Fraction(num, value._den)
-        for rho, c in reduced.items():
-            sums[rho] = sums.get(rho, 0) + scale * c
-    coefficients.update(((rho, expo), c) for rho, c in sorted(sums.items()) if c)
-    rhs[expo] = value
+            coeffs = pres.reduce(SuperElement._make(ctx, {mono: 1}, 1)).coefficients
+            mden = math.lcm(*(c.denominator for c in coeffs.values()))
+            reduced = memo[mono] = (
+                {rho: c.numerator * (mden // c.denominator) for rho, c in coeffs.items()}, mden)
+        nums, mden = reduced
+        if common % mden:
+            step = mden // math.gcd(common, mden)
+            sums = {rho: c * step for rho, c in sums.items()}
+            common *= step
+        v *= common // mden
+        for rho, c in nums.items():
+            sums[rho] = sums.get(rho, 0) + v * c
+    den = value._den * common
+    coefficients.update(((rho, expo), Fraction(c, den)) for rho, c in sorted(sums.items()) if c)
 
 
 # -- the D matrix ladder ------------------------------------------------------

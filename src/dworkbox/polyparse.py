@@ -20,12 +20,18 @@ silently build 0).
 
 parse(render(a)) == a holds bit-exactly for every element; rendering sorts
 terms by the canonical monomial order, largest first.
+
+`json_text` writes the JSON reports: the text of
+json.dumps(value, indent=2, sort_keys=True), built without the pure-Python
+encoder that json.dumps falls back to whenever it indents.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .errors import InputError, ParseError
@@ -245,3 +251,26 @@ def render(a: SuperElement) -> str:
         else:
             pieces.append(f" + {text}" if coeff > 0 else f" - {text}")
     return "".join(pieces)
+
+
+def json_text(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for a
+    value whose dict keys are all str (TypeError otherwise); `pad` is the
+    indentation of the line the value starts on.
+
+    Strings go to the C string encoder and ints to int.__repr__, each by
+    its exact type; lists, tuples and dicts recurse one indent deeper, and
+    any other value (a bool, None, a float) is left to json.dumps."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if kind is list or kind is tuple:
+        items = [int.__repr__(v) if type(v) is int else json_text(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]" if items else "[]"
+    if kind is dict:
+        items = [encode_basestring_ascii(k) + ": " + json_text(value[k], inner) for k in sorted(value)]
+        return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}" if items else "{}"
+    return json.dumps(value)

@@ -575,6 +575,39 @@ def t_series_values(def_data, basis_u, dimension, order):
                 yield inner + unit, elements[b] * value
 
 
+def t_series_key_orders(def_data, basis_u, dimension, order):
+    """The key order of each right-side t-coefficient, in
+    `t_series_values`' order, from SuperElement products: each product is
+    its parent (one less at the first nonzero index a) times factor a, over
+    m_a, and at c_G != 0 the charge factor (p or u_b) is the left operand.
+    A product of sums lists its keys in operand order, so this pins the
+    operand order of `deformation.t_series` and `_scaled_products`."""
+    ctx = def_data.base.ctx
+    ell = len(def_data.nonzero_indices)
+    charged = ctx.background_charge() != 0
+    factors = basis_u.elements
+    if charged:
+        factors = [SuperElement.variable(ctx, i) * def_data.H[i - 1]
+                   for i in def_data.nonzero_indices]
+    products = {(0,) * len(factors): SuperElement.one(ctx)}
+
+    def product(expo):
+        if expo not in products:
+            a = next(i for i, e in enumerate(expo) if e)
+            parent = product(expo[:a] + (expo[a] - 1,) + expo[a + 1:])
+            products[expo] = (parent * factors[a]).scale(Fraction(1, expo[a]))
+        return products[expo]
+
+    for expo, _ in t_series_values(def_data, basis_u, dimension, order):
+        if charged:
+            outside = [b for b in range(ell, dimension) if expo[b]]
+            charge = basis_u.elements[outside[0]] if outside else basis_u.prefactor
+            value = charge * product(expo[:ell])
+        else:
+            value = product(expo)
+        yield expo, list(value._num)
+
+
 def plain_t_series(def_data, pres_G, basis_u, order):
     """`deformation.t_series` without its monomial memo, the cross-check for
     it: each t-coefficient is reduced whole, in t_series' exponent order, so

@@ -44,6 +44,7 @@ from tests.oracles import (
     plain_t_series,
     plain_transport,
     series_certificate,
+    t_series_key_orders,
     t_series_values,
 )
 
@@ -874,8 +875,9 @@ def test_bell_expansion_is_the_d_ladder(name):
 # -- the memoised T series against the unmemoised route --------------------------
 
 # (n, degrees, G, H, h factor, order): the four benchmark geometries, c_G = 2
-# and c_G = -1 as in the tests above, and H with several terms at c_G = 0
-# and c_G = 2, so that a value's terms are reduced apart and summed
+# and c_G = -1 as in the tests above, k = 2 with both H_i nonzero at c_G = 1,
+# and H with several terms at c_G = 0, 2 and -1, so that a value's terms are
+# reduced apart and summed, each over its own memo denominator
 SERIES_CASES = {
     "cubic_curve": LADDER_CASES["cubic_curve"],
     "sextic_curve": (2, (6,), ["x0^6 + x1^6 + x2^6"], ["x0^2*x1^2*x2^2"], None, 6),
@@ -887,6 +889,11 @@ SERIES_CASES = {
                             ["x0*x1*x2 + 2*x0^2*x1 - 1/3*x2^3"], None, 5),
     "quintic_several_terms": (2, (5,), ["x0^5 + x1^5 + x2^5"],
                               ["x0^2*x1^2*x2 - 3/2*x0*x1^4"], None, 3),
+    "genus4_both_H": BELL_CASES["genus_four_curve"][:3] + (["x0*x1", "x0*x1*x2"], None, 3),
+    "cubic_surface_several_terms": LADDER_CASES["cubic_surface"][:3] + (
+        ["x0*x1*x2 + 2*x1*x2*x3 - 1/3*x0^3"], "x2^2", 2),
+    "genus4_several_terms": BELL_CASES["genus_four_curve"][:3] + (
+        ["x0*x1 + x2*x3", "x0*x1*x2 - x2^2*x3"], "x2 + 2*x3", 3),
 }
 
 
@@ -909,7 +916,8 @@ def test_t_series_equals_the_unmemoised_route(series_case, name):
     """Reducing each distinct monomial once and summing the scaled results
     gives the coefficients (in the same dict order) of reducing each
     t-coefficient whole; the recorded right sides are the t-coefficients,
-    in order, and the certificate of reducing each settles its value:
+    in order, each with the key order of its element products, and the
+    certificate of reducing each settles its value:
     K(certificate) + sum c_rho e_rho == value."""
     P, dd, basis_u, order = series_case(name)
     series = t_series(dd, P, basis_u, order)
@@ -917,6 +925,8 @@ def test_t_series_equals_the_unmemoised_route(series_case, name):
     assert list(series.coefficients.items()) == list(plain.coefficients.items())
     values = list(t_series_values(dd, basis_u, P.dimension, order))
     assert list(series.rhs.items()) == values
+    assert [(expo, list(value._num)) for expo, value in series.rhs.items()] == list(
+        t_series_key_orders(dd, basis_u, P.dimension, order))
     basis = P.basis_elements()
     zero = SuperElement.zero(P.dwork.ctx)
     several = False
@@ -939,7 +949,8 @@ class _PoisonedCertificate:
     __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __neg__ = _used
 
 
-@pytest.mark.parametrize("name", ["cubic_curve", "sextic_curve", "two_quadrics", "quartic_k3"])
+@pytest.mark.parametrize("name", ["cubic_curve", "sextic_curve", "two_quadrics", "quartic_k3",
+                                  "genus4_both_H", "cubic_surface_several_terms"])
 def test_t_series_never_reads_a_certificate(series_case, monkeypatch, name):
     """`reduce` is the one producer of certificates and t_series reads none:
     with every certificate poisoned, it still gives the coefficients and
@@ -981,6 +992,43 @@ def test_t_series_memo_lives_for_one_call(series_case, monkeypatch):
         counts.append(len(inputs))
         assert set(vars(P)) == attributes
     assert counts == [441, 441, 2023]
+
+
+def _spied_products(monkeypatch):
+    """Counts of the SuperElement.__mul__ and .scale calls made from now on."""
+    calls = {"__mul__": 0, "scale": 0}
+    for name in calls:
+        original = getattr(SuperElement, name)
+
+        def spy(self, other, name=name, original=original):
+            calls[name] += 1
+            return original(self, other)
+        monkeypatch.setattr(SuperElement, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", [name for name, case in SERIES_CASES.items()
+                                  if sum(case[1]) != case[0] + 1])
+def test_t_series_multiplies_elements_only_for_gamma(series_case, monkeypatch, name):
+    """t_series expands on int numerators through the product kernel: at
+    c_G != 0 the only element products are the |I'| parts y_i H_i of Gamma,
+    and no element is scaled."""
+    P, dd, basis_u, order = series_case(name)
+    calls = _spied_products(monkeypatch)
+    series = t_series(dd, P, basis_u, order)
+    assert calls == {"__mul__": len(dd.nonzero_indices), "scale": 0}
+    assert len(series.rhs) > calls["__mul__"]
+
+
+def test_t_series_makes_no_element_product_on_the_k3(series_case, monkeypatch):
+    """On the K3 at order 3 (c_G = 0) t_series calls neither
+    SuperElement.__mul__ nor .scale over its 2023 exponents; the 441
+    reductions of distinct monomials make none either."""
+    P, dd, basis_u, order = series_case("quartic_k3")
+    calls = _spied_products(monkeypatch)
+    series = t_series(dd, P, basis_u, order)
+    assert calls == {"__mul__": 0, "scale": 0}
+    assert len(series.rhs) == 2023
 
 
 def test_d_ladder_rejects_bad_order(hesse_setup):

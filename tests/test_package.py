@@ -110,6 +110,20 @@ def test_no_dense_scan_of_a_coefficients_record():
     assert not found
 
 
+def test_reports_have_one_json_writer():
+    """`polyparse.json_text` writes every indented JSON report; no
+    `json.dumps(..., indent=...)`, which runs the pure-Python encoder,
+    is left in src/dworkbox."""
+    found = []
+    for path in sorted((ROOT / "src" / "dworkbox").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "dumps"
+                    and any(kw.arg == "indent" for kw in node.keywords)):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not found
+
+
 # hooks in perfbench/tracer.py whose targets were renamed or removed; the
 # benchmark's next revision is expected to repoint them
 STALE_TRACER_HOOKS = {

@@ -1,11 +1,14 @@
 """Surface syntax: grammar coverage, diagnostics, round-trip stability."""
 
+import json
 import random
 import string
+from pathlib import Path
 
 import pytest
 
 from dworkbox import InputError, ParseError, SuperElement, VariableContext, parse, render
+from dworkbox.polyparse import json_text
 from dworkbox.superalgebra import MAX_EXPONENT
 from dworkbox.verify import random_element
 
@@ -198,3 +201,35 @@ def test_parser_totality_fuzz(ctx):
 def test_whitespace_insensitive(ctx):
     assert parse(" y1 * x0 ^ 3 ", ctx) == parse("y1*x0^3", ctx)
     assert parse("x0\n+\nx1", ctx) == parse("x0 + x1", ctx)
+
+
+# -- the JSON report writer ---------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
+def test_json_text_is_the_indented_json_of_every_golden(path):
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_json_text_matches_json_dumps_on_every_kind_of_value():
+    payload = {
+        "text": ["plain", "caf\u00e9 \u2202 \U0001d4ab", 'a "quoted" \\ path',
+                 "tab\tnew\nline\x00\x1f\x7f", ""],
+        "empty": [[], {}, [[]], {"inner": {}}, ()],
+        "ints": [0, -1, -(2 ** 70), 2 ** 70, 3 ** 200],
+        "others": [True, False, None, 0.1, -2.5e-300],
+        "nested": {"b": [{"z": 1, "a": [2, (3, "4")]}], "a": {"\u00e9": "key"}},
+        "": "empty key",
+    }
+    assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    for value in payload.values():
+        assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("payload", [{1: "a"}, {"a": {2: "b"}}, [{None: 0}]])
+def test_json_text_requires_str_keys(payload):
+    with pytest.raises(TypeError):
+        json_text(payload)
