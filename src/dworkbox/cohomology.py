@@ -57,14 +57,13 @@ Q rows straight from the integer gradient table (`_WeightSolver.q_vector`).
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import defaultdict
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd, lcm
-from operator import index, mul
+from operator import mul
 
 from .errors import InputError, InternalCheckError, SmoothnessError
 from .operators import DworkData, apply_delta, dwork_potential
@@ -105,40 +104,16 @@ def _compositions(total: int, parts: int):
         yield tuple(expo)
 
 
-def _composition_at(j: int, total: int, parts: int) -> tuple:
-    """The j-th tuple of `_compositions(total, parts)`, parts >= 1.
-
-    Each part is found by counting completions: with `left` parts after it,
-    a first part f leaves C(total - f + left - 1, left - 1) of them.
-    """
-    out = []
-    for left in range(parts - 1, 0, -1):
-        first = total
-        while True:
-            count = comb(total - first + left - 1, left - 1)
-            if j < count:
-                break
-            j -= count
-            first -= 1
-        out.append(first)
-        total -= first
-    out.append(total)
-    return tuple(out)
-
-
-class PieceView(Sequence):
+class PieceView:
     """The packed keys of the monomials of one tri-graded piece, largest
     first by `monomial_sort_key`, made one at a time instead of listed.
     This is the one place the order inside a piece is defined: iteration
-    walks the block table, `view[j]` counts the same walk, and
-    `enumerate_piece` lists a view.
+    walks the block table, and `enumerate_piece` lists a view.
 
     The piece is a union of blocks y^v x^u eta, one per eta subset, y
     composition v and its forced x degree |u|; a block holds C(|u| + n, n)
-    monomials (stars and bars).  `len` sums the blocks and `view[j]`
-    unranks the j-th monomial by counting completions (Knuth, TAOCP 4A,
-    7.2.1.3), so drawing from a piece enumerates nothing.  Nothing is
-    cached beyond the block table.
+    monomials (stars and bars), so `len` sums the blocks without a walk.
+    Nothing is cached beyond the block table.
 
     The sort key (q-degree, exponents, eta) groups the blocks by q-degree.
     graded-lex compares v before u, so the groups split further by v: a
@@ -229,41 +204,6 @@ class PieceView(Sequence):
                 tail = sum(map(tail_unit, multiset))
                 for base in bases[bisect_left(xdegs, s):]:
                     yield base + tail
-
-    def __getitem__(self, j) -> int:
-        j = index(j)
-        size = len(self)
-        if j < 0:
-            j += size
-        if not 0 <= j < size:
-            raise IndexError("piece index out of range")
-        g = bisect_right(self._ends, j)
-        if g:
-            j -= self._ends[g - 1]
-        n = self.ctx.n
-        if self.ctx.order == "graded-lex":
-            vkey, xdeg, etas = self._groups[g]
-            r, e = divmod(j, len(etas))
-            return (vkey + sum(map(mul, _composition_at(r, xdeg, n + 1), self._x_units))
-                    + etas[e])
-        xdegs, blocks = self._groups[g]
-        s = 0
-        tail = []  # u_n, ..., u_1, each the smallest value with room for j
-        for left in range(n, 0, -1):
-            a = 0
-            while True:
-                t = s + a
-                count = sum(comb(x - t + left - 1, left - 1)
-                            for x in xdegs[bisect_left(xdegs, t):])
-                if j < count:
-                    break
-                j -= count
-                a += 1
-            tail.append(a)
-            s += a
-        xdeg, block = blocks[bisect_left(xdegs, s) + j]
-        tail.append(xdeg - s)
-        return block + sum(map(mul, tail, self._x_units))
 
 
 def enumerate_piece(ctx: VariableContext, charge: int, weight: int,

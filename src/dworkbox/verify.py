@@ -14,9 +14,10 @@ keeps the `randint` route as the reference the draws are tested against.
 The truncated exponential identity K(lam e^Gamma) = K_Gamma(lam) e^Gamma,
 with K_Gamma = K + l2(Gamma, .), ties K to the bracket (`exp_identity_lhs`
 / `exp_identity_rhs`).  The suite checks only what can fail: K and l2
-vanish on the eta-free Gamma, so lam carries an eta, and the vanishing of
-l_n for n >= 3 (at n = 3 the Poisson rule) and the Bell sums are Tier-1
-tests, not families.
+vanish on the eta-free Gamma, so lam carries an eta, and (Gamma, lam) is
+drawn again, a bounded number of times, while l2(Gamma, lam) = 0; the
+vanishing of l_n for n >= 3 (at n = 3 the Poisson rule) and the Bell sums
+are Tier-1 tests, not families.
 
 `operators.ell2` is a closed-form kernel that never applies K, so the
 family "bracket: defining expansion against K", which compares it with
@@ -41,7 +42,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import operators as ops
-from .cohomology import PieceView, QuotientPresentation, charge_witness
+from .cohomology import QuotientPresentation, charge_witness, enumerate_piece
 from .deformation import build_deformation, k_gamma
 from .errors import InputError
 from .operators import DworkData, LinearFunctional
@@ -154,29 +155,32 @@ def random_homogeneous(ctx: VariableContext, rng: random.Random, **kw) -> SuperE
     return e
 
 
-# a view depends only on its gradings, so each is made once, not per draw
-_piece_view = functools.lru_cache(maxsize=256)(PieceView)
+@functools.lru_cache(maxsize=256)
+def _piece(ctx: VariableContext, charge: int, weight: int, eta_degree: int) -> tuple:
+    """The listed piece: it depends only on its gradings, so each is
+    listed once, not per draw."""
+    return enumerate_piece(ctx, charge, weight, eta_degree).monomials
 
 
 def random_charge_element(D: DworkData, rng: random.Random, charge: int,
                           eta_degree: int, max_weight: int = 3) -> SuperElement:
     """Random element inside the (charge, eta_degree) slice, weights <= max_weight.
 
-    Two monomials per weight are drawn from a `PieceView`, as packed keys:
-    `_sample` draws their positions and the view unranks them, so no piece
-    is listed.  Each coefficient p/q, p in -4..4 and q in 1..3, is kept as
-    the int numerator p * (6 // q) over 6, the lcm of every q.
+    Two monomials per weight are drawn from the piece's cached listing,
+    as packed keys at the positions `_sample` draws.  Each coefficient
+    p/q, p in -4..4 and q in 1..3, is kept as the int numerator
+    p * (6 // q) over 6, the lcm of every q.
 
     The draws take `rng.getrandbits` words through `_below` and `_sample`,
     the same stream as `random.sample` of the listed piece and `randint`
     make on CPython 3.10+; `tests/oracles.enumerating_charge_element` keeps
-    that route as the reference.
+    the `randint` route as the reference.
     """
     ctx = D.ctx
     getrandbits = rng.getrandbits
     acc = {}
     for w in range(0, max_weight + 1):
-        piece = _piece_view(ctx, charge, w, eta_degree)
+        piece = _piece(ctx, charge, w, eta_degree)
         size = len(piece)
         if not size:
             continue
@@ -279,6 +283,10 @@ def exp_identity_rhs(D: DworkData, gamma: SuperElement, lam: SuperElement,
         part = k_lam if s == order else k_gamma_lam
         out = out + (part * power).scale(Fraction(1, math.factorial(s)))
     return out
+
+
+# how many times the exponential-identity family draws (Gamma, lam) at most
+_EXP_DRAWS = 8
 
 
 def run_suite(D: DworkData, presentation: QuotientPresentation,
@@ -412,12 +420,17 @@ def run_suite(D: DworkData, presentation: QuotientPresentation,
     _check_loop(report, "bracket: Poisson rule", max(iterations // 2, 1), l2_poisson)
 
     def exp_identities(_):
-        gamma = random_element(ctx, rng, homogeneous_degree=0, terms=2, max_xdeg=2)
-        # Gamma is eta-free, so lam carries an eta for K and l2 to be tested
-        lam = random_element(ctx, rng, homogeneous_degree=_below(getrandbits, 2) + 1,
-                             terms=2, max_xdeg=2)
-        if lam.is_zero():
-            lam = SuperElement.eta(ctx, 1)
+        # Gamma is eta-free, so lam carries an eta for K and l2 to be tested;
+        # the pair is drawn again while l2(Gamma, lam) = 0, which checks K
+        # alone (no lam helps a zero or constant Gamma)
+        for _ in range(_EXP_DRAWS):
+            gamma = random_element(ctx, rng, homogeneous_degree=0, terms=2, max_xdeg=2)
+            lam = random_element(ctx, rng, homogeneous_degree=_below(getrandbits, 2) + 1,
+                                 terms=2, max_xdeg=2)
+            if lam.is_zero():
+                lam = SuperElement.eta(ctx, 1)
+            if not ops.ell2(D, gamma, lam).is_zero():
+                break
         for order in (1, 2, 3):
             if exp_identity_lhs(D, gamma, lam, order) != \
                     exp_identity_rhs(D, gamma, lam, order):

@@ -256,9 +256,9 @@ def fraction_random_element(ctx, rng, *, max_eta=2, max_weight=2, max_xdeg=4, te
 
 
 def enumerating_charge_element(D, rng, charge, eta_degree, max_weight=3):
-    """verify.random_charge_element as it was before it drew from a
-    PieceView: every piece listed by enumerate_piece, then sampled, with
-    the sampled keys unpacked for the public constructor."""
+    """verify.random_charge_element through the `random.Random` methods:
+    every piece listed by enumerate_piece, then sampled, with the sampled
+    keys unpacked for the public constructor."""
     ctx = D.ctx
     acc = {}
     for w in range(0, max_weight + 1):

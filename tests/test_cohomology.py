@@ -103,9 +103,9 @@ def test_enumerate_piece_order_is_monomial_sort_key(n, k, degrees, order):
 @pytest.mark.parametrize("order", ["graded-lex", "grevlex"])
 @pytest.mark.parametrize("n,k,degrees", [
     (2, 1, (3,)), (3, 1, (4,)), (3, 2, (2, 2)), (2, 2, (1, 2)), (3, 2, (2, 3))])
-def test_piece_view_unranks_enumerate_piece(n, k, degrees, order):
-    """PieceView counts and unranks exactly the monomials enumerate_piece
-    lists, in the same order, so draws through it stay fixed."""
+def test_piece_view_counts_and_walks_enumerate_piece(n, k, degrees, order):
+    """PieceView counts, in closed form, and walks exactly the monomials
+    enumerate_piece lists, in the same order."""
     ctx = VariableContext(n, k, degrees, order)
     nonempty = 0
     for charge in range(-3, 4):
@@ -114,16 +114,8 @@ def test_piece_view_unranks_enumerate_piece(n, k, degrees, order):
                 monos = list(enumerate_piece(ctx, charge, weight, eta_degree).monomials)
                 view = PieceView(ctx, charge, weight, eta_degree)
                 assert len(view) == len(monos)
-                assert [view[j] for j in range(len(view))] == monos
                 assert list(view) == monos
-                if monos:
-                    assert view[-1] == monos[-1]
-                    assert view[-len(monos)] == monos[0]
-                    nonempty += 1
-                with pytest.raises(IndexError):
-                    view[len(view)]
-                with pytest.raises(IndexError):
-                    view[-len(view) - 1]
+                nonempty += bool(monos)
     assert nonempty > 10
 
 
@@ -134,8 +126,8 @@ def test_piece_view_unranks_enumerate_piece(n, k, degrees, order):
 ])
 def test_piece_view_iterates_without_enumerate_piece(monkeypatch, n, k, degrees,
                                                      order, pieces):
-    """Iterating a view walks its own block table, in the order `view[j]`
-    unranks; it lists nothing through enumerate_piece."""
+    """Iterating a view walks its own block table, as many monomials as
+    `len` counts; it lists nothing through enumerate_piece."""
     import dworkbox.cohomology as cohomology
 
     def refuse(*args):
@@ -145,8 +137,7 @@ def test_piece_view_iterates_without_enumerate_piece(monkeypatch, n, k, degrees,
     ctx = VariableContext(n, k, degrees, order)
     for charge, weight, eta_degree in pieces:
         view = PieceView(ctx, charge, weight, eta_degree)
-        assert len(view) > 1
-        assert list(view) == [view[j] for j in range(len(view))]
+        assert len(list(view)) == len(view) > 1
 
 
 def test_compositions_follow_the_recursive_order():

@@ -233,8 +233,8 @@ def test_leading_classes_carry_the_recorded_prefactor(n, degree, H, h, prefactor
 @pytest.mark.parametrize("shape", [(2, 1, (3,)), (3, 2, (2, 2)), (4, 1, (3,))],
                          ids=["cubic", "two_quadrics", "cubic_threefold"])
 def test_smallest_x_monomial_is_the_last_of_its_piece(shape, order):
-    """Unranking the last monomial of the piece gives the minimum under
-    monomial_sort_key of the listed piece, which is what it replaced."""
+    """x_n^degree in closed form is the minimum under monomial_sort_key of
+    the listed piece, which is what it replaced."""
     from dworkbox.cohomology import enumerate_piece
     from dworkbox.deformation import _smallest_x_monomial
     from dworkbox.superalgebra import monomial_sort_key
@@ -249,8 +249,8 @@ def test_smallest_x_monomial_is_the_last_of_its_piece(shape, order):
 
 
 @pytest.mark.parametrize("order", ["graded-lex", "grevlex"])
-def test_smallest_x_monomial_is_the_last_unranked_monomial(order):
-    """x_n^degree in closed form equals the last monomial PieceView unranks,
+def test_smallest_x_monomial_is_the_last_walked_monomial(order):
+    """x_n^degree in closed form equals the last monomial PieceView walks,
     for every n <= 5 and k <= n."""
     from dworkbox.cohomology import PieceView
     from dworkbox.deformation import _smallest_x_monomial
@@ -259,7 +259,7 @@ def test_smallest_x_monomial_is_the_last_unranked_monomial(order):
         for k in range(1, n + 1):
             ctx = VariableContext(n, k, tuple(range(2, k + 2)), order)
             for degree in range(6):
-                last = ctx.unpack(PieceView(ctx, degree, 0, 0)[-1])
+                *_, last = map(ctx.unpack, PieceView(ctx, degree, 0, 0))
                 assert _smallest_x_monomial(ctx, degree) == SuperElement(ctx, {last: 1})
 
 

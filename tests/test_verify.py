@@ -134,6 +134,21 @@ def test_fault_reaches_every_holder(name, hook):
                        else BRACKET_FAMILIES | {EXP_FAMILY})
 
 
+@pytest.mark.parametrize("name", list(FAULT_GEOMETRIES))
+def test_bracket_fault_fails_the_exponential_identity_at_every_seed(name):
+    """At 12 iterations the exponential-identity family makes one check.
+    Its pair (Gamma, lam) is drawn again while l2(Gamma, lam) = 0, so the
+    check sees the bracket and `bracket-sign` fails it at every seed."""
+    n, k, degrees, G, _ = FAULT_GEOMETRIES[name]
+    ctx = VariableContext(n, k, degrees)
+    D = dwork_potential(ctx, [parse(g, ctx) for g in G])
+    pres = QuotientPresentation(D)
+    for seed in range(8):
+        with fault_injection("bracket-sign"):
+            report = run_suite(D, pres, seed=seed, iterations=12)
+        assert {c.name: c.passed for c in report.checks}[EXP_FAMILY] is False, seed
+
+
 def test_gradings_family_catches_a_non_additive_grading(cubic_dwork, cubic_presentation,
                                                        monkeypatch):
     """With every charge shifted by one, the charge of a product is not the
@@ -197,8 +212,8 @@ def _draw_geometry(geometry, request):
 @pytest.mark.parametrize("geometry", DRAW_GEOMETRIES)
 def test_random_charge_element_draws_as_the_enumerating_sampler(geometry, request,
                                                                 monkeypatch):
-    """Drawing from a PieceView makes the same elements, and leaves the
-    generator in the same state, as sampling the listed pieces.  The grid
+    """Drawing from the cached listings makes the same elements, and leaves
+    the generator in the same state, as sampling the listed pieces.  The grid
     takes every walk of `random.sample`: one position of one, the pool walk
     (2 to 21 positions) and the rejection walk (more than 21)."""
     D = _draw_geometry(geometry, request)
@@ -227,6 +242,39 @@ def test_random_charge_element_draws_as_the_enumerating_sampler(geometry, reques
                         assert list(drawn._num) == list(expected._num)
                     assert rng.getstate() == ref.getstate()
     assert walks == {"one", "pool", "rejection"}
+
+
+def test_suite_lists_each_piece_once(cubic_dwork, cubic_presentation, monkeypatch):
+    """From a cleared cache, one suite on the cubic lists each (charge,
+    weight, eta degree) piece at most once, and every charge draw is the
+    enumerating sampler's, generator state included."""
+    listed = []
+    list_piece = verify.enumerate_piece
+
+    def counting_listing(ctx, charge, weight, eta_degree):
+        listed.append((charge, weight, eta_degree))
+        return list_piece(ctx, charge, weight, eta_degree)
+
+    draw = verify.random_charge_element
+    draws = 0
+
+    def checked_draw(D, rng, charge, eta_degree, max_weight=3):
+        nonlocal draws
+        ref = random.Random()
+        ref.setstate(rng.getstate())
+        drawn = draw(D, rng, charge, eta_degree, max_weight)
+        expected = enumerating_charge_element(D, ref, charge, eta_degree, max_weight)
+        assert drawn == expected and list(drawn._num) == list(expected._num)
+        assert rng.getstate() == ref.getstate()
+        draws += 1
+        return drawn
+
+    monkeypatch.setattr(verify, "enumerate_piece", counting_listing)
+    monkeypatch.setattr(verify, "random_charge_element", checked_draw)
+    verify._piece.cache_clear()
+    assert run_suite(cubic_dwork, cubic_presentation, seed=0, iterations=40).ok
+    assert draws > 40
+    assert listed and len(listed) == len(set(listed))
 
 
 # bounds of one to nine bits, and past the 32-bit words of MT19937
