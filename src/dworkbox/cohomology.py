@@ -22,10 +22,10 @@ certificate xi with
 
 which is re-checkable by applying K.  The coefficients are independent of the
 solver's internal choices; the certificate is one valid witness among many.
-The slices are int numerators by packed key over one denominator each, and
-delta of each preimage is subtracted into the slice below in one pass; the
-preimages, one per weight, are merged into the certificate once, at the end,
-and no delta is formed at weight 0, where nothing lies below.
+The slices and preimages are int numerators by packed key over one
+denominator each, and delta of each preimage is subtracted into the slice
+below in one pass; the preimages are merged into the certificate, the one
+element a reduction makes, at the end; no delta is formed at weight 0.
 
 Above weight top + 1 (top = n - k) no weight echelon is built.  There the
 quotient is zero and a preimage comes from weight top + 1 by the
@@ -66,7 +66,7 @@ from math import comb, gcd, lcm
 from operator import mul
 
 from .errors import InputError, InternalCheckError, SmoothnessError
-from .operators import DworkData, apply_delta, dwork_potential
+from .operators import DworkData, _delta_numerators, dwork_potential
 from .superalgebra import (
     SuperElement,
     VariableContext,
@@ -225,14 +225,20 @@ class ReductionResult:
     coefficients: dict
     certificate: SuperElement
 
+    def scaled(self) -> tuple:
+        """The coefficients as (int numerators by position, lcm of their
+        denominators), the form the echelon takes."""
+        den = lcm(*(c.denominator for c in self.coefficients.values()))
+        return {rho: c.numerator * (den // c.denominator)
+                for rho, c in self.coefficients.items()}, den
+
     def as_element(self, presentation: "QuotientPresentation") -> SuperElement:
         """sum_rho c_rho e_rho as an element (the normal form), made on the
         packed basis keys over the lcm of the coefficient denominators."""
         keys = tuple(presentation.basis_index)
-        den = lcm(*(c.denominator for c in self.coefficients.values()))
+        num, den = self.scaled()
         return SuperElement._make(presentation.dwork.ctx,
-                                  {keys[rho]: c.numerator * (den // c.denominator)
-                                   for rho, c in self.coefficients.items()}, den)
+                                  {keys[rho]: v for rho, v in num.items()}, den)
 
 
 # eliminate divides out the content of its running vector once the common
@@ -257,7 +263,7 @@ class _Echelon:
         self.pivots = {}
 
     def eliminate(self, vec: dict):
-        """Reduce `vec` (position -> int or rational) against the rows.
+        """Reduce `vec` (position -> int; zeros are skipped) against the rows.
 
         Returns (residual, combo, den) in ints with den * vec == residual +
         sum_g combo[g] * vector_g: residual is supported on non-pivot
@@ -270,11 +276,10 @@ class _Echelon:
         the pivot of R over the lead of the stack in lowest terms, so the
         pivot entry cancels in integers.
         """
-        den = lcm(*(v.denominator for v in vec.values()))
-        stack = {k: v.numerator * (den // v.denominator) for k, v in vec.items() if v}
+        den, limit = 1, 1 + _CONTENT_BITS
+        stack = {k: v for k, v in vec.items() if v}
         combo: dict = {}
         residual: dict = {}
-        limit = den.bit_length() + _CONTENT_BITS
         while stack:
             lead = min(stack)  # smallest position = largest monomial
             hit = self.pivots.get(lead)
@@ -313,8 +318,8 @@ class _Echelon:
         return residual, combo, den
 
     def insert(self, vec: dict, combo: dict) -> Fraction:
-        """Echelon-insert `vec`, which equals the combination `combo` (int
-        coefficients) of the inserted vectors.
+        """Echelon-insert `vec` (int numerators), which equals the
+        combination `combo` (int coefficients) of the inserted vectors.
 
         Returns the pivot coefficient of the reduced `vec`, which the new
         row's rational view was divided by, or 0 when `vec` is dependent on
@@ -381,7 +386,7 @@ class _WeightSolver(_Echelon):
 
     def solve(self, num: dict):
         """(residual, preimage, scale) in ints with scale * num == residual +
-        Q(preimage), for `num` mapping target monomials to ints or rationals.
+        Q(preimage), for `num` mapping target monomials to ints.
 
         The residual is keyed by complement monomial and the preimage by
         generator monomial, both as packed keys.
@@ -672,11 +677,12 @@ class QuotientPresentation:
         denominators' lcm; nothing lies below weight 0, so no delta is
         formed there.
 
-        The slices stay int numerators over one denominator each, never
-        reduced to lowest terms: the echelon's rational steps do not depend
-        on the representation.  Every xi has its own weight, so the xi's
-        share no key, and the certificate is their concatenation, top
-        weight first, made once over the lcm of their denominators.
+        No element is made until the certificate: each xi is int numerators
+        over its own denominator, delta(xi) is `_delta_numerators` over the
+        same one, zeros kept (so `pop`, not `del`), and nothing is reduced:
+        the echelon's rational steps do not depend on the representation.
+        The xi's have distinct weights, so the certificate is their
+        concatenation, top weight first, over the lcm of their denominators.
         """
         ctx = self.dwork.ctx
         top = ctx.n - ctx.k
@@ -687,37 +693,37 @@ class QuotientPresentation:
             if not num:
                 continue
             if w >= top + 2:
-                xi = self._lift(num, den)
+                xi, den = self._lift(num, den)
             else:
-                xi = self._eliminate_slice(w, num, den, coeffs)
-            xis.append(xi)
+                xi, den = self._eliminate_slice(w, num, den, coeffs)
+            xis.append((xi, den))
             if not w:
                 break  # delta(xi) would have weight -1
-            delta = apply_delta(xi)
             below, below_den = slices.get(w - 1, ({}, 1))
-            g = gcd(below_den, delta._den)
-            fa, fb = delta._den // g, below_den // g
+            g = gcd(below_den, den)
+            fa, fb = den // g, below_den // g
             acc = {m: v * fa for m, v in below.items()}
             get = acc.get
-            for m, v in delta._num.items():
+            for m, v in _delta_numerators(ctx, xi).items():
                 new = get(m, 0) - v * fb
                 if new:
                     acc[m] = new
                 else:
-                    del acc[m]
+                    acc.pop(m, None)
             slices[w - 1] = (acc, below_den * fa)
-        den = lcm(*(xi._den for xi in xis))
+        den = lcm(*(xi_den for _, xi_den in xis))
         certificate: dict = {}
-        for xi in xis:
-            scale = den // xi._den
-            certificate.update((m, v * scale) for m, v in xi._num.items())
+        for xi, xi_den in xis:
+            scale = den // xi_den
+            certificate.update((m, v * scale) for m, v in xi.items())
         return ReductionResult(coeffs, SuperElement._make(ctx, certificate, den))
 
-    def _eliminate_slice(self, w: int, num: dict, den: int, coeffs: dict) -> SuperElement:
+    def _eliminate_slice(self, w: int, num: dict, den: int, coeffs: dict) -> tuple:
         """Eliminate the weight-w slice num / den against its echelon.
 
         Stores the residual in `coeffs` (basis position -> nonzero Fraction)
-        and returns xi with Q(xi) = num / den - residual.
+        and returns xi with Q(xi) = num / den - residual as (`solve`'s
+        preimage, den * scale).
         """
         residual, preimage, scale = self._solver(w).solve(num)
         den *= scale
@@ -727,11 +733,12 @@ class QuotientPresentation:
         # the echelon leaves no zero in a residual
         for mono, c in residual.items():
             coeffs[self.basis_index[mono]] = Fraction(c, den)
-        return SuperElement._make(self.dwork.ctx, preimage, den)
+        return preimage, den
 
-    def _lift(self, num: dict, den: int) -> SuperElement:
+    def _lift(self, num: dict, den: int) -> tuple:
         """xi = sum_M c_M pre(m0) * m1 with Q(xi) = num / den, for a slice
-        of weight >= top + 2 split monomial by monomial as M = m0 * m1.
+        of weight >= top + 2 split monomial by monomial as M = m0 * m1, as
+        (int numerators by generator key, none zero, denominator).
 
         On packed keys m1 = M - m0, and pre(m0) * m1 adds m1 to each
         generator key.  No exponent grows past M's: a generator m * eta_j
@@ -770,7 +777,7 @@ class QuotientPresentation:
             for gen, g in pre.items():
                 key = gen + m1
                 acc[key] = acc.get(key, 0) + c * g
-        return SuperElement._make(ctx, acc, den * common)
+        return {m: v for m, v in acc.items() if v}, den * common
 
     def _preimage(self, m0: int) -> tuple:
         """pre(m0) with Q(pre(m0)) = m0, for the key m0 of weight top + 1,

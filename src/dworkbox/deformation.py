@@ -223,8 +223,8 @@ def u_basis(def_data: DeformationData, pres_G: QuotientPresentation,
     # incremental exact rank tracking over reduced coordinate vectors
     echelon = _Echelon()
 
-    def grows(u):
-        return echelon.insert(pres_U.reduce(u).coefficients, {})
+    def grows(u):  # the echelon takes ints
+        return echelon.insert(pres_U.reduce(u).scaled()[0], {})
 
     for idx, u in enumerate(leaders, start=1):
         if not grows(u):
@@ -390,10 +390,7 @@ def _record(pres: QuotientPresentation, memo: dict, coefficients, rhs, expo,
     for mono, v in value._num.items():
         reduced = memo.get(mono)
         if reduced is None:
-            coeffs = pres.reduce(SuperElement._make(ctx, {mono: 1}, 1)).coefficients
-            mden = math.lcm(*(c.denominator for c in coeffs.values()))
-            reduced = memo[mono] = (
-                {rho: c.numerator * (mden // c.denominator) for rho, c in coeffs.items()}, mden)
+            reduced = memo[mono] = pres.reduce(SuperElement._make(ctx, {mono: 1}, 1)).scaled()
         nums, mden = reduced
         if common % mden:
             step = mden // math.gcd(common, mden)

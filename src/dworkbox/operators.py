@@ -120,25 +120,25 @@ def check_x_homogeneous(ctx: VariableContext, poly: SuperElement, degree: int,
                              f"found a degree-{xdeg} monomial")
 
 
-def _differential(a: SuperElement, grads: tuple, grad_den: int,
-                  delta: bool) -> SuperElement:
-    """sum_i (grad[i] + [delta] d/dq_i) d/deta_i (a), in one pass over the
-    terms of a: Q for the gradient table (D.grad_num, D.grad_den) without
-    delta, delta for the empty table ((), 1) with it, and K for both.
+def _differential(ctx: VariableContext, num: dict, grads: tuple, grad_den: int,
+                  delta: bool) -> dict:
+    """sum_i (grad[i] + [delta] d/dq_i) d/deta_i (num / den) as numerators
+    over den * grad_den, zeros kept, in one pass over `num`: Q for the
+    gradient table (D.grad_num, D.grad_den) without delta, delta for the
+    empty table ((), 1) with it, and K for both.
 
     For each eta_i of a term, lowest first, d/deta_i strips it with its
     sign; the delta term d/dq_i of the stripped monomial and the Q terms
-    grad[i] times it go into one numerator dict over a._den * grad_den, in
-    that order.  S is eta-free, so a Q term keeps the stripped eta and its
-    sign, and its key is the stripped key plus the gradient term's.
+    grad[i] times it go into one numerator dict, in that order.  S is
+    eta-free, so a Q term keeps the stripped eta and its sign, and its key
+    is the stripped key plus the gradient term's.
     """
-    ctx = a.ctx
     table = grads or [()] * ctx.nvars
     units, shifts = ctx.q_units, ctx.q_shifts
     mask = ctx.eta_mask
     acc = {}
     get = acc.get
-    for key, v in a._num.items():
+    for key, v in num.items():
         eta = key & mask
         c = v
         while eta:
@@ -157,27 +157,35 @@ def _differential(a: SuperElement, grads: tuple, grad_den: int,
             c = -c  # the next eta sits one odd factor further in
     if grads:  # only a Q term raises an exponent
         _check_guard(ctx, acc)
-    return SuperElement._make(ctx, acc, a._den * grad_den)
+    return acc
+
+
+def _delta_numerators(ctx: VariableContext, num: dict) -> dict:
+    """delta(num / den)'s numerators over den, zeros kept: called by
+    `apply_delta` and the reduce cascade through this global."""
+    return _differential(ctx, num, (), 1, True)
 
 
 def apply_delta(a: SuperElement) -> SuperElement:
     """delta = sum_i d/dq_i d/deta_i; drops weight by 1, raises degree by 1."""
-    return _differential(a, (), 1, True)
+    return SuperElement._make(a.ctx, _delta_numerators(a.ctx, a._num), a._den)
 
 
 def apply_q(D: DworkData, a: SuperElement) -> SuperElement:
     """Q = sum_i (dS/dq_i) d/deta_i; preserves charge and weight."""
     if a.ctx != D.ctx:
         raise ContextMismatchError("element over a different context")
-    return _differential(a, D.grad_num, D.grad_den, False)
+    num = _differential(a.ctx, a._num, D.grad_num, D.grad_den, False)
+    return SuperElement._make(a.ctx, num, a._den * D.grad_den)
 
 
 def apply_k(D: DworkData, a: SuperElement) -> SuperElement:
     """The twisted differential K = Q + delta, in one pass; it does not call
-    `apply_delta`."""
+    `apply_delta` or `_delta_numerators`."""
     if a.ctx != D.ctx:
         raise ContextMismatchError("element over a different context")
-    return _differential(a, D.grad_num, D.grad_den, True)
+    num = _differential(a.ctx, a._num, D.grad_num, D.grad_den, True)
+    return SuperElement._make(a.ctx, num, a._den * D.grad_den)
 
 
 def ell2(D: DworkData, a: SuperElement, b: SuperElement) -> SuperElement:

@@ -570,14 +570,12 @@ def reduction_functional(presentation: QuotientPresentation, row) -> LinearFunct
 
 # -- fault injection (harness self-test) --------------------------------------
 
-def _drop_first_term(apply_delta):
-    def corrupted(a):
+def _drop_first_term(delta_numerators):
+    def corrupted(ctx, num):
         # drop one term: breaks delta^2 = 0 and delta Q + Q delta = 0
-        value = apply_delta(a)
-        num = dict(value._num)
-        if num:
-            num.pop(next(iter(num)))
-        return SuperElement._make(value.ctx, num, value._den)
+        value = delta_numerators(ctx, num)
+        value.pop(next((m for m, v in value.items() if v), None), None)
+        return value
     return corrupted
 
 
@@ -587,7 +585,7 @@ def _flip_sign(ell2):
 
 # fault name -> (global of dworkbox.operators, factory of its corrupted version)
 FAULT_HOOKS = {
-    "delta-drop-term": ("apply_delta", _drop_first_term),
+    "delta-drop-term": ("_delta_numerators", _drop_first_term),
     "bracket-sign": ("ell2", _flip_sign),
 }
 
@@ -599,11 +597,12 @@ def fault_injection(name: str):
     While the block runs, every global of a loaded `dworkbox` module that
     holds the named operator of `dworkbox.operators` is rebound to the
     corrupted one, however the module imported it: `bracket-sign` reaches
-    `deformation.k_gamma` and the descendant tower, `delta-drop-term`
-    reaches `cohomology`'s `reduce`.  All are restored when the block
-    exits, also on an exception.  `apply_k` does not call `apply_delta`, so
-    `delta-drop-term` leaves K intact.  The rebinding is process-wide, so
-    the hook is not thread-safe.
+    `deformation.k_gamma` and the descendant tower; `delta-drop-term`, the
+    delta kernel `_delta_numerators` less its first nonzero numerator,
+    reaches `apply_delta` and `cohomology`'s `reduce`.  All are restored
+    when the block exits, also on an exception.  `apply_k` does not call
+    the kernel, so `delta-drop-term` leaves K intact.  The rebinding is
+    process-wide, so the hook is not thread-safe.
     """
     if name not in FAULT_HOOKS:
         raise ValueError(f"unknown fault hook {name!r}; choose from {sorted(FAULT_HOOKS)}")

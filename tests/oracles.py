@@ -10,7 +10,7 @@ enumerator) are the library's own earlier paths, kept as cross-checks.
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from dworkbox import SuperElement, SuperMonomial, apply_delta, apply_k, ell_n
 from dworkbox.cohomology import (
@@ -49,7 +49,7 @@ def dense_rank(vectors, columns):
     for vec in vectors:
         row = [Fraction(0)] * len(columns)
         for mono, c in vec.items():
-            row[index[mono]] = c
+            row[index[mono]] = Fraction(c)
         rows.append(row)
     rank = 0
     for col in range(len(columns)):
@@ -271,6 +271,13 @@ def enumerating_charge_element(D, rng, charge, eta_degree, max_weight=3):
             if coeff:
                 acc[mono] = acc.get(mono, Fraction(0)) + coeff
     return SuperElement(ctx, acc)
+
+
+def as_ints(vec):
+    """A dict of rationals as (int dict, den) with ints / den == vec, den the
+    lcm of the denominators: the int form the library's `eliminate` takes."""
+    den = lcm(*(Fraction(v).denominator for v in vec.values()))
+    return {k: int(v * den) for k, v in vec.items()}, den
 
 
 def as_fractions(*parts):
@@ -710,8 +717,9 @@ class EchelonReduction:
             part = {m: c for m, c in rest.terms.items()
                     if monomial_weight(ctx, ctx.pack(m)) == w}
             solver = self.solver(w)
-            residual, combo = as_fractions(*solver.eliminate(
-                {solver.index[ctx.pack(m)]: c for m, c in part.items()}))
+            vec, den = as_ints({solver.index[ctx.pack(m)]: c for m, c in part.items()})
+            *parts, scale = solver.eliminate(vec)
+            residual, combo = as_fractions(*parts, scale * den)
             for pos, c in residual.items():
                 idx = pres.basis_index.get(solver.target.monomials[pos])
                 if idx is None:

@@ -518,7 +518,7 @@ TAMPERED_ROWS = {
 
 
 @pytest.mark.parametrize("case", sorted(TAMPERED_ROWS))
-def test_presentation_import_rejects_tampered_rows(cubic_presentation, exports, case):
+def test_presentation_import_ignores_format_1_rows(cubic_presentation, exports, case):
     """A format-1 file's stored rows are not read: each row edit, whether
     the old row check rejected it or not, loads as the rebuild."""
     payload = json.loads(exports[1])
@@ -534,7 +534,7 @@ def test_presentation_import_loads_exponent_rows_unexpanded(
     import time
 
     start = time.perf_counter()
-    test_presentation_import_rejects_tampered_rows(cubic_presentation, exports, case)
+    test_presentation_import_ignores_format_1_rows(cubic_presentation, exports, case)
     assert time.perf_counter() - start < 1.0
 
 

@@ -21,6 +21,7 @@ from dworkbox.deformation import _determinant
 from tests.oracles import (
     FractionEchelon,
     as_fractions,
+    as_ints,
     dense_rank,
     koszul_redundant,
     rational_rows,
@@ -28,10 +29,12 @@ from tests.oracles import (
 
 
 def random_rows(rng, nrows, ncols, density=0.4, bits=None):
-    """Sparse rational rows; about a third are combinations of earlier rows.
+    """Sparse rows of ints, the form the echelon takes: rational rows, each
+    scaled by the lcm of its denominators; about a third are combinations
+    of earlier rows.
 
-    Entries are small, or with `bits` have numerators and denominators of up
-    to that many bits.
+    The rational entries are small, or with `bits` have numerators and
+    denominators of up to that many bits.
     """
     def entry(num, den):
         if bits is None:
@@ -51,7 +54,7 @@ def random_rows(rng, nrows, ncols, density=0.4, bits=None):
             row = {pos: entry(5, 3) for pos in range(ncols) if rng.random() < density}
             row = {pos: v for pos, v in row.items() if v}
         rows.append(row)
-    return rows
+    return [as_ints(row)[0] for row in rows]
 
 
 KINDS = ("plain", "singular", "unimodular")
@@ -150,7 +153,8 @@ def weight_solvers(D):
     """The charge-c_G weight solvers of D at weights 0..n-k+2, each also
     rebuilt by a fresh library echelon and by the Fraction echelon from the
     Q images of the generators the oracle's Koszul criterion keeps, in the
-    same order; yields them with the insert values of both."""
+    same order, both fed den * Q(gen) in ints under {g_idx: den}; yields
+    them with the insert values of both."""
     c_G = D.ctx.background_charge()
     redundant = koszul_redundant(D)
     for weight in range(D.ctx.n - D.ctx.k + 3):
@@ -161,11 +165,11 @@ def weight_solvers(D):
         for g_idx, gen in enumerate(built.generators.monomials):
             if redundant(D.ctx.unpack(gen)):
                 continue
-            vec, = as_fractions(*fresh.q_vector(D, g_idx))
+            vec, den = fresh.q_vector(D, g_idx)  # den * Q(gen) in ints
             if not vec:
                 continue
-            values.append((fresh.insert(vec, {g_idx: 1}),
-                           oracle.insert(vec, {g_idx: Fraction(1)})))
+            values.append((fresh.insert(vec, {g_idx: den}),
+                           oracle.insert(vec, {g_idx: Fraction(den)})))
             if len(oracle.rows) == len(built.target.monomials):
                 break
         yield built, fresh, oracle, values
@@ -176,8 +180,9 @@ def weight_solvers(D):
 def test_matches_fraction_echelon_on_weight_solvers(geometry, request):
     """The build inserts den * Q(gen) under combo {g_idx: den} for each
     generator the Koszul criterion keeps; the rows and combos are those of
-    the Fraction echelon fed Q(gen) under {g_idx: 1} for the generators the
-    oracle's criterion keeps, also for a gradient with denominators up to 6."""
+    the Fraction echelon fed the same vectors for the generators the
+    oracle's criterion keeps (normalized, the rows and combos of Q(gen)
+    under {g_idx: 1}), also for a gradient with denominators up to 6."""
     D = request.getfixturevalue({"fractional cubic": "fractional_cubic_dwork",
                                  "grevlex K3": "grevlex_k3_dwork"}.get(geometry, geometry))
     rng = random.Random(geometry)
@@ -187,8 +192,8 @@ def test_matches_fraction_echelon_on_weight_solvers(geometry, request):
         assert_same_echelon(fresh, oracle)
         size = len(built.target.monomials)
         for _ in range(3):
-            probe = {pos: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                     for pos in rng.sample(range(size), min(size, 6))}
+            probe, _ = as_ints({pos: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                for pos in rng.sample(range(size), min(size, 6))})
             assert as_fractions(*built.eliminate(probe)) == oracle.eliminate(probe)
 
 
@@ -196,8 +201,8 @@ def test_matches_fraction_echelon_on_weight_solvers(geometry, request):
                                       "grevlex K3"])
 def test_solve_is_exact_and_leaves_only_complement_monomials(geometry, request):
     """scale * num == residual + Q(preimage) exactly for seeded rational
-    vectors of every weight 0..n-k+1, with the residual on complement
-    monomials; a monomial of another piece is refused."""
+    vectors, scaled to ints, of every weight 0..n-k+1, with the residual
+    on complement monomials; a monomial of another piece is refused."""
     D = request.getfixturevalue({"grevlex K3": "grevlex_k3_dwork"}.get(geometry, geometry))
     ctx = D.ctx
     c_G = ctx.background_charge()
@@ -211,8 +216,8 @@ def test_solve_is_exact_and_leaves_only_complement_monomials(geometry, request):
         target = solver.target.monomials
         complement = set(solver.complement_monomials())
         for _ in range(4):
-            num = {m: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                   for m in rng.sample(target, min(len(target), 6))}
+            num, _ = as_ints({m: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                              for m in rng.sample(target, min(len(target), 6))})
             residual, preimage, scale = solver.solve(num)
             assert set(residual) <= complement
             assert all(type(c) is int

@@ -286,15 +286,16 @@ def test_cascade_matches_the_echelon_route(name):
 
 @pytest.mark.parametrize("name", ["cubic_curve", "two_quadrics", "genus_four_non_diagonal"])
 def test_cascade_forms_delta_once_per_slice_above_weight_zero(name, monkeypatch):
-    """`reduce` calls `cohomology.apply_delta` once on the xi of each
-    nonzero slice of weight >= 1, right after that slice, and never on the
-    xi of weight 0, whose delta nothing would read."""
+    """`reduce` calls the delta kernel `cohomology._delta_numerators` once
+    on the numerators of the xi of each nonzero slice of weight >= 1, right
+    after that slice, and never on the xi of weight 0, whose delta nothing
+    would read."""
     pres = _cascade_presentation(name)
     ctx = pres.dwork.ctx
     inputs = _cascade_inputs(name, "delta", 3)
     events = []
     eliminate, lift = QuotientPresentation._eliminate_slice, QuotientPresentation._lift
-    real_delta = cohomology.apply_delta
+    real_delta = cohomology._delta_numerators
 
     def slice_spy(w, real):
         def spy(*args):
@@ -307,8 +308,8 @@ def test_cascade_forms_delta_once_per_slice_above_weight_zero(name, monkeypatch)
                         slice_spy(lambda args: args[1], eliminate))
     monkeypatch.setattr(QuotientPresentation, "_lift", slice_spy(
         lambda args: monomial_weight(ctx, next(iter(args[1]))), lift))
-    monkeypatch.setattr(cohomology, "apply_delta",
-                        lambda xi: events.append(("delta", xi)) or real_delta(xi))
+    monkeypatch.setattr(cohomology, "_delta_numerators",
+                        lambda ctx, xi: events.append(("delta", xi)) or real_delta(ctx, xi))
     at_zero = 0
     for f in inputs:
         events.clear()
@@ -320,11 +321,45 @@ def test_cascade_forms_delta_once_per_slice_above_weight_zero(name, monkeypatch)
         for event in slices:
             expected.append(event)
             if event[1]:
-                expected.append(("delta", event[2]))
+                expected.append(("delta", event[2][0]))  # xi's numerators
         assert events == expected
         at_zero += weights[-1] == 0
         assert apply_k(pres.dwork, result.certificate) + result.as_element(pres) == f
     assert at_zero
+
+
+def test_reduce_makes_one_element_per_call(monkeypatch):
+    """`reduce` calls `SuperElement._make` exactly once, for the
+    certificate: no xi and no delta(xi) becomes an element.  Checked on the
+    seeded inputs of the benchmark's reduce stream (seed 1: 200 per
+    geometry, cubic then K3, up to weight n - k + 2, so the lift runs) and
+    on single monomials made as `t_series` makes them, one of each weight
+    up to n - k + 2."""
+    rng = random.Random("dworkbox-bench:1:stream")
+    cases = []
+    for name in ("cubic_curve", "quartic_k3"):
+        D, _ = _geometry(name)
+        pres = build_presentation(D)
+        top = D.ctx.n - D.ctx.k
+        stream = [random_charge_element(D, rng, pres.c_G, 0, max_weight=top + 2)
+                  for _ in range(200)]
+        assert max(top_weight(f) for f in stream) == top + 2
+        cases += [(pres, f) for f in stream]
+        cases += [(pres, SuperElement._make(D.ctx, {piece.monomials[0]: 1}, 1))
+                  for piece in (enumerate_piece(D.ctx, pres.c_G, w, 0)
+                                for w in range(top + 3))]
+    made = []
+    real = SuperElement._make
+    monkeypatch.setattr(SuperElement, "_make",
+                        classmethod(lambda cls, *args: made.append(args) or real(*args)))
+    results = []
+    for pres, f in cases:
+        made.clear()
+        results.append(pres.reduce(f))
+        assert len(made) == 1
+    monkeypatch.undo()
+    for (pres, f), result in zip(cases, results):
+        assert apply_k(pres.dwork, result.certificate) + result.as_element(pres) == f
 
 
 @pytest.mark.parametrize("name", list(CASCADE_CASES))

@@ -31,6 +31,7 @@ from dworkbox import (
 from dworkbox import verify
 from dworkbox.cli import EXIT_INPUT, EXIT_OK, main
 from dworkbox.cohomology import PieceView
+from dworkbox.operators import _delta_numerators
 from dworkbox.superalgebra import MAX_EXPONENT, make_monomial, monomial_sort_key
 from dworkbox.verify import (
     FAULT_HOOKS,
@@ -364,11 +365,14 @@ def test_reduce_stream_draws_are_unchanged():
 
 
 def test_delta_drop_term_drops_the_same_monomial():
-    """`_drop_first_term` pops the first key `_differential` inserted: the
-    delta term of the lowest eta of the first term."""
+    """`_drop_first_term` pops the first key with a nonzero numerator that
+    `_differential` inserted: the delta term of the lowest eta of the first
+    term."""
     ctx = VariableContext(2, 1, (3,))
     a = parse("3*y1^2*x0*x1*e1*e2 - 2/3*x0^2*e2*e4 + y1*x2^3*e1*e3*e4 + 5*x1*e3", ctx)
     full = apply_delta(a)
-    dropped = _drop_first_term(apply_delta)(a)
+    num = dict(a._num)
+    dropped = SuperElement._make(ctx, _drop_first_term(_delta_numerators)(ctx, num), a._den)
+    assert num == a._num
     assert render(full - dropped) == "6*y1*x0*x1*e2"
     assert render(dropped) == "-3*y1^2*x1*e1 + 3*y1*x2^2*e1*e3 + x2^3*e3*e4 - 4/3*x0*e4 + 5"

@@ -59,8 +59,8 @@ def test_fault_injection_caught(cubic_dwork, cubic_presentation, hook):
 
 
 def test_delta_fault_is_caught_by_the_delta_checks(cubic_dwork, cubic_presentation):
-    """apply_k does not call apply_delta, so the dropped delta term never
-    shows through K; it shows in the delta checks (delta^2 = 0, delta Q +
+    """apply_k does not call the delta kernel `_delta_numerators`, so the
+    dropped delta term never shows through K; it shows in the delta checks (delta^2 = 0, delta Q +
     Q delta = 0), and in the reduce families, whose `reduce` subtracts
     delta(xi) per weight slice."""
     with fault_injection("delta-drop-term"):
@@ -79,7 +79,7 @@ FAULT_GEOMETRIES = {
 }
 # hook -> the module globals that hold its operator
 FAULT_HOLDERS = {
-    "delta-drop-term": [(operators, "apply_delta"), (cohomology, "apply_delta")],
+    "delta-drop-term": [(operators, "_delta_numerators"), (cohomology, "_delta_numerators")],
     "bracket-sign": [(operators, "ell2"), (deformation, "ell2")],
 }
 DELTA_FAMILIES = {"differentials: squares and anticommutator vanish",
