@@ -42,9 +42,14 @@ d_i >= 1 gives c_G + d.v0 >= (k - n - 1) + (n - k + 1) = 0, and u has room
 for it, since |u| = c_G + d.v >= c_G + d.v0 because v >= v0.  With
 Q(pre(m0)) = m0 read off the weight top + 1 echelon, Q(pre(m0) * m1) = M.
 So closure at weight top + 1 gives closure at every weight above it, and the
-smoothness guard checks that one weight: first whether the gradient leads
-cover its monomials, then by the rank mod a prime of its Q rows; only a
-short rank builds the exact echelon there.
+smoothness guard checks that one weight mod a prime.  The same identity
+with m1 of weight 1 gives it most of its leads: a gradient lead times a
+monomial, or a weight top pivot times a weight-1 shift, is the lead of a
+known image element of weight top + 1, the staircase of F4 (Faugère, J.
+Pure Appl. Algebra 139, 1999).  One pass over the target, in ascending
+order, projects every monomial onto the few that no such lead covers, and
+the rank of the Q rows is then taken in those few dimensions; only a short
+rank builds the exact echelon there.
 
 A presentation is only ever made by `QuotientPresentation(D)`, which builds
 the weight solvers 0..top up front and the weight top + 1 solver on first
@@ -454,17 +459,12 @@ def _koszul_rows(D: DworkData, solver: _WeightSolver):
             yield g_idx, vec, den
 
 
-def _empty_solver(D: DworkData, charge: int, weight: int) -> _WeightSolver:
-    """A solver of the (charge, weight) pieces with no row yet."""
-    ctx = D.ctx
-    return _WeightSolver(enumerate_piece(ctx, charge, weight, 0),
-                         enumerate_piece(ctx, charge, weight, -1))
-
-
 def _build_weight_solver(D: DworkData, charge: int, weight: int) -> _WeightSolver:
     """Echelonize the Q image of the (charge, weight) generators that
     `_koszul_rows` keeps."""
-    solver = _empty_solver(D, charge, weight)
+    ctx = D.ctx
+    solver = _WeightSolver(enumerate_piece(ctx, charge, weight, 0),
+                           enumerate_piece(ctx, charge, weight, -1))
     full_rank = len(solver.target.monomials)
     for g_idx, vec, den in _koszul_rows(D, solver):
         # vec is den * Q(gen), and rows are stored primitive
@@ -478,57 +478,107 @@ def _build_weight_solver(D: DworkData, charge: int, weight: int) -> _WeightSolve
 _GUARD_PRIME = (1 << 61) - 1
 
 
-def _closes_mod_p(D: DworkData, charge: int, weight: int) -> bool:
-    """Whether the Q rows of the (charge, weight) slice reach full rank mod
-    _GUARD_PRIME, decided in two steps.
+def _closes(D: DworkData, below: _WeightSolver) -> bool:
+    """Whether the Q image of the (charge, weight + 1) slice is its whole
+    target piece, for `below` the exact (charge, weight) echelon.  True is
+    exact; False proves nothing.  Three steps, with p = _GUARD_PRIME:
 
-    First the lead cover.  If every target monomial M is divisible by the
-    leading monomial L_i of some g_i = dS/dq_i whose leading coefficient is
-    nonzero mod p, the row of the generator (M / L_i) * eta_i, which lies
-    in the slice because g_i is homogeneous in charge and weight, is g_i *
-    (M / L_i), whose leading monomial is M because the order is
-    multiplicative.  One such row per M has pivots all distinct and nonzero
-    mod p: a triangular full-rank set, found without listing the generator
-    piece or building a row.
-
-    Otherwise the Koszul-kept rows (`_koszul_rows`) are eliminated mod p
-    without combos.  The rows den * Q(gen) are integer vectors, so full
-    rank mod p means a maximal minor that is nonzero mod p, hence a nonzero
-    integer: the rows have full rank over Q too, and True is exact.  False
-    proves nothing, since p may divide every maximal minor; the caller then
-    asks the exact echelon.
+    1. Leads of known image elements.  The target monomials M are walked
+       in ascending order, and each takes the first of these that applies:
+         * a gradient lead L_i of g_i = dS/dq_i, with c_i nonzero mod p,
+           divides M: the element is g_i * (M / L_i), the Q image of the
+           generator (M / L_i) * eta_i;
+         * M = P * s, for s a charge-0, weight-1, eta-free shift and P the
+           pivot monomial of a row R of `below` with R[P] nonzero mod p:
+           the element is R * s, which is in the image because Q(xi) * s =
+           Q(xi * s) (Q only differentiates eta factors: the lift's
+           identity);
+         * otherwise M is a leftover, and takes the next index j.
+       Both orders are multiplicative, so each element has lead M and every
+       other term t < M.  The elements are triangular with leads nonzero
+       mod p, so with the leftovers they form a basis of the piece mod p.
+    2. The dual pass, in the same walk.  phi(M) is the leftover part of M
+       in that basis, a sparse dict mod p over the leftover indices: a
+       leftover has phi(M) = {j: 1}, and an element a * M + sum_t b_t t
+       gives phi(M) = -a^-1 sum_t b_t phi(t), every t walked already.  phi
+       is zero on the elements, so nothing fills in, and only its nonzero
+       values are kept; no element's terms are.
+    3. The rank.  With no leftover the elements have full rank.  Otherwise
+       the generator rows g_j * m map to sum_t b_t phi(t), and are
+       eliminated mod p until their images span the |leftovers|
+       dimensions.  Only a row with a term t where phi(t) is nonzero has a
+       nonzero image, so the rows are found from that support: g_j * (t /
+       key) for each term key of g_j that divides t.  At full rank the
+       elements and those rows, integer vectors in the image, form a square
+       integer matrix whose determinant is, mod p, the product of the
+       element leads times that of the images: nonzero, so it is invertible
+       over Q and True is exact.  A short rank may be p dividing every
+       maximal minor; the caller then asks the exact echelon.
     """
     p = _GUARD_PRIME
     ctx = D.ctx
     guard = ctx.guard_mask
-    # a lead divides M when (M with every guard bit set) - L borrows from no
-    # field's guard bit, as in `_koszul_rows`; targets are eta-free
-    leads = [lead for lead, c in filter(None, _gradient_leads(D)) if c % p]
-    if all(any(((m | guard) - lead) & guard == guard for lead in leads)
-           for m in PieceView(ctx, charge, weight, 0)):
-        return True
-    solver = _empty_solver(D, charge, weight)
-    full_rank = len(solver.target.monomials)
-    pivots: dict = {}  # pivot position -> row mod p with pivot entry 1
-    for _, vec, _ in _koszul_rows(D, solver):
-        row = {pos: c % p for pos, c in vec.items() if c % p}
-        while row:
-            lead = min(row)
-            hit = pivots.get(lead)
-            if hit is None:
-                inv = pow(row[lead], -1, p)
-                pivots[lead] = {pos: c * inv % p for pos, c in row.items()}
+    # (L_i, -c_i^-1 mod p, g_i's terms); a key divides M when (M with every
+    # guard bit set) - key borrows from no field's guard bit, as in
+    # `_koszul_rows`, and the packed M - s is the key of P exactly when P *
+    # s = M, since a borrow sets a guard bit and no key has one
+    leads = [(term[0], -pow(term[1], -1, p), g)
+             for term, g in zip(_gradient_leads(D), D.grad_num) if term and term[1] % p]
+    shifts = tuple(PieceView(ctx, 0, 1, 0))
+    keys, rows = below.target.monomials, below.rows
+    pivot_at = {keys[pivot]: hit for hit, (pivot, row, _) in enumerate(rows) if row[pivot] % p}
+    moved: dict = {}  # row index -> (-R[P]^-1 mod p, R's terms by packed key)
+    phi: dict = {}  # target key -> {leftover index: value mod p}, nonzero only
+
+    def image(terms, offset, scale) -> dict:
+        """scale * sum_t b_t phi(t) mod p over the terms (t - offset, b_t),
+        zeros dropped; scale is a unit mod p."""
+        acc: dict = {}
+        for key, b in terms:
+            if value := phi.get(key + offset):
+                for j, v in value.items():
+                    acc[j] = acc.get(j, 0) + b * v
+        return {j: v * scale % p for j, v in acc.items() if v % p}
+
+    leftovers = 0
+    for m in reversed(tuple(PieceView(ctx, below.target.charge, below.target.weight + 1, 0))):
+        lifted = m | guard
+        for lead, scale, terms in leads:
+            if (lifted - lead) & guard == guard:
+                offset = m - lead
                 break
-            f = row[lead]
-            for pos, c in hit.items():
-                new = (row.get(pos, 0) - f * c) % p
-                if new:
-                    row[pos] = new
-                else:
-                    row.pop(pos, None)
-        if len(pivots) == full_rank:
-            break
-    return len(pivots) == full_rank
+        else:
+            for offset in shifts:
+                if (hit := pivot_at.get(m - offset)) is not None:
+                    break
+            else:
+                phi[m] = {leftovers: 1}
+                leftovers += 1
+                continue
+            if hit not in moved:
+                pivot, row, _ = rows[hit]
+                moved[hit] = (-pow(row[pivot], -1, p), [(keys[pos], c) for pos, c in row.items()])
+            scale, terms = moved[hit]
+        # phi(M) is not set yet, so M's own term adds nothing
+        if phi and (value := image(terms, offset, scale)):
+            phi[m] = value
+    # only a row with a term t where phi(t) != 0 has a nonzero image
+    rows_through = ((terms, t - key) for t in phi for terms in D.grad_num for key, _ in terms
+                    if ((t | guard) - key) & guard == guard)
+    reached: dict = {}  # lead index -> image reduced by those before it, 1 at its lead
+    for terms, offset in rows_through:
+        row = image(terms, offset, 1)
+        for lead, known in reached.items():
+            if f := row.get(lead):
+                for j, c in known.items():
+                    row[j] = (row.get(j, 0) - f * c) % p
+        if row := {j: c for j, c in row.items() if c}:
+            lead = min(row)
+            inv = pow(row[lead], -1, p)
+            reached[lead] = {j: c * inv % p for j, c in row.items()}
+            if len(reached) == leftovers:
+                return True
+    return not leftovers
 
 
 class QuotientPresentation:
@@ -555,11 +605,12 @@ class QuotientPresentation:
         """Echelonize weights 0..n-k, take their complement monomials as the
         basis, and check closure at weight n-k+1.
 
-        Closure is decided in three steps.  `_closes_mod_p` first asks
-        whether the gradient leads cover every weight n-k+1 monomial, which
-        gives full rank without a row, and otherwise takes the rank mod p
-        of the Koszul rows, which is exact when full.  Only a short rank
-        builds the exact weight n-k+1 echelon, and a nonzero complement
+        Closure is decided by `_closes` from the weight n-k echelon, which
+        covers each weight n-k+1 monomial by a gradient lead or by a pivot
+        times a weight-1 shift, projects every monomial onto the ones left
+        uncovered in one ascending pass, and takes the rank of the Q rows
+        mod p in those few dimensions; a full rank is exact.  Only a short
+        rank builds the exact weight n-k+1 echelon, and a nonzero complement
         there trips the smoothness guard; when the exact echelon closes
         after all, it is kept for the lift.  That one weight certifies
         every weight above it: a charge-c_G monomial M of weight >= n-k+2
@@ -571,7 +622,7 @@ class QuotientPresentation:
         self.c_G = D.ctx.background_charge()
         top = D.ctx.n - D.ctx.k
         self._solvers = {w: _build_weight_solver(D, self.c_G, w) for w in range(top + 1)}
-        if not _closes_mod_p(D, self.c_G, top + 1):
+        if not _closes(D, self._solvers[top]):
             leftover = self._solver(top + 1).complement_monomials()
             if leftover:
                 raise SmoothnessError(

@@ -5,6 +5,7 @@ import functools
 import json
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 import sympy
@@ -25,7 +26,7 @@ from dworkbox.cohomology import (
     _GUARD_PRIME,
     QuotientPresentation,
     _build_weight_solver,
-    _closes_mod_p,
+    _closes,
     _WeightSolver,
     charge_witness,
     enumerate_piece,
@@ -535,24 +536,6 @@ def test_q_rows_from_the_gradient_table_match_apply_q(name):
                 stranger.q_vector(D, 0)
 
 
-def _guard_dwork(name):
-    n, k, degrees, G = GUARD_INPUTS[name]
-    ctx = VariableContext(n, k, degrees)
-    return dwork_potential(ctx, [parse(g, ctx) for g in G])
-
-
-@pytest.mark.parametrize("name", list(GUARD_INPUTS))
-def test_modular_guard_agrees_with_the_exact_complement(name):
-    """Rank mod p of the weight n-k+1 rows is full exactly when the exact
-    echelon there leaves no complement monomial."""
-    D = _guard_dwork(name)
-    ctx = D.ctx
-    w = ctx.n - ctx.k + 1
-    closes = not _build_weight_solver(D, ctx.background_charge(), w).complement_monomials()
-    assert closes == (not name.startswith("singular:"))
-    assert _closes_mod_p(D, ctx.background_charge(), w) == closes
-
-
 # bases whose weight n-k+1 targets are each a multiple of a gradient lead
 LEAD_COVERED = ["cubic_curve", "sextic_curve", "quartic_k3", "cubic_threefold", "grevlex_k3"]
 
@@ -560,26 +543,26 @@ LEAD_COVERED = ["cubic_curve", "sextic_curve", "quartic_k3", "cubic_threefold", 
 @pytest.mark.parametrize("name", LEAD_COVERED)
 def test_guard_closes_from_the_leads_alone(name, monkeypatch):
     """Where the leads cover every weight n-k+1 target, the guard lists no
-    generator piece of that weight, takes no Koszul row and eliminates
-    nothing mod p, and the presentation is the one built before."""
+    piece of that weight through `enumerate_piece`, takes no Koszul row and
+    builds no echelon there, and the presentation is the one built before."""
     n, k, degrees, G, order = KOSZUL_INPUTS[name]
     ctx = VariableContext(n, k, degrees, order)
     D = dwork_potential(ctx, [parse(g, ctx) for g in G])
     top = n - k
     expected = build_presentation(D)
-    real_empty, real_rows = cohomology._empty_solver, cohomology._koszul_rows
+    real_list, real_rows = cohomology.enumerate_piece, cohomology._koszul_rows
 
-    def empty(D, charge, weight):
+    def listing(ctx, charge, weight, eta_degree):
         if weight > top:
             raise AssertionError("the guard listed a weight n-k+1 piece")
-        return real_empty(D, charge, weight)
+        return real_list(ctx, charge, weight, eta_degree)
 
     def rows(D, solver):
         if solver.target.weight > top:
             raise AssertionError("the guard made a weight n-k+1 row")
         return real_rows(D, solver)
 
-    monkeypatch.setattr(cohomology, "_empty_solver", empty)
+    monkeypatch.setattr(cohomology, "enumerate_piece", listing)
     monkeypatch.setattr(cohomology, "_koszul_rows", rows)
     pres = build_presentation(D)
     assert pres.basis == expected.basis
@@ -589,15 +572,15 @@ def test_guard_closes_from_the_leads_alone(name, monkeypatch):
     def refuse(*args):
         raise AssertionError("the guard left the lead cover")
 
-    monkeypatch.setattr(cohomology, "_empty_solver", refuse)
-    monkeypatch.setattr(cohomology, "_koszul_rows", refuse)
-    assert _closes_mod_p(D, ctx.background_charge(), top + 1)
+    for attr in ("enumerate_piece", "_koszul_rows", "_build_weight_solver"):
+        monkeypatch.setattr(cohomology, attr, refuse)
+    assert _closes(D, pres._solvers[top])
 
 
 # (n, k, degrees, G, H, order), H None for the base: presentations whose
-# leads cover the weight n-k+1 targets only in part, so the guard eliminates
-# mod p.  The deformed (2,3) K3 is left out: its exact weight 3 echelon
-# takes about 7 s on 2 cores.
+# leads cover the weight n-k+1 targets only in part, so the guard needs the
+# shifted pivots of weight n-k.  The deformed (2,3) K3 is left out: its
+# exact weight 3 echelon takes about 7 s on 2 cores.
 PARTIAL_COVER = {
     **{f"deformed:{name}": (*GEOMETRIES[name], "graded-lex")
        for name in ("cubic_curve", "sextic_curve", "two_quadrics", "quartic_k3")},
@@ -608,25 +591,120 @@ PARTIAL_COVER = {
 }
 
 
-@pytest.mark.parametrize("name", list(PARTIAL_COVER))
-def test_guard_on_a_partial_lead_cover_agrees_with_the_exact_complement(name, monkeypatch):
-    """Where some weight n-k+1 target is a multiple of no lead, the guard
-    falls back to the rank mod p of the Koszul rows, and its verdict is
-    still that of the exact echelon."""
-    n, k, degrees, G, H, order = PARTIAL_COVER[name]
+def _dwork_of(n, k, degrees, G, H, order):
+    """D of G, or of its deformed presentation by H when H is not None."""
     ctx = VariableContext(n, k, degrees, order)
     D = dwork_potential(ctx, [parse(g, ctx) for g in G])
     if H is not None:
         D = build_deformation(D, [parse(h, ctx) for h in H]).deformed
-    charge, w = ctx.background_charge(), n - k + 1
-    closes = not _build_weight_solver(D, charge, w).complement_monomials()
+    return D
+
+
+@pytest.mark.parametrize("name", list(PARTIAL_COVER))
+def test_guard_on_a_partial_lead_cover_agrees_with_the_exact_complement(name, monkeypatch):
+    """Where some weight n-k+1 target is a multiple of no lead, the guard
+    still gives the exact echelon's verdict, and `build_presentation` makes
+    no Koszul row, lists no piece and builds no echelon above weight n-k."""
+    D = _dwork_of(*PARTIAL_COVER[name])
+    ctx = D.ctx
+    charge, top = ctx.background_charge(), ctx.n - ctx.k
+    guard = ctx.guard_mask
+    leads = [lead for lead, _ in filter(None, cohomology._gradient_leads(D))]
+    assert not all(any(((m | guard) - lead) & guard == guard for lead in leads)
+                   for m in cohomology.PieceView(ctx, charge, top + 1, 0))
+    closes = not _build_weight_solver(D, charge, top + 1).complement_monomials()
     assert closes
-    eliminated = []
-    real = cohomology._koszul_rows
+    assert _closes(D, _build_weight_solver(D, charge, top)) == closes
+    weights = []
+    real_list, real_rows = cohomology.enumerate_piece, cohomology._koszul_rows
+    monkeypatch.setattr(cohomology, "enumerate_piece",
+                        lambda ctx, c, w, e: weights.append(w) or real_list(ctx, c, w, e))
     monkeypatch.setattr(cohomology, "_koszul_rows",
-                        lambda D, solver: eliminated.append(solver) or real(D, solver))
-    assert _closes_mod_p(D, charge, w) == closes
-    assert eliminated
+                        lambda D, solver: weights.append(solver.target.weight)
+                        or real_rows(D, solver))
+    pres = build_presentation(D)
+    assert max(weights) == top
+    assert sorted(pres._solvers) == list(range(top + 1))
+
+
+def _random_form(rng, n, d, density=None):
+    """A form of degree d in x0..xn with each monomial present with one
+    density and small nonzero coefficients; sparse ones are often singular
+    at a coordinate point."""
+    density = density or rng.choice([0.25, 0.4, 0.6])
+    terms = [f"{rng.choice([-3, -2, -1, 1, 2, 3, 5])}*" + "*".join(f"x{i}" for i in mono)
+             for mono in combinations_with_replacement(range(n + 1), d)
+             if rng.random() < density]
+    return " + ".join(terms) or f"x0^{d}"
+
+
+def _nodal_form(rng, n, d):
+    """l1 * l2 * A + l3 * l4 * B for random linear forms l_i that vanish at
+    (1 : ... : 1) and random forms A, B of degree d - 2: singular at that
+    point, which is no coordinate point."""
+    def linear():
+        return " + ".join(f"{rng.choice([-2, -1, 1, 2, 3])}*(x{i} - x{i + 1})" for i in range(n))
+
+    def cofactor():
+        return _random_form(rng, n, d - 2, 0.6) + f" + x0^{d - 2}" if d > 2 else "1"
+
+    return " + ".join(f"({linear()})*({linear()})*({cofactor()})" for _ in range(2))
+
+
+# seeded non-diagonal plane cubics, plane quartics and cubic surfaces in
+# both orders, as (n, k, degrees, G, order): 16 of the 36 sparse ones are
+# singular, and so is every nodal one
+RANDOM_GUARD_INPUTS = {
+    f"random:{kind}:{n},{d}:{order}:{seed}":
+        (n, 1, (d,), [form(random.Random(1000 * n + 10 * d + seed), n, d)], order)
+    for n, d in ((2, 3), (2, 4), (3, 3)) for order in ("graded-lex", "grevlex")
+    for kind, form, seeds in (("sparse", _random_form, 6), ("nodal", _nodal_form, 2))
+    for seed in range(seeds)
+}
+
+# (n, k, degrees, G, H, order) of every input of the guard and Koszul tests
+# (GUARD_INPUTS among them), the deformed partial covers and the seeded
+# random inputs
+GUARD_CHECKS = {
+    **{name: (n, k, degrees, G, None, order) for name, (n, k, degrees, G, order)
+       in {**KOSZUL_INPUTS, **RANDOM_GUARD_INPUTS}.items()},
+    **{name: spec for name, spec in PARTIAL_COVER.items() if name.startswith("deformed:")},
+}
+
+
+@pytest.mark.parametrize("name", list(GUARD_CHECKS))
+def test_modular_guard_agrees_with_the_exact_complement(name, monkeypatch):
+    """The guard closes exactly when the exact weight n-k+1 echelon leaves
+    no complement monomial, and a presentation that does not close raises
+    the SmoothnessError with that echelon's count.  The echelons the build
+    makes are kept, so the exact one is not built twice."""
+    D = _dwork_of(*GUARD_CHECKS[name])
+    ctx = D.ctx
+    charge, top = ctx.background_charge(), ctx.n - ctx.k
+    built = {}
+    real = cohomology._build_weight_solver
+
+    def build(D, charge, w):
+        built[w] = real(D, charge, w)
+        return built[w]
+
+    monkeypatch.setattr(cohomology, "_build_weight_solver", build)
+    try:
+        build_presentation(D)
+    except SmoothnessError as exc:
+        message = str(exc)
+    else:
+        message = None
+    leftover = (built.get(top + 1) or real(D, charge, top + 1)).complement_monomials()
+    if not name.startswith("random:"):
+        assert bool(leftover) == name.startswith("singular:")
+    assert _closes(D, built[top]) == (not leftover)
+    expected = None
+    if leftover:
+        expected = (f"quotient fails to close at weight {top + 1}: "
+                    f"{len(leftover)} unreduced monomials; "
+                    "singular or non-complete-intersection input")
+    assert message == expected
 
 
 def test_guard_prime_is_prime():
@@ -640,7 +718,7 @@ def test_guard_falls_back_to_the_exact_echelon_when_p_divides_a_row(monkeypatch)
     presentation keeps it and has the plain Fermat cubic's basis."""
     ctx = VariableContext(2, 1, (3,))
     D = dwork_potential(ctx, [parse(f"x0^3 + x1^3 + {_GUARD_PRIME}*x2^3", ctx)])
-    assert not _closes_mod_p(D, ctx.background_charge(), 2)
+    assert not _closes(D, _build_weight_solver(D, ctx.background_charge(), 1))
     fermat = build_presentation(dwork_potential(ctx, [parse("x0^3 + x1^3 + x2^3", ctx)]))
     built = []
     real = cohomology._build_weight_solver
