@@ -56,7 +56,9 @@ the weight solvers 0..top up front and the weight top + 1 solver on first
 need (a lift or a weight top + 1 slice).  An export holds the context, G
 and the basis; loading one rebuilds the presentation from the context and
 G and checks the file's basis against the rebuild.  Every solver takes its
-Q rows straight from the integer gradient table (`_WeightSolver.q_vector`).
+Q rows straight from the integer gradient table (`_WeightSolver.q_vector`),
+walking the generators without listing them, and keys its echelon combos by
+the generators' packed keys, so a combo is a preimage as it stands.
 """
 
 from __future__ import annotations
@@ -257,7 +259,8 @@ class _Echelon:
     rows: list of (pivot position, R, C) with int dicts R and C.  The row
     stands for the rational vector R / R[pivot], which `combo` C / R[pivot]
     expresses as a combination of the inserted vectors, under the keys their
-    callers gave in `insert`.  R[pivot] > 0 and the entries of R and C have
+    callers gave in `insert` (for a weight solver, the generators' packed
+    keys).  R[pivot] > 0 and the entries of R and C have
     no common factor, so each row has one representation.  Rows are
     pairwise pivot-distinct and the pivot is the smallest position of its
     row.
@@ -273,7 +276,8 @@ class _Echelon:
         Returns (residual, combo, den) in ints with den * vec == residual +
         sum_g combo[g] * vector_g: residual is supported on non-pivot
         positions and combo expresses the eliminated part over the inserted
-        vectors (for a weight solver, vector_g = Q(gen_g)).
+        vectors (for a weight solver, g is a generator's packed key and
+        vector_g = Q(g)).
 
         Every row's entries sit at positions >= its pivot, so clearing the
         smallest position of the running stack settles it for good.  A
@@ -357,29 +361,29 @@ class _WeightSolver(_Echelon):
     """Echelonized Q-image of one (charge, weight) slice, with preimages.
 
     Positions index the descending monomial order of the degree-0 piece, so
-    a row's pivot is its largest monomial; combos are keyed by position in
-    the degree -1 generator piece.  `solve` is the only translation
-    between monomials and positions that a reader goes through.
+    a row's pivot is its largest monomial; combos are keyed by the packed
+    keys of the degree -1 generators, so they are preimages as they stand.
+    `solve` is the only translation between monomials and positions that a
+    reader goes through, and the target is the one piece a solver lists.
     """
 
-    def __init__(self, target: GradedPiece, generators: GradedPiece):
+    def __init__(self, target: GradedPiece):
         super().__init__()
         self.target = target
-        self.generators = generators
         self.index = {m: i for i, m in enumerate(target.monomials)}
 
     def complement_monomials(self):
         return tuple(m for i, m in enumerate(self.target.monomials)
                      if i not in self.pivots)
 
-    def q_vector(self, D: DworkData, g_idx: int):
-        """Q of generator `g_idx` as (position -> int numerator, denominator).
+    def q_vector(self, D: DworkData, gen: int):
+        """Q of the generator with packed key `gen` as (position -> int
+        numerator, denominator).
 
         Q(m * eta_j) = (dS/dq_j) * m, so the image is the gradient table row
         D.grad_num[j - 1] shifted by m, over D.grad_den: the key of each
         term is the table key plus the key of m.  No element is made.
         """
-        gen = self.generators.monomials[g_idx]
         bit = gen & D.ctx.eta_mask  # a generator has the one eta_j
         m = gen - bit
         index = self.index
@@ -394,7 +398,8 @@ class _WeightSolver(_Echelon):
         Q(preimage), for `num` mapping target monomials to ints.
 
         The residual is keyed by complement monomial and the preimage by
-        generator monomial, both as packed keys.
+        generator monomial, both as packed keys: the preimage is the
+        echelon's combo itself.
         """
         index = self.index
         try:
@@ -402,9 +407,8 @@ class _WeightSolver(_Echelon):
         except KeyError:
             raise InternalCheckError("monomial escaped its graded piece") from None
         residual, combo, scale = self.eliminate(vec)
-        target, gens = self.target.monomials, self.generators.monomials
-        return ({target[pos]: c for pos, c in residual.items()},
-                {gens[g]: c for g, c in combo.items()}, scale)
+        target = self.target.monomials
+        return {target[pos]: c for pos, c in residual.items()}, combo, scale
 
 
 def _gradient_leads(D: DworkData) -> list:
@@ -417,9 +421,10 @@ def _gradient_leads(D: DworkData) -> list:
 
 
 def _koszul_rows(D: DworkData, solver: _WeightSolver):
-    """(g_idx, vec, den) with vec = den * Q(gen) nonzero, by position, for
-    each generator of `solver` that the Koszul criterion of Faugère's F5
-    (ISSAC 2002) keeps, in generator order.
+    """(gen, vec, den) with vec = den * Q(gen) nonzero, by position, for the
+    packed key gen of each generator of the degree -1 piece of `solver`'s
+    (charge, weight) that the Koszul criterion of Faugère's F5 (ISSAC 2002)
+    keeps, in the order its `PieceView` walks.
 
     Write g_i = dS/dq_i (terms D.grad_num[i - 1]), so the row of the
     generator m * eta_j is g_j * m, and L_i for the leading monomial of g_i
@@ -449,26 +454,25 @@ def _koszul_rows(D: DworkData, solver: _WeightSolver):
     # field's guard bit (Monagan and Pearce); the eta bits of m lie below
     # every field and L has none, so they borrow nothing
     guard, mask = ctx.guard_mask, ctx.eta_mask
-    for g_idx, gen in enumerate(solver.generators.monomials):
+    for gen in PieceView(ctx, solver.target.charge, solver.target.weight, -1):
         lifted = gen | guard
         if any((lifted - lead) & guard == guard
                for lead in later[(gen & mask).bit_length() - 1]):
             continue
-        vec, den = solver.q_vector(D, g_idx)
+        vec, den = solver.q_vector(D, gen)
         if vec:
-            yield g_idx, vec, den
+            yield gen, vec, den
 
 
 def _build_weight_solver(D: DworkData, charge: int, weight: int) -> _WeightSolver:
     """Echelonize the Q image of the (charge, weight) generators that
-    `_koszul_rows` keeps."""
-    ctx = D.ctx
-    solver = _WeightSolver(enumerate_piece(ctx, charge, weight, 0),
-                           enumerate_piece(ctx, charge, weight, -1))
+    `_koszul_rows` keeps, walked and not listed: the target is the one
+    piece the build lists."""
+    solver = _WeightSolver(enumerate_piece(D.ctx, charge, weight, 0))
     full_rank = len(solver.target.monomials)
-    for g_idx, vec, den in _koszul_rows(D, solver):
+    for gen, vec, den in _koszul_rows(D, solver):
         # vec is den * Q(gen), and rows are stored primitive
-        solver.insert(vec, {g_idx: den})
+        solver.insert(vec, {gen: den})
         if len(solver.rows) == full_rank:
             break
     return solver
@@ -524,9 +528,8 @@ def _closes(D: DworkData, below: _WeightSolver) -> bool:
     # s = M, since a borrow sets a guard bit and no key has one
     leads = [(term[0], -pow(term[1], -1, p), g)
              for term, g in zip(_gradient_leads(D), D.grad_num) if term and term[1] % p]
-    shifts = tuple(PieceView(ctx, 0, 1, 0))
     keys, rows = below.target.monomials, below.rows
-    pivot_at = {keys[pivot]: hit for hit, (pivot, row, _) in enumerate(rows) if row[pivot] % p}
+    pivot_at = None  # pivot key -> row index, with the shifts built on first need
     moved: dict = {}  # row index -> (-R[P]^-1 mod p, R's terms by packed key)
     phi: dict = {}  # target key -> {leftover index: value mod p}, nonzero only
 
@@ -548,6 +551,10 @@ def _closes(D: DworkData, below: _WeightSolver) -> bool:
                 offset = m - lead
                 break
         else:
+            if pivot_at is None:  # a lead-covered piece never gets here
+                shifts = tuple(PieceView(ctx, 0, 1, 0))
+                pivot_at = {keys[pivot]: hit for hit, (pivot, row, _) in enumerate(rows)
+                            if row[pivot] % p}
             for offset in shifts:
                 if (hit := pivot_at.get(m - offset)) is not None:
                     break

@@ -28,11 +28,12 @@ the descendant tower below calls it for every two-argument bracket.
 
 The higher descendant brackets l_n / descendant maps phi_n measure the
 higher failures (of K, respectively of a linear functional) against the
-product.  The recursion for l_n, n >= 3, bottoms out in `ell2`, so it makes
-no K pass.  Because K has order two, l_n vanishes identically for n >= 3;
-the general recursion is implemented anyway, and that vanishing is a
-Tier-1 test (`test_ell_3_and_above_vanish`), not a `verify` family: at
-n = 3 it is the identity of the Poisson rule, which `verify` checks.
+product.  Because K has order two, l_n vanishes identically for n >= 3, so
+`ell_n` gives the tower in closed form: K, `ell2`, then zero.  Its
+recursive definition lives in `tests/oracles.ell_n_by_definition`, and the
+vanishing is a Tier-1 test (`test_ell_3_and_above_vanish`), not a `verify`
+family: at n = 3 it is the identity of the Poisson rule, which `verify`
+checks.
 
 Complete and partial Bell polynomials close the module; they assemble the
 exponential of a formal series and drive the deformation expansion of a
@@ -236,55 +237,33 @@ def _split(ctx: VariableContext, a: SuperElement, q_sign: int):
     return eta_parts, q_parts
 
 
-def _check_degree(x: SuperElement) -> int:
-    deg = x.homogeneous_degree()
-    if deg is None:
-        raise InputError("descendant brackets need degree-homogeneous arguments")
-    return deg
+def ell_n(D: DworkData, args: Sequence[SuperElement]) -> SuperElement:
+    """Descendant bracket l_n, n = len(args) >= 1, in closed form.
 
+    The tower is defined by l_1 = K and, for n >= 2,
 
-def ell_n(D: DworkData, args: Sequence[SuperElement], _cache: Optional[dict] = None) -> SuperElement:
-    """Descendant bracket l_n, n = len(args) >= 1, by the inductive formula
-
-        l_1 = K
-        l_2 = ell2
         l_n(x_1..x_n) = l_{n-1}(x_1,..,x_{n-2}, x_{n-1} x_n)
                         - l_{n-1}(x_1,..,x_{n-1}) x_n
                         - (-1)^(|x_{n-1}|(1+|x_1|+..+|x_{n-2}|))
                               x_{n-1} l_{n-1}(x_1,..,x_{n-2}, x_n)
 
-    for n >= 3.  The recursion bottoms out in `ell2`, the closed-form
-    bracket, and never reaches one argument: with two or more arguments no
-    K pass is made.  Results are memoized per call tree on the argument
-    tuple (the recursion revisits sub-brackets exponentially otherwise).
+    (`tests/oracles.ell_n_by_definition`).  l_2 is `ell2`, and K has order
+    two, so l_n = 0 for n >= 3 (Koszul, Asterisque 1985).  For n >= 3 the
+    arguments are checked as that recursion needs them: every one but the
+    last degree-homogeneous for the sign, then every one over D's context.
     """
     args = tuple(args)
     if len(args) < 1:
         raise InputError("ell_n needs at least one argument")
     if len(args) == 1:
         return apply_k(D, args[0])
-    cache = {} if _cache is None else _cache
-    return _ell_rec(D, args, cache)
-
-
-def _ell_rec(D: DworkData, args: tuple, cache: dict) -> SuperElement:
-    hit = cache.get(args)
-    if hit is not None:
-        return hit
-    head, a, b = args[:-2], args[-2], args[-1]
-    if not head:
-        value = ell2(D, a, b)
-    else:
-        deg_a = _check_degree(a)
-        deg_head = sum(_check_degree(x) for x in head)
-        sign = -1 if (deg_a * (1 + deg_head)) % 2 else 1
-        value = (
-            _ell_rec(D, head + (a * b,), cache)
-            - _ell_rec(D, head + (a,), cache) * b
-            - sign * (a * _ell_rec(D, head + (b,), cache))
-        )
-    cache[args] = value
-    return value
+    if len(args) == 2:
+        return ell2(D, *args)
+    if any(x.homogeneous_degree() is None for x in args[:-1]):
+        raise InputError("descendant brackets need degree-homogeneous arguments")
+    if any(x.ctx != D.ctx for x in args):
+        raise ContextMismatchError("element over a different context")
+    return SuperElement.zero(D.ctx)
 
 
 class LinearFunctional:
@@ -341,7 +320,8 @@ def phi_n(f: LinearFunctional, args: Sequence[SuperElement],
                           - sum over 2-block partitions pi of {1..m}
                             separating m-1 from m of phi(x_B1) phi(x_B2)
 
-    Memoized per call tree on argument tuples, exactly like ell_n.
+    Memoized per call tree on argument tuples (the recursion revisits
+    sub-maps exponentially otherwise).
     """
     args = tuple(args)
     if len(args) < 1:

@@ -486,7 +486,7 @@ def ell_n_by_definition(S, nvars, args):
                               x_{n-1} l_{n-1}(x_1,..,x_{n-2}, x_n)
 
     for every n >= 2, so each bracket comes from K passes: the reference
-    for `operators.ell_n`, whose recursion bottoms out in `ell2`."""
+    for `operators.ell_n`, which gives l_2 by `ell2` and zero beyond."""
     if len(args) == 1:
         return frac_apply_k(S, nvars, args[0])
     head, a, b = args[:-2], args[-2], args[-1]
@@ -511,9 +511,8 @@ def tower_exp_identity_rhs(D, gamma, lam, order):
     powers = [SuperElement.one(gamma.ctx)]
     for _ in range(order):
         powers.append(powers[-1] * gamma)
-    cache = {}
     lg_parts = [apply_k(D, lam)] + [
-        ell_n(D, (gamma,) * r + (lam,), _cache=cache).scale(Fraction(1, factorial(r)))
+        ell_n(D, (gamma,) * r + (lam,)).scale(Fraction(1, factorial(r)))
         for r in range(1, order + 1)]
     out = SuperElement.zero(D.ctx)
     for m in range(order + 1):
@@ -692,7 +691,8 @@ class EchelonReduction:
     at every weight, the cross-check for the lift above weight n - k + 1.
 
     Solvers the presentation already holds are read, never added to; the
-    others are built here and kept in `solvers`.
+    others are built here and kept in `solvers`.  An echelon combo is keyed
+    by generator packed keys, so it is read as the preimage xi directly.
     """
 
     def __init__(self, presentation):
@@ -725,8 +725,7 @@ class EchelonReduction:
                 if idx is None:
                     raise SmoothnessError(f"nonzero class of weight {w}")
                 coeffs[idx] = coeffs.get(idx, 0) + c
-            xi = SuperElement(ctx, {ctx.unpack(solver.generators.monomials[g]): c
-                                    for g, c in combo.items()})
+            xi = SuperElement(ctx, {ctx.unpack(gen): c for gen, c in combo.items()})
             certificate = certificate + xi
             rest = rest - SuperElement(ctx, part) - apply_delta(xi)
         return ReductionResult({i: c for i, c in coeffs.items() if c}, certificate)

@@ -120,14 +120,15 @@ def test_ell2_makes_no_k_pass(cubic_dwork, monkeypatch):
     ("cubic_curve", "graded-lex"), ("quartic_k3", "graded-lex"),
     ("two_quadrics", "graded-lex"), ("genus_four_curve", "grevlex")])
 def test_ell_n_tower_matches_the_k_recursion(name, order, monkeypatch):
-    """On seeded homogeneous arguments, 2 to 4 of them, the tower equals
+    """On seeded homogeneous arguments, 2 to 5 of them, the tower equals
     the recursion through K of `tests/oracles.py`, with K and the one
-    differential kernel patched to raise: it bottoms out in `ell2`."""
+    differential kernel patched to raise: l_2 is `ell2` and every longer
+    bracket is zero without a K pass."""
     D, _ = _geometry(name, order)
     ctx, S = D.ctx, D.S.terms
     rng = random.Random(f"ell_n:{name}")
     tuples = [tuple(random_homogeneous(ctx, rng, terms=2, max_xdeg=3) for _ in range(n))
-              for n in (2, 3, 4) for _ in range(6)]
+              for n in (2, 3, 4, 5) for _ in range(6)]
     expected = [ell_n_by_definition(S, ctx.nvars, tuple(a.terms for a in args))
                 for args in tuples]
     assert any(expected)
@@ -140,6 +141,30 @@ def test_ell_n_tower_matches_the_k_recursion(name, order, monkeypatch):
     with pytest.raises(AssertionError, match="K pass"):
         ell_n(D, tuples[0][:1])
     assert [ell_n(D, args).terms for args in tuples] == expected
+
+
+def test_ell_n_keeps_its_contract(cubic_dwork, quadrics_ctx):
+    """Beyond two arguments the bracket is zero, with the argument checks
+    of the K recursion: each argument over D's context
+    (ContextMismatchError), each but the last degree-homogeneous
+    (InputError); a mixed-degree last argument is accepted.  No argument
+    at all raises InputError."""
+    D = cubic_dwork
+    ctx = D.ctx
+    x, e, mixed = parse("x0*x1", ctx), parse("y1*e2", ctx), parse("x0 + e1", ctx)
+    assert ell_n(D, (x, e, x, e, x)).is_zero()
+    assert ell_n(D, (e, x, mixed)).is_zero()
+    assert ell_n(D, (x, e, x, e, mixed)).is_zero()
+    for args in ((mixed, x, e), (x, mixed, e), (x, e, mixed, x, e)):
+        with pytest.raises(InputError,
+                           match="^descendant brackets need degree-homogeneous arguments$"):
+            ell_n(D, args)
+    other = parse("x0*e1", quadrics_ctx)
+    for args in ((other, x, e), (x, other, e), (x, e, other), (x, e, x, e, other)):
+        with pytest.raises(ContextMismatchError):
+            ell_n(D, args)
+    with pytest.raises(InputError):
+        ell_n(D, [])
 
 
 @pytest.mark.parametrize("name", list(GEOMETRIES))

@@ -16,7 +16,13 @@ import sympy
 
 from dworkbox import BaseChange, InputError, InternalCheckError, SuperElement, apply_q
 from dworkbox import cohomology
-from dworkbox.cohomology import _build_weight_solver, _Echelon, _WeightSolver, enumerate_piece
+from dworkbox.cohomology import (
+    PieceView,
+    _build_weight_solver,
+    _Echelon,
+    _WeightSolver,
+    enumerate_piece,
+)
 from dworkbox.deformation import _determinant
 from tests.oracles import (
     FractionEchelon,
@@ -152,24 +158,25 @@ def test_matches_fraction_echelon_on_random_rows(seed, bits, content_bits, monke
 def weight_solvers(D):
     """The charge-c_G weight solvers of D at weights 0..n-k+2, each also
     rebuilt by a fresh library echelon and by the Fraction echelon from the
-    Q images of the generators the oracle's Koszul criterion keeps, in the
-    same order, both fed den * Q(gen) in ints under {g_idx: den}; yields
-    them with the insert values of both."""
+    Q images of the generators the oracle's Koszul criterion keeps, walked
+    in the same order, both fed den * Q(gen) in ints under {gen: den} with
+    gen the generator's packed key; yields them with the insert values of
+    both."""
     c_G = D.ctx.background_charge()
     redundant = koszul_redundant(D)
     for weight in range(D.ctx.n - D.ctx.k + 3):
         built = _build_weight_solver(D, c_G, weight)
-        fresh = _WeightSolver(built.target, built.generators)
+        fresh = _WeightSolver(built.target)
         oracle = FractionEchelon()
         values = []
-        for g_idx, gen in enumerate(built.generators.monomials):
+        for gen in PieceView(D.ctx, c_G, weight, -1):
             if redundant(D.ctx.unpack(gen)):
                 continue
-            vec, den = fresh.q_vector(D, g_idx)  # den * Q(gen) in ints
+            vec, den = fresh.q_vector(D, gen)  # den * Q(gen) in ints
             if not vec:
                 continue
-            values.append((fresh.insert(vec, {g_idx: den}),
-                           oracle.insert(vec, {g_idx: Fraction(den)})))
+            values.append((fresh.insert(vec, {gen: den}),
+                           oracle.insert(vec, {gen: Fraction(den)})))
             if len(oracle.rows) == len(built.target.monomials):
                 break
         yield built, fresh, oracle, values
@@ -178,11 +185,12 @@ def weight_solvers(D):
 @pytest.mark.parametrize("geometry", ["cubic_dwork", "quadrics_dwork", "quartic_dwork",
                                       "fractional cubic", "grevlex K3"])
 def test_matches_fraction_echelon_on_weight_solvers(geometry, request):
-    """The build inserts den * Q(gen) under combo {g_idx: den} for each
-    generator the Koszul criterion keeps; the rows and combos are those of
-    the Fraction echelon fed the same vectors for the generators the
-    oracle's criterion keeps (normalized, the rows and combos of Q(gen)
-    under {g_idx: 1}), also for a gradient with denominators up to 6."""
+    """The build inserts den * Q(gen) under combo {gen: den}, gen the
+    generator's packed key, for each generator the Koszul criterion keeps;
+    the rows and combos are those of the Fraction echelon fed the same
+    vectors for the generators the oracle's criterion keeps (normalized,
+    the rows and combos of Q(gen) under {gen: 1}), also for a gradient with
+    denominators up to 6."""
     D = request.getfixturevalue({"fractional cubic": "fractional_cubic_dwork",
                                  "grevlex K3": "grevlex_k3_dwork"}.get(geometry, geometry))
     rng = random.Random(geometry)

@@ -24,6 +24,7 @@ from dworkbox import cohomology, superalgebra
 from dworkbox.cli import EXIT_OK, main
 from dworkbox.cohomology import (
     _GUARD_PRIME,
+    PieceView,
     QuotientPresentation,
     _build_weight_solver,
     _closes,
@@ -479,16 +480,16 @@ def test_koszul_pruned_echelon_spans_the_full_image(name):
     skipped_somewhere = False
     for w in range(n - k + 2):
         pruned = _build_weight_solver(D, ctx.background_charge(), w)
-        used = {g for _, _, combo in pruned.rows for g in combo}
-        gens = pruned.generators.monomials
-        redundant = {g for g, gen in enumerate(gens) if is_redundant(ctx.unpack(gen))}
+        used = {gen for _, _, combo in pruned.rows for gen in combo}
+        gens = tuple(PieceView(ctx, ctx.background_charge(), w, -1))
+        redundant = {gen for gen in gens if is_redundant(ctx.unpack(gen))}
         assert not used & redundant
         skipped_somewhere = skipped_somewhere or bool(redundant)
-        for g in redundant:
-            assert not pruned.eliminate(pruned.q_vector(D, g)[0])[0]
+        for gen in redundant:
+            assert not pruned.eliminate(pruned.q_vector(D, gen)[0])[0]
         full = FractionEchelon()
-        for g in sorted(range(len(gens)), key=lambda g: g in redundant):
-            full.insert(as_fractions(*pruned.q_vector(D, g))[0], {g: 1})
+        for gen in sorted(gens, key=lambda gen: gen in redundant):
+            full.insert(as_fractions(*pruned.q_vector(D, gen))[0], {gen: 1})
             if len(full.rows) == len(pruned.target.monomials):
                 break  # no later generator can add a pivot
         assert sorted(pruned.pivots) == sorted(full.pivots)
@@ -512,28 +513,50 @@ ROW_INPUTS = {
 
 @pytest.mark.parametrize("name", list(ROW_INPUTS))
 def test_q_rows_from_the_gradient_table_match_apply_q(name):
-    """`q_vector` reads the Q image of each generator m * eta_j off the
-    integer gradient table, over its denominator; at every weight 0..n-k+1
-    and for every generator it equals `apply_q` of the one-term element, as
-    rationals.  A target piece that does not hold the image is refused."""
+    """`q_vector` reads the Q image of each generator m * eta_j, given by
+    its packed key, off the integer gradient table, over its denominator;
+    at every weight 0..n-k+1 and for every generator it equals `apply_q` of
+    the one-term element, as rationals.  A target piece that does not hold
+    the image is refused."""
     n, k, degrees, G, order = ROW_INPUTS[name]
     ctx = VariableContext(n, k, degrees, order)
     D = dwork_potential(ctx, [parse(g, ctx) for g in G])
     c_G = ctx.background_charge()
     for w in range(n - k + 2):
-        gens = enumerate_piece(ctx, c_G, w, -1)
-        solver = _WeightSolver(enumerate_piece(ctx, c_G, w, 0), gens)
+        gens = tuple(PieceView(ctx, c_G, w, -1))
+        solver = _WeightSolver(enumerate_piece(ctx, c_G, w, 0))
         target = solver.target.monomials
-        for g_idx, gen in enumerate(gens.monomials):
-            vec, den = solver.q_vector(D, g_idx)
+        for gen in gens:
+            vec, den = solver.q_vector(D, gen)
             assert den == D.grad_den
             assert ({ctx.unpack(target[pos]): c
                      for pos, c in as_fractions(vec, den)[0].items()}
                     == apply_q(D, SuperElement(ctx, {ctx.unpack(gen): 1})).terms)
-        if gens.monomials:
-            stranger = _WeightSolver(enumerate_piece(ctx, c_G, w + 1, 0), gens)
+        if gens:
+            stranger = _WeightSolver(enumerate_piece(ctx, c_G, w + 1, 0))
             with pytest.raises(InternalCheckError, match="monomial escaped its graded piece"):
-                stranger.q_vector(D, 0)
+                stranger.q_vector(D, gens[0])
+
+
+@pytest.mark.parametrize("name", ["cubic_curve", "quartic_k3", "two_quadrics"])
+def test_weight_solver_lists_only_its_target(name, monkeypatch):
+    """At every weight 0..n-k+1 the solver build lists one piece through
+    `enumerate_piece`, its degree-0 target; the generators are walked, and
+    the combos are keyed by their packed keys."""
+    D, _ = _geometry(name)
+    ctx = D.ctx
+    c_G, top = ctx.background_charge(), ctx.n - ctx.k
+    listed = []
+    real_list = cohomology.enumerate_piece
+    monkeypatch.setattr(cohomology, "enumerate_piece",
+                        lambda *args: listed.append(args[1:]) or real_list(*args))
+    for w in range(top + 2):
+        listed.clear()
+        solver = _build_weight_solver(D, c_G, w)
+        assert listed == [(c_G, w, 0)]
+        assert not hasattr(solver, "generators")
+        gens = set(PieceView(ctx, c_G, w, -1))
+        assert all(gen in gens for _, _, combo in solver.rows for gen in combo)
 
 
 # bases whose weight n-k+1 targets are each a multiple of a gradient lead
