@@ -40,20 +40,31 @@ eta-free of charge 0: let v0 <= v take top + 1 of the y's and u0 <= u the
 first c_G + d.v0 x exponents.  That x degree is never negative, since every
 d_i >= 1 gives c_G + d.v0 >= (k - n - 1) + (n - k + 1) = 0, and u has room
 for it, since |u| = c_G + d.v >= c_G + d.v0 because v >= v0.  With
-Q(pre(m0)) = m0 read off the weight top + 1 echelon, Q(pre(m0) * m1) = M.
-So closure at weight top + 1 gives closure at every weight above it, and the
-smoothness guard checks that one weight mod a prime.  The same identity
-with m1 of weight 1 gives it most of its leads: a gradient lead times a
-monomial, or a weight top pivot times a weight-1 shift, is the lead of a
-known image element of weight top + 1, the staircase of F4 (Faugère, J.
-Pure Appl. Algebra 139, 1999).  One pass over the target, in ascending
-order, projects every monomial onto the few that no such lead covers, and
-the rank of the Q rows is then taken in those few dimensions; only a short
-rank builds the exact echelon there.
+Q(pre(m0)) = m0 exactly, Q(pre(m0) * m1) = M.  So closure at weight top + 1
+gives closure at every weight above it, and the smoothness guard checks
+that one weight mod a prime.  The same identity with m1 of weight 1 gives
+it most of its leads: a gradient lead times a monomial, or a weight top
+pivot times a weight-1 shift, is the lead of a known image element of
+weight top + 1, the staircase of F4 (Faugère, J. Pure Appl. Algebra 139,
+1999).  One pass over the target, in ascending order, projects every
+monomial onto the few that no such lead covers (`_Cover`), and the rank of
+the Q rows is then taken in those few dimensions; only a short rank builds
+the exact echelon there.
+
+When that pass leaves no leftover, the covering elements are triangular
+over Q as well, and they give every weight top + 1 preimage by back
+substitution: a * M + sum_t b_t t = Q(X) with every t < M gives pre(M) =
+(X - sum_t b_t pre(t)) / a, solved only for the monomials reachable from M.
+So such a presentation builds no weight top + 1 echelon at all.  One with a
+leftover reads its preimages off that echelon, built once, on first need.
+The choice is made once per presentation, so a preimage, and with it a
+certificate, never depends on which reductions came before.
 
 A presentation is only ever made by `QuotientPresentation(D)`, which builds
-the weight solvers 0..top up front and the weight top + 1 solver on first
-need (a lift or a weight top + 1 slice).  An export holds the context, G
+the weight solvers 0..top up front and keeps the guard's cover when it is
+whole.  Weight top + 1 slices go through the lift with m0 = M (with a
+leftover, that echelon solves the slice at once), so only weights 0..top
+are eliminated slice by slice.  An export holds the context, G
 and the basis; loading one rebuilds the presentation from the context and
 G and checks the file's basis against the rebuild.  Every solver takes its
 Q rows straight from the integer gradient table (`_WeightSolver.q_vector`),
@@ -482,24 +493,90 @@ def _build_weight_solver(D: DworkData, charge: int, weight: int) -> _WeightSolve
 _GUARD_PRIME = (1 << 61) - 1
 
 
-def _closes(D: DworkData, below: _WeightSolver) -> bool:
+class _Cover:
+    """The known image element of weight top + 1 that covers each target
+    monomial M there, for `below` the exact (charge, top) echelon: the one
+    choice that both the smoothness guard (`_closes`, mod p = _GUARD_PRIME)
+    and the exact preimages of a presentation without leftovers
+    (`QuotientPresentation._preimage`) read.
+
+    `find(M)` takes the first of these that applies:
+      * a gradient lead L_i of g_i = dS/dq_i, with c_i nonzero mod p,
+        divides M: the element is g_i * (M / L_i), the Q image of the
+        generator (M / L_i) * eta_i times D.grad_den.  The leads are tried
+        fewest terms of g_i first, which keeps the preimages short;
+      * M = P * s, for s a charge-0, weight-1, eta-free shift and P the
+        pivot monomial of a row R of `below` with R[P] nonzero mod p: the
+        element is R * s, the Q image of R's combo shifted by s, because
+        Q(xi) * s = Q(xi * s) (Q only differentiates eta factors: the
+        lift's identity);
+      * otherwise M is a leftover, and `find` returns None.
+    Both orders are multiplicative, so each element has lead M and every
+    other term t < M.  An element is a source shifted by an offset
+    (packed, M = lead + offset): the source is (a, -a^-1 mod p, terms,
+    generators), with the element sum_t b_t * (t + offset) over its terms
+    (t, b_t) and lead coefficient a, equal to Q(sum_g x_g * (g + offset))
+    over its generators {g: x_g}.  A key divides M when (M with every guard
+    bit set) - key borrows from no field's guard bit, as in `_koszul_rows`,
+    and the packed M - s is the key of P exactly when P * s = M, since a
+    borrow sets a guard bit and no key has one.
+    """
+
+    def __init__(self, D: DworkData, below: _WeightSolver):
+        p = _GUARD_PRIME
+        self.below = below
+        self.ctx = D.ctx
+        # the generator of g_(i+1)'s lead row is eta_(i+1), packed bit i, times D.grad_den
+        leads = [(term[0], (term[1], -pow(term[1], -1, p), g, {1 << i: D.grad_den}))
+                 for i, (term, g) in enumerate(zip(_gradient_leads(D), D.grad_num))
+                 if term and term[1] % p]
+        self.leads = sorted(leads, key=lambda lead: len(lead[1][2]))
+        # pivot key -> row index, and the weight-1 shifts, built on first need
+        self.pivot_at = self.shifts = None
+        self.row_sources: dict = {}  # row index -> its source
+        self.leftovers = None  # set by the guard's walk
+
+    def find(self, m: int):
+        """(source, offset) of the element that covers the key m, or None."""
+        guard = self.ctx.guard_mask
+        lifted = m | guard
+        for lead, source in self.leads:
+            if (lifted - lead) & guard == guard:
+                return source, m - lead
+        below = self.below
+        pivot_at = self.pivot_at
+        if pivot_at is None:  # a lead-covered piece never gets here
+            self.shifts = tuple(PieceView(self.ctx, 0, 1, 0))
+            keys = below.target.monomials
+            pivot_at = self.pivot_at = {keys[pivot]: hit for hit, (pivot, row, _)
+                                        in enumerate(below.rows) if row[pivot] % _GUARD_PRIME}
+        for offset in self.shifts:
+            if (hit := pivot_at.get(m - offset)) is not None:
+                break
+        else:
+            return None
+        source = self.row_sources.get(hit)
+        if source is None:
+            pivot, row, combo = below.rows[hit]
+            keys = below.target.monomials
+            source = self.row_sources[hit] = (
+                row[pivot], -pow(row[pivot], -1, _GUARD_PRIME),
+                [(keys[pos], c) for pos, c in row.items()], combo)
+        return source, offset
+
+
+def _closes(D: DworkData, below: _WeightSolver, cover: _Cover | None = None) -> bool:
     """Whether the Q image of the (charge, weight + 1) slice is its whole
     target piece, for `below` the exact (charge, weight) echelon.  True is
-    exact; False proves nothing.  Three steps, with p = _GUARD_PRIME:
+    exact; False proves nothing.  `cover` is `below`'s `_Cover`, made here
+    unless the caller keeps it; the walk sets its `leftovers` count.  Three
+    steps, with p = _GUARD_PRIME:
 
     1. Leads of known image elements.  The target monomials M are walked
-       in ascending order, and each takes the first of these that applies:
-         * a gradient lead L_i of g_i = dS/dq_i, with c_i nonzero mod p,
-           divides M: the element is g_i * (M / L_i), the Q image of the
-           generator (M / L_i) * eta_i;
-         * M = P * s, for s a charge-0, weight-1, eta-free shift and P the
-           pivot monomial of a row R of `below` with R[P] nonzero mod p:
-           the element is R * s, which is in the image because Q(xi) * s =
-           Q(xi * s) (Q only differentiates eta factors: the lift's
-           identity);
-         * otherwise M is a leftover, and takes the next index j.
-       Both orders are multiplicative, so each element has lead M and every
-       other term t < M.  The elements are triangular with leads nonzero
+       in ascending order, and each takes the element `_Cover.find` gives:
+       a gradient lead times a monomial, or a pivot row of `below` times a
+       weight-1 shift; an M that neither covers is a leftover, and takes
+       the next index j.  The elements are triangular with leads nonzero
        mod p, so with the leftovers they form a basis of the piece mod p.
     2. The dual pass, in the same walk.  phi(M) is the leftover part of M
        in that basis, a sparse dict mod p over the leftover indices: a
@@ -522,15 +599,8 @@ def _closes(D: DworkData, below: _WeightSolver) -> bool:
     p = _GUARD_PRIME
     ctx = D.ctx
     guard = ctx.guard_mask
-    # (L_i, -c_i^-1 mod p, g_i's terms); a key divides M when (M with every
-    # guard bit set) - key borrows from no field's guard bit, as in
-    # `_koszul_rows`, and the packed M - s is the key of P exactly when P *
-    # s = M, since a borrow sets a guard bit and no key has one
-    leads = [(term[0], -pow(term[1], -1, p), g)
-             for term, g in zip(_gradient_leads(D), D.grad_num) if term and term[1] % p]
-    keys, rows = below.target.monomials, below.rows
-    pivot_at = None  # pivot key -> row index, with the shifts built on first need
-    moved: dict = {}  # row index -> (-R[P]^-1 mod p, R's terms by packed key)
+    cover = cover or _Cover(D, below)
+    find = cover.find
     phi: dict = {}  # target key -> {leftover index: value mod p}, nonzero only
 
     def image(terms, offset, scale) -> dict:
@@ -545,30 +615,16 @@ def _closes(D: DworkData, below: _WeightSolver) -> bool:
 
     leftovers = 0
     for m in reversed(tuple(PieceView(ctx, below.target.charge, below.target.weight + 1, 0))):
-        lifted = m | guard
-        for lead, scale, terms in leads:
-            if (lifted - lead) & guard == guard:
-                offset = m - lead
-                break
-        else:
-            if pivot_at is None:  # a lead-covered piece never gets here
-                shifts = tuple(PieceView(ctx, 0, 1, 0))
-                pivot_at = {keys[pivot]: hit for hit, (pivot, row, _) in enumerate(rows)
-                            if row[pivot] % p}
-            for offset in shifts:
-                if (hit := pivot_at.get(m - offset)) is not None:
-                    break
-            else:
-                phi[m] = {leftovers: 1}
-                leftovers += 1
-                continue
-            if hit not in moved:
-                pivot, row, _ = rows[hit]
-                moved[hit] = (-pow(row[pivot], -1, p), [(keys[pos], c) for pos, c in row.items()])
-            scale, terms = moved[hit]
+        found = find(m)
+        if found is None:
+            phi[m] = {leftovers: 1}
+            leftovers += 1
+            continue
+        (_, scale, terms, _), offset = found
         # phi(M) is not set yet, so M's own term adds nothing
         if phi and (value := image(terms, offset, scale)):
             phi[m] = value
+    cover.leftovers = leftovers
     # only a row with a term t where phi(t) != 0 has a nonzero image
     rows_through = ((terms, t - key) for t in phi for terms in D.grad_num for key, _ in terms
                     if ((t | guard) - key) & guard == guard)
@@ -614,28 +670,35 @@ class QuotientPresentation:
 
         Closure is decided by `_closes` from the weight n-k echelon, which
         covers each weight n-k+1 monomial by a gradient lead or by a pivot
-        times a weight-1 shift, projects every monomial onto the ones left
-        uncovered in one ascending pass, and takes the rank of the Q rows
-        mod p in those few dimensions; a full rank is exact.  Only a short
-        rank builds the exact weight n-k+1 echelon, and a nonzero complement
-        there trips the smoothness guard; when the exact echelon closes
-        after all, it is kept for the lift.  That one weight certifies
-        every weight above it: a charge-c_G monomial M of weight >= n-k+2
-        splits as M = m0 * m1 with m0 of weight n-k+1 and m1 even and
-        eta-free (module docstring), and once m0 = Q(pre(m0)) exactly,
+        times a weight-1 shift (`_Cover`), projects every monomial onto the
+        ones left uncovered in one ascending pass, and takes the rank of the
+        Q rows mod p in those few dimensions; a full rank is exact.  Only a
+        short rank builds the exact weight n-k+1 echelon, and a nonzero
+        complement there trips the smoothness guard; when the exact echelon
+        closes after all, it is kept for the preimages.  That one weight
+        certifies every weight above it: a charge-c_G monomial M of weight
+        >= n-k+2 splits as M = m0 * m1 with m0 of weight n-k+1 and m1 even
+        and eta-free (module docstring), and once m0 = Q(pre(m0)) exactly,
         M = Q(pre(m0) * m1) is in the image too.
+
+        Where the guard's walk left no leftover, the cover is kept, and every
+        weight n-k+1 preimage is solved from it (`_preimage`): no weight
+        n-k+1 echelon is ever built.  The choice is made here, once, so each
+        preimage depends on its monomial alone.
         """
         self.dwork = D
         self.c_G = D.ctx.background_charge()
         top = D.ctx.n - D.ctx.k
         self._solvers = {w: _build_weight_solver(D, self.c_G, w) for w in range(top + 1)}
-        if not _closes(D, self._solvers[top]):
+        cover = _Cover(D, self._solvers[top])
+        if not _closes(D, self._solvers[top], cover):
             leftover = self._solver(top + 1).complement_monomials()
             if leftover:
                 raise SmoothnessError(
                     f"quotient fails to close at weight {top + 1}: "
                     f"{len(leftover)} unreduced monomials; "
                     "singular or non-complete-intersection input")
+        self._cover = None if cover.leftovers else cover
         complements = [self._solvers[w].complement_monomials() for w in range(top + 1)]
         # packed basis key -> position; its keys are the basis in order
         self.basis_index = {m: i for i, m in
@@ -643,12 +706,14 @@ class QuotientPresentation:
         self.basis = tuple(map(D.ctx.unpack, self.basis_index))
         self.weight_counts = tuple(len(complement) for complement in complements)
         # weight top + 1 key m0 -> (generator key -> int numerator of a
-        # Q-preimage, its denominator); bounded by the size of that piece
+        # Q-preimage, its primitive denominator); bounded by the size of
+        # that piece
         self._lifts: dict = {}
 
     def _solver(self, w: int) -> _WeightSolver:
         """The weight-w echelon, 0 <= w <= n-k+1.  Weight n-k+1's is built
-        on first need (a lift or a slice of that weight) and memoized."""
+        by a short guard rank, or on the first preimage of a presentation
+        whose guard left a leftover, and memoized."""
         solver = self._solvers.get(w)
         if solver is None:
             solver = self._solvers[w] = _build_weight_solver(self.dwork, self.c_G, w)
@@ -721,15 +786,16 @@ class QuotientPresentation:
         packed key, denominator), nonzero; {} gives zero), from the top
         weight down to 0.
 
-        A slice of weight w <= top + 1 (top = n - k) is eliminated against
-        the weight-w echelon: its residual gives basis coefficients and its
+        A slice of weight w <= top (top = n - k) is eliminated against the
+        weight-w echelon: its residual gives basis coefficients and its
         combination of generators a preimage xi with Q(xi) = slice -
-        residual.  Above top + 1 the quotient is zero and `_lift` returns xi
-        with Q(xi) = slice from memoized weight top + 1 preimages, by
+        residual.  From top + 1 on the quotient is zero and `_lift` returns
+        xi with Q(xi) = slice from memoized weight top + 1 preimages, by
         Q(pre(m0) * m1) = Q(pre(m0)) * m1 for even, eta-free m1 (see the
-        module docstring for why the split M = m0 * m1 always exists).  So
-        no echelon is built above weight top + 1.  Either way K(xi) =
-        Q(xi) + delta(xi) settles slice w, and delta(xi) has weight exactly
+        module docstring for why the split M = m0 * m1 always exists; at
+        top + 1, m0 = M).  So no echelon is built above weight top + 1, and
+        none at top + 1 where the guard's cover was whole.  Either way K(xi)
+        = Q(xi) + delta(xi) settles slice w, and delta(xi) has weight exactly
         w - 1: each delta term strips one eta_i with one q_i.  So it is
         subtracted from slice w - 1 alone, in one pass over the two
         denominators' lcm; nothing lies below weight 0, so no delta is
@@ -750,8 +816,8 @@ class QuotientPresentation:
             num, den = slices.get(w, ((), 1))
             if not num:
                 continue
-            if w >= top + 2:
-                xi, den = self._lift(num, den)
+            if w > top:
+                xi, den = self._lift(num, den, w)
             else:
                 xi, den = self._eliminate_slice(w, num, den, coeffs)
             xis.append((xi, den))
@@ -785,18 +851,20 @@ class QuotientPresentation:
         """
         residual, preimage, scale = self._solver(w).solve(num)
         den *= scale
-        # the residual lives on complement monomials, which are the basis at
-        # w <= n - k; at n - k + 1 the guard in __init__ left none.  Each
-        # basis monomial has one weight, so exactly one slice sets it, and
-        # the echelon leaves no zero in a residual
+        # the residual lives on complement monomials, the basis at w <= n - k.
+        # Each basis monomial has one weight, so exactly one slice sets it,
+        # and the echelon leaves no zero in a residual
         for mono, c in residual.items():
             coeffs[self.basis_index[mono]] = Fraction(c, den)
         return preimage, den
 
-    def _lift(self, num: dict, den: int) -> tuple:
+    def _lift(self, num: dict, den: int, w: int) -> tuple:
         """xi = sum_M c_M pre(m0) * m1 with Q(xi) = num / den, for a slice
-        of weight >= top + 2 split monomial by monomial as M = m0 * m1, as
-        (int numerators by generator key, none zero, denominator).
+        of weight w >= top + 1 split monomial by monomial as M = m0 * m1, as
+        (int numerators by generator key, none zero, denominator).  At
+        weight top + 1, m0 = M and m1 = 1, and no exponent is unpacked;
+        without a whole cover (`__init__`) the weight top + 1 echelon solves
+        such a slice at once instead, as it solves each m0 in `_preimage`.
 
         On packed keys m1 = M - m0, and pre(m0) * m1 adds m1 to each
         generator key.  No exponent grows past M's: a generator m * eta_j
@@ -805,10 +873,17 @@ class QuotientPresentation:
         ctx = self.dwork.ctx
         k = ctx.k
         top = ctx.n - k
+        if w == top + 1 and self._cover is None:
+            residual, preimage, scale = self._solver(w).solve(num)
+            assert not residual, "weight top + 1 passed the guard but left a class"
+            return preimage, den * scale
         units = ctx.q_units
         by_degree = sorted(range(k), key=lambda i: -ctx.degrees[i])
         splits = []
         for mono, c in num.items():
+            if w == top + 1:
+                splits.append((c, 0, self._preimage(mono)))
+                continue
             qexp = ctx.exponents(mono)
             v, u = qexp[:k], qexp[k:]
             # m0 takes top + 1 y's, largest degree first ...
@@ -839,14 +914,54 @@ class QuotientPresentation:
 
     def _preimage(self, m0: int) -> tuple:
         """pre(m0) with Q(pre(m0)) = m0, for the key m0 of weight top + 1,
-        as int numerators by generator key over a denominator; memoized."""
-        pre = self._lifts.get(m0)
-        if pre is None:
+        as int numerators by generator key over a primitive denominator;
+        memoized in `_lifts`.
+
+        With a whole cover (`__init__`), M = m0 is the lead of the element
+        a * M + sum_t b_t t = Q(X) that `_Cover.find` picks, every t < M in
+        the same piece, so pre(M) = (X - sum_t b_t pre(t)) / a.  The walk
+        is iterative: M waits on the stack until each t it reads has its
+        preimage, and only the monomials reachable from m0 are solved.
+        Otherwise pre(m0) is the weight top + 1 echelon's combo."""
+        lifts = self._lifts
+        pre = lifts.get(m0)
+        if pre is not None:
+            return pre
+        if self._cover is None:
             top = self.dwork.ctx.n - self.dwork.ctx.k
             residual, preimage, den = self._solver(top + 1).solve({m0: 1})
             assert not residual, "weight top + 1 passed the guard but left a class"
-            pre = self._lifts[m0] = (preimage, den)
-        return pre
+            pre = lifts[m0] = (preimage, den)
+            return pre
+        find = self._cover.find
+        stack = [(m0, None)]
+        while stack:
+            m, found = stack.pop()
+            if m in lifts:
+                continue
+            if found is None:
+                found = find(m)
+                (_, _, terms, _), offset = found
+                missing = [t + offset for t, _ in terms
+                           if t + offset != m and t + offset not in lifts]
+                if missing:
+                    stack.append((m, found))
+                    stack.extend((t, None) for t in missing)
+                    continue
+            (a, _, terms, gens), offset = found
+            lower = [(b, lifts[t + offset]) for t, b in terms if t + offset != m]
+            common = lcm(*(pre_den for _, (_, pre_den) in lower))
+            acc = {g + offset: x * common for g, x in gens.items()}
+            for b, (pre, pre_den) in lower:
+                b *= common // pre_den
+                for gen, v in pre.items():
+                    acc[gen] = acc.get(gen, 0) - b * v
+            den = a * common
+            g = gcd(den, *acc.values())
+            if den < 0:
+                g = -g
+            lifts[m] = ({gen: v // g for gen, v in acc.items() if v}, den // g)
+        return lifts[m0]
 
     # -- serialization -----------------------------------------------------
 

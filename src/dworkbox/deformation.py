@@ -171,7 +171,10 @@ def u_basis(def_data: DeformationData, pres_G: QuotientPresentation,
     background charge does not use raises InputError.  After verifying that
     these classes are linearly independent in the deformed quotient, the
     basis is completed greedily by the undeformed basis monomials whose
-    deformed reductions keep the rank growing.
+    deformed reductions keep the rank growing.  Dependent leading classes,
+    and base basis monomials whose deformed reductions do not reach the
+    dimension, raise IndependenceError: both are failed hypotheses of the
+    construction, not faults of the code.
     """
     ctx = def_data.base.ctx
     c_G = ctx.background_charge()
@@ -239,7 +242,11 @@ def u_basis(def_data: DeformationData, pres_G: QuotientPresentation,
         if grows(candidate):
             elements.append(candidate)
     if len(elements) != dim:
-        raise InternalCheckError("failed to complete the deformed basis")
+        # the deformed reductions of the base basis monomials span too little:
+        # a failed hypothesis of the construction, as for the leading classes
+        raise IndependenceError(
+            f"the base basis monomials reach rank {len(elements)} of the deformed "
+            f"quotient's dimension {dim}; the deformed basis cannot be completed")
     return UBasis(tuple(elements), prefactor)
 
 

@@ -724,6 +724,25 @@ def test_deform_with_no_room_exits_assumption(capsys, tmp_path):
     assert "|I|" in err
 
 
+def test_deform_exits_assumption_when_the_base_monomials_span_too_little(capsys, tmp_path):
+    """On the (2,4) threefold in P^5 with H = (x0 x1, 0) both quotients
+    have dimension 180, but the 180 base basis monomials reach rank 172 in
+    the deformed one: no greedy completion exists, a failed hypothesis of
+    the construction and not a fault of the code."""
+    path = tmp_path / "threefold.json"
+    path.write_text(json.dumps({
+        "n": 5, "k": 2, "degrees": [2, 4],
+        "G": [" + ".join(f"x{i}^2" for i in range(6)),
+              " + ".join(f"{i + 1}*x{i}^4" for i in range(6))],
+        "H": ["x0*x1", "0"],
+    }))
+    code, out, err = run_cli(capsys, "deform", str(path), "--order", "1")
+    assert code == EXIT_ASSUMPTION
+    assert out == ""
+    assert err == ("error: the base basis monomials reach rank 172 of the deformed "
+                   "quotient's dimension 180; the deformed basis cannot be completed\n")
+
+
 def test_deform_payload_rationals_parse(capsys, fermat_config):
     from fractions import Fraction
 

@@ -14,7 +14,12 @@ before `reduce` returned its coefficients as a sparse dict.  The cubic
 `verify` was rewritten twice since: without the rows of the two families
 the suite dropped (the descendants' vanishing and the Bell sums), and
 without the Maurer-Cartan row, which could not fail; every other row kept
-its name, order and verdict.  So any change in a basis, a series coefficient, a D ladder, a
+its name, order and verdict.  The cubic and quartic K3 `reduce`
+certificates were rewritten when the weight n - k + 1 preimages of a
+presentation whose smoothness guard leaves no leftover came from the
+guard's cover instead of the weight n - k + 1 echelon; their coefficients
+stayed byte-identical, and `test_reduce_certificates_satisfy_the_identity`
+checks every `reduce` certificate.  So any change in a basis, a series coefficient, a D ladder, a
 reduction certificate, a verify verdict, a transported matrix or the
 presentation JSON shows up here.  To rewrite them after an intended report change:
 
@@ -160,6 +165,25 @@ def write_goldens() -> None:
 def test_cli_report_is_byte_identical(command, geometry, fmt, tmp_path):
     expected = (GOLDEN / _case_name(command, geometry, fmt)).read_text(encoding="utf-8")
     assert render_case(command, geometry, fmt, tmp_path) == expected
+
+
+@pytest.mark.parametrize("geometry", REDUCE_INPUTS)
+def test_reduce_certificates_satisfy_the_identity(geometry):
+    """Each golden `reduce` report satisfies input = sum c_rho e_rho +
+    K(certificate), read back from its JSON with the polynomial parser."""
+    from fractions import Fraction
+
+    from dworkbox import SuperElement, apply_k
+
+    spec = GEOMETRIES[geometry]
+    ctx = VariableContext(spec["n"], spec["k"], tuple(spec["degrees"]))
+    D = dwork_potential(ctx, [parse(g, ctx) for g in spec["G"]])
+    report = json.loads((GOLDEN / f"reduce-{geometry}.json").read_text(encoding="utf-8"))
+    normal = SuperElement.zero(ctx)
+    for e, c in zip(report["basis"], report["coefficients"]):
+        normal = normal + parse(e, ctx).scale(Fraction(c))
+    assert report["input"] == REDUCE_INPUTS[geometry]
+    assert apply_k(D, parse(report["certificate"], ctx)) + normal == parse(report["input"], ctx)
 
 
 def test_presentation_json_is_byte_identical():

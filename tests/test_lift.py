@@ -2,10 +2,12 @@
 route kept in `tests.oracles.EchelonReduction`."""
 
 import functools
+import hashlib
 import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
 import sympy
@@ -100,7 +102,9 @@ def test_lift_matches_echelon_route(name):
         result = pres.reduce(f)
         assert result.coefficients == oracle.reduce(f).coefficients
         assert apply_k(D, result.certificate) + result.as_element(pres) == f
-    assert sorted(pres._solvers) == list(range(top + 2))
+    # the guard's cover is whole on every geometry here but two quadrics,
+    # whose one leftover keeps the weight n-k+1 echelon
+    assert sorted(pres._solvers) == list(range(top + 1 + (name == "two_quadrics")))
     assert max(oracle.solvers) == top + 4
 
 
@@ -393,7 +397,8 @@ def test_k3_ladder_builds_no_solver_above_weight_three(quartic_dwork):
     deform = build_deformation(quartic_dwork, [parse("x0*x1*x2*x3", ctx)])
     basis_u = u_basis(deform, pres, build_presentation(deform.deformed))
     ladder = d_ladder(deform, pres, basis_u, 6)
-    assert sorted(pres._solvers) == [0, 1, 2, 3]
+    # the base's weight 3 preimages come from the guard's cover
+    assert sorted(pres._solvers) == [0, 1, 2]
     short = d_ladder(deform, pres, basis_u, 3)
     assert all(ladder[m] == short[m] for m in (1, 2, 3))
 
@@ -760,8 +765,10 @@ def test_guard_falls_back_to_the_exact_echelon_when_p_divides_a_row(monkeypatch)
 
 @pytest.mark.parametrize("name", list(GEOMETRIES))
 def test_basis_builds_no_exact_echelon_above_the_quotient(name, tmp_path, monkeypatch):
-    """`basis` builds the weight solvers 0..n-k only; the first lift builds
-    the weight n-k+1 solver, once, and later lifts and slices reuse it."""
+    """`basis` builds the weight solvers 0..n-k only.  Lifts and weight
+    n-k+1 slices build none where the guard's cover is whole; with a
+    leftover (two quadrics) the first builds the weight n-k+1 solver, once,
+    and later lifts and slices reuse it."""
     n, k, degrees, G, _ = GEOMETRIES[name]
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n": n, "k": k, "degrees": list(degrees), "G": G}))
@@ -778,11 +785,12 @@ def test_basis_builds_no_exact_echelon_above_the_quotient(name, tmp_path, monkey
     assert built == list(range(top + 1))
     above = enumerate_piece(D.ctx, pres.c_G, top + 2, 0).monomials
     at = enumerate_piece(D.ctx, pres.c_G, top + 1, 0).monomials
-    for key in (above[0], above[-1], at[0]):
+    lazy = [top + 1] if name == "two_quadrics" else []
+    for key in (above[0], above[-1], at[0], at[-1]):
         f = SuperElement(D.ctx, {D.ctx.unpack(key): 1})
         result = pres.reduce(f)
         assert apply_k(D, result.certificate) + result.as_element(pres) == f
-        assert built == [*range(top + 1), top + 1]
+        assert built == [*range(top + 1), *lazy]
 
 
 def _sum_of_powers(n, d, weight=lambda i: 1):
@@ -829,3 +837,93 @@ def test_non_diagonal_complete_intersections(name, order):
         assert apply_k(D, result.certificate) + result.as_element(pres) == f
         if against_echelon:
             assert result.coefficients == oracle.reduce(f).coefficients
+
+
+ORDERS = ("graded-lex", "grevlex")
+
+# (n, k, degrees, G, order) of every smooth geometry of this file whose
+# guard walk leaves no weight n-k+1 leftover: the lead-covered Fermat bases
+# and the grevlex K3, the plane quartic, and, with 11-32% of their weight
+# n-k+1 targets covered by shifted weight n-k pivots, the (2,2) pair in P^4
+# with non-diagonal terms and the smooth seeded cubic surfaces
+COVER_WHOLE = {
+    **{name: KOSZUL_INPUTS[name] for name in (*LEAD_COVERED, "plane_quartic")},
+    "sextic_curve_grevlex": CASCADE_CASES["sextic_curve_grevlex"][:5],
+    **{f"(2,2) in P^4:{order}": (4, 2, (2, 2), NON_DIAGONAL["(2,2) in P^4"][2], order)
+       for order in ORDERS},
+    **{name: spec for name, spec in RANDOM_GUARD_INPUTS.items()
+       if name.startswith("random:sparse:3,3:") and not name.endswith(":0")},
+}
+
+
+@pytest.mark.parametrize("name", list(COVER_WHOLE))
+def test_cover_preimages_are_exact(name, monkeypatch):
+    """Q(pre(M)) == M exactly for every weight n-k+1 monomial M, with each
+    preimage solved from the guard's cover: no weight n-k+1 echelon is
+    built, and each preimage is stored over a primitive denominator."""
+    n, k, degrees, G, order = COVER_WHOLE[name]
+    ctx = VariableContext(n, k, degrees, order)
+    D = dwork_potential(ctx, [parse(g, ctx) for g in G])
+    real = cohomology._build_weight_solver
+
+    def build(D, charge, w):
+        assert w <= n - k, "a weight n-k+1 echelon was built"
+        return real(D, charge, w)
+
+    monkeypatch.setattr(cohomology, "_build_weight_solver", build)
+    pres = build_presentation(D)
+    assert pres._cover is not None and pres._cover.leftovers == 0
+    targets = tuple(PieceView(ctx, pres.c_G, n - k + 1, 0))
+    for m in targets:
+        num, den = pres._preimage(m)
+        assert den > 0 and 0 not in num.values() and gcd(den, *num.values()) == 1
+        assert apply_q(D, SuperElement._make(ctx, dict(num), den)) == SuperElement._make(
+            ctx, {m: 1}, 1)
+    assert len(pres._lifts) == len(targets)
+    assert sorted(pres._solvers) == list(range(n - k + 1))
+
+
+@pytest.mark.parametrize("name", list(GEOMETRIES))
+def test_certificates_do_not_depend_on_earlier_reductions(name):
+    """A fresh presentation and one that has already reduced other seeded
+    inputs, in either order, give the same certificate key for key: each
+    weight n-k+1 preimage depends on its monomial alone."""
+    D, _ = _geometry(name)
+    top = D.ctx.n - D.ctx.k
+    above = 2 if name == "cubic_threefold" else 3
+    rng = random.Random(f"call-order:{name}")
+    inputs, others = ([random_charge_element(D, rng, D.ctx.background_charge(), 0,
+                                             max_weight=top + above) for _ in range(3)]
+                      for _ in range(2))
+    assert max(top_weight(f) for f in inputs) == top + above
+    served = build_presentation(D)
+    for f in others:
+        served.reduce(f)
+    expected = [build_presentation(D).reduce(f).certificate for f in inputs]
+    got = [served.reduce(f).certificate for f in reversed(inputs)][::-1]
+    assert [list(c._num.items()) for c in got] == [list(c._num.items()) for c in expected]
+    assert [c._den for c in got] == [c._den for c in expected]
+
+
+def test_two_quadrics_keeps_the_echelon_route(monkeypatch):
+    """Two quadrics leave one weight 2 leftover, so their preimages and
+    weight 2 slices stay on the exact echelon, built once on first need.
+    The certificates of four seeded inputs up to weight 4 hash as they did
+    before the cover solved any preimage."""
+    D, _ = _geometry("two_quadrics")
+    built = []
+    real = cohomology._build_weight_solver
+    monkeypatch.setattr(cohomology, "_build_weight_solver",
+                        lambda D, charge, w: built.append(w) or real(D, charge, w))
+    pres = build_presentation(D)
+    assert pres._cover is None
+    rng = random.Random("echelon-route:two_quadrics")
+    inputs = [random_charge_element(D, rng, pres.c_G, 0, max_weight=4) for _ in range(4)]
+    assert max(top_weight(f) for f in inputs) == 4
+    results = [pres.reduce(f) for f in inputs]
+    assert built == [0, 1, 2]
+    for f, result in zip(inputs, results):
+        assert apply_k(D, result.certificate) + result.as_element(pres) == f
+    text = repr([(list(r.certificate._num.items()), r.certificate._den) for r in results])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4b48cec484a365b56d6b9d2e4dcf3b31c3dd2135f6c24a4bab22ffea8efca39b")
