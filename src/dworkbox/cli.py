@@ -235,17 +235,20 @@ def cmd_deform(args) -> int:
     return EXIT_OK
 
 
+# the exponent of a decimal string, which Fraction would expand as 10**exponent
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+
+
 def _parse_matrix_entry(value):
+    """A JSON matrix entry as an int, a float or a Fraction (from a string)."""
     if isinstance(value, bool):
         raise InputError("matrix entries must be numbers or strings")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, float)):
         return value
     if isinstance(value, str):
         try:
-            # Fraction would expand 10**exponent: bound it as Python bounds numerals
-            exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)", value)
+            # bound the exponent as Python bounds numerals
+            exponent = _EXPONENT.search(value)
             if exponent and 0 < sys.get_int_max_str_digits() < abs(int(exponent[1])):
                 raise ValueError(f"exponent beyond {sys.get_int_max_str_digits()}")
             return Fraction(value)
@@ -273,11 +276,13 @@ def cmd_transport(args) -> int:
     integral = b_meta.get("integral", True)
     if type(integral) is not bool:
         raise InputError(f"base change field integral must be true or false, got {integral!r}")
-    base = BaseChange(tuple(tuple(r) for r in b_rows), integral=integral)
     omega = PeriodMatrix(tuple(tuple(r) for r in omega_rows))
-    if base.size != omega.size:
-        raise InputError(f"base change is {base.size}x{base.size}, expected "
+    # before BaseChange: its unimodularity check costs about n^4 on an n x n B
+    if len(b_rows) != omega.size:
+        width = len(b_rows[0]) if b_rows else 0
+        raise InputError(f"base change is {len(b_rows)}x{width}, expected "
                          f"{omega.size}x{omega.size} to match the period matrix")
+    base = BaseChange(tuple(tuple(r) for r in b_rows), integral=integral)
     pres = _deformation_base(config)
     if omega.size != pres.dimension:
         raise InputError(

@@ -608,12 +608,15 @@ def period_transport(ladder: dict, omega: PeriodMatrix,
     """Omega_deformed = D * Omega * B for every D of a `d_ladder` result.
 
     Takes {order m: D} and returns {order m: PeriodMatrix}.  When every
-    entry of Omega, B and the D matrices is exact, each matrix is scaled to
-    integer numerators over one common denominator, Omega * B is multiplied
-    once per call, each D * (Omega * B) is an integer product, and each
-    output entry is one Fraction over the product of the denominators.  A
-    floating entry (a float Omega, or a non-integral B with float entries)
-    keeps the plain product (D * Omega) * B, and floats propagate.
+    entry of Omega, B and the D matrices is exact, Omega and B are scaled
+    to integer numerators over one denominator each and Omega * B is
+    multiplied once per call.  A ladder D has a few nonzero entries per row,
+    so each row of D * (Omega * B) is read off those alone: they are scaled
+    over the lcm of their denominators, the output row is the integer sum of
+    each one times its row of Omega * B, and each output entry is one
+    Fraction.  A floating entry (a float Omega, or a non-integral B with
+    float entries) keeps the plain product (D * Omega) * B, and floats
+    propagate.
     """
     size = omega.size
     for d in ladder.values():
@@ -628,10 +631,18 @@ def period_transport(ladder: dict, omega: PeriodMatrix,
     omega_num, omega_den = _scaled(omega.entries)
     b_num, b_den = _scaled(base_change.matrix)
     ob_num = _matmul(omega_num, b_num)
+    ob_den = omega_den * b_den
     out = {}
     for m, d in ladder.items():
-        d_num, d_den = _scaled(d)
-        den = d_den * omega_den * b_den
-        out[m] = PeriodMatrix(tuple(tuple(Fraction(v, den) for v in row)
-                                    for row in _matmul(d_num, ob_num)))
+        rows = []
+        for d_row in d:
+            terms = [(v, ob_num[t]) for t, v in enumerate(d_row) if v]
+            row_den = math.lcm(*(v.denominator for v, _ in terms))
+            acc = [0] * size
+            for v, ob_row in terms:
+                c = v.numerator * (row_den // v.denominator)
+                acc = [a + c * w for a, w in zip(acc, ob_row)]
+            den = row_den * ob_den
+            rows.append(tuple(Fraction(a, den) for a in acc))
+        out[m] = PeriodMatrix(tuple(rows))
     return out

@@ -258,6 +258,52 @@ def test_transport_rejects_omega_base_change_mismatch_before_any_build(
     assert "3x3" in err and "2x2" in err
 
 
+def test_transport_checks_base_change_size_before_its_determinant(
+        capsys, fermat_config, tmp_path, monkeypatch):
+    """A 200x200 B against a 2x2 Omega is a size mismatch, reported before
+    the unimodularity check, whose cost grows about as n^4."""
+    import random
+    import time
+
+    from dworkbox import deformation
+
+    rng = random.Random(200)
+    omega, bmat = _matrix_files(tmp_path, [["1", "2"], ["3", "4"]],
+                                [[rng.randint(-9, 9) for _ in range(200)] for _ in range(200)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the determinant of B was computed before the size check")
+
+    monkeypatch.setattr(deformation, "_determinant", refuse)
+    _no_presentation(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "transport", fermat_config, "--omega", omega,
+                             "--base-change", bmat)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "base change is 200x200, expected 2x2" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("integral", [True, False])
+def test_transport_integer_entries_match_their_strings(capsys, fermat_config, tmp_path,
+                                                       fmt, integral):
+    """Omega and B from JSON integers give the report of the same entries
+    written as strings, byte for byte."""
+    reports = []
+    for entry in (lambda v: v, str):
+        omega = [[entry(v) for v in row] for row in [[1, 2], [3, 4]]]
+        b = [[entry(v) for v in row] for row in [[2, 1], [1, 1]]]
+        omega_path, b_path = _matrix_files(tmp_path, omega,
+                                           b if integral else {"matrix": b, "integral": False})
+        code, out, _ = run_cli(capsys, "--format", fmt, "transport", fermat_config,
+                               "--omega", omega_path, "--base-change", b_path, "--order", "3")
+        assert code == EXIT_OK
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
 def test_transport_never_expands_the_series(capsys, fermat_config, tmp_path,
                                             monkeypatch):
     omega, bmat = _matrix_files(tmp_path, [["1", "2"], ["3", "4"]], [[1, 0], [0, 1]])

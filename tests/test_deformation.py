@@ -569,24 +569,55 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _ladder_shaped(rng, size, bits):
+    """A D shaped like a ladder matrix: one or two nonzeros per row, the last
+    row zero when size > 1, int entries beside Fractions."""
+    rows = [[0] * size for _ in range(size)]
+    for row in rows[:max(size - 1, 1)]:
+        for t in rng.sample(range(size), min(size, rng.randint(1, 2))):
+            row[t] = rng.choice((rng.choice((-2, -1, 1, 3)),
+                                 Fraction(rng.randint(-2 ** bits, 2 ** bits),
+                                          rng.randint(1, 2 ** bits))))
+    return rows
+
+
 @pytest.mark.parametrize("size", range(1, 22))
 def test_transport_matches_plain_product(size, monkeypatch):
     """The integer route equals the Fraction product (D * Omega) * B, with
-    2^70 denominators and a zero D, and forms Omega * B once per call."""
+    2^70 denominators, a zero D and ladder-shaped sparse D, and forms
+    Omega * B once per call."""
     rng = random.Random(size)
     omega = PeriodMatrix(tuple(map(tuple, _random_exact(rng, size, 70))))
     base = _random_unimodular(rng, size)
     ladder = {1: _random_exact(rng, size, 70), 2: _random_exact(rng, size, 70),
-              3: [[Fraction(0)] * size for _ in range(size)]}
+              3: [[Fraction(0)] * size for _ in range(size)],
+              4: _ladder_shaped(rng, size, 70), 5: _ladder_shaped(rng, size, 70)}
     products = _count_calls(monkeypatch, "_matmul")
     out = period_transport(ladder, omega, base)
-    assert len(products) == len(ladder) + 1
+    assert len(products) == 1
     assert list(out) == list(ladder)
     for m, d in ladder.items():
         assert out[m].exact
         assert out[m].entries == tuple(map(tuple, plain_transport(d, omega.entries,
                                                                   base.matrix)))
     assert all(v == 0 for row in out[3].entries for v in row)
+
+
+@pytest.mark.parametrize("name", ["cubic_curve", "sextic_curve", "two_quadrics", "quartic_k3"])
+def test_transport_of_real_ladders_matches_plain_product(name):
+    """On the benchmark geometries' ladders, transport of a seeded exact
+    Omega and unimodular B is the Fraction product at every order."""
+    *texts, order = SERIES_CASES[name]
+    P, dd, basis_u = _deformation_case(*texts)
+    ladder = d_ladder(dd, P, basis_u, order)
+    rng = random.Random(f"transport:{name}")
+    omega = PeriodMatrix(tuple(map(tuple, _random_exact(rng, P.dimension, 40))))
+    base = _random_unimodular(rng, P.dimension)
+    out = period_transport(ladder, omega, base)
+    assert list(out) == list(range(1, order + 1))
+    for m, d in ladder.items():
+        assert out[m].entries == tuple(map(tuple, plain_transport(d, omega.entries,
+                                                                  base.matrix)))
 
 
 def test_transport_fraction_base_change_takes_the_integer_route(monkeypatch):
