@@ -39,7 +39,6 @@ from .operators import (
     phi_n,
 )
 from .cohomology import (
-    GradedPiece,
     QuotientPresentation,
     ReductionResult,
     build_presentation,
@@ -76,7 +75,6 @@ __all__ = [
     "DeformationSeries",
     "DworkboxError",
     "DworkData",
-    "GradedPiece",
     "IndependenceError",
     "InputError",
     "InternalCheckError",

@@ -70,10 +70,15 @@ G and checks the file's basis against the rebuild.  Every solver takes its
 Q rows straight from the integer gradient table (`_WeightSolver.q_vector`),
 walking the generators without listing them, and keys its echelon combos by
 the generators' packed keys, so a combo is a preimage as it stands.
+
+Each piece is listed once: `enumerate_piece` keeps one listed `PieceView`
+per (context, charge, weight, eta degree), which the base and deformed
+presentations and the draws of `verify` share.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from bisect import bisect_left
 from collections import defaultdict
@@ -98,17 +103,6 @@ from .superalgebra import (
 PRESENTATION_FORMAT_VERSION = 2
 
 
-@dataclass(frozen=True)
-class GradedPiece:
-    """Ordered monomial basis of one tri-graded piece (largest first), as
-    packed keys (`VariableContext.unpack` gives the SuperMonomials)."""
-
-    charge: int
-    weight: int
-    eta_degree: int
-    monomials: tuple
-
-
 def _compositions(total: int, parts: int):
     """All tuples of `parts` non-negative ints summing to `total` >= 0,
     lexicographically largest first: the multiplicity vectors of the
@@ -123,15 +117,16 @@ def _compositions(total: int, parts: int):
 
 
 class PieceView:
-    """The packed keys of the monomials of one tri-graded piece, largest
-    first by `monomial_sort_key`, made one at a time instead of listed.
-    This is the one place the order inside a piece is defined: iteration
-    walks the block table, and `enumerate_piece` lists a view.
+    """The packed keys of the monomials of one tri-graded piece (`charge`,
+    `weight`, `eta_degree`), largest first by `monomial_sort_key`.  This is
+    the one place the order inside a piece is defined, and the one piece
+    object: iteration walks the block table, `monomials` lists the walk
+    and `index` maps each key to its position there, both made on first
+    use and kept.  `enumerate_piece` hands out one listed view per piece.
 
     The piece is a union of blocks y^v x^u eta, one per eta subset, y
     composition v and its forced x degree |u|; a block holds C(|u| + n, n)
     monomials (stars and bars), so `len` sums the blocks without a walk.
-    Nothing is cached beyond the block table.
 
     The sort key (q-degree, exponents, eta) groups the blocks by q-degree.
     graded-lex compares v before u, so the groups split further by v: a
@@ -152,6 +147,7 @@ class PieceView:
         if weight < 0:
             raise InputError("weight must be >= 0")
         self.ctx = ctx
+        self.charge, self.weight, self.eta_degree = charge, weight, eta_degree
         groups: dict = {}
         size = -eta_degree
         for eta in combinations(range(1, ctx.nvars + 1), size) if size >= 0 else ():
@@ -223,14 +219,24 @@ class PieceView:
                 for base in bases[bisect_left(xdegs, s):]:
                     yield base + tail
 
+    @functools.cached_property
+    def monomials(self) -> tuple:
+        return tuple(self)
 
+    @functools.cached_property
+    def index(self) -> dict:
+        return {m: i for i, m in enumerate(self.monomials)}
+
+
+@functools.lru_cache(maxsize=256)
 def enumerate_piece(ctx: VariableContext, charge: int, weight: int,
-                    eta_degree: int) -> GradedPiece:
-    """The monomials with the given tri-grading, in the order their
-    `PieceView` walks them; empty when the charge/weight constraints admit
-    no solution (including eta_degree outside [-N, 0])."""
-    return GradedPiece(charge, weight, eta_degree,
-                       tuple(PieceView(ctx, charge, weight, eta_degree)))
+                    eta_degree: int) -> PieceView:
+    """The listed `PieceView` of the given tri-grading, kept: a piece
+    depends only on its gradings.  Empty when the charge/weight constraints
+    admit no solution (including eta_degree outside [-N, 0])."""
+    view = PieceView(ctx, charge, weight, eta_degree)
+    view.monomials  # listed here, on the cache's miss
+    return view
 
 
 @dataclass(frozen=True)
@@ -375,13 +381,13 @@ class _WeightSolver(_Echelon):
     a row's pivot is its largest monomial; combos are keyed by the packed
     keys of the degree -1 generators, so they are preimages as they stand.
     `solve` is the only translation between monomials and positions that a
-    reader goes through, and the target is the one piece a solver lists.
+    reader goes through, and the target, whose `index` gives the
+    positions, is the one piece a solver lists.
     """
 
-    def __init__(self, target: GradedPiece):
+    def __init__(self, target: PieceView):
         super().__init__()
         self.target = target
-        self.index = {m: i for i, m in enumerate(target.monomials)}
 
     def complement_monomials(self):
         return tuple(m for i, m in enumerate(self.target.monomials)
@@ -397,7 +403,7 @@ class _WeightSolver(_Echelon):
         """
         bit = gen & D.ctx.eta_mask  # a generator has the one eta_j
         m = gen - bit
-        index = self.index
+        index = self.target.index
         try:
             return ({index[gk + m]: c for gk, c in D.grad_num[bit.bit_length() - 1]},
                     D.grad_den)
@@ -412,7 +418,7 @@ class _WeightSolver(_Echelon):
         generator monomial, both as packed keys: the preimage is the
         echelon's combo itself.
         """
-        index = self.index
+        index = self.target.index
         try:
             vec = {index[mono]: v for mono, v in num.items()}
         except KeyError:
@@ -546,7 +552,7 @@ class _Cover:
         below = self.below
         pivot_at = self.pivot_at
         if pivot_at is None:  # a lead-covered piece never gets here
-            self.shifts = tuple(PieceView(self.ctx, 0, 1, 0))
+            self.shifts = enumerate_piece(self.ctx, 0, 1, 0).monomials
             keys = below.target.monomials
             pivot_at = self.pivot_at = {keys[pivot]: hit for hit, (pivot, row, _)
                                         in enumerate(below.rows) if row[pivot] % _GUARD_PRIME}

@@ -33,7 +33,6 @@ name sees the fault too; it is not thread-safe.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import random
 import sys
@@ -155,21 +154,15 @@ def random_homogeneous(ctx: VariableContext, rng: random.Random, **kw) -> SuperE
     return e
 
 
-@functools.lru_cache(maxsize=256)
-def _piece(ctx: VariableContext, charge: int, weight: int, eta_degree: int) -> tuple:
-    """The listed piece: it depends only on its gradings, so each is
-    listed once, not per draw."""
-    return enumerate_piece(ctx, charge, weight, eta_degree).monomials
-
-
 def random_charge_element(D: DworkData, rng: random.Random, charge: int,
                           eta_degree: int, max_weight: int = 3) -> SuperElement:
     """Random element inside the (charge, eta_degree) slice, weights <= max_weight.
 
-    Two monomials per weight are drawn from the piece's cached listing,
-    as packed keys at the positions `_sample` draws.  Each coefficient
-    p/q, p in -4..4 and q in 1..3, is kept as the int numerator
-    p * (6 // q) over 6, the lcm of every q.
+    Two monomials per weight are drawn from the piece's listing, the one
+    `enumerate_piece` keeps and the presentations share, as packed keys at
+    the positions `_sample` draws.  Each coefficient p/q, p in -4..4 and q
+    in 1..3, is kept as the int numerator p * (6 // q) over 6, the lcm of
+    every q.
 
     The draws take `rng.getrandbits` words through `_below` and `_sample`,
     the same stream as `random.sample` of the listed piece and `randint`
@@ -180,7 +173,7 @@ def random_charge_element(D: DworkData, rng: random.Random, charge: int,
     getrandbits = rng.getrandbits
     acc = {}
     for w in range(0, max_weight + 1):
-        piece = _piece(ctx, charge, w, eta_degree)
+        piece = enumerate_piece(ctx, charge, w, eta_degree).monomials
         size = len(piece)
         if not size:
             continue

@@ -1,5 +1,8 @@
+import functools
+
 import pytest
 
+from dworkbox import cohomology
 from dworkbox import (
     VariableContext,
     build_presentation,
@@ -75,3 +78,21 @@ def fractional_cubic_dwork():
 def grevlex_k3_dwork():
     ctx = VariableContext(3, 1, (4,), "grevlex")
     return dwork_potential(ctx, [parse("x0^4 + x1^4 + x2^4 + x3^4", ctx)])
+
+
+@pytest.fixture
+def piece_listings(monkeypatch):
+    """The (charge, weight, eta degree) of each piece `enumerate_piece`
+    lists from a cleared cache on: the listings it makes, not its calls."""
+    listed = []
+
+    class CountingView(cohomology.PieceView):
+        @functools.cached_property
+        def monomials(self):
+            listed.append((self.charge, self.weight, self.eta_degree))
+            return tuple(self)
+
+    monkeypatch.setattr(cohomology, "PieceView", CountingView)
+    cohomology.enumerate_piece.cache_clear()
+    yield listed
+    cohomology.enumerate_piece.cache_clear()

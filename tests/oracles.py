@@ -717,7 +717,7 @@ class EchelonReduction:
             part = {m: c for m, c in rest.terms.items()
                     if monomial_weight(ctx, ctx.pack(m)) == w}
             solver = self.solver(w)
-            vec, den = as_ints({solver.index[ctx.pack(m)]: c for m, c in part.items()})
+            vec, den = as_ints({solver.target.index[ctx.pack(m)]: c for m, c in part.items()})
             *parts, scale = solver.eliminate(vec)
             residual, combo = as_fractions(*parts, scale * den)
             for pos, c in residual.items():

@@ -105,16 +105,25 @@ def test_enumerate_piece_order_is_monomial_sort_key(n, k, degrees, order):
     (2, 1, (3,)), (3, 1, (4,)), (3, 2, (2, 2)), (2, 2, (1, 2)), (3, 2, (2, 3))])
 def test_piece_view_counts_and_walks_enumerate_piece(n, k, degrees, order):
     """PieceView counts, in closed form, and walks exactly the monomials
-    enumerate_piece lists, in the same order."""
+    enumerate_piece lists, in the same order.  enumerate_piece hands out one
+    view per piece, to equal contexts too, and its index is the position of
+    each key in the listing."""
     ctx = VariableContext(n, k, degrees, order)
     nonempty = 0
     for charge in range(-3, 4):
         for weight in range(4):
             for eta_degree in range(0, -3, -1):
-                monos = list(enumerate_piece(ctx, charge, weight, eta_degree).monomials)
+                listed = enumerate_piece(ctx, charge, weight, eta_degree)
+                assert listed is enumerate_piece(VariableContext(n, k, degrees, order),
+                                                 charge, weight, eta_degree)
+                assert (listed.charge, listed.weight, listed.eta_degree) == \
+                    (charge, weight, eta_degree)
+                monos = list(listed.monomials)
                 view = PieceView(ctx, charge, weight, eta_degree)
                 assert len(view) == len(monos)
                 assert list(view) == monos
+                assert len(listed.index) == len(monos)
+                assert all(listed.index[m] == i for i, m in enumerate(monos))
                 nonempty += bool(monos)
     assert nonempty > 10
 

@@ -1062,6 +1062,22 @@ def test_t_series_makes_no_element_product_on_the_k3(series_case, monkeypatch):
     assert len(series.rhs) == 2023
 
 
+def test_deformation_presentations_share_each_piece(piece_listings):
+    """From a cleared `enumerate_piece` cache, the base and deformed
+    presentations of the K3 deformed by x0*x1*x2*x3, with u_basis and
+    t_series at order 3, share each weight 0..n-k target, and no piece is
+    walked into a listing twice."""
+    n, degrees, G, H, _, order = SERIES_CASES["quartic_k3"]
+    ctx = VariableContext(n, len(degrees), degrees)
+    D = dwork_potential(ctx, [parse(g, ctx) for g in G])
+    dd = build_deformation(D, [parse(t, ctx) for t in H])
+    P, PU = build_presentation(D), build_presentation(dd.deformed)
+    t_series(dd, P, u_basis(dd, P, PU), order)
+    for w in range(n - len(degrees) + 1):
+        assert PU._solvers[w].target is P._solvers[w].target
+    assert piece_listings and len(piece_listings) == len(set(piece_listings))
+
+
 def test_d_ladder_rejects_bad_order(hesse_setup):
     hesse, pres_G, _, basis_u = hesse_setup
     with pytest.raises(InputError, match="truncation order must be >= 1"):

@@ -244,17 +244,11 @@ def test_random_charge_element_draws_as_the_enumerating_sampler(geometry, reques
     assert walks == {"one", "pool", "rejection"}
 
 
-def test_suite_lists_each_piece_once(cubic_dwork, cubic_presentation, monkeypatch):
-    """From a cleared cache, one suite on the cubic lists each (charge,
-    weight, eta degree) piece at most once, and every charge draw is the
-    enumerating sampler's, generator state included."""
-    listed = []
-    list_piece = verify.enumerate_piece
-
-    def counting_listing(ctx, charge, weight, eta_degree):
-        listed.append((charge, weight, eta_degree))
-        return list_piece(ctx, charge, weight, eta_degree)
-
+def test_suite_lists_each_piece_once(cubic_dwork, cubic_presentation, monkeypatch,
+                                     piece_listings):
+    """From a cleared `enumerate_piece` cache, one suite on the cubic lists
+    each (charge, weight, eta degree) piece at most once, and every charge
+    draw is the enumerating sampler's, generator state included."""
     draw = verify.random_charge_element
     draws = 0
 
@@ -269,12 +263,10 @@ def test_suite_lists_each_piece_once(cubic_dwork, cubic_presentation, monkeypatc
         draws += 1
         return drawn
 
-    monkeypatch.setattr(verify, "enumerate_piece", counting_listing)
     monkeypatch.setattr(verify, "random_charge_element", checked_draw)
-    verify._piece.cache_clear()
     assert run_suite(cubic_dwork, cubic_presentation, seed=0, iterations=40).ok
     assert draws > 40
-    assert listed and len(listed) == len(set(listed))
+    assert piece_listings and len(piece_listings) == len(set(piece_listings))
 
 
 # bounds of one to nine bits, and past the 32-bit words of MT19937
