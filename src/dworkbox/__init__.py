@@ -54,6 +54,7 @@ from .deformation import (
     UBasis,
     build_deformation,
     d_ladder,
+    d_matrix,
     k_gamma,
     mc_check,
     period_transport,
@@ -98,6 +99,7 @@ __all__ = [
     "charge_generator",
     "charge_witness",
     "d_ladder",
+    "d_matrix",
     "dwork_potential",
     "ell2",
     "ell_n",

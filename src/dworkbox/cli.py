@@ -26,6 +26,7 @@ from .deformation import (
     PeriodMatrix,
     build_deformation,
     d_ladder,
+    d_matrix,
     period_transport,
     t_series,
     u_basis,
@@ -213,9 +214,10 @@ def cmd_deform(args) -> int:
     order = _truncation_order(args, config)
     pres = _deformation_base(config)
     deform, basis_u = _deformation_setup(config, pres)
-    # the series is expanded for the report only; the ladder does not need it
+    # the report prints the series, and the ladder is read off its
+    # coefficients, so no reduction is made twice
     series = t_series(deform, pres, basis_u, order)
-    ladder = d_ladder(deform, pres, basis_u, order)
+    ladder = d_matrix(series)
     series_rows = series.series_rows()
     payload = {
         "uBasis": [render(u) for u in basis_u.elements],

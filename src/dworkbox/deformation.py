@@ -16,7 +16,8 @@ From a deformation the module builds:
     the right-side coefficient whose reduction certifies it;
   * the ladder of derivative matrices D (partial sums per total order) whose
     limit transports period matrices via  Omega_U = D * Omega_G * B, built
-    directly by d_ladder without expanding the series.
+    directly by d_ladder without expanding the series, or read off an
+    expanded series by d_matrix.
 
 Period matrices and the integral base change B are opaque user inputs; the
 transport is plain matrix algebra in whatever arithmetic the entries carry.
@@ -123,8 +124,8 @@ class UBasis:
 
     The first |I'| entries are the classes built from the nonzero H_i, in
     the order of ``DeformationData.nonzero_indices``, so I' viewed inside I
-    is always (1, ..., |I'|): `t_series` relies on the I' classes coming
-    first.  Each leading class is y_i H_i times ``prefactor`` =
+    is always (1, ..., |I'|): `t_series` and `d_matrix` rely on the I'
+    classes coming first.  Each leading class is y_i H_i times ``prefactor`` =
     h y_j^m, which is 1 at background charge 0, h at positive charge and
     h y_j^m at negative charge; it is the one record of both h and (j, m).
     """
@@ -420,13 +421,53 @@ def d_ladder(def_data: DeformationData, pres_G: QuotientPresentation,
     inspects convergence across orders.  Multinomial bookkeeping makes row
     beta at order M the cumulative reduction of u_beta * Gamma^j / j! over
     j < M, read off one expansion_coefficients call per u_beta: dim * order
-    reductions instead of one per exponent of the T series.
+    reductions instead of one per exponent of the T series.  This is the
+    route for a job that has no series; a caller that has already expanded
+    the series reads the same ladder off it with `d_matrix`, which reduces
+    nothing.
     """
     if order < 1:
         raise InputError("truncation order must be >= 1")
     rows = [expansion_coefficients(def_data, pres_G, u, order - 1)
             for u in basis_u.elements]
     return {m: [list(row[m - 1]) for row in rows] for m in range(1, order + 1)}
+
+
+def d_matrix(series: DeformationSeries):
+    """The `d_ladder` of the deformation a T series expands, read off it.
+
+    Entry [beta][rho] at order M sums m_beta * coeff(rho, m) over the
+    exponents m of total order 1..M with m - e_beta inside I'.  The I'
+    classes come first in the u basis (see UBasis), so positions
+    0..|I'|-1 are I', and an exponent contributes in one of two ways: with
+    no index off I', m_beta * c to each row beta of its support; with one
+    index b off I', at power 1, c to row b.  Any other exponent adds
+    nothing.  One pass over the coefficients sums them by total order; the
+    running sums take each order's sums and are copied once per order.
+    """
+    dim, ell = series.dimension, len(series.prime_indices)
+    # steps[M][beta][rho]: what the exponents of total order M add
+    steps = [[[0] * dim for _ in range(dim)] for _ in range(series.order + 1)]
+    for (rho, expo), c in series.coefficients.items():
+        inner = expo[:ell]
+        total = sum(expo)
+        off = total - sum(inner)
+        if not off:
+            step = steps[total]
+            for beta, m in enumerate(inner):
+                if m:
+                    step[beta][rho] += m * c
+        elif off == 1:
+            steps[total][expo.index(1, ell)][rho] += c
+    running = [[Fraction(0)] * dim for _ in range(dim)]
+    ladder = {}
+    for order in range(1, series.order + 1):
+        for row, step in zip(running, steps[order]):
+            for rho, v in enumerate(step):
+                if v:
+                    row[rho] += v
+        ladder[order] = [row[:] for row in running]
+    return ladder
 
 
 # -- deformation evaluators ----------------------------------------------------

@@ -3,9 +3,9 @@
 Most of them deliberately avoid the library's SuperElement machinery:
 polynomials are plain dicts over x exponent tuples, ranks come from dense
 rational elimination, and enumeration scans bounded exponent boxes.  The
-retained exact routes (the weight-echelon reduction, the series route to
-the D ladder, the unmemoised T series and the recursive composition
-enumerator) are the library's own earlier paths, kept as cross-checks.
+retained exact routes (the weight-echelon reduction, the unmemoised T
+series and the recursive composition enumerator) are the library's own
+earlier paths, kept as cross-checks.
 """
 
 import itertools
@@ -635,39 +635,6 @@ def series_certificate(pres_G, series, expo):
     assert result.coefficients == {rho: c for rho in range(series.dimension)
                                    if (c := series.coefficient(rho, expo))}
     return result.certificate
-
-
-# -- series route to the D ladder ---------------------------------------------
-
-def d_matrix(series):
-    """The D ladder read off a T series, the cross-check for d_ladder.
-
-    Partial sums of D[beta][rho] = d/dt^beta T^rho at t = 1 on I', 0 off
-    I': entry [beta][rho] at order M accumulates m_beta * coeff(rho, m) over
-    the exponents m of total order <= M with m - e_beta supported inside I'.
-    Returns {M: exact rational matrix} for M = 1..series.order.
-    """
-    prime_set = set(p - 1 for p in series.prime_indices)
-    dim = series.dimension
-    ladders = {}
-    running = [[Fraction(0)] * dim for _ in range(dim)]
-    by_order = {}
-    for (rho, expo), c in series.coefficients.items():
-        by_order.setdefault(sum(expo), []).append((rho, expo, c))
-    for order in range(1, series.order + 1):
-        for rho, expo, c in by_order.get(order, []):
-            for beta in range(dim):
-                e = expo[beta]
-                if not e:
-                    continue
-                # exponent after one derivative must sit inside I'
-                shifted = list(expo)
-                shifted[beta] -= 1
-                if any(shifted[a] and a not in prime_set for a in range(dim)):
-                    continue
-                running[beta][rho] += e * c
-        ladders[order] = [row[:] for row in running]
-    return ladders
 
 
 # -- plain route of period transport ------------------------------------------

@@ -29,6 +29,7 @@ from dworkbox import (
 from dworkbox.deformation import (
     build_deformation,
     d_ladder,
+    d_matrix,
     k_gamma,
     mc_check,
     t_series,
@@ -43,7 +44,6 @@ from dworkbox.verify import (
     reduction_functional,
 )
 from tests.oracles import (
-    d_matrix,
     griffiths_hodge_numbers,
     series_certificate,
     two_quadrics_weight_coranks,

@@ -319,6 +319,24 @@ def test_transport_never_expands_the_series(capsys, fermat_config, tmp_path,
     assert json.loads(out)["orders"][2]["matrix"][0] == ["161/54", "107/27"]
 
 
+@pytest.mark.parametrize("geometry", ["cubic_curve", "two_quadrics"])
+def test_deform_reads_its_ladder_off_the_series(geometry, tmp_path, monkeypatch):
+    """deform reduces only for its T series and reads the D ladder off it:
+    with d_ladder and expansion_coefficients refusing, the report (which
+    renders and exits 0 in render_case) is still its golden, in both formats."""
+    from dworkbox import deformation
+    from tests.test_golden import GOLDEN, _case_name, render_case
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("deform reduced for its ladder")
+
+    monkeypatch.setattr(cli, "d_ladder", refuse)
+    monkeypatch.setattr(deformation, "expansion_coefficients", refuse)
+    for fmt in ("json", "text"):
+        expected = (GOLDEN / _case_name("deform", geometry, fmt)).read_text(encoding="utf-8")
+        assert render_case("deform", geometry, fmt, tmp_path) == expected
+
+
 def test_transport_identity(capsys, fermat_config, tmp_path):
     omega = tmp_path / "omega.json"
     omega.write_text(json.dumps([["1", "2"], ["3", "4"]]))

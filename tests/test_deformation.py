@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from dworkbox import (
+    AssumptionError,
     IndependenceError,
     InputError,
     SuperElement,
@@ -30,6 +31,7 @@ from dworkbox.deformation import (
     bell_expansion,
     build_deformation,
     d_ladder,
+    d_matrix,
     expansion_coefficients,
     k_gamma,
     mc_check,
@@ -40,7 +42,6 @@ from dworkbox.deformation import (
 from dworkbox.operators import LinearFunctional
 from dworkbox.verify import random_element, reduction_functional
 from tests.oracles import (
-    d_matrix,
     plain_t_series,
     plain_transport,
     series_certificate,
@@ -849,6 +850,62 @@ def test_d_ladder_equals_series_route(name):
     assert set(ladder) == set(range(1, order + 1))
     assert ladder == d_matrix(t_series(dd, P, basis_u, order))
     if not dd.nonzero_indices:
+        identity = [[Fraction(int(i == j)) for j in range(P.dimension)]
+                    for i in range(P.dimension)]
+        assert all(matrix == identity for matrix in ladder.values())
+
+
+# (geometry of LADDER_CASES, which H_i are drawn, draws): seeded monomial
+# deformations of c_G = 0, c_G = 2, c_G = -1 with h = x2^2, and k = 2 with
+# H_2 zero and nonzero, plus the quintic undeformed (H = 0).  The two
+# quadrics have |I| = 2, so at most one H_i is nonzero (|I'| < |I|).
+RANDOM_LADDER_DRAWS = [
+    ("cubic_curve", (True,), 3),
+    ("quintic_curve", (True,), 2),
+    ("cubic_surface", (True,), 2),
+    ("two_quadrics", (True, False), 2),
+    ("two_quadrics", (False, True), 2),
+    ("quintic_curve", (False,), 1),
+]
+RANDOM_LADDER_CASES = [(name, drawn, i) for name, drawn, count in RANDOM_LADDER_DRAWS
+                       for i in range(count)]
+
+
+def _random_monomial(rng, nvars, degree):
+    """A nonzero multiple of a uniformly cut x-monomial of the given degree."""
+    cuts = sorted(rng.randint(0, degree) for _ in range(nvars - 1))
+    powers = [b - a for a, b in zip([0, *cuts], [*cuts, degree])]
+    return f"{rng.choice((-2, -1, 1, 3))}*" + "*".join(
+        f"x{v}^{p}" for v, p in enumerate(powers) if p)
+
+
+@pytest.mark.parametrize("name,drawn,draw", RANDOM_LADDER_CASES,
+                         ids=[f"{n}-H{''.join('1' if on else '0' for on in d)}-{i}"
+                              for n, d, i in RANDOM_LADDER_CASES])
+def test_d_matrix_of_the_series_is_d_ladder_on_seeded_deformations(name, drawn, draw):
+    """d_matrix(t_series) == d_ladder at every order, on seeded monomial H.
+
+    A draw whose deformed variety is singular or whose classes are dependent
+    fails a hypothesis of the construction, not the code, and is redrawn."""
+    n, degrees, G, _, h, order = LADDER_CASES[name]
+    rng = random.Random(f"ladder:{name}:{drawn}:{draw}")
+    for _ in range(20):
+        H = [_random_monomial(rng, n + 1, d) if on else "0"
+             for d, on in zip(degrees, drawn)]
+        try:
+            P, dd, basis_u = _deformation_case(n, degrees, G, H, h)
+        except AssumptionError:
+            continue
+        break
+    else:
+        pytest.fail(f"no admissible deformation of {name} in 20 draws")
+    ladder = d_matrix(t_series(dd, P, basis_u, order))
+    assert ladder == d_ladder(dd, P, basis_u, order)
+    assert set(ladder) == set(range(1, order + 1))
+    # the CLI renders every entry as "p/q"
+    assert all(type(v) is Fraction for matrix in ladder.values()
+               for row in matrix for v in row)
+    if not any(drawn):
         identity = [[Fraction(int(i == j)) for j in range(P.dimension)]
                     for i in range(P.dimension)]
         assert all(matrix == identity for matrix in ladder.values())

@@ -33,6 +33,7 @@ skipped Koszul-redundant generators, when every generator was inserted.
 `write_goldens` leaves both alone.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -216,3 +217,31 @@ def test_presentation_file_of_format_1_still_loads():
     assert payload["version"] == 1
     assert set(payload) - set(json.loads(fresh)) == {"slack", "solvers"}
     assert QuotientPresentation.from_json(older).to_json() == fresh
+
+
+# the deform jobs of the benchmark (perfbench/workloads.py) at its orders:
+# config, order and the SHA-256 of the `--format json` report, taken while
+# deform still built its ladder by d_ladder, so the series read-off is
+# pinned byte for byte on the workload it speeds up
+BENCHMARK_DEFORM_REPORTS = {
+    "sextic_curve": (
+        {"n": 2, "k": 1, "degrees": [6],
+         "G": ["x0^6 + x1^6 + x2^6"], "H": ["x0^2*x1^2*x2^2"]}, 6,
+        "1b718e92c02ee2ee121d132ad80d762814844f68b43607b620ee76a020a3d325"),
+    "quartic_k3": (
+        {"n": 3, "k": 1, "degrees": [4],
+         "G": ["x0^4 + x1^4 + x2^4 + x3^4"], "H": ["x0*x1*x2*x3"]}, 3,
+        "0659fc5f7a2dc4e774a42912858d1c4923c99c50f0bb2d23ec4605539894a3a3"),
+}
+
+
+@pytest.mark.parametrize("geometry", BENCHMARK_DEFORM_REPORTS)
+def test_benchmark_deform_report_is_pinned(geometry, tmp_path):
+    spec, order, digest = BENCHMARK_DEFORM_REPORTS[geometry]
+    config = tmp_path / f"{geometry}.json"
+    config.write_text(json.dumps(spec))
+    out = tmp_path / "report.json"
+    code = main(["--format", "json", "--out", str(out), "deform", str(config),
+                 "--order", str(order)])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
