@@ -226,6 +226,7 @@ def cmd_deform(args) -> int:
         "series": series_rows,
         "dLadder": {str(m): _matrix_json(mat) for m, mat in ladder.items()},
     }
+    del series, ladder  # the report reads only the payload; `rhs` goes before rendering
     _emit(args, payload, lambda: [
         "u basis: " + ", ".join(payload["uBasis"]),
         f"deformed indices I': {payload['primeIndices']}",
@@ -308,8 +309,7 @@ def cmd_verify(args) -> int:
         raise InputError(f"--iterations must be >= 1, got {iterations}")
     pres = _build(config)
     with fault_injection(args.inject_fault) if args.inject_fault else contextlib.nullcontext():
-        report = run_suite(pres.dwork, pres, seed=seed, iterations=iterations,
-                           deformation_H=config.H)
+        report = run_suite(pres, seed=seed, iterations=iterations, deformation_H=config.H)
     payload = {
         "seed": seed,
         "iterations": iterations,

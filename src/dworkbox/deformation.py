@@ -517,16 +517,15 @@ def bell_expansion(f: LinearFunctional, gamma: SuperElement, u: SuperElement,
         raise InputError("order must be >= 0")
     if not f.cochain:
         raise InputError("bell_expansion needs a cochain functional (f . K = 0)")
-    cache: dict = {}
     phis_gamma = [None]
     for j in range(1, order + 1):
-        phis_gamma.append(phi_n(f, (gamma,) * j, _cache=cache))
+        phis_gamma.append(phi_n(f, (gamma,) * j))
     bells = [Fraction(1)]
     for j in range(1, order + 1):
         bells.append(bell_complete(j, phis_gamma[1:j + 1]))
     phi_with_u = [f(u)]
     for k in range(1, order + 1):
-        phi_with_u.append(phi_n(f, (gamma,) * k + (u,), _cache=cache))
+        phi_with_u.append(phi_n(f, (gamma,) * k + (u,)))
     sums = [f(u)]
     running = f(u)
     for m in range(1, order + 1):

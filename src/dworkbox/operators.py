@@ -33,7 +33,10 @@ product.  Because K has order two, l_n vanishes identically for n >= 3, so
 recursive definition lives in `tests/oracles.ell_n_by_definition`, and the
 vanishing is a Tier-1 test (`test_ell_3_and_above_vanish`), not a `verify`
 family: at n = 3 it is the identity of the Poisson rule, which `verify`
-checks.
+checks.  The descendant maps `phi_n` of a functional do not vanish: they
+run the cumulant recursion over the two-block partitions that separate the
+last two arguments, memoized on the `LinearFunctional`, so all calls on
+one functional share their sub-maps and no caller hands a cache around.
 
 Complete and partial Bell polynomials close the module; they assemble the
 exponential of a formal series and drive the deformation expansion of a
@@ -45,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import ContextMismatchError, InputError
 from .superalgebra import (
@@ -272,7 +275,10 @@ class LinearFunctional:
     The callable contract: linear over the rationals and vanishing outside
     cohomological degree 0.  ``cochain`` flags maps known to kill the image
     of K (the reduction-derived functionals set it; ad-hoc stand-ins may
-    not).
+    not).  The functional owns the memo of its descendant maps: `phi_n`
+    records each value of two or more arguments in ``_phis``, keyed by the
+    argument tuple, so every call on one functional shares its sub-maps and
+    the memo dies with the functional.
     """
 
     def __init__(self, func: Callable[[SuperElement], Fraction], cochain: bool = False,
@@ -280,6 +286,7 @@ class LinearFunctional:
         self._func = func
         self.cochain = cochain
         self.name = name
+        self._phis = {}
 
     def __call__(self, a: SuperElement) -> Fraction:
         value = self._func(a)
@@ -292,27 +299,21 @@ class LinearFunctional:
 
 
 def _two_block_partitions(m: int):
-    """2-block partitions of {1..m} with m-1 and m in different blocks.
+    """The 2^(m-2) two-block partitions of the positions 0..m-1 that put
+    m-2 and m-1 in different blocks, m >= 2.
 
-    Blocks come out ordered by their minimum (block containing 1 first);
-    indices inside a block are increasing.  Yields (B1, B2) as tuples of
-    0-based positions.
+    Each of 0..m-3 joins one of the two blocks, by one bit of a mask, so no
+    partition is made twice and none is rejected.  Yields (B1, B2) as
+    increasing tuples, B1 ending in m-2 and B2 in m-1; the order of the two
+    blocks is immaterial to `_phi_rec`, which multiplies their scalars.
     """
-    rest = list(range(1, m))
-    # Choose the subset joining position 0; positions m-2 and m-1 must split.
-    for mask in range(1 << (m - 1)):
-        b1 = [0] + [rest[i] for i in range(m - 1) if mask >> i & 1]
-        b2 = [rest[i] for i in range(m - 1) if not mask >> i & 1]
-        if not b2:
-            continue
-        in1 = (m - 2) in b1
-        if ((m - 1) in b1) == in1:
-            continue
-        yield tuple(b1), tuple(b2)
+    head = range(m - 2)
+    for mask in range(1 << (m - 2)):
+        yield (tuple(i for i in head if mask >> i & 1) + (m - 2,),
+               tuple(i for i in head if not mask >> i & 1) + (m - 1,))
 
 
-def phi_n(f: LinearFunctional, args: Sequence[SuperElement],
-          _cache: Optional[dict] = None) -> Fraction:
+def phi_n(f: LinearFunctional, args: Sequence[SuperElement]) -> Fraction:
     """Descendant map phi_n of a linear functional, n = len(args) >= 1.
 
         phi_1 = f
@@ -320,28 +321,28 @@ def phi_n(f: LinearFunctional, args: Sequence[SuperElement],
                           - sum over 2-block partitions pi of {1..m}
                             separating m-1 from m of phi(x_B1) phi(x_B2)
 
-    Memoized per call tree on argument tuples (the recursion revisits
-    sub-maps exponentially otherwise).
+    (the Leonov-Shiryaev recursion for joint cumulants, Theory Probab.
+    Appl. 4, 1959; `tests/oracles.phi_n_by_definition`).  Memoized on the
+    functional (``f._phis``) by argument tuple: the recursion revisits
+    sub-maps exponentially otherwise, and calls on one functional share them.
     """
     args = tuple(args)
     if len(args) < 1:
         raise InputError("phi_n needs at least one argument")
-    cache = {} if _cache is None else _cache
-    return _phi_rec(f, args, cache)
+    return _phi_rec(f, args, f._phis)
 
 
-def _phi_rec(f: LinearFunctional, args: tuple, cache: dict) -> Fraction:
+def _phi_rec(f: LinearFunctional, args: tuple, memo: dict) -> Fraction:
     if len(args) == 1:
         return f(args[0])
-    hit = cache.get(args)
+    hit = memo.get(args)
     if hit is not None:
         return hit
-    m = len(args)
-    value = _phi_rec(f, args[:-2] + (args[-2] * args[-1],), cache)
-    for b1, b2 in _two_block_partitions(m):
-        value -= (_phi_rec(f, tuple(args[i] for i in b1), cache)
-                  * _phi_rec(f, tuple(args[i] for i in b2), cache))
-    cache[args] = value
+    value = _phi_rec(f, args[:-2] + (args[-2] * args[-1],), memo)
+    for b1, b2 in _two_block_partitions(len(args)):
+        value -= (_phi_rec(f, tuple(args[i] for i in b1), memo)
+                  * _phi_rec(f, tuple(args[i] for i in b2), memo))
+    memo[args] = value
     return value
 
 

@@ -282,10 +282,14 @@ def exp_identity_rhs(D: DworkData, gamma: SuperElement, lam: SuperElement,
 _EXP_DRAWS = 8
 
 
-def run_suite(D: DworkData, presentation: QuotientPresentation,
-              seed: int = 0, iterations: int = 200,
+def run_suite(presentation: QuotientPresentation, seed: int = 0, iterations: int = 200,
               deformation_H=None) -> VerifyReport:
-    """All invariant families on one geometry; deterministic under the seed."""
+    """All invariant families on one geometry; deterministic under the seed.
+
+    The geometry is the presentation's own (`presentation.dwork`), so the
+    reduction families apply the K its certificates were made with.
+    """
+    D = presentation.dwork
     ctx = D.ctx
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
@@ -499,8 +503,7 @@ def run_suite(D: DworkData, presentation: QuotientPresentation,
         row = tuple(scalar(4) for _ in range(presentation.dimension))
         f = reduction_functional(presentation, row)
         gamma = random_element(ctx, rng, homogeneous_degree=0, terms=2, max_xdeg=2)
-        cache: dict = {}
-        phis = [ops.phi_n(f, (gamma,) * m, _cache=cache) for m in range(1, 5)]
+        phis = [ops.phi_n(f, (gamma,) * m) for m in range(1, 5)]
         for m in range(1, 5):
             if f(gamma ** m) != ops.bell_complete(m, phis[:m]):
                 return f"m={m}: " + _counterexample(gamma)

@@ -498,6 +498,29 @@ def ell_n_by_definition(S, nvars, args):
     return frac_add(out, {m: -sign * c for m, c in right.items()})
 
 
+def phi_n_by_definition(f, args):
+    """phi_n(x_1..x_n) by the recursion of `operators.phi_n`'s docstring,
+    with no memo:
+
+        phi_1 = f
+        phi_m(x_1..x_m) = phi_{m-1}(x_1,..,x_{m-2}, x_{m-1} x_m)
+                          - sum over 2-block partitions {B1, B2} of {1..m}
+                            separating m-1 from m of phi(x_B1) phi(x_B2)
+
+    Each partition is a labelling of x_1..x_{m-2} with the block it joins
+    (x_{m-1} in B1, x_m in B2); every sub-map is computed afresh."""
+    args = tuple(args)
+    if len(args) == 1:
+        return f(args[0])
+    value = phi_n_by_definition(f, args[:-2] + (args[-2] * args[-1],))
+    for labels in itertools.product((1, 2), repeat=len(args) - 2):
+        labels += (1, 2)
+        b1 = tuple(x for x, block in zip(args, labels) if block == 1)
+        b2 = tuple(x for x, block in zip(args, labels) if block == 2)
+        value -= phi_n_by_definition(f, b1) * phi_n_by_definition(f, b2)
+    return value
+
+
 def tower_exp_identity_rhs(D, gamma, lam, order):
     """The right side of verify.exp_identity_rhs in its descendant-tower form:
 

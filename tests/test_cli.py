@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -335,6 +336,28 @@ def test_deform_reads_its_ladder_off_the_series(geometry, tmp_path, monkeypatch)
     for fmt in ("json", "text"):
         expected = (GOLDEN / _case_name("deform", geometry, fmt)).read_text(encoding="utf-8")
         assert render_case("deform", geometry, fmt, tmp_path) == expected
+
+
+def test_deform_lets_go_of_the_series_before_rendering(capsys, fermat_config, monkeypatch):
+    """The series, whose `rhs` holds one element per exponent that no report
+    reads, is freed once the payload is built: it is dead when `_emit` runs."""
+    real_series, real_emit = cli.t_series, cli._emit
+    refs, dead = [], []
+
+    def tracked_series(*args, **kwargs):
+        series = real_series(*args, **kwargs)
+        refs.append(weakref.ref(series))
+        return series
+
+    def tracked_emit(*args, **kwargs):
+        dead.append([ref() is None for ref in refs])
+        return real_emit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "t_series", tracked_series)
+    monkeypatch.setattr(cli, "_emit", tracked_emit)
+    code, _, _ = run_cli(capsys, "deform", fermat_config, "--order", "3")
+    assert code == EXIT_OK
+    assert dead == [[True]]
 
 
 def test_transport_identity(capsys, fermat_config, tmp_path):

@@ -40,6 +40,7 @@ from tests.oracles import (
     frac_apply_delta,
     frac_apply_k,
     frac_apply_q,
+    phi_n_by_definition,
     tower_exp_identity_rhs,
 )
 
@@ -277,6 +278,63 @@ def test_phi_3_partition_expansion(cubic_dwork):
         assert phi_n(f, [a, b, c]) == expected
 
 
+def test_phi_n_matches_its_definition(cubic_dwork, cubic_presentation):
+    """phi_n equals the memo-free recursion for n = 1..5 on seeded cubic
+    elements with odd parts, under an ad-hoc functional that keeps its memo
+    across draws, and on the shapes bell_expansion evaluates,
+    (Gamma,)*k + (u,) for k = 0..5, under a reduction functional."""
+    from dworkbox import reduction_functional
+
+    ctx = cubic_dwork.ctx
+    f = _sum_functional(ctx)
+    rng = random.Random(91)
+    for n in range(1, 6):
+        for _ in range(3):
+            args = [random_element(ctx, rng, max_eta=3, max_weight=1, max_xdeg=2)
+                    for _ in range(n)]
+            assert any(m.eta for a in args for m in a.terms)
+            assert phi_n(f, args) == phi_n_by_definition(f, args)
+    gamma = parse("y1*x0*x1*x2", ctx)
+    g = reduction_functional(cubic_presentation, (Fraction(2, 3), Fraction(-5)))
+    for u in cubic_presentation.basis_elements():
+        for k in range(6):
+            args = (gamma,) * k + (u,)
+            assert phi_n(g, args) == phi_n_by_definition(g, args)
+
+
+def test_phi_n_is_memoized_on_the_functional(cubic_presentation):
+    """The functional owns the memo: a repeated phi_n calls it no more, and
+    a second bell_expansion on it calls it less than the first, because the
+    phi_j(Gamma..Gamma) are shared; the values stay those of fresh
+    functionals."""
+    from dworkbox import bell_expansion, reduction_functional
+
+    ctx = cubic_presentation.dwork.ctx
+    gamma = parse("y1*x0*x1*x2", ctx)
+    row = (Fraction(1, 2), Fraction(-3))
+    reduce_row = reduction_functional(cubic_presentation, row)
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return reduce_row(a)
+
+    f = LinearFunctional(counted, cochain=True)
+    u0, u1 = cubic_presentation.basis_elements()
+    args = (gamma, gamma, u0)
+    value = phi_n(f, args)
+    before = len(calls)
+    assert phi_n(f, args) == value and len(calls) == before
+    made = []
+    for u in (u0, u1):
+        start = len(calls)
+        sums = bell_expansion(f, gamma, u, 5)
+        made.append(len(calls) - start)
+        fresh = reduction_functional(cubic_presentation, row)
+        assert sums == bell_expansion(fresh, gamma, u, 5)
+    assert made[1] < made[0]
+
+
 def test_phi_rejects_empty(cubic_dwork):
     f = _sum_functional(cubic_dwork.ctx)
     with pytest.raises(InputError):
@@ -461,8 +519,7 @@ def test_functional_exponential_identities(cubic_dwork, cubic_presentation):
     for _ in range(6):
         row = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2))
         f = reduction_functional(cubic_presentation, row)
-        cache = {}
-        phis = [None] + [phi_n(f, (gamma,) * m, _cache=cache) for m in range(1, 6)]
+        phis = [None] + [phi_n(f, (gamma,) * m) for m in range(1, 6)]
         for m in range(1, 6):
             direct = f(gamma ** m)
             assert direct == bell_complete(m, phis[1:m + 1])
@@ -475,6 +532,6 @@ def test_functional_exponential_identities(cubic_dwork, cubic_presentation):
             rhs = Fraction(0)
             for r in range(0, m + 1):
                 part = f(lam) if r == 0 else \
-                    phi_n(f, (gamma,) * r + (lam,), _cache=cache) / math.factorial(r)
+                    phi_n(f, (gamma,) * r + (lam,)) / math.factorial(r)
                 rhs += part * exp_parts[m - r]
             assert lhs == rhs

@@ -178,7 +178,7 @@ def test_tracer_knows_every_verify_family(cubic_dwork, cubic_presentation, monke
 
     monkeypatch.setattr(verify, "_check_loop", recorded)
     ctx = cubic_dwork.ctx
-    assert verify.run_suite(cubic_dwork, cubic_presentation, seed=0, iterations=1,
+    assert verify.run_suite(cubic_presentation, seed=0, iterations=1,
                             deformation_H=[parse("x0*x1*x2", ctx)]).ok
     assert "deformation: K_Gamma equals the deformed K" in names
     assert set(names) <= set(tracer.FAMILIES)

@@ -268,10 +268,10 @@ def test_seeded_verify_reports_are_unchanged(name):
     pres = build_presentation(D)
     for fault in (None, "delta-drop-term", "bracket-sign"):
         if fault is None:
-            report = run_suite(D, pres, seed=0, iterations=12)
+            report = run_suite(pres, seed=0, iterations=12)
         else:
             with fault_injection(fault):
-                report = run_suite(D, pres, seed=0, iterations=12)
+                report = run_suite(pres, seed=0, iterations=12)
         assert report.ok == (fault is None)
         lines = report.lines()
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
@@ -295,7 +295,7 @@ def test_seeded_verify_draws_call_no_random_method(monkeypatch):
         monkeypatch.setattr(random.Random, method, forbidden)
     for fault in (None, *FAULT_HOOKS):
         with fault_injection(fault) if fault else contextlib.nullcontext():
-            report = run_suite(D, pres, seed=0, iterations=12)
+            report = run_suite(pres, seed=0, iterations=12)
         assert hashlib.sha256("\n".join(report.lines()).encode()).hexdigest() == \
             PINNED_REPORTS["cubic_curve", fault]
 
@@ -342,7 +342,7 @@ def test_seeded_verify_draws_are_unchanged(monkeypatch):
         spy(verify, name)
     spy(verify.ops, "bell_complete")
     spy(QuotientPresentation, "reduce")
-    assert run_suite(D, pres, seed=0, iterations=12).ok
+    assert run_suite(pres, seed=0, iterations=12).ok
     assert hashlib.sha256("\n".join(log).encode()).hexdigest() == PINNED_DRAWS
 
 

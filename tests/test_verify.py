@@ -31,40 +31,40 @@ from dworkbox.verify import (
 from tests.oracles import enumerating_charge_element, fraction_random_element
 
 
-def test_suite_passes_on_good_build(cubic_dwork, cubic_presentation):
-    report = run_suite(cubic_dwork, cubic_presentation, seed=3, iterations=30)
+def test_suite_passes_on_good_build(cubic_presentation):
+    report = run_suite(cubic_presentation, seed=3, iterations=30)
     assert report.ok
     assert all(c.passed for c in report.checks)
     assert len(report.checks) >= 19
 
 
-def test_suite_deterministic(cubic_dwork, cubic_presentation):
-    a = run_suite(cubic_dwork, cubic_presentation, seed=5, iterations=20)
-    b = run_suite(cubic_dwork, cubic_presentation, seed=5, iterations=20)
+def test_suite_deterministic(cubic_presentation):
+    a = run_suite(cubic_presentation, seed=5, iterations=20)
+    b = run_suite(cubic_presentation, seed=5, iterations=20)
     assert a.lines() == b.lines()
-    c = run_suite(cubic_dwork, cubic_presentation, seed=6, iterations=20)
+    c = run_suite(cubic_presentation, seed=6, iterations=20)
     assert a.lines()[0] != c.lines()[0]
 
 
 @pytest.mark.parametrize("hook", FAULT_HOOKS)
-def test_fault_injection_caught(cubic_dwork, cubic_presentation, hook):
+def test_fault_injection_caught(cubic_presentation, hook):
     with fault_injection(hook):
-        report = run_suite(cubic_dwork, cubic_presentation, seed=3, iterations=25)
+        report = run_suite(cubic_presentation, seed=3, iterations=25)
     assert not report.ok
     failing = [c for c in report.checks if not c.passed]
     assert failing and all(c.detail for c in failing)
     # operators restored after the context exits
-    clean = run_suite(cubic_dwork, cubic_presentation, seed=3, iterations=10)
+    clean = run_suite(cubic_presentation, seed=3, iterations=10)
     assert clean.ok
 
 
-def test_delta_fault_is_caught_by_the_delta_checks(cubic_dwork, cubic_presentation):
+def test_delta_fault_is_caught_by_the_delta_checks(cubic_presentation):
     """apply_k does not call the delta kernel `_delta_numerators`, so the
     dropped delta term never shows through K; it shows in the delta checks (delta^2 = 0, delta Q +
     Q delta = 0), and in the reduce families, whose `reduce` subtracts
     delta(xi) per weight slice."""
     with fault_injection("delta-drop-term"):
-        report = run_suite(cubic_dwork, cubic_presentation, seed=3, iterations=25)
+        report = run_suite(cubic_presentation, seed=3, iterations=25)
     failing = {c.name: c.detail for c in report.checks if not c.passed}
     assert failing["differentials: squares and anticommutator vanish"].startswith(
         ("delta^2: ", "delta Q + Q delta: "))
@@ -120,7 +120,7 @@ def test_fault_reaches_every_holder(name, hook):
     assert len(set(originals)) == 1
     with fault_injection(hook):
         corrupted = {getattr(module, attr) for module, attr in holders}
-        report = run_suite(D, pres, seed=3, iterations=40,
+        report = run_suite(pres, seed=3, iterations=40,
                            deformation_H=[parse(h, ctx) for h in H])
     assert len(corrupted) == 1 and corrupted != set(originals)
     assert [getattr(module, attr) for module, attr in holders] == originals
@@ -145,12 +145,11 @@ def test_bracket_fault_fails_the_exponential_identity_at_every_seed(name):
     pres = QuotientPresentation(D)
     for seed in range(8):
         with fault_injection("bracket-sign"):
-            report = run_suite(D, pres, seed=seed, iterations=12)
+            report = run_suite(pres, seed=seed, iterations=12)
         assert {c.name: c.passed for c in report.checks}[EXP_FAMILY] is False, seed
 
 
-def test_gradings_family_catches_a_non_additive_grading(cubic_dwork, cubic_presentation,
-                                                       monkeypatch):
+def test_gradings_family_catches_a_non_additive_grading(cubic_presentation, monkeypatch):
     """With every charge shifted by one, the charge of a product is not the
     sum of its factors' charges; the family must say so."""
     from dworkbox import verify
@@ -158,7 +157,7 @@ def test_gradings_family_catches_a_non_additive_grading(cubic_dwork, cubic_prese
     real = verify.grade
     monkeypatch.setattr(verify, "grade", lambda a: [(ch + 1, w, deg, part)
                                                    for ch, w, deg, part in real(a)])
-    report = run_suite(cubic_dwork, cubic_presentation, seed=3, iterations=20)
+    report = run_suite(cubic_presentation, seed=3, iterations=20)
     verdicts = {c.name: c.passed for c in report.checks}
     assert verdicts["product: gradings additive"] is False
 
@@ -167,8 +166,7 @@ def test_suite_passes_on_two_quadrics(quadrics_dwork, quadrics_presentation):
     """k = 2 with a deformation whose second component is zero."""
     ctx = quadrics_dwork.ctx
     H = [parse("x0*x1", ctx), SuperElement.zero(ctx)]
-    report = run_suite(quadrics_dwork, quadrics_presentation, seed=0, iterations=20,
-                       deformation_H=H)
+    report = run_suite(quadrics_presentation, seed=0, iterations=20, deformation_H=H)
     assert report.ok
     assert all(c.passed for c in report.checks)
     assert any("deformed" in c.name for c in report.checks)
@@ -244,8 +242,7 @@ def test_random_charge_element_draws_as_the_enumerating_sampler(geometry, reques
     assert walks == {"one", "pool", "rejection"}
 
 
-def test_suite_lists_each_piece_once(cubic_dwork, cubic_presentation, monkeypatch,
-                                     piece_listings):
+def test_suite_lists_each_piece_once(cubic_presentation, monkeypatch, piece_listings):
     """From a cleared `enumerate_piece` cache, one suite on the cubic lists
     each (charge, weight, eta degree) piece at most once, and every charge
     draw is the enumerating sampler's, generator state included."""
@@ -264,7 +261,7 @@ def test_suite_lists_each_piece_once(cubic_dwork, cubic_presentation, monkeypatc
         return drawn
 
     monkeypatch.setattr(verify, "random_charge_element", checked_draw)
-    assert run_suite(cubic_dwork, cubic_presentation, seed=0, iterations=40).ok
+    assert run_suite(cubic_presentation, seed=0, iterations=40).ok
     assert draws > 40
     assert piece_listings and len(piece_listings) == len(set(piece_listings))
 
